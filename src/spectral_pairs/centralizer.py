@@ -3,7 +3,10 @@
 The order-(4g+2) partner is found by an exact linear ansatz: write
 M = sum_i m_i(x) d^i with polynomial m_i of bounded degree, expand [L4, M]
 coefficient by coefficient and solve the resulting homogeneous rational
-system.  The spectral curve comes from the action of M on a formal
+system.  :func:`linalg.nullspace` solves it modulo primes with rational
+reconstruction and accepts its basis only after an exact re-check over Q;
+the partner built from that basis must still pass the exact check
+[L4, M] = 0 by direct commutator expansion.  The spectral curve comes from the action of M on a formal
 power-series basis of ker(L4 - z): the squarefree part of the characteristic
 polynomial det(w I - A(z)).
 

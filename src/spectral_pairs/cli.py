@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 every requested check passed, 1 a verification failed, 2 usage
-or coverage errors.  Exact rationals cross the boundary as "num/den" strings;
-JSON reports are deterministic for a fixed seed (elapsed_ms aside).
+or coverage errors (parameters outside a family included), 3 the
+commuting-partner search was inconclusive.  Exact rationals cross the
+boundary as "num/den" strings; JSON reports are deterministic for a fixed
+seed (elapsed_ms aside).
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ import sys
 from fractions import Fraction
 
 from .centralizer import find_commuting_operator, hyperelliptic_pair
-from .errors import NotCoveredError, SpectralPairsError
+from .errors import (
+    CommutingOperatorNotFound,
+    ConstraintError,
+    NotCoveredError,
+    SpectralPairsError,
+)
 from .families import CUBIC, EXPONENTIAL, QUARTIC, FamilySpec, char_poly_z, make_L4
 from .numeric import (
     DEFAULT_INTERVALS,
@@ -37,9 +44,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _add_family_args(p, require_alpha=False):
     p.add_argument("--family", choices=(CUBIC, QUARTIC, EXPONENTIAL), required=True)
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_positive_int, required=True)
     p.add_argument("--eps", type=int, default=0, choices=(0, 1))
     p.add_argument(
         "--alpha", type=_fraction, nargs="+", default=None, required=require_alpha,
@@ -110,6 +124,13 @@ def _spec_from_args(args) -> FamilySpec:
     return FamilySpec(args.family, args.g, eps=args.eps, alphas=alphas)
 
 
+def _partner_spec(args) -> FamilySpec:
+    spec = _spec_from_args(args)
+    if spec.family == EXPONENTIAL:
+        raise NotCoveredError("the partner search covers polynomial potentials only")
+    return spec
+
+
 def _cmd_verify_theorem(args) -> int:
     mode = args.mode or ("specialized" if args.alpha else "symbolic")
     if mode == "symbolic" and args.alpha:
@@ -148,7 +169,7 @@ def _cmd_verify_corollary(args) -> int:
 
 
 def _cmd_centralizer(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _partner_spec(args)
     order = args.order if args.order is not None else 4 * spec.g + 2
     l4 = make_L4(spec)
     m = find_commuting_operator(l4, order, degree_bound=args.degree_bound)
@@ -159,7 +180,7 @@ def _cmd_centralizer(args) -> int:
 
 
 def _cmd_spectral_curve(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _partner_spec(args)
     order = args.order if args.order is not None else 4 * spec.g + 2
     l4 = make_L4(spec)
     m = find_commuting_operator(l4, order)
@@ -223,6 +244,12 @@ def run_command(argv=None) -> int:
     except NotCoveredError as exc:
         print(f"not covered: {exc}", file=sys.stderr)
         return 2
+    except ConstraintError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 2
+    except CommutingOperatorNotFound as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
     except (SpectralPairsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

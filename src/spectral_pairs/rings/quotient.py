@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import NonMonicError, RingMismatchError, UnsupportedDegreeError
+from ..errors import (
+    NonMonicError,
+    RingMismatchError,
+    SpectralPairsError,
+    UnsupportedDegreeError,
+)
 from .multipoly import MultiPoly, PolyRing, _as_fraction
 
 
@@ -335,7 +340,8 @@ def rational_roots(chi: CharPoly) -> list:
             break
         roots.append(found)
         work, rem = _deflate(work, found)
-        assert rem == 0
+        if rem != 0:
+            raise SpectralPairsError("a confirmed root left a nonzero remainder")
         while work and work[0] == 0 and len(work) > 1:
             roots.append(Fraction(0))
             work = work[1:]

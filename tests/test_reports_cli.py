@@ -222,3 +222,42 @@ def test_cli_bessel_check(capsys):
     assert run_command(["bessel-check", "--threshold", "1e-9"]) == 1
     assert run_command(["bessel-check", "--a1", "0"]) == 1  # invalid substitution
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-theorem", "--family", "cubic", "--g", "0"], "--g"),
+        (["residual", "--family", "cubic", "--g", "0",
+          "--alpha", "0", "0", "0", "1"], "--g"),
+        (["verify-theorem", "--family", "quartic", "--g", "1",
+          "--alpha", "0", "0", "0", "0", "0"], "invalid parameters"),
+        (["verify-theorem", "--family", "quartic", "--g", "1",
+          "--alpha", "0", "0", "1", "1", "1"], "invalid parameters"),
+    ],
+)
+def test_cli_parameters_outside_the_family_exit_2(capsys, argv, message):
+    assert run_command(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["centralizer", "spectral-curve"])
+def test_cli_partner_search_of_exponential_family_exits_2(capsys, command):
+    code = run_command([command, "--family", "exponential", "--g", "1",
+                        "--alpha", "1", "1"])
+    assert code == 2
+    assert "not covered" in capsys.readouterr().err
+
+
+def test_cli_inconclusive_partner_search_exits_3(capsys):
+    code = run_command(["centralizer", "--family", "cubic", "--g", "1",
+                        "--alpha", "0", "0", "0", "1", "--degree-bound", "1"])
+    assert code == 3
+    assert "inconclusive" in capsys.readouterr().err
+
+
+def test_cli_centralizer_found_exits_0(capsys):
+    code = run_command(["centralizer", "--family", "cubic", "--g", "1",
+                        "--alpha", "0", "0", "0", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("commutator zero: True\n")
