@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 every requested check passed, 1 a verification failed, 2 usage
-or coverage errors (parameters outside a family included), 3 the
-commuting-partner search was inconclusive.  Exact rationals cross the
-boundary as "num/den" strings; JSON reports are deterministic for a fixed
-seed (elapsed_ms aside).
+or coverage errors (parameters outside a family included, and parameters so
+degenerate that no check could run), 3 the commuting-partner search was
+inconclusive.  Exact rationals cross the boundary as "num/den" strings; JSON
+reports are deterministic for a fixed seed (elapsed_ms aside).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .centralizer import find_commuting_operator, hyperelliptic_pair
 from .errors import (
     CommutingOperatorNotFound,
     ConstraintError,
+    DegenerateSampleError,
     NotCoveredError,
     SpectralPairsError,
 )
@@ -246,6 +247,9 @@ def run_command(argv=None) -> int:
         return 2
     except ConstraintError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 2
+    except DegenerateSampleError as exc:
+        print(f"degenerate parameters, nothing checked: {exc}", file=sys.stderr)
         return 2
     except CommutingOperatorNotFound as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ needs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 from ..errors import (
     NonMonicError,
@@ -305,71 +306,109 @@ def reduce_mod_char(p: MultiPoly, chi: CharPoly) -> QuotientExt:
 
 
 def rational_roots(chi: CharPoly) -> list:
-    """All rational roots (with multiplicity) of chi over Q, degree <= 3."""
+    """All rational roots (with multiplicity) of chi over Q, degree <= 3.
+
+    Roots are found one at a time, each confirmed by exact evaluation and
+    divided out with a zero-remainder re-check.  The search costs a number
+    of evaluations logarithmic in the coefficients (see
+    :func:`_one_rational_root`), never a scan over divisors.
+    """
     if chi.degree > 3:
         raise UnsupportedDegreeError(f"degree {chi.degree} > 3")
-    coeffs = [_as_fraction(c) if not isinstance(c, MultiPoly) else c.as_fraction()
-              for c in chi.coeffs]
-    # clear denominators -> integer polynomial
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in coeffs]
-
+    work = [_as_fraction(c) if not isinstance(c, MultiPoly) else c.as_fraction()
+            for c in chi.coeffs]
     roots = []
-    work = [Fraction(c) for c in ints]
-    # strip factors of z
-    while work and work[0] == 0:
-        roots.append(Fraction(0))
-        work = work[1:]
     while len(work) > 1:
-        a0 = int(work[0] * _den_lcm(work))
-        an = int(work[-1] * _den_lcm(work))
-        found = None
-        for p in _divisors(abs(a0)):
-            for q in _divisors(abs(an)):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _horner(work, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        found = Fraction(0) if work[0] == 0 else _one_rational_root(work)
         if found is None:
             break
-        roots.append(found)
         work, rem = _deflate(work, found)
         if rem != 0:
             raise SpectralPairsError("a confirmed root left a nonzero remainder")
-        while work and work[0] == 0 and len(work) > 1:
-            roots.append(Fraction(0))
-            work = work[1:]
+        roots.append(found)
     return sorted(roots)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _one_rational_root(coeffs):
+    """A rational root of a rational polynomial of degree 1..3, or None.
+
+    Cleared of denominators, the polynomial is sum a_i z^i over the integers;
+    y = a_n z maps its rational roots onto the integer roots of the monic
+    g(y) = sum a_i a_n^(n-1-i) y^i.  Each candidate is confirmed by exact
+    Horner evaluation of the original coefficients.
+    """
+    den = lcm(*(c.denominator for c in coeffs))
+    a = [int(c * den) for c in coeffs]
+    n = len(a) - 1
+    lead = a[-1]
+    monic = [a[i] * lead ** (n - 1 - i) for i in range(n)] + [1]
+    for y in _integer_roots(monic):
+        cand = Fraction(y, lead)
+        if _horner(coeffs, cand) == 0:
+            return cand
+    return None
 
 
-def _den_lcm(coeffs) -> int:
-    L = 1
-    for c in coeffs:
-        L = L * c.denominator // _gcd(L, c.denominator)
-    return L
+def _integer_roots(g):
+    """Integer roots of a monic integer polynomial of degree 1..3.
 
-
-def _divisors(n: int):
-    if n == 0:
-        return [1]  # a0 == 0 is handled by stripping z factors first
-    out = [d for d in range(1, abs(n) + 1) if n % d == 0]
+    They lie within the Cauchy bound B = 1 + max |g_i|.  Cut at the integer
+    floors of the real critical points, [-B, B] falls into pieces on each of
+    which g is monotone, so one bisection per piece finds its integer root
+    in O(log B) exact evaluations.
+    """
+    bound = 1 + max(abs(c) for c in g[:-1])
+    out = []
+    lo = -bound
+    for cut in _critical_floors(g) + [bound]:
+        hi = min(cut, bound)
+        if lo <= hi:
+            y = _bisect_root(g, lo, hi)
+            if y is not None:
+                out.append(y)
+        lo = max(lo, cut + 1)
     return out
 
 
+def _critical_floors(g):
+    """floor(r), ascending, for each real root r of g', deg g <= 3, g monic.
+
+    Exact: floor(x / m) = floor(floor(x) / m) for an integer m > 0, and
+    floor(-c +- sqrt(D)) is -c + isqrt(D) or -c - ceil(sqrt(D)).
+    """
+    d = [k * g[k] for k in range(1, len(g))]
+    if len(d) == 1:
+        return []
+    if len(d) == 2:
+        return [-d[0] // d[1]]
+    c0, c1, c2 = d  # c2 = 3 > 0
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    s = isqrt(disc)
+    s_up = s if s * s == disc else s + 1
+    return [(-c1 - s_up) // (2 * c2), (-c1 + s) // (2 * c2)]
+
+
+def _bisect_root(g, lo: int, hi: int):
+    """The integer root of g in [lo, hi], where g is monotone, or None."""
+    g_lo, g_hi = _horner(g, lo), _horner(g, hi)
+    if g_lo == 0:
+        return lo
+    if g_hi != 0 and (g_lo > 0) == (g_hi > 0):
+        return None
+    sign = 1 if g_lo < 0 else -1  # sign * g rises from < 0 to >= 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sign * _horner(g, mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi if _horner(g, hi) == 0 else None
+
+
 def _horner(coeffs, value):
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * value + c
     return acc

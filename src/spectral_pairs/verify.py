@@ -37,7 +37,7 @@ from .rings import (
     UniPoly,
     rational_roots,
 )
-from .rings.fraction_field import FractionFieldRing
+from .rings.fraction_field import FractionElem, FractionFieldRing
 
 RESAMPLE_BUDGET = 50
 DEFAULT_SEED = 20140441
@@ -182,6 +182,27 @@ def _branches(chi: CharPoly):
     return out
 
 
+def _cleared_commutator(l: DiffOp, l2: DiffOp, p) -> DiffOp:
+    """p^3 [p^-1 L p, L2] as an operator over the polynomial ring of p.
+
+    With N = L p and L2 = D^2 + V, the rule L2 p^-1 = p^-1 L2 + (p^-1)'' +
+    2 (p^-1)' D gives
+
+        p^3 [p^-1 N, L2] = p^2 [N, L2] - (2 p'^2 - p p'') N + 2 p p' (D N),
+
+    whose coefficients are polynomials again.
+    """
+    if not l2.coeff(1).is_zero():
+        raise SpectralPairsError("the cleared commutator needs L2 = D^2 + V")
+    dp = p.derive()
+    n = l * DiffOp.mult(p)
+    return (
+        n.commutator(l2).scale(p * p)
+        - n.scale(2 * dp * dp - p * dp.derive())
+        + (DiffOp.d(n.ring) * n).scale(2 * p * dp)
+    )
+
+
 def verify_corollary(
     spec: FamilySpec, which: str = "l4", partner: DiffOp | None = None
 ) -> VerificationReport:
@@ -192,6 +213,17 @@ def verify_corollary(
     passed to skip the centralizer search.  Every rational root of chi and
     every irreducible non-rational factor (as a quotient field) is checked;
     the report aggregates them and keeps the first witness B.
+
+    Each branch runs division-free over K[x], K the rationals or
+    Q[z]/(factor): with N = L p it right-divides the cleared commutator
+
+        C3 = p^2 [N, L2] - (2 p'^2 - p p'') N + 2 p p' (D N) = p^3 [p^-1 L p, L2]
+
+    by the monic L2, C3 = B~ L2 + R~, and re-checks B~ L2 + R~ = C3.  If
+    [p^-1 L p, L2] = B L2 + R over Frac(K[x]), then C3 = (p^3 B) L2 + p^3 R
+    with order(p^3 R) < 2; right division by a monic operator is unique, so
+    B~ = p^3 B and R~ = p^3 R.  The verdict is R~ = 0, and the reported
+    witness and remainder are p^-3 B~ and p^-3 R~ over Frac(K[x]).
     """
     if spec.symbolic:
         raise NotCoveredError("conjugation checks run at specialized parameters only")
@@ -212,39 +244,43 @@ def verify_corollary(
     witness = None
     first_remainder = None
     for fld, z in _branches(chi):
-        frac_ring = FractionFieldRing(fld)
         if isinstance(fld, RationalField):
-            p_poly = multiplier_p(spec, z)  # MultiPoly in x
-            p = frac_ring.from_poly(_multipoly_to_unipoly(p_poly, fld))
+            l_k, l2_k = l, l2
+            p = multiplier_p(spec, z)  # MultiPoly in x
+
+            def to_unipoly(coeff):
+                return _multipoly_to_unipoly(coeff, fld)
+
         else:
-            # build p with z the generator of Q[z]/(factor), coords in Q[x]
-            xring = PolyRing(("x",))
-            qext = QuotientRing(xring, fld.qring.chi)
-            p_ext = multiplier_p(spec, qext.gen)
-            p = frac_ring.from_poly(_quotient_coords_to_unipoly(p_ext, fld))
+            # z the generator of Q[z]/(factor), coordinates in Q[x]
+            qext = QuotientRing(PolyRing(("x",)), fld.qring.chi)
+            l_k, l2_k = _lift_op(l, qext), _lift_op(l2, qext)
+            p = multiplier_p(spec, qext.gen)
+
+            def to_unipoly(coeff):
+                return _quotient_coords_to_unipoly(coeff, fld)
+
         if p.is_zero():
             # degenerate root: p cannot conjugate; skip unless nothing is left
             continue
-
-        def to_frac(coeff):
-            if isinstance(fld, RationalField):
-                return frac_ring.from_poly(_multipoly_to_unipoly(coeff, fld))
-            lifted = qext.from_base(coeff)
-            return frac_ring.from_poly(_quotient_coords_to_unipoly(lifted, fld))
-
-        l_f = DiffOp(frac_ring, [to_frac(c) for c in l.coeffs])
-        l2_f = DiffOp(frac_ring, [to_frac(c) for c in l2.coeffs])
-        conj = l_f.conjugate_by_unit(p)
-        comm = conj.commutator(l2_f)
-        b, r = comm.right_divmod(l2_f)
-        if b * l2_f + r != comm:
+        c3 = _cleared_commutator(l_k, l2_k, p)
+        b, r = c3.right_divmod(l2_k)
+        if b * l2_k + r != c3:
             raise SpectralPairsError("right division failed its reconstruction check")
+        p3 = to_unipoly(p * p * p)
+        frac_ring = FractionFieldRing(fld)
+
+        def uncleared(op):
+            return DiffOp(
+                frac_ring, [FractionElem(to_unipoly(c), p3) for c in op.coeffs]
+            )
+
         if not r.is_zero():
             all_zero = False
             if first_remainder is None:
-                first_remainder = r
+                first_remainder = uncleared(r)
         if witness is None:
-            witness = b
+            witness = uncleared(b)
     if witness is None:
         raise DegenerateSampleError("multiplier p vanished at every root of chi")
     return VerificationReport(

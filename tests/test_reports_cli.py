@@ -261,3 +261,21 @@ def test_cli_centralizer_found_exits_0(capsys):
                         "--alpha", "0", "0", "0", "1"])
     assert code == 0
     assert capsys.readouterr().out.endswith("commutator zero: True\n")
+
+
+def test_cli_degenerate_corollary_sample_exits_2(capsys):
+    # a3 = a2 = 0: the multiplier p vanishes at the only root of chi, so no
+    # branch can be checked; that is not a failed verification
+    code = run_command(["verify-corollary", "--g", "2", "--alpha", "0", "0", "0", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "degenerate" in err and "nothing checked" in err
+
+
+def test_cli_verify_corollary_large_coefficients_finish(capsys):
+    # chi's constant term is about 1.2e13; a divisor scan in the rational-root
+    # search would not finish, a bisection takes a few dozen evaluations
+    code = run_command(["verify-corollary", "--g", "2",
+                        "--alpha", "0", "1000003", "0", "1000033"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["remainder_is_zero"] is True

@@ -142,6 +142,73 @@ def test_rational_roots_degree_cap():
         rational_roots(CharPoly(base, [0, 0, 0, 0, base.one]))
 
 
+def test_rational_roots_large_coefficients_are_fast():
+    # chi = (z - p/q)(z^2 + c) with 40-digit data: a divisor scan of the
+    # constant term could never finish
+    base = PolyRing(())
+    root = Fraction(10**40 + 7, 3**50)
+    c = Fraction(10**41 + 1, 7)
+    chi = CharPoly(base, [-root * c, c, -root, base.one])
+    assert rational_roots(chi) == [root]
+
+
+def _poly_product(factors):
+    out = [Fraction(1)]
+    for fac in factors:
+        prod = [Fraction(0)] * (len(out) + len(fac) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(fac):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _sympy_rational_roots(coeffs):
+    """Rational roots with multiplicity, from sympy's factorization over Q."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    f = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], z
+    )
+    roots = []
+    for fac, mult in f.factor_list()[1]:
+        if fac.degree() == 1:
+            a1, a0 = fac.all_coeffs()
+            r = -a0 / a1
+            roots += [Fraction(int(r.p), int(r.q))] * mult
+    return sorted(roots)
+
+
+big = st.integers(-(10**30), 10**30)
+big_nonzero = big.filter(bool)
+monic_linear = st.tuples(big, big_nonzero).map(
+    lambda t: [Fraction(-t[0], t[1]), Fraction(1)]
+)
+monic_quadratic = st.tuples(big, big, big_nonzero).map(
+    lambda t: [Fraction(t[0], t[2]), Fraction(t[1], t[2]), Fraction(1)]
+)
+monic_cubic = st.tuples(big, big, big, big_nonzero).map(
+    lambda t: [Fraction(t[0], t[3]), Fraction(t[1], t[3]), Fraction(t[2], t[3]),
+               Fraction(1)]
+)
+chi_factors = st.one_of(
+    st.lists(monic_linear, min_size=1, max_size=3),
+    monic_linear.map(lambda f: [f, f]),
+    monic_linear.map(lambda f: [f, f, f]),
+    st.tuples(monic_quadratic, monic_linear).map(list),
+    monic_quadratic.map(lambda f: [f]),
+    monic_cubic.map(lambda f: [f]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chi_factors)
+def test_hypothesis_rational_roots_match_sympy(factors):
+    coeffs = _poly_product(factors)
+    base = PolyRing(())
+    assert rational_roots(CharPoly(base, coeffs)) == _sympy_rational_roots(coeffs)
+
+
 # -- fraction normalization -------------------------------------------------------
 
 

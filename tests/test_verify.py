@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from spectral_pairs.centralizer import find_commuting_operator
 from spectral_pairs.errors import DegenerateSampleError, NotCoveredError
 from spectral_pairs.families import (
     CUBIC,
@@ -9,13 +12,23 @@ from spectral_pairs.families import (
     QUARTIC,
     FamilySpec,
     char_poly_z,
+    make_L4,
     make_schrodinger,
+    multiplier_p,
     quartic_constraint_value,
 )
 from spectral_pairs.operators import DiffOp
-from spectral_pairs.rings import PolyRing, TwistedLaurent
+from spectral_pairs.rings import (
+    FractionFieldRing,
+    PolyRing,
+    QuotientRing,
+    RationalField,
+    TwistedLaurent,
+)
 from spectral_pairs.rings.quotient import QuotientExt
 from spectral_pairs.verify import (
+    DEFAULT_SEED,
+    _branches,
     sample_spec,
     verify_commutation,
     verify_corollary,
@@ -171,6 +184,112 @@ def test_corollary_degenerate_multiplier_rejected():
     # a2 = a3 = 0: chi = z^2 and the multiplier vanishes at the only root
     with pytest.raises(DegenerateSampleError):
         verify_corollary(FamilySpec(CUBIC, 2, alphas=(1, 1, 0, 0)))
+
+
+# -- the cleared corollary against the fraction-field formula ------------------------
+
+
+def _frac_coeff(coeff, frac, z):
+    """A Q[x] or K[x] coefficient as an element of Frac(K[x]), K = Q or Q[z]/(f)."""
+    acc = frac.zero
+    if isinstance(coeff, QuotientExt):
+        for c in reversed(coeff.coords):  # Horner in z
+            acc = acc * z + _frac_coeff(c, frac, z)
+        return acc
+    x = frac.gen()
+    for k in range(max((e[0] for e in coeff.terms), default=0), -1, -1):
+        acc = acc * x + frac.const(coeff.terms.get((k,), 0))
+    return acc
+
+
+def _fraction_field_corollary(spec, l):
+    """Per branch of chi: [p^-1 L p, L2] right-divided by L2 inside Frac(K[x])."""
+    out = []
+    for fld, z in _branches(char_poly_z(spec)):
+        frac = FractionFieldRing(fld)
+        if isinstance(fld, RationalField):
+            p_k = multiplier_p(spec, z)
+            zf = frac.one
+        else:
+            p_k = multiplier_p(spec, QuotientRing(XRING, fld.qring.chi).gen)
+            zf = frac.const(fld.gen)
+        p = _frac_coeff(p_k, frac, zf)
+        if p.is_zero():
+            continue
+
+        def lift(op):
+            return DiffOp(frac, [_frac_coeff(c, frac, zf) for c in op.coeffs])
+
+        l2 = lift(make_schrodinger(spec))
+        comm = lift(l).conjugate_by_unit(p).commutator(l2)
+        b, r = comm.right_divmod(l2)
+        assert b * l2 + r == comm
+        out.append((b, r))
+    return out
+
+
+def _assert_matches_fraction_field(spec, which, partner=None):
+    l = make_L4(spec) if which == "l4" else partner
+    branches = _fraction_field_corollary(spec, l)
+    report = verify_corollary(spec, which, partner=partner)
+    remainders = [r for _, r in branches if not r.is_zero()]
+    assert report.witness == branches[0][0]
+    assert report.remainder_is_zero == (not remainders)
+    assert report.remainder == (remainders[0] if remainders else None)
+    return report
+
+
+def _criterion5_samples():
+    """Criterion 5's first two g=2/g=4 pairs: both branch kinds at each genus."""
+    rng = random.Random(DEFAULT_SEED)
+    return [sample_spec(CUBIC, g, rng, require_squarefree_chi=True)
+            for _ in range(2) for g in (2, 4)]
+
+
+@lru_cache(maxsize=None)
+def _criterion5_partner(index):
+    spec = _criterion5_samples()[index]
+    return find_commuting_operator(make_L4(spec), 4 * spec.g + 2)
+
+
+def _has_quotient_branch(spec):
+    return any(not isinstance(fld, RationalField)
+               for fld, _ in _branches(char_poly_z(spec)))
+
+
+def test_corollary_samples_cover_both_branch_kinds():
+    for g in (2, 4):
+        kinds = {_has_quotient_branch(s) for s in _criterion5_samples() if s.g == g}
+        assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_corollary_l4_matches_fraction_field(index):
+    spec = _criterion5_samples()[index]
+    report = _assert_matches_fraction_field(spec, "l4")
+    assert report.remainder_is_zero
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_corollary_l4g2_matches_fraction_field(index):
+    spec = _criterion5_samples()[index]
+    report = _assert_matches_fraction_field(spec, "l4g2", _criterion5_partner(index))
+    assert report.remainder_is_zero
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_corollary_perturbed_partner_matches_fraction_field(index):
+    # x^2 D^3 added to the partner breaks the corollary: the remainder is
+    # nonzero and must be the fraction-field one, coefficient for coefficient
+    spec = _criterion5_samples()[index]
+    partner = _criterion5_partner(index)
+    ring = partner.ring
+    perturbed = partner + DiffOp(
+        ring, [ring.zero] * 3 + [ring.var("x") ** 2 * Fraction(3, 2)]
+    )
+    report = _assert_matches_fraction_field(spec, "l4g2", perturbed)
+    assert not report.remainder_is_zero
+    assert report.remainder is not None and not report.remainder.is_zero()
 
 
 def test_corollary_rejects_symbolic_and_uncovered():
