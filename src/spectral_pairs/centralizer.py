@@ -1,24 +1,33 @@
 """Commuting partners of L4 and their spectral curves.
 
-The order-(4g+2) partner is found by an exact linear ansatz: write
-M = sum_i m_i(x) d^i with polynomial m_i of bounded degree, expand [L4, M]
-coefficient by coefficient and solve the resulting homogeneous rational
-system.  :func:`linalg.nullspace` solves it modulo primes with rational
-reconstruction and accepts its basis only after an exact re-check over Q;
-the partner built from that basis must still pass the exact check
-[L4, M] = 0 by direct commutator expansion.  The spectral curve comes from the action of M on a formal
-power-series basis of ker(L4 - z): the squarefree part of the characteristic
-polynomial det(w I - A(z)).
+The partner M = sum_i m_i(x) D^i of order N is found by triangular
+back-substitution, with no degree bound and no pseudo-differential
+operators.  For monic L4 of order n (n = 4 here) over Q[x], the D^(i+n-1)
+coefficient of [L4, M] is n m_i' plus terms in the m_j with j > i only
+(Leibniz: the D^(i+n) terms cancel, and so do the underived products
+a_k m_j - m_j a_k).  Setting it to zero fixes each m_i by integration, up
+to its constant term.  So the operators of order <= N whose commutator with
+L4 has order < n - 1 are exactly sum_k c_k M_k over constants c_k, where M_k
+has m_k = 1, m_j = 0 for j > k and integration constants 0 below k.  The
+remaining coefficients of [L4, M] (orders 0 .. n-2) are linear in the c_k;
+their x-monomials are the rows of a system with N + 1 columns, solved
+exactly by :func:`linalg.nullspace` (modular elimination with an exact
+re-check over Q).  Its null space is every commuting operator of order <= N,
+so "not found" proves that no partner of order N exists over Q[x].  The
+partner built from it must still pass the exact check [L4, M] = 0 by direct
+commutator expansion.  :func:`build_ansatz_system` keeps the older
+degree-bounded ansatz as an independent formulation of the same space.
 
-No coefficient degree bound is known a priori; the search escalates the bound
-on a fixed schedule and reports NotFound (inconclusive) past the cap.
+The spectral curve comes from the action of M on a formal power-series basis
+of ker(L4 - z): the squarefree part of the characteristic polynomial
+det(w I - A(z)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .curves import SpectralCurve, charpoly_w, squarefree_normalize
 from .errors import (
@@ -73,16 +82,6 @@ def build_ansatz_system(l4: DiffOp, order: int, degree_bound: int) -> AnsatzSyst
     return AnsatzSystem(order, degree_bound, columns, rows)
 
 
-def _vector_to_operator(ring: PolyRing, columns, vec) -> DiffOp:
-    by_order: dict = {}
-    for (i, j), c in zip(columns, vec):
-        if c:
-            by_order.setdefault(i, {})[(j,)] = c
-    top = max(by_order, default=-1)
-    coeffs = [ring.from_terms(by_order.get(i, {})) for i in range(top + 1)]
-    return DiffOp(ring, coeffs)
-
-
 def gauge_normalize(m: DiffOp, l4: DiffOp, g: int) -> DiffOp:
     """Subtract rational multiples of L4^k (k <= g) and constants.
 
@@ -97,48 +96,159 @@ def gauge_normalize(m: DiffOp, l4: DiffOp, g: int) -> DiffOp:
     return m
 
 
+def _dense(poly, var: str) -> list:
+    """Coefficients of a one-variable polynomial, lowest power first."""
+    out = [Fraction(0)] * (poly.degree_in(var) + 1)
+    for e, c in poly.terms.items():
+        out[e[0]] = c
+    return out
+
+
+def _derivatives(p: list, count: int) -> list:
+    """[p, p', ..., p^(count)] of a dense polynomial."""
+    out = [p]
+    for _ in range(count):
+        p = [c * e for e, c in enumerate(p)][1:]
+        out.append(p)
+    return out
+
+
+def _add_product(acc: list, scale: int, p: list, q: list) -> None:
+    """acc += scale * p * q for dense polynomials, growing acc as needed."""
+    if not p or not q:
+        return
+    acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
+    for s, a in enumerate(p):
+        if a:
+            a *= scale
+            for t, b in enumerate(q):
+                if b:
+                    acc[s + t] += a * b
+
+
+def _commutator_coeff(a: list, m: list, r: int, lo: int) -> list:
+    """Dense D^r coefficient of [L, sum_{j >= lo} m_j D^j].
+
+    ``a[k]`` and ``m[j]`` list the derivatives of L's and M's coefficients.
+    By Leibniz, [L, M] = sum (C(k, l) a_k m_j^(l) - C(j, l) m_j a_k^(l))
+    D^(k+j-l) over k, j and l >= 1; the l = 0 terms cancel.
+    """
+    acc: list = []
+    for j in range(lo, len(m)):
+        for k, ak in enumerate(a):
+            l = k + j - r
+            if l < 1:
+                continue
+            if l <= k:
+                _add_product(acc, comb(k, l), ak[0], m[j][l])
+            if l <= j and l < len(ak):
+                _add_product(acc, -comb(j, l), m[j][0], ak[l])
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
+
+
+def _partial_solution(a: list, k: int) -> list:
+    """Derivative lists of m_0 .. m_k for M_k (see the module docstring).
+
+    m_k = 1, and going down, m_i = -(1/n) * integral of F_i with constant
+    term 0, F_i being the D^(i+n-1) coefficient of [L, M] from the m_j, j > i.
+    """
+    n = len(a) - 1
+    m = [None] * (k + 1)
+    m[k] = _derivatives([Fraction(1)], n)
+    for i in range(k - 1, -1, -1):
+        f = _commutator_coeff(a, m, i + n - 1, i + 1)
+        integral = [Fraction(-c, n * (e + 1)) for e, c in enumerate(f)]
+        m[i] = _derivatives([Fraction(0)] + integral if f else [], n)
+    return m
+
+
+def commuting_operators(
+    l4: DiffOp, order: int, degree_bound: int | None = None
+) -> list:
+    """Basis of the operators M of order <= ``order`` with [L4, M] = 0.
+
+    Every such M is sum_k c_k M_k, the partial solutions of the module
+    docstring, and the constants c solve the rows from orders 0 .. n-2 of
+    [L4, M].  With ``degree_bound`` set, further rows force every coefficient
+    power above it to vanish, which leaves the null space of the
+    degree-bounded ansatz.  One monic operator per order K present, in
+    increasing order: the reduced row echelon basis vector of the free column
+    K from :func:`linalg.nullspace`, so c_K = 1 and c = 0 at the other orders.
+    """
+    ring = l4.ring
+    if not isinstance(ring, PolyRing) or ring.variables != ("x",) or ring.laurent:
+        raise SpectralPairsError("partner search requires specialized Q[x] coefficients")
+    if not l4.is_monic() or l4.order < 1:
+        raise SpectralPairsError("L4 must be monic of positive order")
+    n = l4.order
+    a = [_dense(c, "x") for c in l4.coeffs]
+    a = [_derivatives(p, len(p)) for p in a]
+    partials = [_partial_solution(a, k) for k in range(order + 1)]
+    constraints: dict = {}  # (kind, order, x power) -> sparse row over the c_k
+    for k, mk in enumerate(partials):
+        for r in range(n - 1):
+            for e, c in enumerate(_commutator_coeff(a, mk, r, 0)):
+                if c:
+                    constraints.setdefault((0, r, e), {})[k] = c
+        if degree_bound is not None:
+            for i, mi in enumerate(mk):
+                for e in range(degree_bound + 1, len(mi[0])):
+                    if mi[0][e]:
+                        constraints.setdefault((1, i, e), {})[k] = mi[0][e]
+    rows = [r for _, r in sorted(constraints.items())]
+    space = []
+    for vec in nullspace(rows, order + 1):
+        coeffs = []
+        for i in range(len(vec)):
+            dense: list = []
+            for k in range(i, len(vec)):
+                _add_product(dense, 1, [vec[k]], partials[k][i][0])
+            coeffs.append(ring.from_terms({(e,): c for e, c in enumerate(dense)}))
+        space.append(DiffOp(ring, coeffs))
+    return space
+
+
 def find_commuting_operator(
     l4: DiffOp, target_order: int, degree_bound: int | None = None
 ) -> DiffOp:
     """A monic operator M of exact order ``target_order`` with [L4, M] = 0.
 
-    With ``degree_bound`` unset, the coefficient degree cap starts at 6g+3 and
-    escalates by 3 up to 12g+6 (g inferred from the target order).  Raises
-    :class:`CommutingOperatorNotFound` if nothing turns up within the cap;
-    that outcome is inconclusive, not a nonexistence proof.
+    M is the basis operator of order N = ``target_order`` from
+    :func:`commuting_operators`, after :func:`gauge_normalize` subtracts
+    multiples of powers of L4.  It is the operator the degree-bounded ansatz
+    (:func:`build_ansatz_system`) gives as its reduced row echelon vector of
+    the free column (N, 0), columns ordered by (order, x power): every null
+    vector's highest ansatz column is (K, 0) for its order K, and its (K, 0)
+    entry is c_K, because the M_j with j > K have m_K with constant term 0.
+    Both are therefore the null vector with c_N = 1 and c_K = 0 at each
+    other order K of the space.
+
+    Raises :class:`CommutingOperatorNotFound` when the space has no operator
+    of order N.  Without ``degree_bound`` that proves no operator of order N
+    over Q[x] commutes with L4 (``exc.bounded`` is False); with it, it only
+    says none has coefficient degree <= ``degree_bound`` (``exc.bounded`` is
+    True).
     """
-    g = max((target_order - 2) // 4, 1)
-    if degree_bound is not None:
-        schedule = [degree_bound]
-    else:
-        schedule = list(range(6 * g + 3, 12 * g + 7, 3))
-    for d in schedule:
-        system = build_ansatz_system(l4, target_order, d)
-        basis = system.nullspace()
-        lead_cols = [
-            k for k, (i, _) in enumerate(system.columns) if i == target_order
-        ]
-        candidate = None
-        for vec in basis:
-            if any(vec[k] for k in lead_cols):
-                candidate = vec
-                break
-        if candidate is None:
-            continue
-        m = _vector_to_operator(l4.ring, system.columns, candidate)
-        lead = m.coeffs[-1]
-        # the leading coefficient of a commuting operator is a constant
-        scale = lead.as_fraction()
-        m = m.scale(l4.ring.const(1 / scale))
-        m = gauge_normalize(m, l4, g)
-        if not l4.commutator(m).is_zero():
-            raise SpectralPairsError("solver output failed exact commutator check")
-        if m.order != target_order:
-            raise SpectralPairsError("gauge normalization changed the order")
-        return m
-    raise CommutingOperatorNotFound(
-        f"no order-{target_order} partner with coefficient degree <= {schedule[-1]}"
-    )
+    space = commuting_operators(l4, target_order, degree_bound)
+    m = next((op for op in space if op.order == target_order), None)
+    if m is None:
+        if degree_bound is not None:
+            raise CommutingOperatorNotFound(
+                f"no order-{target_order} partner with coefficient degree <= {degree_bound}"
+            )
+        raise CommutingOperatorNotFound(
+            f"no operator of order {target_order} over Q[x] commutes with L4; "
+            f"those of order <= {target_order} have orders {[op.order for op in space]}",
+            bounded=False,
+        )
+    m = gauge_normalize(m, l4, max((target_order - 2) // 4, 1))
+    if not l4.commutator(m).is_zero():
+        raise SpectralPairsError("solver output failed exact commutator check")
+    if m.order != target_order:
+        raise SpectralPairsError("gauge normalization changed the order")
+    return m
 
 
 # -- formal kernel and action matrix -------------------------------------------
@@ -197,15 +307,8 @@ def action_matrix(m: DiffOp, basis: list) -> list:
             raise TruncationError("basis truncation too small for this operator")
         for k in range(4):
             entry = image.coeffs[k] * factorial(k)
-            matrix[k][j] = _dense_z(entry)
+            matrix[k][j] = _dense(entry, "z")
     return matrix
-
-
-def _dense_z(poly) -> list:
-    out = [Fraction(0)] * (poly.degree_in("z") + 1)
-    for e, c in poly.terms.items():
-        out[e[0]] = c
-    return out
 
 
 def spectral_curve(l4: DiffOp, m: DiffOp) -> SpectralCurve:

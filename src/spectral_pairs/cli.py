@@ -1,16 +1,19 @@
 """Command-line entry point.
 
-Exit codes: 0 every requested check passed, 1 a verification failed, 2 usage
-or coverage errors (parameters outside a family included, and parameters so
-degenerate that no check could run), 3 the commuting-partner search was
-inconclusive.  Exact rationals cross the boundary as "num/den" strings; JSON
-reports are deterministic for a fixed seed (elapsed_ms aside).
+Exit codes: 0 every requested check passed, 1 a verification failed or no
+commuting partner of the requested order exists, 2 usage or coverage errors
+(parameters outside a family included, and parameters so degenerate that no
+check could run), 3 the commuting-partner search under --degree-bound was
+inconclusive.  Exact rationals cross the boundary as "num/den" strings, and
+negative ones such as -2/3 are read as values, not options; JSON reports are
+deterministic for a fixed seed (elapsed_ms aside).
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -52,6 +55,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-p/q" as a value, as argparse already does for "-3" and "-0.5"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
 def _add_family_args(p, require_alpha=False):
     p.add_argument("--family", choices=(CUBIC, QUARTIC, EXPONENTIAL), required=True)
     p.add_argument("--g", type=_positive_int, required=True)
@@ -63,7 +74,7 @@ def _add_family_args(p, require_alpha=False):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectral-pairs",
         description="exact and numeric checks for commuting operator families",
     )
@@ -82,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("centralizer", help="commuting partner by exact linear ansatz")
+    p = sub.add_parser("centralizer", help="commuting partner by exact back-substitution")
     _add_family_args(p, require_alpha=True)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--degree-bound", type=int, default=None)
@@ -252,6 +263,9 @@ def run_command(argv=None) -> int:
         print(f"degenerate parameters, nothing checked: {exc}", file=sys.stderr)
         return 2
     except CommutingOperatorNotFound as exc:
+        if not exc.bounded:
+            print(f"no partner: {exc}", file=sys.stderr)
+            return 1
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
     except (SpectralPairsError, ValueError, OSError) as exc:

@@ -30,10 +30,16 @@ class DegenerateSampleError(SpectralPairsError):
 
 
 class CommutingOperatorNotFound(SpectralPairsError):
-    """No commuting operator of the requested order was found within the degree cap.
+    """No commuting operator of the requested order was found.
 
-    This is inconclusive, not a proof of nonexistence.
+    ``bounded`` is True when the search was limited to a coefficient degree
+    bound, so the outcome is inconclusive; False means the search covered
+    every operator of that order and proves that none commutes.
     """
+
+    def __init__(self, message: str, bounded: bool = True):
+        super().__init__(message)
+        self.bounded = bounded
 
 
 class UnsupportedDegreeError(SpectralPairsError):

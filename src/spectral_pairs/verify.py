@@ -203,6 +203,30 @@ def _cleared_commutator(l: DiffOp, l2: DiffOp, p) -> DiffOp:
     )
 
 
+def _over_p_cubed(num: UniPoly, p: UniPoly) -> FractionElem:
+    """num / p^3 in lowest terms over a field, as FractionElem reduces it.
+
+    Whole factors of p are divided out first, by exact division while the
+    remainder is zero, leaving num / p^k with p not dividing num.  Then
+    gcd(num, p) = gcd(p, num mod p) = 1 (always when p is irreducible) gives
+    gcd(num, p^k) = 1, and the fraction is already reduced; only otherwise
+    does the full gcd reduction run.
+    """
+    k = 3
+    while k and p.degree > 0 and not num.is_zero():
+        q, rem = num.divmod(p)
+        if not rem.is_zero():
+            break
+        num, k = q, k - 1
+    den = p ** k
+    # den has positive degree only if the loop stopped at rem = num mod p != 0
+    if num.is_zero() or (den.degree > 0 and p.gcd(rem).degree > 0):
+        return FractionElem(num, den)
+    inv = num.field.inv(den.lead())
+    scaled = UniPoly(num.field, [c * inv for c in num.coeffs], num.var)
+    return FractionElem(scaled, den.monic(), _normalized=True)
+
+
 def verify_corollary(
     spec: FamilySpec, which: str = "l4", partner: DiffOp | None = None
 ) -> VerificationReport:
@@ -267,13 +291,11 @@ def verify_corollary(
         b, r = c3.right_divmod(l2_k)
         if b * l2_k + r != c3:
             raise SpectralPairsError("right division failed its reconstruction check")
-        p3 = to_unipoly(p * p * p)
         frac_ring = FractionFieldRing(fld)
 
         def uncleared(op):
-            return DiffOp(
-                frac_ring, [FractionElem(to_unipoly(c), p3) for c in op.coeffs]
-            )
+            p1 = to_unipoly(p)
+            return DiffOp(frac_ring, [_over_p_cubed(to_unipoly(c), p1) for c in op.coeffs])
 
         if not r.is_zero():
             all_zero = False

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_pairs.centralizer import (
     action_matrix,
     build_ansatz_system,
+    commuting_operators,
     find_commuting_operator,
     gauge_normalize,
     hyperelliptic_pair,
@@ -18,9 +22,16 @@ from spectral_pairs.errors import (
     SpectralPairsError,
     TruncationError,
 )
-from spectral_pairs.families import CUBIC, FamilySpec, make_L4, make_schrodinger
+from spectral_pairs.families import (
+    CUBIC,
+    QUARTIC,
+    FamilySpec,
+    make_L4,
+    make_schrodinger,
+)
 from spectral_pairs.operators import DiffOp, multipoly_x_split
 from spectral_pairs.rings import PolyRing
+from spectral_pairs.verify import sample_spec
 
 XRING = PolyRing(("x",))
 PURE_CUBIC = FamilySpec(CUBIC, 1, alphas=(0, 0, 0, 1))
@@ -85,14 +96,143 @@ def test_square_potential_partner_is_power_of_order_2_factor():
 
 
 def test_constant_ansatz_finds_nothing(x3_l4):
-    with pytest.raises(CommutingOperatorNotFound):
+    with pytest.raises(CommutingOperatorNotFound) as info:
         find_commuting_operator(x3_l4, 6, degree_bound=0)
+    assert info.value.bounded
 
 
 def test_parameterized_input_rejected():
     l4 = make_L4(FamilySpec(CUBIC, 2))
     with pytest.raises(SpectralPairsError):
         find_commuting_operator(l4, 10, degree_bound=3)
+
+
+# -- back-substitution against the degree-bounded ansatz ---------------------------
+
+
+def _ansatz_null_operators(l4, order, degree_bound):
+    """The ansatz's null space at one degree bound, as operators."""
+    system = build_ansatz_system(l4, order, degree_bound)
+    ops = []
+    for vec in system.nullspace():
+        terms: dict = {}
+        for (i, j), c in zip(system.columns, vec):
+            if c:
+                terms.setdefault(i, {})[(j,)] = c
+        ops.append(DiffOp(l4.ring, [l4.ring.from_terms(terms.get(i, {}))
+                                    for i in range(order + 1)]))
+    return ops
+
+
+def _ansatz_partner(l4, order, degree_bound=None):
+    """The partner search as the degree-bounded ansatz made it, or None.
+
+    Bounds 6g+3 .. 12g+6 in steps of 3 unless one is given; the first null
+    vector with a nonzero order-``order`` entry, scaled monic and gauge
+    normalized.
+    """
+    g = max((order - 2) // 4, 1)
+    bounds = [degree_bound] if degree_bound is not None else range(6 * g + 3, 12 * g + 7, 3)
+    for d in bounds:
+        m = next((op for op in _ansatz_null_operators(l4, order, d) if op.order == order),
+                 None)
+        if m is not None:
+            m = m.scale(l4.ring.const(1 / m.coeffs[-1].as_fraction()))
+            return gauge_normalize(m, l4, g)
+    return None
+
+
+def _seeded(family, genus, count, seed):
+    rng = random.Random(seed)
+    return [sample_spec(family, genus, rng).alphas for _ in range(count)]
+
+
+_SEEDED_CUBICS = _seeded(CUBIC, 2, 3, 20141)
+_PARTNER_INPUTS = (
+    [(CUBIC, g, (0, 0, 0, 1)) for g in (1, 2, 3)]
+    + [(CUBIC, 1, (1, 2, 0, 0))]  # a3 = 0: L4 = L2^2
+    + [(CUBIC, 2, (4, 1, Fraction(-2, 3), -1))]
+    + [(CUBIC, g, alphas) for g in (2, 1) for alphas in _SEEDED_CUBICS]
+    + [(CUBIC, 3, (3, -2, 1, -1))]
+    + [(QUARTIC, g, alphas) for g in (1, 2) for alphas in _seeded(QUARTIC, g, 2, 20142)]
+)
+
+
+@pytest.mark.parametrize(
+    "family,g,alphas", _PARTNER_INPUTS,
+    ids=[f"{f}-g{g}-{i}" for i, (f, g, _) in enumerate(_PARTNER_INPUTS)],
+)
+def test_partner_matches_degree_bounded_ansatz(family, g, alphas):
+    l4 = make_L4(FamilySpec(family, g, alphas=alphas))
+    m = find_commuting_operator(l4, 4 * g + 2)
+    assert m == _ansatz_partner(l4, 4 * g + 2)
+
+
+@pytest.mark.parametrize("g,alphas", [
+    (1, (0, 0, 0, 1)), (2, (0, 0, 0, 1)), (2, (4, 1, Fraction(-2, 3), -1)),
+])
+def test_degree_bound_agrees_with_ansatz(g, alphas):
+    l4 = make_L4(FamilySpec(CUBIC, g, alphas=alphas))
+    order = 4 * g + 2
+    top = max(c.degree_in("x") for c in find_commuting_operator(l4, order).coeffs)
+    outcomes = []
+    for d in (0, top - 1, top):
+        expected = _ansatz_partner(l4, order, d)
+        try:
+            m = find_commuting_operator(l4, order, degree_bound=d)
+        except CommutingOperatorNotFound as exc:
+            assert exc.bounded
+            m = None
+        assert m == expected
+        outcomes.append(m is not None)
+    assert outcomes[0] is False and outcomes[-1] is True
+
+
+@pytest.mark.parametrize("order", [5, 7])
+def test_absent_order_is_proven_absent(x3_l4, order):
+    with pytest.raises(CommutingOperatorNotFound) as info:
+        find_commuting_operator(x3_l4, order)
+    assert not info.value.bounded
+    assert all(op.order != order for op in _ansatz_null_operators(x3_l4, order, 30))
+
+
+def test_commuting_operators_of_pure_cubic(x3_l4, x3_m):
+    space = commuting_operators(x3_l4, 7)
+    assert [op.order for op in space] == [0, 4, 6]
+    assert all(op.is_monic() for op in space)
+    assert space[0] == DiffOp.identity(XRING)
+    assert gauge_normalize(space[2], x3_l4, 1) == x3_m
+
+
+def _in_span(op, space):
+    """op as the combination of the echelon basis given by op's entries there.
+
+    The entry of a commuting operator at order K is the constant term of its
+    D^K coefficient, and each basis operator has entry 1 at its own order and
+    0 at the others.
+    """
+    combo = DiffOp.zero(XRING)
+    for b in space:
+        c = op.coeff(int(b.order)).constant_term()
+        combo = combo + b.scale(XRING.const(c))
+    return combo == op
+
+
+_small_poly = st.lists(
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=0, max_size=3
+).map(lambda cs: XRING.from_terms({(e,): c for e, c in enumerate(cs)}))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_small_poly, min_size=4, max_size=4), st.integers(4, 6))
+def test_commuting_operators_of_random_monic_l4(lower, order):
+    l4 = DiffOp(XRING, lower + [XRING.one])
+    space = commuting_operators(l4, order)
+    assert all(l4.commutator(b).is_zero() for b in space)
+    assert _in_span(DiffOp.identity(XRING), space)
+    assert _in_span(l4, space)
+    for op in _ansatz_null_operators(l4, order, 2):
+        assert _in_span(op, space)
 
 
 # -- formal kernel series --------------------------------------------------------

@@ -256,6 +256,24 @@ def test_cli_inconclusive_partner_search_exits_3(capsys):
     assert "inconclusive" in capsys.readouterr().err
 
 
+def test_cli_absent_partner_order_exits_1(capsys):
+    # the operators commuting with this L4 up to order 5 have orders 0 and 4 only
+    code = run_command(["centralizer", "--family", "cubic", "--g", "1",
+                        "--alpha", "0", "0", "0", "1", "--order", "5"])
+    assert code == 1
+    assert "no partner" in capsys.readouterr().err
+
+
+def test_cli_accepts_negative_fractions(capsys):
+    args = ["centralizer", "--family", "cubic", "--g", "2", "--alpha", "4", "1"]
+    assert run_command(args + ["-2/3", "-1"]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert run_command(args + [" -2/3", "-1"]) == 0
+    assert plain.out == capsys.readouterr().out
+    assert plain.out.endswith("commutator zero: True\n")
+
+
 def test_cli_centralizer_found_exits_0(capsys):
     code = run_command(["centralizer", "--family", "cubic", "--g", "1",
                         "--alpha", "0", "0", "0", "1"])

@@ -3,6 +3,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_pairs.centralizer import find_commuting_operator
 from spectral_pairs.errors import DegenerateSampleError, NotCoveredError
@@ -24,11 +26,14 @@ from spectral_pairs.rings import (
     QuotientRing,
     RationalField,
     TwistedLaurent,
+    UniPoly,
 )
+from spectral_pairs.rings.fraction_field import FractionElem
 from spectral_pairs.rings.quotient import QuotientExt
 from spectral_pairs.verify import (
     DEFAULT_SEED,
     _branches,
+    _over_p_cubed,
     sample_spec,
     verify_commutation,
     verify_corollary,
@@ -228,15 +233,46 @@ def _fraction_field_corollary(spec, l):
     return out
 
 
+def _stored(op):
+    """Numerator and denominator of each coefficient, as stored (lowest terms)."""
+    return None if op is None else [(c.num, c.den) for c in op.coeffs]
+
+
 def _assert_matches_fraction_field(spec, which, partner=None):
     l = make_L4(spec) if which == "l4" else partner
     branches = _fraction_field_corollary(spec, l)
     report = verify_corollary(spec, which, partner=partner)
     remainders = [r for _, r in branches if not r.is_zero()]
+    first_remainder = remainders[0] if remainders else None
     assert report.witness == branches[0][0]
     assert report.remainder_is_zero == (not remainders)
-    assert report.remainder == (remainders[0] if remainders else None)
+    assert report.remainder == first_remainder
+    # FractionElem equality cross-multiplies; the stored forms must match too
+    assert _stored(report.witness) == _stored(branches[0][0])
+    assert _stored(report.remainder) == _stored(first_remainder)
     return report
+
+
+_QQ = RationalField()
+_root = st.integers(-3, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_root, max_size=3), st.lists(_root, max_size=4),
+       st.lists(st.integers(-9, 9), max_size=4), st.integers(1, 5))
+def test_over_p_cubed_matches_fraction_reduction(p_roots, num_roots, rest, lead):
+    # p and num share roots, with multiplicity, so every partial power of p occurs
+    def poly(roots, cofactor):
+        out = UniPoly(_QQ, [Fraction(c) for c in cofactor])
+        for r in roots:
+            out = out * UniPoly(_QQ, [Fraction(-r), Fraction(1)])
+        return out
+
+    p = poly(p_roots, [lead])
+    num = poly(num_roots, rest)
+    got = _over_p_cubed(num, p)
+    want = FractionElem(num, p ** 3)
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 def _criterion5_samples():
