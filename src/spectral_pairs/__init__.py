@@ -63,7 +63,6 @@ from .rings import (
     QuotientExt,
     QuotientRing,
     TwistedLaurent,
-    TwistedLaurentRing,
     rational_roots,
     reduce_mod_char,
 )

@@ -83,15 +83,16 @@ def build_ansatz_system(l4: DiffOp, order: int, degree_bound: int) -> AnsatzSyst
 
 
 def gauge_normalize(m: DiffOp, l4: DiffOp, g: int) -> DiffOp:
-    """Subtract rational multiples of L4^k (k <= g) and constants.
+    """Subtract rational multiples of L4^k (k <= g, 4k < order M) and constants.
 
     Afterwards the coefficient of d^(4k) has zero constant term for each
-    k <= g, which pins down a unique representative of M modulo the obvious
-    commuting polynomials in L4.
+    such k, which pins down a unique representative of M modulo the obvious
+    commuting polynomials in L4 of lower order.  Powers of order >= order M
+    are left alone: subtracting them could cancel M's leading term.
     """
     for k in range(g, -1, -1):
         c = m.coeff(4 * k).constant_term()
-        if c:
+        if c and 4 * k < m.order:
             m = m - (l4 ** k).scale(m.ring.const(c))
     return m
 

@@ -2,9 +2,9 @@
 
 Exit codes: 0 every requested check passed, 1 a verification failed or no
 commuting partner of the requested order exists, 2 usage or coverage errors
-(parameters outside a family included, and parameters so degenerate that no
-check could run), 3 the commuting-partner search under --degree-bound was
-inconclusive.  Exact rationals cross the boundary as "num/den" strings, and
+(parameters outside a family, counts out of range, and parameters so
+degenerate that no check could run), 3 the commuting-partner search under
+--degree-bound was inconclusive.  Exact rationals cross the boundary as "num/den" strings, and
 negative ones such as -2/3 are read as values, not options; JSON reports are
 deterministic for a fixed seed (elapsed_ms aside).
 """
@@ -55,6 +55,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads "-p/q" as a value, as argparse already does for "-3" and "-0.5"."""
 
@@ -89,18 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, choices=(2, 4), required=True)
     p.add_argument("--alpha", type=_fraction, nargs="+", default=None)
     p.add_argument("--which", choices=("l4", "l4g2", "both"), default="l4")
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("centralizer", help="commuting partner by exact back-substitution")
     _add_family_args(p, require_alpha=True)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--degree-bound", type=int, default=None)
+    p.add_argument("--order", type=_nonnegative_int, default=None)
+    p.add_argument("--degree-bound", type=_nonnegative_int, default=None)
 
     p = sub.add_parser("spectral-curve", help="curve R(z, w) of the commuting pair")
     _add_family_args(p, require_alpha=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_nonnegative_int, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("residual", help="numeric eigen-residual on a grid")

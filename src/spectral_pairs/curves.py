@@ -10,48 +10,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import RingMismatchError
 from .operators import DiffOp
-from .rings.fraction_field import FractionElem, RationalField, UniPoly
+from .rings import MultiPoly, PolyRing
+from .rings.fraction_field import FractionFieldRing, RationalField, UniPoly
 
 _QQ = RationalField()
+_ZW = PolyRing(("z", "w"))
 
 
-class SpectralCurve:
-    """R(z, w) as a dict {(z_power, w_power): Fraction}, zero terms omitted."""
+class SpectralCurve(MultiPoly):
+    """R(z, w) in Q[z, w]; ``terms`` maps (z_power, w_power) to a Fraction.
 
-    __slots__ = ("terms",)
+    Arithmetic is :class:`MultiPoly`'s and returns plain MultiPoly values
+    over the same ring; wrap ``terms`` to get a curve back.
+    """
+
+    __slots__ = ()
 
     def __init__(self, terms: dict):
-        self.terms = {k: Fraction(v) for k, v in terms.items() if v != 0}
-
-    def __eq__(self, other):
-        return isinstance(other, SpectralCurve) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        super().__init__(_ZW, {k: Fraction(v) for k, v in terms.items() if v != 0})
 
     def w_degree(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
+        return self.degree_in("w")
 
     def z_degree(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
-
-    def __mul__(self, other: "SpectralCurve") -> "SpectralCurve":
-        out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return SpectralCurve(out)
-
-    def __sub__(self, other: "SpectralCurve") -> "SpectralCurve":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
-        return SpectralCurve(out)
+        return self.degree_in("z")
 
     def w_slice(self, j: int) -> list:
         """Coefficient of w^j as a dense z-coefficient list."""
@@ -94,95 +78,59 @@ def charpoly_w(matrix) -> SpectralCurve:
     """det(w*I - A) for a 4x4 (or nxn) matrix of Q[z] coefficient lists.
 
     ``matrix[i][j]`` is a dense list of Fractions (z-powers, low to high).
-    The determinant is expanded by permutations: division-free and exact.
+    The determinant is a Laplace expansion along the first row over Q[z, w]:
+    division-free and exact.
     """
     n = len(matrix)
-    # entries of w*I - A as SpectralCurve values
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {(k, 0): -c for k, c in enumerate(matrix[i][j]) if c != 0}
-            if i == j:
-                terms[(0, 1)] = terms.get((0, 1), 0) + 1
-            row.append(SpectralCurve(terms))
-        entries.append(row)
-    return _det(entries)
+    w = _ZW.var("w")
+    entries = [
+        [
+            _ZW.from_terms({(k, 0): -c for k, c in enumerate(matrix[i][j])})
+            + (w if i == j else 0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return SpectralCurve(_det(entries).terms)
 
 
-def _det(entries) -> SpectralCurve:
+def _det(entries) -> MultiPoly:
     n = len(entries)
     if n == 1:
         return entries[0][0]
-    out = SpectralCurve({})
-    sign = 1
+    out = _ZW.zero
     for j in range(n):
+        if entries[0][j].is_zero():
+            continue
         minor = [
             [entries[i][k] for k in range(n) if k != j] for i in range(1, n)
         ]
         term = entries[0][j] * _det(minor)
-        if sign < 0:
-            term = SpectralCurve({}) - term
-        out = _add(out, term)
-        sign = -sign
+        out = out - term if j % 2 else out + term
     return out
 
 
-def _add(a: SpectralCurve, b: SpectralCurve) -> SpectralCurve:
-    out = dict(a.terms)
-    for k, c in b.terms.items():
-        out[k] = out.get(k, 0) + c
-    return SpectralCurve(out)
-
-
 def _to_w_poly(curve: SpectralCurve) -> UniPoly:
-    """View R(z, w) as a polynomial in w over Frac(Q[z])."""
-    coeffs = []
-    for j in range(curve.w_degree() + 1):
-        num = UniPoly(_QQ, curve.w_slice(j), var="z")
-        den = UniPoly.const(_QQ, 1, var="z")
-        coeffs.append(FractionElem(num, den, _normalized=True))
-    field = _ZFracField()
+    """View R(z, w) as a polynomial in w over Q(z)."""
+    field = FractionFieldRing(_QQ, "z")
+    coeffs = [
+        field.from_poly(UniPoly(_QQ, curve.w_slice(j), var="z"))
+        for j in range(curve.w_degree() + 1)
+    ]
     return UniPoly(field, coeffs, var="w")
 
 
-class _ZFracField:
-    """Field adapter for Frac(Q[z]) elements used as w-coefficients."""
-
-    def __init__(self):
-        one = UniPoly.const(_QQ, 1, var="z")
-        self.zero = FractionElem(UniPoly(_QQ, [], var="z"), one, _normalized=True)
-        self.one = FractionElem(one, one, _normalized=True)
-
-    def from_rational(self, q):
-        one = UniPoly.const(_QQ, 1, var="z")
-        return FractionElem(UniPoly.const(_QQ, q, var="z"), one, _normalized=True)
-
-    def inv(self, a: FractionElem) -> FractionElem:
-        return a.inverse()
-
-    def coerce(self, a):
-        if isinstance(a, FractionElem):
-            return a
-        if isinstance(a, (int, Fraction)):
-            return self.from_rational(a)
-        raise TypeError(f"cannot coerce {a!r}")
-
-    def __eq__(self, other):
-        return isinstance(other, _ZFracField)
-
-    def __hash__(self):
-        return hash("Frac(Q[z])")
-
-
-def squarefree_normalize(curve: SpectralCurve) -> SpectralCurve:
+def squarefree_normalize(curve: MultiPoly) -> SpectralCurve:
     """Squarefree part of R in w, denominators cleared, top w-coefficient 1.
 
-    The gcd with dR/dw is computed over Q(z); the quotient is then scaled back
-    to integral z-coefficients with unit content and, when the leading
-    w-coefficient is a nonzero rational constant, normalized to 1.
+    ``curve`` is any element of Q[z, w].  The gcd with dR/dw is computed over
+    Q(z); the quotient is then scaled back to integral z-coefficients with
+    unit content and, when the leading w-coefficient is a nonzero rational
+    constant, normalized to 1.
     """
-    rp = _to_w_poly(curve)
+    if curve.ring != _ZW:
+        raise RingMismatchError(f"not a polynomial in z and w: {curve.ring}")
+    rp = _to_w_poly(SpectralCurve(curve.terms))
     # dR/dw
     field = rp.field
     dcoeffs = [

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ConstraintError, NotCoveredError
 from .operators import DiffOp
-from .rings import CharPoly, PolyRing, TwistedLaurentRing
+from .rings import CharPoly, PolyRing
 from .rings.multipoly import _as_fraction
 
 CUBIC = "cubic"
@@ -99,8 +99,9 @@ def solve_quartic_constraint(a2, a3, a4) -> Fraction:
 def coefficient_ring(spec: FamilySpec):
     """The differential ring housing the family's operator coefficients."""
     if spec.family == EXPONENTIAL:
+        # t = exp(x/2), so e^x = t^2 (see rings.multipoly)
         base_vars = () if not spec.symbolic else ("a0", "a1")
-        return TwistedLaurentRing(PolyRing(base_vars))
+        return PolyRing(("t", *base_vars), laurent=("t",))
     if not spec.symbolic:
         return PolyRing(("x",))
     if spec.family == CUBIC:
@@ -145,10 +146,7 @@ def make_schrodinger(spec: FamilySpec, shifted: bool = False) -> DiffOp:
     """
     ring = coefficient_ring(spec)
     if spec.family == EXPONENTIAL:
-        pring = ring.base
-        a0 = pring.const(spec.alphas[0]) if not spec.symbolic else pring.var("a0")
-        a1 = pring.const(spec.alphas[1]) if not spec.symbolic else pring.var("a1")
-        v = ring.t_power(2, a1) + ring.from_base(a0)
+        v = _alpha(spec, ring, 1) * ring.var("t", 2) + _alpha(spec, ring, 0)
         if shifted:
             v = v + ring.const(Fraction((spec.g + spec.eps) ** 2, 4))
         return DiffOp(ring, [v, ring.zero, ring.one])
@@ -166,9 +164,7 @@ def make_L4(spec: FamilySpec) -> DiffOp:
     l2 = make_schrodinger(spec, shifted=False)
     gg1 = spec.g * (spec.g + 1)
     if spec.family == EXPONENTIAL:
-        pring = ring.base
-        a1 = pring.const(spec.alphas[1]) if not spec.symbolic else pring.var("a1")
-        extra = ring.t_power(2, a1 * gg1)
+        extra = _alpha(spec, ring, 1) * gg1 * ring.var("t", 2)
     elif spec.family == CUBIC:
         extra = _alpha(spec, ring, 3) * ring.var("x") * gg1
     else:
@@ -237,7 +233,7 @@ def multiplier_p(spec: FamilySpec, z):
     if spec.family == EXPONENTIAL:
         ring = coefficient_ring(spec)
         k = spec.g if spec.eps == 0 else -(spec.g + 1)
-        return ring.t_power(k)
+        return ring.var("t", k)
 
     # target ring: the ring z lives in; parameters are embedded through it
     def lift(elem):

@@ -143,24 +143,27 @@ def ls_derivative(values: np.ndarray, h: float, m: int, half_width: int,
 def _potential_callable(spec: FamilySpec, shifted: bool):
     """V(x) as a float callable, from the exact operator construction."""
     l2 = make_schrodinger(spec, shifted=shifted)
-    return _coeff_callable(l2.coeffs[0], spec)
+    return _coeff_callable(l2.coeffs[0])
 
 
-def _coeff_callable(coeff, spec: FamilySpec):
-    if spec.family == EXPONENTIAL:
-        # twisted Laurent terms t^k with rational base coefficients
-        pairs = [(k, float(c.as_fraction())) for k, c in coeff.terms.items()]
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return sum(c * np.exp(0.5 * k * x) for k, c in pairs)
-
-        return f
-    pairs = [(e[0], float(c)) for e, c in coeff.terms.items()]
+def _coeff_callable(coeff):
+    """Sum of c x^i e^(kx/2) over the terms c x^i t^k of ``coeff``."""
+    terms = []
+    for e, c in coeff.terms.items():
+        powers = dict(zip(coeff.ring.variables, e))
+        terms.append((float(c), powers.get("x", 0), powers.get("t", 0)))
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return sum(c * x ** k for k, c in pairs)
+        total = 0
+        for c, i, k in terms:
+            term = c
+            if i or not k:  # x ** 0 gives a constant term the shape of x
+                term = term * x ** i
+            if k:
+                term = term * np.exp(0.5 * k * x)
+            total = total + term
+        return total
 
     return f
 
@@ -230,7 +233,7 @@ def _defect_profile(spec: FamilySpec, z_root, psi, grid, half_width, degree):
     core = slice(half_width, n - half_width)
     acc = np.zeros(core.stop - core.start, dtype=complex)
     for m, coeff in enumerate(l4.coeffs):
-        fn = _coeff_callable(coeff, spec)
+        fn = _coeff_callable(coeff)
         if m == 0:
             acc += fn(grid.x[core]) * psi[core]
         else:

@@ -12,10 +12,10 @@ division-free and therefore valid over quotient rings with zero divisors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .errors import NonMonicError, RingMismatchError, TruncationError
+from .rings.multipoly import power
 
 NEG_INF = float("-inf")
 
@@ -125,14 +125,7 @@ class DiffOp:
         return DiffOp(self.ring, out)
 
     def __pow__(self, n: int):
-        result = DiffOp.identity(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, DiffOp.identity(self.ring))
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return self * other - other * self

@@ -2,10 +2,12 @@
 
 Used in two places: coefficients of the conjugated operators p^-1 L p (a
 fraction field of K[x], K the rationals or a quotient field of them), and the
-squarefree-part computation of spectral curves (fractions of Q[z]).
+squarefree-part computation of spectral curves (polynomials in w over the
+fraction field Q(z)).
 
-A "field" here is a small adapter exposing zero/one/from_rational/inv; the
-elements themselves carry the arithmetic operators.
+A "field" here is a small adapter exposing zero/one/from_rational/inv/coerce;
+the elements themselves carry the arithmetic operators.  A
+:class:`FractionFieldRing` is such an adapter too.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import RingMismatchError
-from .multipoly import DERIVATION_VAR
+from .multipoly import DERIVATION_VAR, power
 from .quotient import QuotientExt, QuotientRing
 
 
@@ -164,14 +166,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = UniPoly.const(self.field, self.field.one, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, UniPoly.const(self.field, self.field.one, self.var))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -275,6 +270,21 @@ class FractionFieldRing:
 
     def gen(self) -> "FractionElem":
         return self.from_poly(UniPoly.gen(self.field, self.var))
+
+    def from_rational(self, q) -> "FractionElem":
+        return self.const(q)
+
+    def inv(self, a: "FractionElem") -> "FractionElem":
+        return a.inverse()
+
+    def coerce(self, a):
+        if isinstance(a, FractionElem):
+            if a.num.field != self.field or a.num.var != self.var:
+                raise RingMismatchError("fraction fields differ")
+            return a
+        if isinstance(a, (int, Fraction)):
+            return self.const(a)
+        raise TypeError(f"cannot coerce {a!r}")
 
 
 def normalize_fraction(num: UniPoly, den: UniPoly) -> "FractionElem":

@@ -4,7 +4,8 @@ Terms are stored as a dict mapping exponent vectors (tuples, one entry per
 ring variable) to nonzero Fraction coefficients, so equality is structural.
 Variables declared "laurent" may carry negative exponents; all others are
 ordinary polynomial variables.  The derivation differentiates the variable
-named ``x`` and treats every other variable as a constant.
+named ``x`` and treats every other variable as a constant, except that a
+variable named ``t`` stands for exp(x/2), so D(t^k) = (k/2) t^k.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from ..errors import RingMismatchError
 
 DERIVATION_VAR = "x"
+EXP_HALF_VAR = "t"
 
 
 def _as_fraction(value) -> Fraction:
@@ -24,8 +26,22 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
 
 
+def power(base, n: int, one):
+    """base ** n by square-and-multiply, starting from ``one``."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class PolyRing:
-    """A polynomial (optionally partly Laurent) ring over ℚ with d/dx."""
+    """A polynomial (optionally partly Laurent) ring over ℚ with the derivation D."""
 
     def __init__(self, variables=(), laurent=()):
         self.variables = tuple(variables)
@@ -33,8 +49,13 @@ class PolyRing:
         if not self.laurent <= set(self.variables):
             raise ValueError("laurent variables must be ring variables")
         self._zero_exp = (0,) * len(self.variables)
+        self._x = self._index(DERIVATION_VAR)
+        self._t = self._index(EXP_HALF_VAR)
         self.zero = MultiPoly(self, {})
         self.one = MultiPoly(self, {self._zero_exp: Fraction(1)})
+
+    def _index(self, name):
+        return self.variables.index(name) if name in self.variables else None
 
     def __eq__(self, other):
         return (
@@ -134,16 +155,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -161,22 +173,32 @@ class MultiPoly:
     # -- derivation -------------------------------------------------------
 
     def derive(self) -> "MultiPoly":
-        """d/dx; every variable other than ``x`` is a constant."""
-        if DERIVATION_VAR not in self.ring.variables:
-            return self.ring.zero
-        i = self.ring.variables.index(DERIVATION_VAR)
-        terms: dict = {}
+        """D = d/dx + (t/2) d/dt; every other variable is a constant."""
+        ix, it = self.ring._x, self.ring._t
+        parts = []
         for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            ne = e[:i] + (k - 1,) + e[i + 1:]
-            s = terms.get(ne, 0) + c * k
+            if ix is not None and e[ix]:
+                parts.append((e[:ix] + (e[ix] - 1,) + e[ix + 1:], c * e[ix]))
+            if it is not None and e[it]:
+                parts.append((e, c * Fraction(e[it], 2)))
+        terms: dict = {}
+        for e, c in parts:
+            s = terms.get(e, 0) + c
             if s == 0:
-                terms.pop(ne, None)
+                terms.pop(e, None)
             else:
-                terms[ne] = s
+                terms[e] = s
         return MultiPoly(self.ring, terms)
+
+    def inverse(self) -> "MultiPoly":
+        """Inverse of a unit: a nonzero constant times Laurent variables."""
+        if len(self.terms) != 1:
+            raise ZeroDivisionError(f"not a unit: {self}")
+        (e, c), = self.terms.items()
+        names = self.ring.variables
+        if any(k and names[i] not in self.ring.laurent for i, k in enumerate(e)):
+            raise ZeroDivisionError(f"not a unit: {self}")
+        return MultiPoly(self.ring, {tuple(-k for k in e): 1 / c})
 
     # -- structure queries --------------------------------------------------
 

@@ -18,7 +18,7 @@ from ..errors import (
     SpectralPairsError,
     UnsupportedDegreeError,
 )
-from .multipoly import MultiPoly, PolyRing, _as_fraction
+from .multipoly import MultiPoly, PolyRing, _as_fraction, power
 
 
 class CharPoly:
@@ -195,14 +195,7 @@ class QuotientExt:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -79,12 +79,7 @@ def verify_eigen_identity(spec: FamilySpec) -> VerificationReport:
     l4 = make_L4(spec)
     chi = char_poly_z(spec)
     if chi.degree == 1:
-        ring = coefficient_ring(spec)
-        root = -chi.coeffs[0]
-        if spec.family == EXPONENTIAL:
-            z = ring.from_base(root)
-        else:
-            z = root.map_to(ring)
+        z = (-chi.coeffs[0]).map_to(coefficient_ring(spec))
     else:
         ring = QuotientRing(coefficient_ring(spec), chi)
         l2 = _lift_op(l2, ring)

@@ -3,32 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from spectral_pairs.rings import PolyRing, TwistedLaurentRing
+from spectral_pairs.rings import PolyRing
+from spectral_pairs.suite import _random_poly as random_poly  # noqa: F401
 
 
 def random_rational(rng, span=5):
     return Fraction(rng.randint(-span, span), rng.randint(1, 4))
-
-
-def random_poly(ring, rng, max_deg=3, n_terms=4, span=5):
-    terms = {}
-    for _ in range(n_terms):
-        exp = tuple(
-            rng.randint(-max_deg, max_deg) if v in ring.laurent
-            else rng.randint(0, max_deg)
-            for v in ring.variables
-        )
-        terms[exp] = random_rational(rng, span)
-    return ring.from_terms(terms)
-
-
-def random_twisted(ring, rng):
-    out = ring.zero
-    for _ in range(3):
-        out = out + ring.t_power(
-            rng.randint(-3, 3), random_poly(ring.base, rng, max_deg=2, n_terms=2)
-        )
-    return out
 
 
 @pytest.fixture
@@ -43,4 +23,5 @@ def xring():
 
 @pytest.fixture
 def tring():
-    return TwistedLaurentRing(PolyRing(()))
+    """Laurent polynomials in t = exp(x/2)."""
+    return PolyRing(("t",), laurent=("t",))

@@ -196,6 +196,21 @@ def test_absent_order_is_proven_absent(x3_l4, order):
     assert all(op.order != order for op in _ansatz_null_operators(x3_l4, order, 30))
 
 
+@pytest.mark.parametrize("alphas", [(0, 0, 0, 1), (4, 1, Fraction(-2, 3), -1)])
+def test_order_4_partner_is_l4_up_to_a_constant(alphas):
+    # the gauge must not subtract L4 itself from an order-4 operator
+    l4 = make_L4(FamilySpec(CUBIC, 2, alphas=alphas))
+    m = find_commuting_operator(l4, 4)
+    assert m.order == 4 and m.is_monic()
+    assert l4.commutator(m).is_zero()
+    assert (m - l4).order <= 0
+    assert m.coeff(0).constant_term() == 0
+
+
+def test_order_0_partner_is_the_identity(x3_l4):
+    assert find_commuting_operator(x3_l4, 0) == DiffOp.identity(XRING)
+
+
 def test_commuting_operators_of_pure_cubic(x3_l4, x3_m):
     space = commuting_operators(x3_l4, 7)
     assert [op.order for op in space] == [0, 4, 6]

@@ -1,4 +1,9 @@
 from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_pairs.curves import SpectralCurve, charpoly_w, squarefree_normalize
 from spectral_pairs.operators import DiffOp
@@ -74,3 +79,72 @@ def test_eval_at_operators_commuting_pair():
     # and a curve that does not annihilate the pair reports a nonzero witness
     wrong = SpectralCurve({(0, 2): 1, (2, 0): -1})
     assert wrong.eval_at_operators(d2, d3) == DiffOp.d(XRING, 6) - DiffOp.d(XRING, 4)
+
+
+# -- differential tests against sympy --------------------------------------------------
+
+_small_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_z_poly = st.lists(_small_q, max_size=3)
+_z_matrix = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_z_poly, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+# (z power, w power) -> nonzero coefficient
+_zw_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    _small_q.filter(lambda c: c != 0),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _sympy_zw():
+    sympy = pytest.importorskip("sympy")
+    return sympy, sympy.Symbol("z"), sympy.Symbol("w")
+
+
+def _rat(sympy, c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _curve_expr(curve):
+    sympy, z, w = _sympy_zw()
+    return sum(
+        (_rat(sympy, c) * z ** i * w ** j for (i, j), c in curve.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def _canonical(expr):
+    """Integral in z, unit content over Q[z], top coefficient 1."""
+    sympy, z, w = _sympy_zw()
+    num, _ = sympy.fraction(sympy.together(expr))
+    content = reduce(sympy.gcd, sympy.Poly(num, w).all_coeffs())
+    return sympy.Poly(sympy.cancel(num / content), w, z, domain="QQ").monic()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_z_matrix)
+def test_hypothesis_charpoly_matches_sympy(matrix):
+    sympy, z, w = _sympy_zw()
+    m = sympy.Matrix([
+        [sum((_rat(sympy, c) * z ** k for k, c in enumerate(e)), sympy.Integer(0))
+         for e in row]
+        for row in matrix
+    ])
+    expected = sympy.Poly(m.charpoly(w).as_expr(), z, w)
+    assert charpoly_w(matrix).terms == {
+        k: Fraction(int(c.p), int(c.q)) for k, c in expected.terms()
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(_zw_terms, _zw_terms)
+def test_hypothesis_squarefree_normalize_matches_sympy(a_terms, b_terms):
+    sympy, z, w = _sympy_zw()
+    a, b = SpectralCurve(a_terms), SpectralCurve(b_terms)
+    curve = a * a * b
+    expected = sympy.Poly(
+        _curve_expr(curve), w, domain=sympy.QQ.frac_field(z)
+    ).sqf_part()
+    got = squarefree_normalize(curve)
+    assert _canonical(_curve_expr(got)) == _canonical(expected.as_expr())

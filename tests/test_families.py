@@ -41,8 +41,8 @@ def test_exponential_shifted_potential():
     spec = FamilySpec(EXPONENTIAL, 1, eps=0)
     l2 = make_schrodinger(spec, shifted=True)
     ring = l2.ring
-    a0, a1 = ring.base.var("a0"), ring.base.var("a1")
-    v = ring.t_power(2, a1) + ring.from_base(a0) + ring.const(Fraction(1, 4))
+    a0, a1 = ring.var("a0"), ring.var("a1")
+    v = a1 * ring.var("t", 2) + a0 + Fraction(1, 4)
     assert l2 == DiffOp(ring, [v, ring.zero, ring.one])
 
 
@@ -75,8 +75,8 @@ def test_l4_exponential_correction():
     l2 = make_schrodinger(spec)
     l4 = make_L4(spec)
     ring = l4.ring
-    a1 = ring.base.var("a1")
-    assert l4 - l2 * l2 == DiffOp(ring, [ring.t_power(2, 6 * a1)])
+    a1 = ring.var("a1")
+    assert l4 - l2 * l2 == DiffOp(ring, [6 * a1 * ring.var("t", 2)])
 
 
 def test_char_poly_cubic_g2():
@@ -141,8 +141,8 @@ def test_multiplier_exponential_branches():
     p0 = multiplier_p(FamilySpec(EXPONENTIAL, 3, eps=0), None)
     p1 = multiplier_p(FamilySpec(EXPONENTIAL, 3, eps=1), None)
     ring = p0.ring
-    assert p0 == ring.t_power(3)
-    assert p1 == ring.t_power(-4)
+    assert p0 == ring.var("t", 3)
+    assert p1 == ring.var("t", -4)
 
 
 # -- quartic constraint ------------------------------------------------------------

@@ -264,6 +264,36 @@ def test_cli_absent_partner_order_exits_1(capsys):
     assert "no partner" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order, first_line", [("4", "D^4 + "), ("0", "(1)")])
+def test_cli_partner_of_order_4_and_0(capsys, order, first_line):
+    code = run_command(["centralizer", "--family", "cubic", "--g", "2",
+                        "--alpha", "0", "0", "0", "1", "--order", order])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(first_line)
+    assert out.endswith("commutator zero: True\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["centralizer", "--family", "cubic", "--g", "2",
+          "--alpha", "0", "0", "0", "1", "--order", "-1"], "--order"),
+        (["spectral-curve", "--family", "cubic", "--g", "2",
+          "--alpha", "0", "0", "0", "1", "--order", "-1"], "--order"),
+        (["centralizer", "--family", "cubic", "--g", "2",
+          "--alpha", "0", "0", "0", "1", "--degree-bound", "-1"], "--degree-bound"),
+        (["verify-corollary", "--g", "2", "--samples", "0"], "--samples"),
+        (["verify-corollary", "--g", "2", "--samples", "-2"], "--samples"),
+    ],
+)
+def test_cli_out_of_range_counts_exit_2(capsys, argv, message):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_cli_accepts_negative_fractions(capsys):
     args = ["centralizer", "--family", "cubic", "--g", "2", "--alpha", "4", "1"]
     assert run_command(args + ["-2/3", "-1"]) == 0
