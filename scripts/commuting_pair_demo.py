@@ -6,16 +6,16 @@ operator M with [L4, M] = 0 and the hyperelliptic curve w^2 - F(z) that the
 pair satisfies as an exact operator identity.
 """
 
-import argparse
 from fractions import Fraction
 
 from spectral_pairs.centralizer import find_commuting_operator, hyperelliptic_pair
+from spectral_pairs.cli import ArgumentParser
 from spectral_pairs.families import CUBIC, FamilySpec, make_L4
 from spectral_pairs.reports import curve_dict
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--g", type=int, default=1, help="target order is 4g+2")
     parser.add_argument(
         "--alpha", type=Fraction, nargs=4, default=(0, 0, 0, 1),

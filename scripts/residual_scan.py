@@ -6,9 +6,9 @@ residual max |L4 psi - z psi| / max |psi| at every eigenvalue of the
 characteristic polynomial, for one family instance.
 """
 
-import argparse
 from fractions import Fraction
 
+from spectral_pairs.cli import ArgumentParser
 from spectral_pairs.families import CUBIC, EXPONENTIAL, QUARTIC, FamilySpec, char_poly_z
 from spectral_pairs.numeric import (
     DEFAULT_INTERVALS,
@@ -19,7 +19,7 @@ from spectral_pairs.numeric import (
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--family", choices=(CUBIC, QUARTIC, EXPONENTIAL), default=CUBIC)
     parser.add_argument("--g", type=int, default=2)
     parser.add_argument("--alpha", type=Fraction, nargs="+", default=(0, 0, 0, 1))

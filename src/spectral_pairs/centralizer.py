@@ -19,24 +19,31 @@ commutator expansion.  :func:`build_ansatz_system` keeps the older
 degree-bounded ansatz as an independent formulation of the same space.
 
 The spectral curve comes from the action of M on a formal power-series basis
-of ker(L4 - z): the squarefree part of the characteristic polynomial
-det(w I - A(z)).
+psi_0 .. psi_3 of ker(L4 - z): the squarefree part of the characteristic
+polynomial det(w I - A(z)).  The basis is built from its Taylor data
+d_k = k! c_k at x = 0, which obey a recurrence over Q[z] with no
+factorial denominators (:func:`series_kernel_basis`).  The action matrix
+holds the first four Taylor data of M psi_j, and only those are formed:
+A[k][j] = k! sum_(i, s <= k) a_(i,s) c_(k-s+i) (k-s+i)!/(k-s)! over the
+terms a_(i,s) x^s D^i of M, which reads psi_j up to x^(ord M + 3)
+(:func:`action_matrix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .curves import SpectralCurve, charpoly_w, squarefree_normalize
 from .errors import (
     CommutingOperatorNotFound,
+    NotCoveredError,
     SpectralPairsError,
     TruncationError,
 )
 from .linalg import nullspace
-from .operators import DiffOp, PowerSeries, multipoly_x_split
+from .operators import DiffOp, PowerSeries
 from .rings import PolyRing
 
 _STABILITY_MARGIN = 8
@@ -255,41 +262,55 @@ def find_commuting_operator(
 # -- formal kernel and action matrix -------------------------------------------
 
 
+def _x_terms(op: DiffOp) -> dict:
+    """{(i, s): rational coefficient of x^s D^i} of an operator over Q[x]."""
+    ring = op.ring
+    if not isinstance(ring, PolyRing) or ring.variables != ("x",) or ring.laurent:
+        raise SpectralPairsError("expected an operator with Q[x] coefficients")
+    return {
+        (i, e[0]): c for i, coeff in enumerate(op.coeffs) for e, c in coeff.terms.items()
+    }
+
+
+def _trim(p: list) -> list:
+    """A dense polynomial with Fraction entries and no trailing zeros."""
+    while p and not p[-1]:
+        p.pop()
+    return [Fraction(c) for c in p]
+
+
 def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
     """Four series psi_j = x^j/j! + O(x^4) spanning ker(L4 - z), over Q[z].
 
     ``l4`` must be monic of order 4 with Q[x] coefficients; x = 0 is then an
-    ordinary point and the coefficients follow an order-4 recurrence.
+    ordinary point.  With L4 = sum q_(i,s) x^s D^i, the coefficient of x^m
+    in (L4 - z) psi, times m!, gives a recurrence for the Taylor data
+    d_k = k! c_k of psi = sum c_k x^k that has no factorial denominators:
+
+        d_(m+4) = z d_m - sum_((i,s) != (4,0)) q_(i,s) m!/(m-s)! d_(m-s+i),
+
+    over m >= s, starting from d_k = [k == j] for k < 4.
     """
-    ring = l4.ring
     if l4.order != 4 or not l4.is_monic():
         raise SpectralPairsError("expected a monic operator of order 4")
     if truncation < 8:
         raise TruncationError("truncation must be at least 8")
+    lower = [(i, s, q) for (i, s), q in _x_terms(l4).items() if (i, s) != (4, 0)]
     zring = PolyRing(("z",))
-    z = zring.var("z")
-    # a[(i, s)]: rational coefficient of x^s in the i-th operator coefficient
-    a: dict = {}
-    for i, coeff in enumerate(l4.coeffs):
-        for e, c in coeff.terms.items():
-            a[(i, e[0])] = c
     basis = []
     for j in range(4):
-        c = [zring.zero] * (truncation + 1)
-        c[j] = zring.const(Fraction(1, factorial(j)))
+        # d[k]: dense z-coefficients of the k-th derivative of psi_j at 0
+        d = [[Fraction(1)] if k == j else [] for k in range(4)]
         for m in range(truncation - 3):
-            # coefficient of x^m in (L4 - z) psi must vanish; solve for c[m+4]
-            total = zring.zero
-            for (i, s), q in a.items():
-                if (i, s) == (4, 0):
-                    continue
-                k = m - s + i  # c_k x^k contributes via x^s * d^i
-                if k >= i and m >= s:
-                    w = q * Fraction(factorial(k), factorial(k - i))
-                    total = total + c[k] * w
-            total = total - z * c[m]
-            c[m + 4] = total * Fraction(-factorial(m), factorial(m + 4))
-        basis.append(PowerSeries(zring, c))
+            acc = [Fraction(0)] + d[m] if d[m] else []
+            for i, s, q in lower:
+                if m >= s:
+                    _add_product(acc, -perm(m, s), [q], d[m - s + i])
+            d.append(_trim(acc))
+        basis.append(PowerSeries(zring, [
+            zring.from_terms({(e,): c / factorial(k) for e, c in enumerate(dk) if c})
+            for k, dk in enumerate(d)
+        ]))
     return basis
 
 
@@ -297,18 +318,29 @@ def action_matrix(m: DiffOp, basis: list) -> list:
     """4x4 matrix over Q[z] of M acting on the formal kernel basis.
 
     Column j holds the Taylor data (k-th derivative at 0, k < 4) of M psi_j,
-    which are exactly its coordinates in the basis.
+    which are exactly its coordinates in the basis.  With M = sum a_(i,s)
+    x^s D^i and psi_j = sum c_n x^n, only these four coefficients are formed:
+
+        A[k][j] = k! sum_i sum_(s <= k) a_(i,s) c_(k-s+i) (k-s+i)!/(k-s)!,
+
+    which reads psi_j up to x^(ord M + 3).  Entries are dense z-coefficient
+    lists of Fractions, lowest power first.
     """
-    zring = basis[0].ring
-    split = multipoly_x_split(zring)
+    if basis[0].trunc - m.order < 3:
+        raise TruncationError("basis truncation too small for this operator")
+    terms = _x_terms(m)
     matrix = [[None] * 4 for _ in range(4)]
     for j, psi in enumerate(basis):
-        image = m.apply_to_series(psi, split)
-        if image.trunc < 3:
-            raise TruncationError("basis truncation too small for this operator")
+        c = {}  # dense z-coefficients of the c_n that the formula reads
         for k in range(4):
-            entry = image.coeffs[k] * factorial(k)
-            matrix[k][j] = _dense(entry, "z")
+            acc: list = []
+            for (i, s), a in terms.items():
+                if s <= k:
+                    n = k - s + i
+                    if n not in c:
+                        c[n] = _dense(psi.coeffs[n], "z")
+                    _add_product(acc, factorial(k) * perm(n, i), [a], c[n])
+            matrix[k][j] = _trim(acc)
     return matrix
 
 
@@ -334,11 +366,12 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
 
     The constant-term gauge of :func:`find_commuting_operator` can leave a
     w-linear term b(z) w in the curve; shifting M by -b(L4)/2 completes the
-    square.  Only rank-two (w-degree 2) curves are supported here.
+    square.  Only rank-two (w-degree 2) curves are covered; any other curve
+    raises :class:`NotCoveredError`.
     """
     curve = spectral_curve(l4, m)
     if curve.w_degree() != 2:
-        raise SpectralPairsError("not a rank-two curve")
+        raise NotCoveredError(f"not a rank-two curve: w-degree {curve.w_degree()}")
     b = curve.w_slice(1)
     if any(b):
         shift = sum(

@@ -2,16 +2,19 @@
 
 Exit codes: 0 every requested check passed, 1 a verification failed or no
 commuting partner of the requested order exists, 2 usage or coverage errors
-(parameters outside a family, counts out of range, and parameters so
-degenerate that no check could run), 3 the commuting-partner search under
---degree-bound was inconclusive.  Exact rationals cross the boundary as "num/den" strings, and
-negative ones such as -2/3 are read as values, not options; JSON reports are
-deterministic for a fixed seed (elapsed_ms aside).
+(parameters outside a family, counts, grid sizes, tolerances, thresholds
+and intervals out of range, a spectral curve that is not of rank two, and
+parameters so degenerate that no check could run), 3 the commuting-partner
+search under --degree-bound was inconclusive.  Exact rationals cross the
+boundary as "num/den" strings, and negative ones such as -2/3 are read as
+values, not options; JSON reports are deterministic for a fixed seed
+(elapsed_ms aside).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import re
 import sys
@@ -27,7 +30,9 @@ from .errors import (
 )
 from .families import CUBIC, EXPONENTIAL, QUARTIC, FamilySpec, char_poly_z, make_L4
 from .numeric import (
+    BESSEL_MIN_POINTS,
     DEFAULT_INTERVALS,
+    RESIDUAL_MIN_POINTS,
     bessel_change_check,
     eigen_residual,
     integrate_kernel,
@@ -48,26 +53,71 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+def _int_at_least(low: int):
+    """Argument type for an integer that must be at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"not an integer >= {low}: {text!r}")
+        return value
+
+    parse.__name__ = "integer"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reads "-p/q" as a value, as argparse already does for "-3" and "-0.5"."""
+def _positive_fraction(text: str) -> Fraction:
+    value = _fraction(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive rational: {text!r}")
+    return value
+
+
+class _Interval(argparse.Action):
+    """Two endpoints of nonzero width; in increasing order if ``increasing``."""
+
+    def __init__(self, *args, increasing=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.increasing = increasing
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        a, b = values
+        if a == b or (self.increasing and a > b):
+            need = "a < b" if self.increasing else "a != b"
+            parser.error(f"argument {option_string}: endpoints a b must satisfy {need}")
+        setattr(namespace, self.dest, values)
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """Reads "-p/q" and "-1e-3" as values, as argparse already does for "-3"
+    and "-0.5".
+
+    The scripts in ``scripts/`` build their parsers from it too.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-\d+/\d+$"
+        )
 
 
 def _add_family_args(p, require_alpha=False):
@@ -81,7 +131,7 @@ def _add_family_args(p, require_alpha=False):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = ArgumentParser(
         prog="spectral-pairs",
         description="exact and numeric checks for commuting operator families",
     )
@@ -112,19 +162,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residual", help="numeric eigen-residual on a grid")
     _add_family_args(p, require_alpha=True)
-    p.add_argument("--interval", type=float, nargs=2, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--n-points", type=int, default=1001)
-    p.add_argument("--threshold", type=float, default=RESIDUAL_BOUND)
+    p.add_argument("--interval", type=_finite_float, nargs=2, action=_Interval, default=None)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.add_argument("--n-points", type=_int_at_least(RESIDUAL_MIN_POINTS), default=1001)
+    p.add_argument("--threshold", type=_positive_float, default=RESIDUAL_BOUND)
     p.add_argument("--out", default=None, help="CSV grid output path")
 
     p = sub.add_parser("bessel-check", help="second-order form change of variables")
     p.add_argument("--a0", type=_fraction, default=Fraction(0))
-    p.add_argument("--a1", type=_fraction, default=Fraction(1))
-    p.add_argument("--y-interval", type=float, nargs=2, default=(1.0, 5.0))
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--n-points", type=int, default=101)
-    p.add_argument("--threshold", type=float, default=BESSEL_BOUND)
+    p.add_argument("--a1", type=_positive_fraction, default=Fraction(1))
+    p.add_argument(
+        "--y-interval", type=_positive_float, nargs=2, action=_Interval,
+        increasing=True, default=(1.0, 5.0),
+    )
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.add_argument("--n-points", type=_int_at_least(BESSEL_MIN_POINTS), default=101)
+    p.add_argument("--threshold", type=_positive_float, default=BESSEL_BOUND)
 
     sub.add_parser("suite", help="run every acceptance check")
     return parser

@@ -14,7 +14,11 @@ class NonMonicError(SpectralPairsError):
 
 
 class NotCoveredError(SpectralPairsError):
-    """The requested (family, g, eps) combination has no known closed form."""
+    """The request lies outside what the package covers.
+
+    Raised for a (family, g, eps) combination with no known closed form, and
+    for a commuting pair whose spectral curve is not of rank two.
+    """
 
 
 class ConstraintError(SpectralPairsError):

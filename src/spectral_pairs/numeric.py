@@ -224,6 +224,8 @@ def integrate_kernel(
 # taken as the best of a narrower low-degree and a wider high-degree stencil,
 # both at least 8th-order accurate
 _RESIDUAL_STENCILS = ((450, 12), (550, 14))
+# grid size at which the narrowest stencil first fits (see _stencil_profiles)
+RESIDUAL_MIN_POINTS = 41 + min(degree for _, degree in _RESIDUAL_STENCILS)
 
 
 def _defect_profile(spec: FamilySpec, z_root, psi, grid, half_width, degree):
@@ -304,6 +306,11 @@ def _multiplier_values(spec: FamilySpec, z: complex, x: np.ndarray) -> np.ndarra
         )
         total += vals * (z ** zi)
     return total
+
+
+# the default 5-point stencil of bessel_change_check needs this many points,
+# and then leaves the middle one inside the evaluation window
+BESSEL_MIN_POINTS = 5
 
 
 def bessel_change_check(

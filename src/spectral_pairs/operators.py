@@ -286,23 +286,3 @@ def right_divide(n: DiffOp, d: DiffOp):
 
 def conjugate_by_unit(op: DiffOp, p) -> DiffOp:
     return op.conjugate_by_unit(p)
-
-
-def multipoly_x_split(target_ring):
-    """x_split for MultiPoly coefficients: expand in x, embed the rest.
-
-    Returns a function mapping a MultiPoly to [(x-power, element of
-    ``target_ring``)], suitable for :meth:`DiffOp.apply_to_series`.
-    """
-
-    def split(coeff):
-        if "x" in coeff.ring.variables:
-            buckets = coeff.coefficients_in("x")
-        else:
-            buckets = {0: coeff}
-        out = []
-        for s, c in buckets.items():
-            out.append((s, c.map_to(target_ring)))
-        return out
-
-    return split

@@ -138,8 +138,14 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, MultiPoly):
+            if other.ring != self.ring:
+                raise RingMismatchError(f"{other.ring} != {self.ring}")
+        elif isinstance(other, (int, Fraction)):
+            if not other:
+                return MultiPoly(self.ring, {})
+            return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
+        else:
             return NotImplemented
         terms: dict = {}
         for e1, c1 in self.terms.items():

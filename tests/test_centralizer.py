@@ -29,9 +29,11 @@ from spectral_pairs.families import (
     make_L4,
     make_schrodinger,
 )
-from spectral_pairs.operators import DiffOp, multipoly_x_split
+from spectral_pairs.operators import DiffOp, PowerSeries
 from spectral_pairs.rings import PolyRing
 from spectral_pairs.verify import sample_spec
+
+from conftest import multipoly_x_split
 
 XRING = PolyRing(("x",))
 PURE_CUBIC = FamilySpec(CUBIC, 1, alphas=(0, 0, 0, 1))
@@ -285,6 +287,60 @@ def test_kernel_basis_truncation_floor(x3_l4):
         series_kernel_basis(x3_l4, 7)
 
 
+def _c_recurrence_basis(l4, truncation):
+    """The kernel basis by the recurrence on the Taylor coefficients c_k.
+
+    The coefficient of x^m in (L4 - z) psi is solved for c_(m+4) over Q[z]
+    with MultiPoly arithmetic and factorial denominators: an independent
+    formulation of series_kernel_basis's Taylor-data recurrence.  Scalars
+    enter as constant polynomials, so MultiPoly's scalar product is not used.
+    """
+    zring = PolyRing(("z",))
+    z = zring.var("z")
+    a = {(i, e[0]): c for i, coeff in enumerate(l4.coeffs) for e, c in coeff.terms.items()}
+    basis = []
+    for j in range(4):
+        c = [zring.zero] * (truncation + 1)
+        c[j] = zring.const(Fraction(1, factorial(j)))
+        for m in range(truncation - 3):
+            total = zring.zero
+            for (i, s), q in a.items():
+                k = m - s + i
+                if (i, s) != (4, 0) and k >= i and m >= s:
+                    w = q * Fraction(factorial(k), factorial(k - i))
+                    total = total + c[k] * zring.const(w)
+            total = total - z * c[m]
+            c[m + 4] = total * zring.const(Fraction(-factorial(m), factorial(m + 4)))
+        basis.append(PowerSeries(zring, c))
+    return basis
+
+
+_big_rational = st.builds(
+    Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)
+)
+_big_poly = st.lists(_big_rational, min_size=0, max_size=4).map(
+    lambda cs: XRING.from_terms({(e,): c for e, c in enumerate(cs)})
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_big_poly, min_size=4, max_size=4), st.integers(8, 20))
+def test_kernel_basis_matches_the_c_recurrence(lower, truncation):
+    l4 = DiffOp(XRING, lower + [XRING.one])
+    assert series_kernel_basis(l4, truncation) == _c_recurrence_basis(l4, truncation)
+
+
+@pytest.mark.parametrize("spec", [
+    PURE_CUBIC,
+    FamilySpec(CUBIC, 2, alphas=(4, 1, Fraction(-2, 3), -1)),
+    FamilySpec(QUARTIC, 1, alphas=(0, 0, 1, 0, 1)),
+])
+def test_family_kernel_basis_matches_the_c_recurrence(spec):
+    l4 = make_L4(spec)
+    for n in (8, 21, 34):
+        assert series_kernel_basis(l4, n) == _c_recurrence_basis(l4, n)
+
+
 # -- action matrices and curves ---------------------------------------------------
 
 
@@ -302,6 +358,42 @@ def test_l4_acts_as_z(x3_l4):
     for i in range(4):
         for j in range(4):
             assert mat[i][j] == ([Fraction(0), Fraction(1)] if i == j else [])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(_small_poly, min_size=4, max_size=4),
+    st.lists(_big_poly, min_size=1, max_size=11),
+    st.integers(0, 5),
+)
+def test_action_matrix_matches_the_series_image(lower, m_coeffs, extra):
+    """A[k][j] = k! * (coefficient of x^k in M psi_j), by the series action."""
+    l4 = DiffOp(XRING, lower + [XRING.one])
+    m = DiffOp(XRING, m_coeffs)
+    order = 0 if m.is_zero() else m.order
+    basis = series_kernel_basis(l4, max(order + 3 + extra, 8))
+    zring = basis[0].ring
+    split = multipoly_x_split(zring)
+    expected = [[None] * 4 for _ in range(4)]
+    for j, psi in enumerate(basis):
+        image = m.apply_to_series(psi, split)
+        for k in range(4):
+            entry = image.coeffs[k] * zring.const(factorial(k))
+            dense = [Fraction(0)] * (entry.degree_in("z") + 1)
+            for (e,), c in entry.terms.items():
+                dense[e] = c
+            expected[k][j] = dense
+    assert action_matrix(m, basis) == expected
+
+
+@pytest.mark.parametrize("order", [6, 10, 14])
+def test_action_matrix_needs_truncation_ord_m_plus_3(order):
+    l4 = make_L4(FamilySpec(CUBIC, (order - 2) // 4, alphas=(0, 0, 0, 1)))
+    m = find_commuting_operator(l4, order)
+    full = action_matrix(m, series_kernel_basis(l4, order + 12))
+    assert action_matrix(m, series_kernel_basis(l4, order + 3)) == full
+    with pytest.raises(TruncationError):
+        action_matrix(m, series_kernel_basis(l4, order + 2))
 
 
 def test_action_matrix_stable_under_truncation(x3_l4, x3_m):

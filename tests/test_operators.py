@@ -7,7 +7,6 @@ from spectral_pairs.errors import NonMonicError, RingMismatchError, TruncationEr
 from spectral_pairs.operators import (
     DiffOp,
     PowerSeries,
-    multipoly_x_split,
 )
 from spectral_pairs.rings import (
     FractionFieldRing,
@@ -16,7 +15,7 @@ from spectral_pairs.rings import (
     UniPoly,
 )
 
-from conftest import random_poly
+from conftest import multipoly_x_split, random_poly
 
 
 def _random_op(ring, rng, max_order=3, max_deg=3):

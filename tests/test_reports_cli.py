@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,37 @@ def test_cli_spectral_curve_first_instance(capsys):
     assert data["operator_identity_zero"] is True
 
 
+DATA = Path(__file__).parent / "data"
+_GENERIC = ["4", "1", "-2/3", "-1"]
+
+
+@pytest.mark.parametrize("name, g, alpha", [
+    ("x3-g1", 1, ["0", "0", "0", "1"]),
+    ("x3-g2", 2, ["0", "0", "0", "1"]),
+    ("x3-g3", 3, ["0", "0", "0", "1"]),
+    ("generic-g1", 1, _GENERIC),
+    ("generic-g2", 2, _GENERIC),
+])
+def test_cli_spectral_curve_matches_golden_output(capsys, tmp_path, name, g, alpha):
+    out = tmp_path / "curve.json"
+    argv = ["spectral-curve", "--family", "cubic", "--g", str(g), "--alpha", *alpha]
+    assert run_command(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"spectral-curve-{name}.json").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("order", ["4", "0"])
+def test_cli_spectral_curve_of_a_polynomial_in_l4_exits_2(capsys, order):
+    # the partner of order 4 is L4 and that of order 0 is 1: their curves
+    # have w-degree 1, outside the rank-two curves the command covers
+    code = run_command(["spectral-curve", "--family", "cubic", "--g", "1",
+                        "--alpha", "0", "0", "0", "1", "--order", order])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "not a rank-two curve" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_verify_corollary_fixed_alpha(capsys):
     code = run_command(
         ["verify-corollary", "--g", "2", "--alpha", "0", "0", "0", "1"]
@@ -220,8 +252,51 @@ def test_cli_residual_threshold_failure_exits_1(capsys):
 def test_cli_bessel_check(capsys):
     assert run_command(["bessel-check"]) == 0
     assert run_command(["bessel-check", "--threshold", "1e-9"]) == 1
-    assert run_command(["bessel-check", "--a1", "0"]) == 1  # invalid substitution
     capsys.readouterr()
+
+
+_RESIDUAL = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "0", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_RESIDUAL + ["--tol", "0"], "--tol"),
+        (_RESIDUAL + ["--tol", "nan"], "--tol"),
+        (_RESIDUAL + ["--n-points", "0"], "--n-points"),
+        (_RESIDUAL + ["--n-points", "52"], "--n-points"),
+        (_RESIDUAL + ["--interval", "1", "1"], "--interval"),
+        (_RESIDUAL + ["--interval", "0", "nan"], "--interval"),
+        (_RESIDUAL + ["--interval", "0", "inf"], "--interval"),
+        (_RESIDUAL + ["--threshold", "nan"], "--threshold"),
+        (_RESIDUAL + ["--threshold", "0"], "--threshold"),
+        (["bessel-check", "--n-points", "2"], "--n-points"),
+        (["bessel-check", "--a1", "0"], "--a1"),
+        (["bessel-check", "--a1", "-1/2"], "--a1"),
+        (["bessel-check", "--y-interval", "0", "5"], "--y-interval"),
+        (["bessel-check", "--y-interval", "5", "1"], "--y-interval"),
+        (["bessel-check", "--y-interval", "2", "2"], "--y-interval"),
+        (["bessel-check", "--tol", "-1e-10"], "--tol"),
+        (["bessel-check", "--threshold", "nan"], "--threshold"),
+    ],
+)
+def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (_RESIDUAL + ["--n-points", "53"], "max residual over 2 root(s): "),
+    (["bessel-check", "--n-points", "5"], "residual: "),
+])
+def test_cli_numeric_smallest_accepted_grid_is_checked(capsys, argv, verdict):
+    # a grid this coarse may miss the bound (exit 1), but the check runs
+    assert run_command(argv) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.out.startswith(verdict)
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(
@@ -302,6 +377,13 @@ def test_cli_accepts_negative_fractions(capsys):
     assert run_command(args + [" -2/3", "-1"]) == 0
     assert plain.out == capsys.readouterr().out
     assert plain.out.endswith("commutator zero: True\n")
+
+
+def test_cli_accepts_negative_numbers_with_an_exponent(capsys):
+    assert run_command(["bessel-check", "--a0", "-1/10"]) == 0
+    plain = capsys.readouterr()
+    assert run_command(["bessel-check", "--a0", "-1e-1"]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_cli_centralizer_found_exits_0(capsys):

@@ -384,3 +384,25 @@ def test_hypothesis_twisted_derive_matches_sympy(terms):
     f = expr(terms, lambda k: sympy.exp(k * x / 2))
     expected = sympy.diff(f, x).subs(x, 2 * sympy.log(t))
     assert sympy.expand(expected - got) == 0
+
+
+# -- products by a scalar ----------------------------------------------------------
+
+SCALARS = [0, 1, -1, 10 ** 40 + 7, Fraction(-7, 12)]
+
+
+@pytest.mark.parametrize("ring", [
+    PolyRing(("x",)),
+    PolyRing(("x", "t", "a0"), laurent=("t",)),
+    PolyRing(("z", "w")),
+], ids=["x", "twisted", "zw"])
+@pytest.mark.parametrize("c", SCALARS, ids=repr)
+def test_scalar_product_matches_constant_product(ring, c):
+    rng = random.Random(61)
+    for _ in range(50):
+        p = random_poly(ring, rng)
+        expected = ring.const(c) * p
+        for got in (p * c, c * p):
+            assert got == expected
+            assert got.ring == ring
+            assert all(isinstance(v, Fraction) and v for v in got.terms.values())
