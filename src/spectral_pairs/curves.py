@@ -48,17 +48,17 @@ class SpectralCurve(MultiPoly):
 
     def eval_at_operators(self, a: DiffOp, b: DiffOp) -> DiffOp:
         """Substitute z -> a, w -> b monomial-wise; requires [a, b] = 0."""
-        max_i = self.z_degree()
-        max_j = self.w_degree()
-        a_pows = [DiffOp.identity(a.ring)]
-        for _ in range(max(max_i, 0)):
-            a_pows.append(a_pows[-1] * a)
-        b_pows = [DiffOp.identity(b.ring)]
-        for _ in range(max(max_j, 0)):
-            b_pows.append(b_pows[-1] * b)
+        a_pows = _powers(a, self.z_degree())
+        b_pows = _powers(b, self.w_degree())
         out = DiffOp.zero(a.ring)
         for (i, j), c in self.terms.items():
-            out = out + (a_pows[i] * b_pows[j]).scale(a.ring.const(c))
+            if j == 0:
+                op = a_pows[i]
+            elif i == 0:
+                op = b_pows[j]
+            else:
+                op = a_pows[i] * b_pows[j]
+            out = out + op.scale(c)
         return out
 
     def __repr__(self):
@@ -72,6 +72,14 @@ class SpectralCurve(MultiPoly):
             ) or "1"
             parts.append(f"({c})*{mono}")
         return " + ".join(parts)
+
+
+def _powers(op: DiffOp, n: int) -> list:
+    """[op^0, op^1, ..., op^n]; op^1 is op itself."""
+    pows = [DiffOp.identity(op.ring), op]
+    while len(pows) <= n:
+        pows.append(pows[-1] * op)
+    return pows
 
 
 def charpoly_w(matrix) -> SpectralCurve:

@@ -25,7 +25,12 @@ from math import factorial
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DegenerateSampleError, SpectralPairsError, UnsupportedDegreeError
+from .errors import (
+    DegenerateSampleError,
+    NotCoveredError,
+    SpectralPairsError,
+    UnsupportedDegreeError,
+)
 from .families import (
     EXPONENTIAL,
     FamilySpec,
@@ -37,6 +42,10 @@ from .families import (
 from .rings import CharPoly, PolyRing, QuotientRing
 
 OVERFLOW_LIMIT = 1e150
+# right-hand-side evaluations one kernel integration may spend; the default
+# intervals take a few hundred, and without a cap a long interval with no
+# blow-up (V = x^3 on [0, 1e9]) runs without bound
+MAX_RHS_EVALUATIONS = 100_000
 DEFAULT_INTERVALS = {"cubic": (0.0, 1.0), "quartic": (0.0, 1.0), EXPONENTIAL: (0.0, 2.0)}
 
 
@@ -179,7 +188,9 @@ def integrate_kernel(
     """Integrate phi'' = -V(x) phi and resample on a uniform grid.
 
     Blow-up past the overflow limit truncates the interval; the partial grid
-    is returned with a diagnostic in ``meta``.
+    is returned with a diagnostic in ``meta``.  An integration that needs
+    more than :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations raises
+    :class:`NotCoveredError`.
     """
     if spec.symbolic:
         raise SpectralPairsError("numeric integration needs rational parameters")
@@ -187,8 +198,17 @@ def integrate_kernel(
         raise ValueError("tol must be positive")
     a, b = interval if interval is not None else DEFAULT_INTERVALS[spec.family]
     v = _potential_callable(spec, shifted)
+    evaluations = 0
 
     def rhs(x, y):
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations > MAX_RHS_EVALUATIONS:
+            raise NotCoveredError(
+                f"integrating over [{a:g}, {b:g}] needs more than "
+                f"MAX_RHS_EVALUATIONS = {MAX_RHS_EVALUATIONS} right-hand-side "
+                "evaluations; choose a shorter interval"
+            )
         return [y[1], -v(x) * y[0]]
 
     def blow_up(x, y):

@@ -5,9 +5,16 @@ derivative).  Composition uses the closed Leibniz form
 
     d^i (b f) = sum_k  C(i, k) b^(k) f^(i-k),
 
-so A*B aggregates per output order instead of shuffling single terms.  Right
-Euclidean division is restricted to monic divisors, which keeps everything
-division-free and therefore valid over quotient rings with zero divisors.
+so A*B aggregates per output order instead of shuffling single terms: the
+triples (C(i, k), a_i, b_j^(k)) that land on D^m go to one call of the
+coefficient ring's kernel ``ring.sum_products``, which returns sum c*a*b
+exactly.  Over a polynomial ring the kernel works on integer numerators
+keyed by exponent tuple and builds one Fraction per output term; over
+Base[z]/(chi) it sums coordinate products by z-power and reduces mod chi
+once per output coefficient; over a fraction field it sums c*a*b plainly.
+Right Euclidean division is restricted to monic divisors, which keeps
+everything division-free and therefore valid over quotient rings with zero
+divisors; each quotient term is subtracted from the remainder in place.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ class DiffOp:
         return self + (-other)
 
     def scale(self, c) -> "DiffOp":
-        """Multiply every coefficient by a ring element (left multiplication)."""
+        """Multiply every coefficient by c, a ring element or a rational."""
         return DiffOp(self.ring, [c * a for a in self.coeffs])
 
     def __eq__(self, other):
@@ -102,27 +109,12 @@ class DiffOp:
         other = self._check(other)
         if self.is_zero() or other.is_zero():
             return DiffOp.zero(self.ring)
-        # db[k][j]: k-th derivative of other's j-th coefficient
-        na, nb = len(self.coeffs), len(other.coeffs)
-        db = [list(other.coeffs)]
-        for _ in range(na - 1):
-            db.append([c.derive() for c in db[-1]])
-        out = [self.ring.zero] * (na + nb - 1)
+        db = _derivative_table(other.coeffs, len(self.coeffs) - 1)
+        groups = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for k in range(i + 1):
-                c_ik = comb(i, k)
-                row = db[k]
-                for j, b in enumerate(row):
-                    if b.is_zero():
-                        continue
-                    term = a * b
-                    if c_ik != 1:
-                        term = term * c_ik
-                    m = i + j - k
-                    out[m] = out[m] + term
-        return DiffOp(self.ring, out)
+            if not a.is_zero():
+                _leibniz(groups, 1, a, i, db)
+        return DiffOp(self.ring, [self.ring.sum_products(g) for g in groups])
 
     def __pow__(self, n: int):
         return power(self, n, DiffOp.identity(self.ring))
@@ -136,20 +128,33 @@ class DiffOp:
         """Q, R with self = Q*divisor + R and order(R) < order(divisor).
 
         The divisor must be monic; no coefficient inverses are needed, so the
-        division is valid over any commutative differential ring.
+        division is valid over any commutative differential ring.  Each
+        quotient term c*D^e is subtracted from the remainder in place, one
+        kernel sum per remainder coefficient it touches.
         """
         divisor = self._check(divisor)
         if not divisor.is_monic():
             raise NonMonicError("right division requires a monic divisor")
-        q = DiffOp.zero(self.ring)
-        r = self
+        ring = self.ring
         d = divisor.order
-        while not r.is_zero() and r.order >= d:
-            e = r.order - d
-            step = DiffOp(self.ring, [self.ring.zero] * e + [r.coeffs[-1]])
-            q = q + step
-            r = r - step * divisor
-        return q, r
+        rem = list(self.coeffs)
+        quo = [ring.zero] * max(len(rem) - d, 0)
+        # the leading coefficient of divisor is 1, so c*D^e*divisor cancels
+        # rem[e + d] exactly; only the lower coefficients need the kernel
+        lower = divisor.coeffs[:-1]
+        db = _derivative_table(lower, len(quo) - 1)
+        for e in range(len(quo) - 1, -1, -1):
+            c = rem[e + d]
+            if c.is_zero():
+                continue
+            quo[e] = c
+            rem[e + d] = ring.zero
+            groups = [[] for _ in range(e + d)]
+            _leibniz(groups, -1, c, e, db)
+            for m, g in enumerate(groups):
+                if g:
+                    rem[m] = rem[m] + ring.sum_products(g)
+        return DiffOp(ring, quo), DiffOp(ring, rem)
 
     def conjugate_by_unit(self, p) -> "DiffOp":
         """p^-1 * self * p for a unit p of the coefficient ring."""
@@ -209,6 +214,27 @@ class DiffOp:
             else:
                 parts.append(f"({c})*{d}")
         return " + ".join(parts)
+
+
+def _derivative_table(coeffs, n: int) -> list:
+    """table[k][j]: the k-th derivative of coeffs[j], for k = 0 .. n."""
+    table = [list(coeffs)]
+    for _ in range(n):
+        table.append([c.derive() for c in table[-1]])
+    return table
+
+
+def _leibniz(groups, sign: int, a, i: int, db) -> None:
+    """Append the triples of sign * a D^i * (sum_j b_j D^j) to groups[order].
+
+    d^i (b f) = sum_k C(i, k) b^(k) f^(i-k), so the term a*C(i,k)*b_j^(k)
+    lands on D^(i+j-k); ``db[k][j]`` holds b_j^(k).
+    """
+    for k in range(i + 1):
+        c = sign * comb(i, k)
+        for j, b in enumerate(db[k]):
+            if not b.is_zero():
+                groups[i + j - k].append((c, a, b))
 
 
 class PowerSeries:

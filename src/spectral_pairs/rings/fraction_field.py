@@ -274,6 +274,14 @@ class FractionFieldRing:
     def from_rational(self, q) -> "FractionElem":
         return self.const(q)
 
+    def sum_products(self, triples) -> "FractionElem":
+        """Sum of c*a*b over (int c, FractionElem a, FractionElem b) triples."""
+        out = self.zero
+        for c, a, b in triples:
+            term = a * b
+            out = out + (term if c == 1 else term * c)
+        return out
+
     def inv(self, a: "FractionElem") -> "FractionElem":
         return a.inverse()
 

@@ -11,6 +11,8 @@ variable named ``t`` stands for exp(x/2), so D(t^k) = (k/2) t^k.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from ..errors import RingMismatchError
 
@@ -89,15 +91,57 @@ class PolyRing:
         clean = {e: _as_fraction(c) for e, c in terms.items() if c != 0}
         return MultiPoly(self, clean)
 
+    def sum_products(self, triples) -> "MultiPoly":
+        """Sum of c*a*b over (int c, MultiPoly a, MultiPoly b) triples, exactly.
+
+        Every factor enters as integer numerators over its own common
+        denominator (cleared once per element and kept on it), every product
+        is scaled to the lcm of the products' denominators, and the loop
+        multiplies and adds Python ints keyed by exponent tuple: one Fraction
+        is built per output term, not one per term pair.
+        """
+        parts = []
+        den = 1
+        for c, a, b in triples:
+            da, na = a._cleared()
+            db, nb = b._cleared()
+            parts.append((c, da * db, na, nb))
+            den = lcm(den, da * db)
+        acc: dict = {}
+        get, pop = acc.get, acc.pop
+        for c, d, na, nb in parts:
+            scale = c * (den // d)
+            for e1, n1 in na.items():
+                m1 = scale * n1
+                for e2, n2 in nb.items():
+                    e = tuple(map(add, e1, e2))
+                    s = get(e, 0) + m1 * n2
+                    if s:
+                        acc[e] = s
+                    else:
+                        pop(e, None)
+        return MultiPoly(self, {e: Fraction(n, den) for e, n in acc.items()})
+
 
 class MultiPoly:
     """Element of a :class:`PolyRing`.  Immutable after construction."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_ints")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
+        self._ints = None
+
+    def _cleared(self):
+        """(d, {exponent: int}) with self = {exponent: int} / d, d the lcm."""
+        if self._ints is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            self._ints = (
+                den,
+                {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()},
+            )
+        return self._ints
 
     # -- basic ring operations -------------------------------------------
 
@@ -147,16 +191,7 @@ class MultiPoly:
             return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
         else:
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return MultiPoly(self.ring, terms)
+        return self.ring.sum_products(((1, self, other),))
 
     __rmul__ = __mul__
 

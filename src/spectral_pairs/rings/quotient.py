@@ -116,6 +116,22 @@ class QuotientRing:
     def const(self, value) -> "QuotientExt":
         return self.from_base(self.base.const(value))
 
+    def sum_products(self, triples) -> "QuotientExt":
+        """Sum of c*a*b over (int c, QuotientExt a, QuotientExt b) triples.
+
+        Coordinate products are bucketed by z-power, each bucket is summed by
+        the base ring's kernel, and the result is reduced mod chi once.
+        """
+        buckets = [[] for _ in range(2 * self.degree - 1)]
+        for c, a, b in triples:
+            for i, ai in enumerate(a.coords):
+                if ai.is_zero():
+                    continue
+                for j, bj in enumerate(b.coords):
+                    if not bj.is_zero():
+                        buckets[i + j].append((c, ai, bj))
+        return self.from_z_coeffs([self.base.sum_products(bk) for bk in buckets])
+
     def from_z_coeffs(self, coeffs) -> "QuotientExt":
         """Reduce an arbitrary-degree z-coefficient list into the quotient."""
         coeffs = [
@@ -180,17 +196,7 @@ class QuotientExt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self.ring.degree
-        base = self.ring.base
-        prod = [base.zero] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coords):
-                if b.is_zero():
-                    continue
-                prod[i + j] = prod[i + j] + a * b
-        return self.ring.from_z_coeffs(prod)
+        return self.ring.sum_products(((1, self, other),))
 
     __rmul__ = __mul__
 

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from spectral_pairs.rings import PolyRing
+from spectral_pairs.operators import DiffOp
+from spectral_pairs.rings import MultiPoly, PolyRing, QuotientExt
 from spectral_pairs.suite import _random_poly as random_poly  # noqa: F401
 
 
@@ -42,3 +44,79 @@ def multipoly_x_split(target_ring):
         return [(s, c.map_to(target_ring)) for s, c in buckets.items()]
 
     return split
+
+
+# -- reference products: the per-term loops the kernels replaced ---------------------
+
+
+def multipoly_product_oracle(p, q):
+    """p*q by one Fraction product and one dict update per term pair."""
+    terms: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(e, 0) + c1 * c2
+            if s == 0:
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return MultiPoly(p.ring, terms)
+
+
+def quotient_product_oracle(a, b):
+    """a*b in Base[z]/(chi): schoolbook z-product, then reduction by z^d."""
+    qring = a.ring
+    d = qring.degree
+    base = qring.base
+    work = [base.zero] * (2 * d - 1)
+    for i, ai in enumerate(a.coords):
+        for j, bj in enumerate(b.coords):
+            work[i + j] = work[i + j] + multipoly_product_oracle(ai, bj)
+    # z^d = -(c_0 + ... + c_{d-1} z^{d-1})
+    for top in range(2 * d - 2, d - 1, -1):
+        for i, c in enumerate(qring.chi.coeffs[:-1]):
+            work[top - d + i] = work[top - d + i] - multipoly_product_oracle(work[top], c)
+    return QuotientExt(qring, work[:d])
+
+
+def ring_product_oracle(a, b):
+    if isinstance(a, MultiPoly):
+        return multipoly_product_oracle(a, b)
+    if isinstance(a, QuotientExt):
+        return quotient_product_oracle(a, b)
+    return a * b
+
+
+def times_int(elem, k: int):
+    if isinstance(elem, QuotientExt):
+        return QuotientExt(elem.ring, [c * k for c in elem.coords])
+    return elem * k
+
+
+def leibniz_compose(a, b):
+    """a*b by the per-coefficient Leibniz loop, one ring product per term."""
+    if a.is_zero() or b.is_zero():
+        return DiffOp.zero(a.ring)
+    na, nb = len(a.coeffs), len(b.coeffs)
+    db = [list(b.coeffs)]
+    for _ in range(na - 1):
+        db.append([c.derive() for c in db[-1]])
+    out = [a.ring.zero] * (na + nb - 1)
+    for i, ai in enumerate(a.coeffs):
+        for k in range(i + 1):
+            for j, bj in enumerate(db[k]):
+                term = ring_product_oracle(ai, bj)
+                out[i + j - k] = out[i + j - k] + times_int(term, comb(i, k))
+    return DiffOp(a.ring, out)
+
+
+def right_divmod_oracle(n, d):
+    """Right division by a monic d, one full operator product per quotient term."""
+    q = DiffOp.zero(n.ring)
+    r = n
+    while not r.is_zero() and r.order >= d.order:
+        e = r.order - d.order
+        step = DiffOp(n.ring, [n.ring.zero] * e + [r.coeffs[-1]])
+        q = q + step
+        r = r - leibniz_compose(step, d)
+    return q, r

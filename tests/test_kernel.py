@@ -1,0 +1,187 @@
+"""Differential tests of the sum-of-products kernels behind operator composition.
+
+Every composition, commutator and right division is compared with the
+per-term Leibniz loop in ``conftest`` (one ring product per term), and every
+ring product with the schoolbook loops there, on 30-digit rationals in each
+coefficient ring the package uses.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectral_pairs.operators import DiffOp
+from spectral_pairs.rings import (
+    CharPoly,
+    FractionFieldRing,
+    PolyRing,
+    QuotientExt,
+    QuotientRing,
+    RationalField,
+    UniPoly,
+)
+
+from conftest import (
+    leibniz_compose,
+    multipoly_product_oracle,
+    quotient_product_oracle,
+    random_rational,
+    right_divmod_oracle,
+    ring_product_oracle,
+    times_int,
+)
+
+BIG = 10 ** 30
+big_rational = st.builds(
+    Fraction,
+    st.integers(-100 * BIG, 100 * BIG),
+    st.integers(BIG, 100 * BIG),
+)
+
+
+def _poly(ring, exponent_ranges, max_terms=3):
+    exps = st.tuples(*(st.integers(lo, hi) for lo, hi in exponent_ranges))
+    return st.dictionaries(exps, big_rational, max_size=max_terms).map(ring.from_terms)
+
+
+QX = PolyRing(("x",))
+QX_PARAMS = PolyRing(("x", "a0", "a1", "a2", "a3"))
+QX_LAURENT = PolyRing(("x", "t", "a0"), laurent=("t",))
+QX_A0 = PolyRing(("x", "a0"))
+
+_x_poly = _poly(QX, [(0, 4)])
+
+
+def _quotient_case(base, chi, coord):
+    qring = QuotientRing(base, chi)
+    elems = st.lists(coord, min_size=qring.degree, max_size=qring.degree).map(
+        lambda cs: QuotientExt(qring, cs)
+    )
+    return qring, elems
+
+
+_a0 = QX_A0.var("a0")
+CASES = {
+    "x": (QX, _x_poly),
+    "params": (QX_PARAMS, _poly(QX_PARAMS, [(0, 3)] + [(0, 2)] * 4)),
+    "laurent": (QX_LAURENT, _poly(QX_LAURENT, [(0, 3), (-3, 3), (0, 2)])),
+    "quotient-rational": _quotient_case(
+        QX,
+        CharPoly(PolyRing(()), [Fraction(7 * BIG + 1, 3 * BIG - 1), Fraction(-BIG, 11), 1]),
+        _x_poly,
+    ),
+    "quotient-parameter": _quotient_case(
+        QX_A0,
+        CharPoly(QX_A0, [Fraction(5 * BIG + 3, 2 * BIG + 7), 3 * _a0, _a0 * _a0, QX_A0.one]),
+        _poly(QX_A0, [(0, 3), (0, 2)], max_terms=2),
+    ),
+}
+
+
+def _op(elems, max_order=3):
+    return st.lists(elems, max_size=max_order + 1)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compose_and_commutator_match_leibniz_oracle(case, data):
+    ring, elems = CASES[case]
+    a = DiffOp(ring, data.draw(_op(elems)))
+    b = DiffOp(ring, data.draw(_op(elems)))
+    ab, ba = leibniz_compose(a, b), leibniz_compose(b, a)
+    assert a * b == ab
+    assert a.commutator(b) == ab - ba
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_right_divmod_matches_oracle(case, data):
+    ring, elems = CASES[case]
+    n = DiffOp(ring, data.draw(_op(elems, max_order=5)))
+    d = DiffOp(ring, data.draw(st.lists(elems, max_size=2)) + [ring.one])
+    q, r = n.right_divmod(d)
+    assert (q, r) == right_divmod_oracle(n, d)
+    assert leibniz_compose(q, d) + r == n
+    assert r.is_zero() or r.order < d.order
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sum_products_matches_termwise_sum(case, data):
+    ring, elems = CASES[case]
+    triples = data.draw(st.lists(
+        st.tuples(st.integers(-20, 20), elems, elems), max_size=5
+    ))
+    expected = ring.zero
+    for c, a, b in triples:
+        expected = expected + times_int(ring_product_oracle(a, b), c)
+    assert ring.sum_products(triples) == expected
+
+
+@pytest.mark.parametrize("case", ["x", "params", "laurent"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_multipoly_product_matches_schoolbook_loop(case, data):
+    ring, elems = CASES[case]
+    p, q = data.draw(elems), data.draw(elems)
+    got, expected = p * q, multipoly_product_oracle(p, q)
+    assert got == expected
+    # term order is part of the result: float evaluations sum in this order
+    assert list(got.terms) == list(expected.terms)
+    assert all(isinstance(c, Fraction) for c in got.terms.values())
+
+
+@pytest.mark.parametrize("case", ["quotient-rational", "quotient-parameter"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_product_matches_schoolbook_loop(case, data):
+    ring, elems = CASES[case]
+    a, b = data.draw(elems), data.draw(elems)
+    assert a * b == quotient_product_oracle(a, b)
+
+
+def test_compose_over_fraction_field_matches_oracle():
+    qq = RationalField()
+    ring = FractionFieldRing(qq)
+    rng = random.Random(23)
+
+    def elem():
+        num = UniPoly(qq, [random_rational(rng) for _ in range(3)])
+        den = UniPoly(qq, [random_rational(rng), 1])
+        return ring.from_poly(num) / ring.from_poly(den)
+
+    for _ in range(10):
+        a = DiffOp(ring, [elem() for _ in range(rng.randint(1, 3))])
+        b = DiffOp(ring, [elem() for _ in range(rng.randint(1, 3))])
+        assert a * b == leibniz_compose(a, b)
+
+
+def _sympy_apply(op, f, x, sympy):
+    """op acting on the sympy expression f in x."""
+    out = sympy.Integer(0)
+    for i, coeff in enumerate(op.coeffs):
+        poly = sum(
+            (sympy.Rational(c.numerator, c.denominator) * x ** e[0]
+             for e, c in coeff.terms.items()),
+            sympy.Integer(0),
+        )
+        out += poly * sympy.diff(f, x, i)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(_op(_x_poly), _op(_x_poly))
+def test_compose_acts_as_composition_in_sympy(a_coeffs, b_coeffs):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = sympy.Function("f")(x)
+    a, b = DiffOp(QX, a_coeffs), DiffOp(QX, b_coeffs)
+    lhs = _sympy_apply(a * b, f, x, sympy)
+    rhs = _sympy_apply(a, _sympy_apply(b, f, x, sympy), x, sympy)
+    assert sympy.expand(lhs - rhs) == 0

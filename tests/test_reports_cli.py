@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from fractions import Fraction
 
@@ -9,7 +12,7 @@ import pytest
 from spectral_pairs.cli import run_command
 from spectral_pairs.curves import SpectralCurve
 from spectral_pairs.families import CUBIC, FamilySpec
-from spectral_pairs.numeric import integrate_kernel
+from spectral_pairs.numeric import MAX_RHS_EVALUATIONS, integrate_kernel
 from spectral_pairs.reports import (
     CSV_HEADER,
     TOOL_VERSION,
@@ -195,6 +198,30 @@ def test_cli_spectral_curve_matches_golden_output(capsys, tmp_path, name, g, alp
     capsys.readouterr()
 
 
+# golden file -> command; the files hold stdout without its elapsed_ms lines
+_GOLDEN_COMMANDS = {
+    "centralizer-cubic-g2-generic.txt":
+        ["centralizer", "--family", "cubic", "--g", "2", "--alpha", *_GENERIC],
+    "centralizer-quartic-g2.txt":
+        ["centralizer", "--family", "quartic", "--g", "2",
+         "--alpha", "-4/3", "13/12", "-2", "-2/3", "2/3"],
+    "verify-corollary-g2-samples3-seed11-both.txt":
+        ["verify-corollary", "--g", "2", "--samples", "3", "--seed", "11",
+         "--which", "both"],
+    "verify-theorem-exponential-g3-symbolic.txt":
+        ["verify-theorem", "--family", "exponential", "--g", "3", "--mode", "symbolic"],
+    "verify-theorem-cubic-g2-symbolic.txt":
+        ["verify-theorem", "--family", "cubic", "--g", "2", "--mode", "symbolic"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_COMMANDS))
+def test_cli_exact_commands_match_golden_output(capsys, name):
+    assert run_command(_GOLDEN_COMMANDS[name]) == 0
+    out = capsys.readouterr().out.encode()
+    assert _without_elapsed(out) == (DATA / name).read_bytes()
+
+
 @pytest.mark.parametrize("order", ["4", "0"])
 def test_cli_spectral_curve_of_a_polynomial_in_l4_exits_2(capsys, order):
     # the partner of order 4 is L4 and that of order 0 is 1: their curves
@@ -285,6 +312,23 @@ def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_cli_residual_over_a_huge_interval_exits_2_quickly():
+    # V = x^3 has no blow-up event on [0, 1e9]: only the evaluation cap ends it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectral_pairs.cli", *_RESIDUAL, "--interval", "0", "1e9"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "not covered" in proc.stderr
+    assert f"MAX_RHS_EVALUATIONS = {MAX_RHS_EVALUATIONS}" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv, verdict", [
