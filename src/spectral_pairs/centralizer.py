@@ -26,7 +26,13 @@ factorial denominators (:func:`series_kernel_basis`).  The action matrix
 holds the first four Taylor data of M psi_j, and only those are formed:
 A[k][j] = k! sum_(i, s <= k) a_(i,s) c_(k-s+i) (k-s+i)!/(k-s)! over the
 terms a_(i,s) x^s D^i of M, which reads psi_j up to x^(ord M + 3)
-(:func:`action_matrix`).
+(:func:`action_matrix`).  So one basis at truncation max(8, ord M + 3) gives
+the curve: the recurrence is prefix-closed (d_(m+4) is fixed by d_0 ..
+d_(m+3)), so a longer basis cut to that length is the same basis and gives
+the same matrix.  Completing the square needs no second curve either: M +
+b(L4)/2 acts on ker(L4 - z) as A + b(z)/2 I, so its curve is R(z, w - b/2),
+and that shift commutes with taking the normalized squarefree part, because
+it keeps the w-degree and the leading w-coefficient.
 """
 
 from __future__ import annotations
@@ -45,9 +51,6 @@ from .errors import (
 from .linalg import nullspace
 from .operators import DiffOp, PowerSeries
 from .rings import PolyRing
-
-_STABILITY_MARGIN = 8
-
 
 @dataclass
 class AnsatzSystem:
@@ -347,39 +350,38 @@ def action_matrix(m: DiffOp, basis: list) -> list:
 def spectral_curve(l4: DiffOp, m: DiffOp) -> SpectralCurve:
     """Squarefree normalized R(z, w) with R(L4, M) = 0.
 
-    The action matrix is recomputed at a larger truncation and must agree;
-    disagreement means the series were too short and is an internal error.
+    One kernel basis, at truncation max(8, ord M + 3), is enough: a longer
+    one agrees with it on every coefficient :func:`action_matrix` reads (see
+    the module docstring).  The zero operator has det(w I - 0) = w^4 and so
+    the curve w.
     """
     if not l4.commutator(m).is_zero():
         raise SpectralPairsError("operators do not commute")
-    n = int(m.order) + 4 + _STABILITY_MARGIN
-    mat = action_matrix(m, series_kernel_basis(l4, n))
-    mat_check = action_matrix(m, series_kernel_basis(l4, n + _STABILITY_MARGIN))
-    if mat != mat_check:
-        raise SpectralPairsError("action matrix unstable under truncation growth")
-    det = charpoly_w(mat)
-    return squarefree_normalize(det)
+    basis = series_kernel_basis(l4, max(8, m.order + 3))
+    return squarefree_normalize(charpoly_w(action_matrix(m, basis)))
 
 
 def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     """(M', R) with R(z, w) = w^2 - F(z) and R(L4, M') = 0.
 
     The constant-term gauge of :func:`find_commuting_operator` can leave a
-    w-linear term b(z) w in the curve; shifting M by -b(L4)/2 completes the
-    square.  Only rank-two (w-degree 2) curves are covered; any other curve
-    raises :class:`NotCoveredError`.
+    w-linear term b(z) w in the curve; M' = M + b(L4)/2 completes the
+    square, and its curve is R(z, w - b/2) (see the module docstring).  Only
+    rank-two (w-degree 2) curves are covered; any other curve raises
+    :class:`NotCoveredError`.
     """
     curve = spectral_curve(l4, m)
     if curve.w_degree() != 2:
         raise NotCoveredError(f"not a rank-two curve: w-degree {curve.w_degree()}")
     b = curve.w_slice(1)
     if any(b):
-        shift = sum(
-            ((l4 ** k).scale(l4.ring.const(c / 2)) for k, c in enumerate(b) if c),
-            DiffOp.zero(l4.ring),
-        )
-        m = m + shift
-        curve = spectral_curve(l4, m)
+        m = sum(((l4 ** k).scale(l4.ring.const(c / 2)) for k, c in enumerate(b) if c), m)
+        zw = curve.ring
+        w = zw.var("w") - zw.from_terms({(k, 0): c / 2 for k, c in enumerate(b)})
+        curve = SpectralCurve(sum(
+            (zw.from_terms({(i, 0): c}) * w ** j for (i, j), c in curve.terms.items()),
+            zw.zero,
+        ).terms)
         if any(curve.w_slice(1)):
             raise SpectralPairsError("square completion failed")
     return m, curve

@@ -129,12 +129,13 @@ def _to_w_poly(curve: SpectralCurve) -> UniPoly:
 
 
 def squarefree_normalize(curve: MultiPoly) -> SpectralCurve:
-    """Squarefree part of R in w, denominators cleared, top w-coefficient 1.
+    """Squarefree part of R in w, z-denominators cleared, then made monic over Q.
 
     ``curve`` is any element of Q[z, w].  The gcd with dR/dw is computed over
-    Q(z); the quotient is then scaled back to integral z-coefficients with
-    unit content and, when the leading w-coefficient is a nonzero rational
-    constant, normalized to 1.
+    Q(z); the quotient's w-coefficients are multiplied by the lcm of their
+    denominator polynomials, which leaves rational z-coefficients.  The
+    result is then divided by the leading rational (highest z-power) of its
+    top w-slice, so 2/3 z w + 2/3 w + 1/2 becomes z w + w + 3/4.
     """
     if curve.ring != _ZW:
         raise RingMismatchError(f"not a polynomial in z and w: {curve.ring}")

@@ -120,3 +120,36 @@ def right_divmod_oracle(n, d):
         q = q + step
         r = r - leibniz_compose(step, d)
     return q, r
+
+
+# -- reference curves: the two-truncation computation the single basis replaced ---
+
+
+def spectral_curve_oracle(l4, m):
+    """The curve from two kernel bases, at ord M + 12 and ord M + 20.
+
+    Both action matrices are formed and must agree before the squarefree
+    part of det(w I - A) is taken; each call expands [L4, M] again.
+    """
+    from spectral_pairs.centralizer import action_matrix, series_kernel_basis
+    from spectral_pairs.curves import charpoly_w, squarefree_normalize
+
+    assert l4.commutator(m).is_zero()
+    n = int(m.order) + 12
+    mat = action_matrix(m, series_kernel_basis(l4, n))
+    assert mat == action_matrix(m, series_kernel_basis(l4, n + 8))
+    return squarefree_normalize(charpoly_w(mat))
+
+
+def hyperelliptic_pair_oracle(l4, m):
+    """(M', R) by shifting M by b(L4)/2 and computing the shifted curve afresh."""
+    curve = spectral_curve_oracle(l4, m)
+    assert curve.w_degree() == 2
+    b = curve.w_slice(1)
+    if any(b):
+        for k, c in enumerate(b):
+            if c:
+                m = m + (l4 ** k).scale(l4.ring.const(c / 2))
+        curve = spectral_curve_oracle(l4, m)
+        assert not any(curve.w_slice(1))
+    return m, curve

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spectral_pairs import centralizer
 from spectral_pairs.centralizer import (
     action_matrix,
     build_ansatz_system,
@@ -19,6 +21,7 @@ from spectral_pairs.centralizer import (
 from spectral_pairs.curves import SpectralCurve, charpoly_w, squarefree_normalize
 from spectral_pairs.errors import (
     CommutingOperatorNotFound,
+    NotCoveredError,
     SpectralPairsError,
     TruncationError,
 )
@@ -33,7 +36,11 @@ from spectral_pairs.operators import DiffOp, PowerSeries
 from spectral_pairs.rings import PolyRing
 from spectral_pairs.verify import sample_spec
 
-from conftest import multipoly_x_split
+from conftest import (
+    hyperelliptic_pair_oracle,
+    multipoly_x_split,
+    spectral_curve_oracle,
+)
 
 XRING = PolyRing(("x",))
 PURE_CUBIC = FamilySpec(CUBIC, 1, alphas=(0, 0, 0, 1))
@@ -330,6 +337,21 @@ def test_kernel_basis_matches_the_c_recurrence(lower, truncation):
     assert series_kernel_basis(l4, truncation) == _c_recurrence_basis(l4, truncation)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(_small_poly, min_size=4, max_size=4),
+    st.integers(8, 20),
+    st.integers(1, 20),
+)
+def test_kernel_basis_is_prefix_closed(lower, n, extra):
+    """The basis at n + extra, cut to x^n, is the basis at n."""
+    l4 = DiffOp(XRING, lower + [XRING.one])
+    longer = series_kernel_basis(l4, n + extra)
+    assert [psi.coeffs[:n + 1] for psi in longer] == [
+        psi.coeffs for psi in series_kernel_basis(l4, n)
+    ]
+
+
 @pytest.mark.parametrize("spec", [
     PURE_CUBIC,
     FamilySpec(CUBIC, 2, alphas=(4, 1, Fraction(-2, 3), -1)),
@@ -427,3 +449,94 @@ def test_hyperelliptic_curve_of_first_instance(x3_l4, x3_m):
     assert curve == SpectralCurve({(0, 2): 1, (3, 0): -1})  # w^2 - z^3
     assert curve.eval_at_operators(x3_l4, m2).is_zero()
     assert not any(curve.w_slice(1))
+
+
+def test_curve_of_the_zero_operator_is_w(x3_l4):
+    zero = DiffOp.zero(XRING)
+    curve = spectral_curve(x3_l4, zero)
+    assert curve == SpectralCurve({(0, 1): 1})  # det(w I - 0) = w^4
+    assert curve.eval_at_operators(x3_l4, zero).is_zero()
+    with pytest.raises(NotCoveredError):
+        hyperelliptic_pair(x3_l4, zero)
+
+
+_GENERIC_CUBIC = (4, 1, Fraction(-2, 3), -1)
+_QUARTIC_ALPHAS = (Fraction(-4, 3), Fraction(13, 12), -2, Fraction(-2, 3), Fraction(2, 3))
+_SEEDED_CUBICS = tuple(sample_spec(CUBIC, 2, random.Random(seed)).alphas for seed in (1, 2, 3))
+
+# (family, g, alphas, partner order)
+_PAIR_CASES = (
+    [(CUBIC, g, (0, 0, 0, 1), 4 * g + 2) for g in (1, 2, 3)]
+    + [(CUBIC, g, _GENERIC_CUBIC, 4 * g + 2) for g in (1, 2, 3)]
+    + [(CUBIC, 1, alphas, 6) for alphas in _SEEDED_CUBICS]
+    + [(QUARTIC, g, _QUARTIC_ALPHAS, 4 * g + 2) for g in (1, 2)]
+    + [(CUBIC, 1, (0, 0, 0, 1), 10)]  # curve w^2 - z^5
+)
+
+
+@lru_cache(maxsize=None)
+def _pair_input(case):
+    family, g, alphas, order = case
+    l4 = make_L4(FamilySpec(family, g, alphas=alphas))
+    return l4, find_commuting_operator(l4, order)
+
+
+def _case_id(case):
+    family, g, alphas, order = case
+    return f"{family}-g{g}-order{order}-" + "_".join(map(str, alphas))
+
+
+@pytest.mark.parametrize("case", _PAIR_CASES, ids=_case_id)
+def test_square_completion_by_substitution_matches_a_second_curve(case):
+    l4, m = _pair_input(case)
+    m2, curve = hyperelliptic_pair(l4, m)
+    m2_old, curve_old = hyperelliptic_pair_oracle(l4, m)
+    assert curve == curve_old and repr(curve) == repr(curve_old)
+    assert m2 == m2_old and repr(m2) == repr(m2_old)
+    assert curve.eval_at_operators(l4, m2).is_zero()
+    assert (m2 != m) == any(spectral_curve(l4, m).w_slice(1))
+
+
+def test_some_square_completion_case_shifts():
+    assert any(any(spectral_curve(*_pair_input(case)).w_slice(1)) for case in _PAIR_CASES)
+
+
+def test_curve_path_does_each_exact_step_once(monkeypatch):
+    l4, m = _pair_input((CUBIC, 2, _GENERIC_CUBIC, 10))
+    calls = {"basis": 0, "curve": 0, "commutator": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(centralizer, "series_kernel_basis",
+                        counted("basis", centralizer.series_kernel_basis))
+    monkeypatch.setattr(centralizer, "spectral_curve",
+                        counted("curve", centralizer.spectral_curve))
+    monkeypatch.setattr(DiffOp, "commutator", counted("commutator", DiffOp.commutator))
+    m2, _ = hyperelliptic_pair(l4, m)
+    assert m2 != m  # this case completes the square
+    assert calls == {"basis": 1, "curve": 1, "commutator": 1}
+
+
+_small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(((0, 0, 0, 1),) + _SEEDED_CUBICS),
+    st.lists(_small_rational, min_size=1, max_size=3),
+    _small_rational,
+)
+def test_spectral_curve_matches_the_two_truncation_curve(alphas, p, c):
+    """M = p(L4) + c M6 commutes with L4; one basis gives the old curve."""
+    l4, m6 = _pair_input((CUBIC, 1, alphas, 6))
+    m = m6.scale(XRING.const(c))
+    for k, pk in enumerate(p):
+        m = m + (l4 ** k).scale(XRING.const(pk))
+    assume(not m.is_zero())  # the old computation fails on order -inf
+    curve = spectral_curve(l4, m)
+    assert curve == spectral_curve_oracle(l4, m)
+    assert curve.eval_at_operators(l4, m).is_zero()

@@ -43,6 +43,16 @@ def test_squarefree_normalize_clears_denominators_and_content():
     assert squarefree_normalize(curve) == SpectralCurve({(0, 2): 1, (1, 0): -1})
 
 
+def test_squarefree_normalize_divides_by_the_top_slice_leading_rational():
+    # 2/3 z w + 2/3 w + 1/2: no denominator polynomial to clear, and the
+    # coefficients stay rational after division by 2/3 (no integral content)
+    curve = SpectralCurve({(1, 1): Fraction(2, 3), (0, 1): Fraction(2, 3),
+                           (0, 0): Fraction(1, 2)})
+    assert squarefree_normalize(curve) == SpectralCurve(
+        {(1, 1): 1, (0, 1): 1, (0, 0): Fraction(3, 4)}
+    )
+
+
 def test_squarefree_normalize_strips_repeated_factor():
     w2_minus_z = SpectralCurve({(0, 2): 1, (1, 0): -1})
     squared = w2_minus_z * w2_minus_z

@@ -189,10 +189,13 @@ _GENERIC = ["4", "1", "-2/3", "-1"]
     ("x3-g3", 3, ["0", "0", "0", "1"]),
     ("generic-g1", 1, _GENERIC),
     ("generic-g2", 2, _GENERIC),
+    ("cubic-generic-g3", 3, _GENERIC),
+    ("quartic-g2", 2, ["-4/3", "13/12", "-2", "-2/3", "2/3"]),
 ])
 def test_cli_spectral_curve_matches_golden_output(capsys, tmp_path, name, g, alpha):
     out = tmp_path / "curve.json"
-    argv = ["spectral-curve", "--family", "cubic", "--g", str(g), "--alpha", *alpha]
+    family = "quartic" if name.startswith("quartic") else "cubic"
+    argv = ["spectral-curve", "--family", family, "--g", str(g), "--alpha", *alpha]
     assert run_command(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"spectral-curve-{name}.json").read_bytes()
     capsys.readouterr()
