@@ -175,18 +175,14 @@ def _partial_solution(a: list, k: int) -> list:
     return m
 
 
-def commuting_operators(
-    l4: DiffOp, order: int, degree_bound: int | None = None
-) -> list:
+def commuting_operators(l4: DiffOp, order: int) -> list:
     """Basis of the operators M of order <= ``order`` with [L4, M] = 0.
 
     Every such M is sum_k c_k M_k, the partial solutions of the module
     docstring, and the constants c solve the rows from orders 0 .. n-2 of
-    [L4, M].  With ``degree_bound`` set, further rows force every coefficient
-    power above it to vanish, which leaves the null space of the
-    degree-bounded ansatz.  One monic operator per order K present, in
-    increasing order: the reduced row echelon basis vector of the free column
-    K from :func:`linalg.nullspace`, so c_K = 1 and c = 0 at the other orders.
+    [L4, M].  One monic operator per order K present, in increasing order:
+    the reduced row echelon basis vector of the free column K from
+    :func:`linalg.nullspace`, so c_K = 1 and c = 0 at the other orders.
     """
     ring = l4.ring
     if not isinstance(ring, PolyRing) or ring.variables != ("x",) or ring.laurent:
@@ -197,17 +193,12 @@ def commuting_operators(
     a = [_dense(c, "x") for c in l4.coeffs]
     a = [_derivatives(p, len(p)) for p in a]
     partials = [_partial_solution(a, k) for k in range(order + 1)]
-    constraints: dict = {}  # (kind, order, x power) -> sparse row over the c_k
+    constraints: dict = {}  # (order, x power) -> sparse row over the c_k
     for k, mk in enumerate(partials):
         for r in range(n - 1):
             for e, c in enumerate(_commutator_coeff(a, mk, r, 0)):
                 if c:
-                    constraints.setdefault((0, r, e), {})[k] = c
-        if degree_bound is not None:
-            for i, mi in enumerate(mk):
-                for e in range(degree_bound + 1, len(mi[0])):
-                    if mi[0][e]:
-                        constraints.setdefault((1, i, e), {})[k] = mi[0][e]
+                    constraints.setdefault((r, e), {})[k] = c
     rows = [r for _, r in sorted(constraints.items())]
     space = []
     for vec in nullspace(rows, order + 1):
@@ -221,9 +212,7 @@ def commuting_operators(
     return space
 
 
-def find_commuting_operator(
-    l4: DiffOp, target_order: int, degree_bound: int | None = None
-) -> DiffOp:
+def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     """A monic operator M of exact order ``target_order`` with [L4, M] = 0.
 
     M is the basis operator of order N = ``target_order`` from
@@ -237,22 +226,15 @@ def find_commuting_operator(
     other order K of the space.
 
     Raises :class:`CommutingOperatorNotFound` when the space has no operator
-    of order N.  Without ``degree_bound`` that proves no operator of order N
-    over Q[x] commutes with L4 (``exc.bounded`` is False); with it, it only
-    says none has coefficient degree <= ``degree_bound`` (``exc.bounded`` is
-    True).
+    of order N, which proves that no operator of order N over Q[x] commutes
+    with L4.
     """
-    space = commuting_operators(l4, target_order, degree_bound)
+    space = commuting_operators(l4, target_order)
     m = next((op for op in space if op.order == target_order), None)
     if m is None:
-        if degree_bound is not None:
-            raise CommutingOperatorNotFound(
-                f"no order-{target_order} partner with coefficient degree <= {degree_bound}"
-            )
         raise CommutingOperatorNotFound(
             f"no operator of order {target_order} over Q[x] commutes with L4; "
-            f"those of order <= {target_order} have orders {[op.order for op in space]}",
-            bounded=False,
+            f"those of order <= {target_order} have orders {[op.order for op in space]}"
         )
     m = gauge_normalize(m, l4, max((target_order - 2) // 4, 1))
     if not l4.commutator(m).is_zero():

@@ -4,9 +4,8 @@ Exit codes: 0 every requested check passed, 1 a verification failed or no
 commuting partner of the requested order exists, 2 usage or coverage errors
 (parameters outside a family, counts, grid sizes, tolerances, thresholds
 and intervals out of range, a spectral curve that is not of rank two, and
-parameters so degenerate that no check could run), 3 the commuting-partner
-search under --degree-bound was inconclusive.  Exact rationals cross the
-boundary as "num/den" strings, and negative ones such as -2/3 are read as
+parameters so degenerate that no check could run).  Exact rationals cross
+the boundary as "num/den" strings, and negative ones such as -2/3 are read as
 values, not options; JSON reports are deterministic for a fixed seed
 (elapsed_ms aside).
 """
@@ -153,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centralizer", help="commuting partner by exact back-substitution")
     _add_family_args(p, require_alpha=True)
     p.add_argument("--order", type=_nonnegative_int, default=None)
-    p.add_argument("--degree-bound", type=_nonnegative_int, default=None)
 
     p = sub.add_parser("spectral-curve", help="curve R(z, w) of the commuting pair")
     _add_family_args(p, require_alpha=True)
@@ -212,7 +210,7 @@ def _cmd_verify_theorem(args) -> int:
         print("specialized mode requires --alpha", file=sys.stderr)
         return 2
     report = verify_eigen_identity(_spec_from_args(args))
-    _write(emit_report(report, "json", seed=None), args.out)
+    _write(emit_report(report), args.out)
     return 0 if report.remainder_is_zero else 1
 
 
@@ -234,7 +232,7 @@ def _cmd_verify_corollary(args) -> int:
                 partner = find_commuting_operator(make_L4(spec), 4 * spec.g + 2)
             report = verify_corollary(spec, target, partner=partner)
             ok &= report.remainder_is_zero
-            reports.append(emit_report(report, "json", seed=args.seed).decode())
+            reports.append(emit_report(report, seed=args.seed).decode())
     payload = "".join(reports).encode()
     _write(payload, args.out)
     return 0 if ok else 1
@@ -244,7 +242,7 @@ def _cmd_centralizer(args) -> int:
     spec = _partner_spec(args)
     order = args.order if args.order is not None else 4 * spec.g + 2
     l4 = make_L4(spec)
-    m = find_commuting_operator(l4, order, degree_bound=args.degree_bound)
+    m = find_commuting_operator(l4, order)
     print(m)
     comm_zero = l4.commutator(m).is_zero()
     print(f"commutator zero: {comm_zero}")
@@ -323,11 +321,8 @@ def run_command(argv=None) -> int:
         print(f"degenerate parameters, nothing checked: {exc}", file=sys.stderr)
         return 2
     except CommutingOperatorNotFound as exc:
-        if not exc.bounded:
-            print(f"no partner: {exc}", file=sys.stderr)
-            return 1
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
+        print(f"no partner: {exc}", file=sys.stderr)
+        return 1
     except (SpectralPairsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

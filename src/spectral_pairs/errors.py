@@ -34,16 +34,11 @@ class DegenerateSampleError(SpectralPairsError):
 
 
 class CommutingOperatorNotFound(SpectralPairsError):
-    """No commuting operator of the requested order was found.
+    """No operator of the requested order commutes with L4.
 
-    ``bounded`` is True when the search was limited to a coefficient degree
-    bound, so the outcome is inconclusive; False means the search covered
-    every operator of that order and proves that none commutes.
+    The search covers every operator of that order over Q[x], so this proves
+    that none exists.
     """
-
-    def __init__(self, message: str, bounded: bool = True):
-        super().__init__(message)
-        self.bounded = bounded
 
 
 class UnsupportedDegreeError(SpectralPairsError):

@@ -28,6 +28,7 @@ QUARTIC = "quartic"
 EXPONENTIAL = "exponential"
 
 _PARAM_NAMES = ("a0", "a1", "a2", "a3", "a4")
+_PARAM_COUNT = {CUBIC: 4, QUARTIC: 5, EXPONENTIAL: 2}  # the family uses a0 .. a(count-1)
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,10 @@ class FamilySpec:
 
     ``alphas`` is None for fully symbolic parameters, otherwise a tuple of
     exact rationals (a0, a1, a2, a3, a4); trailing entries may be omitted.
-    ``eps`` selects the branch of the exponential family and is ignored
-    elsewhere.
+    A parameter the family does not use (a4 of the cubic, a2 .. a4 of the
+    exponential) must be zero, and more than five values raise
+    :class:`ConstraintError`.  ``eps`` selects the branch of the exponential
+    family and is ignored elsewhere.
     """
 
     family: str
@@ -53,9 +56,18 @@ class FamilySpec:
         if self.eps not in (0, 1):
             raise ValueError("eps must be 0 or 1")
         if self.alphas is not None:
+            if len(self.alphas) > len(_PARAM_NAMES):
+                raise ConstraintError(f"at most 5 parameters a0 .. a4, got {len(self.alphas)}")
             alphas = tuple(_as_fraction(a) for a in self.alphas)
             alphas = alphas + (Fraction(0),) * (5 - len(alphas))
             object.__setattr__(self, "alphas", alphas)
+            count = _PARAM_COUNT[self.family]
+            unused = [f"{n} = {a}" for n, a in zip(_PARAM_NAMES[count:], alphas[count:]) if a]
+            if unused:
+                raise ConstraintError(
+                    f"the {self.family} family uses a0 .. a{count - 1} only, "
+                    f"got {', '.join(unused)}"
+                )
             if self.family == QUARTIC:
                 if alphas[4] == 0:
                     raise ConstraintError("quartic family requires a4 != 0")

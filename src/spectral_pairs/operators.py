@@ -308,7 +308,3 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
 
 def right_divide(n: DiffOp, d: DiffOp):
     return n.right_divmod(d)
-
-
-def conjugate_by_unit(op: DiffOp, p) -> DiffOp:
-    return op.conjugate_by_unit(p)

@@ -81,26 +81,7 @@ def grid_csv(grid: GridFunction, psi=None, residual=None) -> bytes:
     return buf.getvalue().encode()
 
 
-def emit_report(obj, format: str = "json", seed=None) -> bytes:
-    """Serialize a report-like object; see the field lists in the docstrings.
-
-    ``format`` is one of json, csv (grids only), text.
-    """
-    if format == "csv":
-        if not isinstance(obj, GridFunction):
-            raise TypeError("csv output is defined for grid data only")
-        return grid_csv(obj)
-    if isinstance(obj, VerificationReport):
-        payload = report_dict(obj, seed=seed)
-    elif isinstance(obj, SpectralCurve):
-        payload = curve_dict(obj)
-    elif isinstance(obj, GridFunction):
-        payload = {"meta": {k: str(v) for k, v in obj.meta.items()}, "n_points": len(obj.x)}
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    if format == "json":
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-    if format == "text":
-        lines = [f"{k}: {v}" for k, v in sorted(payload.items())]
-        return ("\n".join(lines) + "\n").encode()
-    raise ValueError(f"unknown format {format!r}")
+def emit_report(report: VerificationReport, seed=None) -> bytes:
+    """A verification report as key-sorted JSON (see :func:`report_dict`)."""
+    payload = report_dict(report, seed=seed)
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()

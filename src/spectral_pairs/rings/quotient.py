@@ -53,10 +53,6 @@ class CharPoly:
     def rational_coeffs(self) -> list:
         return [c.as_fraction() for c in self.coeffs]
 
-    def derivative_coeffs(self) -> list:
-        """d(chi)/dz coefficient list (low to high), over the same ring."""
-        return [self.coeffs[k] * k for k in range(1, len(self.coeffs))]
-
     def __eq__(self, other):
         return (
             isinstance(other, CharPoly)
@@ -218,9 +214,6 @@ class QuotientExt:
     def derive(self) -> "QuotientExt":
         # z is a constant for the derivation; differentiate coordinates
         return QuotientExt(self.ring, tuple(c.derive() for c in self.coords))
-
-    def rational_coords(self) -> list:
-        return [c.as_fraction() for c in self.coords]
 
     def inverse(self) -> "QuotientExt":
         """Invert when the base coefficients are rational constants.

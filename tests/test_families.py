@@ -182,6 +182,19 @@ def test_spec_validation():
         FamilySpec(EXPONENTIAL, 1, eps=2)
 
 
+@pytest.mark.parametrize("family, alphas, bad", [
+    (CUBIC, (0, 0, 0, 1), (0, 0, 0, 1, 5)),
+    (EXPONENTIAL, (1, 2), (1, 2, 0, 3)),
+    (QUARTIC, (0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0)),
+])
+def test_spec_rejects_parameters_the_family_does_not_use(family, alphas, bad):
+    spec = FamilySpec(family, 1, alphas=alphas)
+    assert len(spec.alphas) == 5  # padded with zeros, which stay legal
+    assert FamilySpec(family, 1, alphas=spec.alphas) == spec
+    with pytest.raises(ConstraintError):
+        FamilySpec(family, 1, alphas=bad)
+
+
 def test_symbolic_quartic_ring_inverts_a4():
     ring = coefficient_ring(FamilySpec(QUARTIC, 1))
     inv = ring.var("a4", -1)

@@ -16,3 +16,32 @@ def test_no_assert_statements_in_the_package():
     ]
     assert len(list(SRC.rglob("*.py"))) > 10
     assert found == []
+
+
+def _returned_int_literals(fn) -> list:
+    """(line, value) of the integer literals in ``fn``'s return values."""
+    if isinstance(fn, ast.Lambda):
+        values = [fn.body]
+    else:
+        values = [node.value for node in ast.walk(fn)
+                  if isinstance(node, ast.Return) and node.value is not None]
+    return [
+        (node.lineno, node.value)
+        for value in values
+        for node in ast.walk(value)
+        if isinstance(node, ast.Constant) and type(node.value) is int
+    ]
+
+
+def test_cli_exit_codes_are_0_1_2():
+    # one outcome per exit code: passed, failed or proven absent, bad usage
+    tree = ast.parse((SRC / "cli.py").read_text())
+    commands = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Lambda)
+        or (isinstance(node, ast.FunctionDef)
+            and (node.name == "run_command" or node.name.startswith("_cmd_")))
+    ]
+    literals = [lit for fn in commands for lit in _returned_int_literals(fn)]
+    assert len(commands) >= 8
+    assert {value for _, value in literals} == {0, 1, 2}, literals
