@@ -19,20 +19,20 @@ commutator expansion.  :func:`build_ansatz_system` keeps the older
 degree-bounded ansatz as an independent formulation of the same space.
 
 The spectral curve comes from the action of M on a formal power-series basis
-psi_0 .. psi_3 of ker(L4 - z): the squarefree part of the characteristic
-polynomial det(w I - A(z)).  The basis is built from its Taylor data
-d_k = k! c_k at x = 0, which obey a recurrence over Q[z] with no
-factorial denominators (:func:`series_kernel_basis`).  The action matrix
-holds the first four Taylor data of M psi_j, and only those are formed:
-A[k][j] = k! sum_(i, s <= k) a_(i,s) c_(k-s+i) (k-s+i)!/(k-s)! over the
-terms a_(i,s) x^s D^i of M, which reads psi_j up to x^(ord M + 3)
-(:func:`action_matrix`).  So one basis at truncation max(8, ord M + 3) gives
-the curve: the recurrence is prefix-closed (d_(m+4) is fixed by d_0 ..
-d_(m+3)), so a longer basis cut to that length is the same basis and gives
-the same matrix.  Completing the square needs no second curve either: M +
-b(L4)/2 acts on ker(L4 - z) as A + b(z)/2 I, so its curve is R(z, w - b/2),
-and that shift commutes with taking the normalized squarefree part, because
-it keeps the w-degree and the leading w-coefficient.
+psi_0 .. psi_3 of ker(L4 - z): the characteristic polynomial det(w I - A(z))
+is F^l for the irreducible relation F of the pair, and the curve is F, its
+exact monic l-th root (:func:`curves.squarefree_normalize`).  The basis is
+built from its Taylor data d_k = k! c_k at x = 0, which obey a recurrence
+over Q[z] with no factorial denominators (:func:`series_kernel_basis`).
+The action matrix holds the first four Taylor data of M psi_j, and only
+those are formed: A[k][j] = k! sum_(i, s <= k) a_(i,s) c_(k-s+i)
+(k-s+i)!/(k-s)! over the terms a_(i,s) x^s D^i of M, which reads psi_j up
+to x^(ord M + 3) (:func:`action_matrix`).  So one basis at truncation
+max(8, ord M + 3) gives the curve: the recurrence is prefix-closed (d_(m+4)
+is fixed by d_0 .. d_(m+3)), so a longer basis cut to that length is the
+same basis and gives the same matrix.  Completing the square needs no
+second curve either: M + b(L4)/2 acts on ker(L4 - z) as A + b(z)/2 I, so
+the curve w^2 + b w + c of M becomes R(z, w - b/2) = w^2 + c - b^2/4.
 """
 
 from __future__ import annotations
@@ -347,10 +347,10 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     """(M', R) with R(z, w) = w^2 - F(z) and R(L4, M') = 0.
 
     The constant-term gauge of :func:`find_commuting_operator` can leave a
-    w-linear term b(z) w in the curve; M' = M + b(L4)/2 completes the
-    square, and its curve is R(z, w - b/2) (see the module docstring).  Only
-    rank-two (w-degree 2) curves are covered; any other curve raises
-    :class:`NotCoveredError`.
+    w-linear term b(z) w in the curve R = w^2 + b w + c; M' = M + b(L4)/2
+    completes the square, and its curve is R(z, w - b/2) = w^2 + c - b^2/4
+    (see the module docstring).  Only rank-two (w-degree 2) curves are
+    covered; any other curve raises :class:`NotCoveredError`.
     """
     curve = spectral_curve(l4, m)
     if curve.w_degree() != 2:
@@ -358,12 +358,8 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     b = curve.w_slice(1)
     if any(b):
         m = sum(((l4 ** k).scale(l4.ring.const(c / 2)) for k, c in enumerate(b) if c), m)
+        # w^2 + b w + c  ->  w^2 + c - (b/2)^2
         zw = curve.ring
-        w = zw.var("w") - zw.from_terms({(k, 0): c / 2 for k, c in enumerate(b)})
-        curve = SpectralCurve(sum(
-            (zw.from_terms({(i, 0): c}) * w ** j for (i, j), c in curve.terms.items()),
-            zw.zero,
-        ).terms)
-        if any(curve.w_slice(1)):
-            raise SpectralPairsError("square completion failed")
+        half_b = zw.from_terms({(k, 0): c / 2 for k, c in enumerate(b)})
+        curve = SpectralCurve((curve - half_b * (2 * zw.var("w") + half_b)).terms)
     return m, curve

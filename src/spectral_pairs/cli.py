@@ -3,11 +3,11 @@
 Exit codes: 0 every requested check passed, 1 a verification failed or no
 commuting partner of the requested order exists, 2 usage or coverage errors
 (parameters outside a family, counts, grid sizes, tolerances, thresholds
-and intervals out of range, a spectral curve that is not of rank two, and
-parameters so degenerate that no check could run).  Exact rationals cross
-the boundary as "num/den" strings, and negative ones such as -2/3 are read as
-values, not options; JSON reports are deterministic for a fixed seed
-(elapsed_ms aside).
+and intervals out of range, a partner order above MAX_PARTNER_ORDER, a
+spectral curve that is not of rank two, and parameters so degenerate that
+no check could run).  Exact rationals cross the boundary as "num/den"
+strings, and negative ones such as -2/3 are read as values, not options;
+JSON reports are deterministic for a fixed seed (elapsed_ms aside).
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ from .suite import BESSEL_BOUND, RESIDUAL_BOUND, run_suite
 from .verify import DEFAULT_SEED, verify_corollary, verify_eigen_identity
 
 import json
+
+# The partner search takes about order^3 time: at 42 (g = 10), 5-8 s for the
+# generic cubic 4 1 -2/3 -1 on a shared 2-core machine, and 1-2 s more for
+# its curve.
+MAX_PARTNER_ORDER = 42
 
 
 def _fraction(text: str) -> Fraction:
@@ -194,11 +199,18 @@ def _spec_from_args(args) -> FamilySpec:
     return FamilySpec(args.family, args.g, eps=args.eps, alphas=alphas)
 
 
-def _partner_spec(args) -> FamilySpec:
+def _partner_args(args):
+    """(spec, order) of a partner search; order is --order or 4g + 2."""
     spec = _spec_from_args(args)
     if spec.family == EXPONENTIAL:
         raise NotCoveredError("the partner search covers polynomial potentials only")
-    return spec
+    order = args.order if args.order is not None else 4 * spec.g + 2
+    if order > MAX_PARTNER_ORDER:
+        raise NotCoveredError(
+            f"partner order {order} is above {MAX_PARTNER_ORDER} "
+            f"(the default order 4g + 2 allows g <= 10)"
+        )
+    return spec, order
 
 
 def _cmd_verify_theorem(args) -> int:
@@ -239,8 +251,7 @@ def _cmd_verify_corollary(args) -> int:
 
 
 def _cmd_centralizer(args) -> int:
-    spec = _partner_spec(args)
-    order = args.order if args.order is not None else 4 * spec.g + 2
+    spec, order = _partner_args(args)
     l4 = make_L4(spec)
     m = find_commuting_operator(l4, order)
     print(m)
@@ -250,8 +261,7 @@ def _cmd_centralizer(args) -> int:
 
 
 def _cmd_spectral_curve(args) -> int:
-    spec = _partner_spec(args)
-    order = args.order if args.order is not None else 4 * spec.g + 2
+    spec, order = _partner_args(args)
     l4 = make_L4(spec)
     m = find_commuting_operator(l4, order)
     m, curve = hyperelliptic_pair(l4, m)

@@ -2,20 +2,19 @@
 
 The curve of a commuting pair is the squarefree part of the characteristic
 polynomial det(w*I - A(z)) of the action of the second operator on the formal
-kernel of the first.  Squarefree reduction is an exact gcd against the
-w-derivative, carried out over the rational-function field Q(z).
+kernel of the first.  That polynomial is F^l for the pair's irreducible
+relation F, monic in w (Burchnall and Chaundy), so the curve is its exact
+monic l-th root in Q[z][w]: no gcd and no rational functions of z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import RingMismatchError
+from .errors import NonMonicError, RingMismatchError
 from .operators import DiffOp
 from .rings import MultiPoly, PolyRing
-from .rings.fraction_field import FractionFieldRing, RationalField, UniPoly
 
-_QQ = RationalField()
 _ZW = PolyRing(("z", "w"))
 
 
@@ -118,56 +117,48 @@ def _det(entries) -> MultiPoly:
     return out
 
 
-def _to_w_poly(curve: SpectralCurve) -> UniPoly:
-    """View R(z, w) as a polynomial in w over Q(z)."""
-    field = FractionFieldRing(_QQ, "z")
-    coeffs = [
-        field.from_poly(UniPoly(_QQ, curve.w_slice(j), var="z"))
-        for j in range(curve.w_degree() + 1)
-    ]
-    return UniPoly(field, coeffs, var="w")
+def _monic_root(p: MultiPoly, l: int):
+    """The G monic in w with G^l = p, or None; ``p`` is monic in w."""
+    n = p.degree_in("w")
+    d = n // l
+    root = _ZW.var("w") ** d
+    for k in range(1, d + 1):
+        # the w^(n-k) slice of p - G^l is l times G's w^(d-k) coefficient
+        rest = (p - root ** l).terms.items()
+        root = root + _ZW.from_terms(
+            {(i, d - k): c / l for (i, j), c in rest if j == n - k}
+        )
+    return root if root ** l == p else None
 
 
 def squarefree_normalize(curve: MultiPoly) -> SpectralCurve:
-    """Squarefree part of R in w, z-denominators cleared, then made monic over Q.
+    """The F monic in w with det(w I - A) = F^l, read off as an exact root.
 
-    ``curve`` is any element of Q[z, w].  The gcd with dR/dw is computed over
-    Q(z); the quotient's w-coefficients are multiplied by the lcm of their
-    denominator polynomials, which leaves rational z-coefficients.  The
-    result is then divided by the leading rational (highest z-power) of its
-    top w-slice, so 2/3 z w + 2/3 w + 1/2 becomes z w + w + 3/4.
+    ``curve`` is P in Q[z, w], monic in w (its top w-slice is 1), as a
+    characteristic polynomial is.  For commuting L4, M over Q[x], Q[L4, M]
+    is a subring of the Weyl algebra and so a domain: its relations form a
+    prime ideal (F) of Q[z, w], F irreducible and, by Gauss's lemma, monic in
+    w.  F(z, A) = 0 on the formal kernel of L4 - z, so det(w I - A) = F^l
+    with l = n / deg_w F, n = deg_w P (Burchnall and Chaundy, 1923).
+
+    Each divisor l of n is tried from n down to 2: the candidate G =
+    w^(n/l) + ... is built from the top down, its next coefficient being the
+    w^(n-k) slice of P - G^l divided by l, and accepted when G^l == P
+    exactly.  By unique factorization in Q[z][w], P = G^m for a monic G
+    exactly when m divides the multiplicity of every irreducible factor of
+    P.  For P = F^l with F squarefree, that multiplicity is l, so the first
+    m that succeeds is l and G is F: the squarefree part of P, normalized as
+    a gcd with dP/dw over Q(z) would give it.  When no l succeeds, P is
+    returned as it is.
     """
     if curve.ring != _ZW:
         raise RingMismatchError(f"not a polynomial in z and w: {curve.ring}")
-    rp = _to_w_poly(SpectralCurve(curve.terms))
-    # dR/dw
-    field = rp.field
-    dcoeffs = [
-        rp.coeffs[k] * field.from_rational(Fraction(k))
-        for k in range(1, len(rp.coeffs))
-    ]
-    drp = UniPoly(field, dcoeffs, var="w")
-    g = rp.gcd(drp)
-    part = rp.divmod(g)[0] if g.degree > 0 else rp
-    # clear z-denominators: multiply by lcm of denominator polynomials
-    dens = [c.den for c in part.coeffs if not c.num.is_zero()]
-    lcm = UniPoly.const(_QQ, 1, var="z")
-    for d in dens:
-        gg = lcm.gcd(d)
-        lcm = (lcm.divmod(gg)[0] if gg.degree > 0 else lcm) * d
-    terms: dict = {}
-    for j, c in enumerate(part.coeffs):
-        if c.num.is_zero():
-            continue
-        scaled = c.num * lcm.divmod(c.den)[0]
-        for i, q in enumerate(scaled.coeffs):
-            if q != 0:
-                terms[(i, j)] = q
-    out = SpectralCurve(terms)
-    # normalize: divide by the leading rational of the top w-slice
-    top = out.w_degree()
-    lead_slice = out.w_slice(top)
-    lead = lead_slice[-1] if lead_slice else Fraction(1)
-    if lead != 0 and lead != 1:
-        out = SpectralCurve({k: c / lead for k, c in out.terms.items()})
-    return out
+    n = curve.degree_in("w")
+    top = SpectralCurve(curve.terms).w_slice(n)
+    if top != [1]:
+        raise NonMonicError(f"not monic in w: the w^{n} coefficient is {top}")
+    for l in range(n, 1, -1):
+        root = _monic_root(curve, l) if n % l == 0 else None
+        if root is not None:
+            return SpectralCurve(root.terms)
+    return SpectralCurve(curve.terms)

@@ -14,7 +14,6 @@ from .fraction_field import (
     QuotientField,
     RationalField,
     UniPoly,
-    normalize_fraction,
 )
 
 # The exponential family's ring is a PolyRing with the Laurent variable t.
@@ -37,5 +36,4 @@ __all__ = [
     "QuotientField",
     "RationalField",
     "UniPoly",
-    "normalize_fraction",
 ]

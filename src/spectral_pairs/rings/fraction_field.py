@@ -1,9 +1,8 @@
 """Univariate polynomials over a field and their fraction field.
 
-Used in two places: coefficients of the conjugated operators p^-1 L p (a
-fraction field of K[x], K the rationals or a quotient field of them), and the
-squarefree-part computation of spectral curves (polynomials in w over the
-fraction field Q(z)).
+Used in one place: the corollary witness, p^-3 times the quotient of the
+cleared conjugated commutator, over the fraction field of K[x] (K the
+rationals or a quotient field of them).
 
 A "field" here is a small adapter exposing zero/one/from_rational/inv/coerce;
 the elements themselves carry the arithmetic operators.  A
@@ -220,12 +219,6 @@ class UniPoly:
         ][1:]
         return UniPoly(self.field, out, self.var)
 
-    def eval_at(self, value):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -293,11 +286,6 @@ class FractionFieldRing:
         if isinstance(a, (int, Fraction)):
             return self.const(a)
         raise TypeError(f"cannot coerce {a!r}")
-
-
-def normalize_fraction(num: UniPoly, den: UniPoly) -> "FractionElem":
-    """Reduce to lowest terms with a monic denominator."""
-    return FractionElem(num, den)
 
 
 class FractionElem:

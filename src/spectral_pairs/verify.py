@@ -116,14 +116,16 @@ def verify_commutation(a: DiffOp, b: DiffOp, identity_id="commutation") -> Verif
 # -- conjugated commutators divisible by L2 ------------------------------------
 
 
-def _sf(coeffs) -> bool:
-    f = UniPoly(RationalField(), coeffs, var="z")
-    d = UniPoly(
-        RationalField(),
-        [c * k for k, c in enumerate(coeffs)][1:],
-        var="z",
-    )
-    return f.gcd(d).degree == 0
+def _sf(chi: CharPoly) -> bool:
+    """Whether chi, of degree <= 3 over Q, is squarefree.
+
+    A repeated root of chi is a root of gcd(chi, chi'), which is linear over
+    Q or, for chi = (z - r)^3, the square of a linear factor: so it is
+    rational, and chi is squarefree iff its rational roots, listed with
+    multiplicity, repeat none.
+    """
+    roots = rational_roots(chi)
+    return len(roots) == len(set(roots))
 
 
 def _deflate_rational_roots(coeffs, roots):
@@ -352,7 +354,7 @@ def sample_spec(
                 continue
         spec = FamilySpec(family, g, eps=eps, alphas=alphas)
         chi = char_poly_z(spec)
-        if require_squarefree_chi and not _sf(chi.rational_coeffs()):
+        if require_squarefree_chi and not _sf(chi):
             continue
         return spec
     raise DegenerateSampleError(f"resampling budget {RESAMPLE_BUDGET} exhausted")

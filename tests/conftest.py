@@ -125,20 +125,38 @@ def right_divmod_oracle(n, d):
 # -- reference curves: the two-truncation computation the single basis replaced ---
 
 
+def sympy_squarefree_curve(curve):
+    """The squarefree part of a curve in w over Q(z), monic in w, by sympy."""
+    import sympy
+
+    from spectral_pairs.curves import SpectralCurve
+
+    z, w = sympy.symbols("z w")
+    expr = sum(
+        (sympy.Rational(c.numerator, c.denominator) * z ** i * w ** j
+         for (i, j), c in curve.terms.items()),
+        sympy.Integer(0),
+    )
+    part = sympy.Poly(expr, w, domain=sympy.QQ.frac_field(z)).sqf_part().monic()
+    # over Q[z, w] this fails unless the monic part is polynomial in z
+    poly = sympy.Poly(part.as_expr(), z, w, domain=sympy.QQ)
+    return SpectralCurve({k: Fraction(int(c.p), int(c.q)) for k, c in poly.terms()})
+
+
 def spectral_curve_oracle(l4, m):
     """The curve from two kernel bases, at ord M + 12 and ord M + 20.
 
-    Both action matrices are formed and must agree before the squarefree
-    part of det(w I - A) is taken; each call expands [L4, M] again.
+    Both action matrices are formed and must agree before sympy takes the
+    squarefree part of det(w I - A); each call expands [L4, M] again.
     """
     from spectral_pairs.centralizer import action_matrix, series_kernel_basis
-    from spectral_pairs.curves import charpoly_w, squarefree_normalize
+    from spectral_pairs.curves import charpoly_w
 
     assert l4.commutator(m).is_zero()
     n = int(m.order) + 12
     mat = action_matrix(m, series_kernel_basis(l4, n))
     assert mat == action_matrix(m, series_kernel_basis(l4, n + 8))
-    return squarefree_normalize(charpoly_w(mat))
+    return sympy_squarefree_curve(charpoly_w(mat))
 
 
 def hyperelliptic_pair_oracle(l4, m):

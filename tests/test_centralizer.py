@@ -40,6 +40,7 @@ from conftest import (
     hyperelliptic_pair_oracle,
     multipoly_x_split,
     spectral_curve_oracle,
+    sympy_squarefree_curve,
 )
 
 XRING = PolyRing(("x",))
@@ -228,6 +229,17 @@ def test_commuting_operators_of_random_monic_l4(lower, order):
     assert _in_span(l4, space)
     for op in _ansatz_null_operators(l4, order, 2):
         assert _in_span(op, space)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_small_poly, min_size=4, max_size=4), st.integers(4, 7))
+def test_hypothesis_spectral_curve_matches_sympy_squarefree_part(lower, order):
+    """On random commuting pairs the root is sympy's monic sqf_part over Q(z)."""
+    l4 = DiffOp(XRING, lower + [XRING.one])
+    for m in commuting_operators(l4, order):
+        basis = series_kernel_basis(l4, max(8, m.order + 3))
+        raw = charpoly_w(action_matrix(m, basis))
+        assert spectral_curve(l4, m) == sympy_squarefree_curve(raw)
 
 
 # -- formal kernel series --------------------------------------------------------

@@ -1,11 +1,11 @@
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_pairs.curves import SpectralCurve, charpoly_w, squarefree_normalize
+from spectral_pairs.errors import NonMonicError, RingMismatchError
 from spectral_pairs.operators import DiffOp
 from spectral_pairs.rings import PolyRing
 
@@ -37,20 +37,35 @@ def test_charpoly_of_nilpotent_block():
     assert charpoly_w(mat) == SpectralCurve({(0, 2): 1})
 
 
-def test_squarefree_normalize_clears_denominators_and_content():
-    # 4 w^2 - 4 z -> w^2 - z after normalization
-    curve = SpectralCurve({(0, 2): 4, (1, 0): -4})
-    assert squarefree_normalize(curve) == SpectralCurve({(0, 2): 1, (1, 0): -1})
+@pytest.mark.parametrize("terms", [
+    {(0, 2): 4, (1, 0): -4},  # 4 w^2 - 4 z
+    {(1, 1): Fraction(2, 3), (0, 1): Fraction(2, 3), (0, 0): Fraction(1, 2)},
+    {(1, 2): 1, (0, 0): 1},  # z w^2 + 1
+    {},  # zero
+])
+def test_squarefree_normalize_rejects_input_not_monic_in_w(terms):
+    with pytest.raises(NonMonicError):
+        squarefree_normalize(SpectralCurve(terms))
 
 
-def test_squarefree_normalize_divides_by_the_top_slice_leading_rational():
-    # 2/3 z w + 2/3 w + 1/2: no denominator polynomial to clear, and the
-    # coefficients stay rational after division by 2/3 (no integral content)
-    curve = SpectralCurve({(1, 1): Fraction(2, 3), (0, 1): Fraction(2, 3),
-                           (0, 0): Fraction(1, 2)})
-    assert squarefree_normalize(curve) == SpectralCurve(
-        {(1, 1): 1, (0, 1): 1, (0, 0): Fraction(3, 4)}
-    )
+def test_squarefree_normalize_rejects_other_rings():
+    with pytest.raises(RingMismatchError):
+        squarefree_normalize(XRING.var("x"))
+
+
+_W = SpectralCurve({(0, 1): 1})
+_Z = SpectralCurve({(1, 0): 1})
+
+
+@pytest.mark.parametrize("root, power", [
+    (_W, 4),
+    (_W - 1, 4),
+    (_W * _W - _Z ** 3, 2),
+    (_W * _W - _Z ** 3, 1),
+    (_W ** 4 - _Z, 1),
+])
+def test_squarefree_normalize_reads_off_the_monic_root(root, power):
+    assert squarefree_normalize(root ** power) == SpectralCurve(root.terms)
 
 
 def test_squarefree_normalize_strips_repeated_factor():
@@ -98,13 +113,6 @@ _z_poly = st.lists(_small_q, max_size=3)
 _z_matrix = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.lists(_z_poly, min_size=n, max_size=n), min_size=n, max_size=n)
 )
-# (z power, w power) -> nonzero coefficient
-_zw_terms = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    _small_q.filter(lambda c: c != 0),
-    min_size=1,
-    max_size=3,
-)
 
 
 def _sympy_zw():
@@ -114,22 +122,6 @@ def _sympy_zw():
 
 def _rat(sympy, c):
     return sympy.Rational(c.numerator, c.denominator)
-
-
-def _curve_expr(curve):
-    sympy, z, w = _sympy_zw()
-    return sum(
-        (_rat(sympy, c) * z ** i * w ** j for (i, j), c in curve.terms.items()),
-        sympy.Integer(0),
-    )
-
-
-def _canonical(expr):
-    """Integral in z, unit content over Q[z], top coefficient 1."""
-    sympy, z, w = _sympy_zw()
-    num, _ = sympy.fraction(sympy.together(expr))
-    content = reduce(sympy.gcd, sympy.Poly(num, w).all_coeffs())
-    return sympy.Poly(sympy.cancel(num / content), w, z, domain="QQ").monic()
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,16 +137,3 @@ def test_hypothesis_charpoly_matches_sympy(matrix):
     assert charpoly_w(matrix).terms == {
         k: Fraction(int(c.p), int(c.q)) for k, c in expected.terms()
     }
-
-
-@settings(max_examples=40, deadline=None)
-@given(_zw_terms, _zw_terms)
-def test_hypothesis_squarefree_normalize_matches_sympy(a_terms, b_terms):
-    sympy, z, w = _sympy_zw()
-    a, b = SpectralCurve(a_terms), SpectralCurve(b_terms)
-    curve = a * a * b
-    expected = sympy.Poly(
-        _curve_expr(curve), w, domain=sympy.QQ.frac_field(z)
-    ).sqf_part()
-    got = squarefree_normalize(curve)
-    assert _canonical(_curve_expr(got)) == _canonical(expected.as_expr())

@@ -9,8 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spectral_pairs import cli
 from spectral_pairs.cli import run_command
 from spectral_pairs.curves import SpectralCurve
+from spectral_pairs.errors import CommutingOperatorNotFound
 from spectral_pairs.families import CUBIC, FamilySpec
 from spectral_pairs.numeric import MAX_RHS_EVALUATIONS, integrate_kernel
 from spectral_pairs.reports import (
@@ -389,6 +391,32 @@ def test_cli_partner_of_order_4_and_0(capsys, order, first_line):
     out = capsys.readouterr().out
     assert out.startswith(first_line)
     assert out.endswith("commutator zero: True\n")
+
+
+@pytest.mark.parametrize("command", ["centralizer", "spectral-curve"])
+@pytest.mark.parametrize("size, searched", [
+    (["--g", "2", "--order", "42"], 42),
+    (["--g", "10"], 42),
+    (["--g", "2", "--order", "43"], None),
+    (["--g", "11"], None),
+    (["--g", "11", "--order", "6"], 6),
+])
+def test_cli_partner_order_is_bounded(capsys, monkeypatch, command, size, searched):
+    calls = []
+
+    def search(l4, order):
+        calls.append(order)
+        raise CommutingOperatorNotFound("search not run in this test")
+
+    monkeypatch.setattr(cli, "find_commuting_operator", search)
+    code = run_command([command, "--family", "cubic", *size,
+                        "--alpha", "0", "0", "0", "1"])
+    err = capsys.readouterr().err
+    if searched is None:
+        assert code == 2 and calls == []
+        assert f"is above {cli.MAX_PARTNER_ORDER}" in err
+    else:
+        assert code == 1 and calls == [searched]
 
 
 @pytest.mark.parametrize(

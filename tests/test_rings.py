@@ -12,12 +12,12 @@ from spectral_pairs.errors import (
 )
 from spectral_pairs.rings import (
     CharPoly,
+    FractionElem,
     FractionFieldRing,
     PolyRing,
     QuotientRing,
     RationalField,
     UniPoly,
-    normalize_fraction,
     rational_roots,
     reduce_mod_char,
 )
@@ -244,18 +244,18 @@ def _upoly(coeffs):
 
 def test_normalize_cancels_common_factor():
     # (x^2 - 1)/(x - 1) -> (x + 1)/1
-    f = normalize_fraction(_upoly([-1, 0, 1]), _upoly([-1, 1]))
+    f = FractionElem(_upoly([-1, 0, 1]), _upoly([-1, 1]))
     assert f.num == _upoly([1, 1])
     assert f.den == _upoly([1])
 
 
 def test_normalize_zero_numerator():
-    f = normalize_fraction(_upoly([]), _upoly([3, 0, 7]))
+    f = FractionElem(_upoly([]), _upoly([3, 0, 7]))
     assert f.is_zero() and f.den == _upoly([1])
 
 
 def test_normalize_monic_denominator_convention():
-    f = normalize_fraction(_upoly([0, 2]), _upoly([4]))
+    f = FractionElem(_upoly([0, 2]), _upoly([4]))
     assert f.num == _upoly([0, Fraction(1, 2)]) and f.den == _upoly([1])
 
 
@@ -268,13 +268,13 @@ def test_normalize_invariant_under_common_factor(rng):
         c = _upoly([random_rational(rng), 1])
         if a.is_zero():
             continue
-        assert normalize_fraction(a * c, b * c) == normalize_fraction(a, b)
+        assert FractionElem(a * c, b * c) == FractionElem(a, b)
     assert ring.one == ring.const(1)
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        normalize_fraction(_upoly([1]), _upoly([]))
+        FractionElem(_upoly([1]), _upoly([]))
 
 
 # -- bulk randomized properties (counts fixed by the acceptance gate) -------------

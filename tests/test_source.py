@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import spectral_pairs
@@ -15,6 +16,23 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert len(list(SRC.rglob("*.py"))) > 10
+    assert found == []
+
+
+def test_package_imports_only_the_stdlib_numpy_and_scipy():
+    # sympy and hypothesis are test oracles, never runtime dependencies
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "spectral_pairs"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                      for name in names if name.split(".")[0] not in allowed]
     assert found == []
 
 

@@ -21,6 +21,7 @@ from spectral_pairs.families import (
 )
 from spectral_pairs.operators import DiffOp
 from spectral_pairs.rings import (
+    CharPoly,
     FractionFieldRing,
     PolyRing,
     QuotientRing,
@@ -33,6 +34,7 @@ from spectral_pairs.verify import (
     DEFAULT_SEED,
     _branches,
     _over_p_cubed,
+    _sf,
     sample_spec,
     verify_commutation,
     verify_corollary,
@@ -353,3 +355,30 @@ def test_sample_spec_squarefree_filter():
         # squarefree quadratic: nonzero discriminant
         c0, c1, c2 = coeffs
         assert c1 * c1 - 4 * c0 * c2 != 0
+
+
+_small_q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _monic_quadratic_or_cubic(draw):
+    """Monic coefficients (low to high), random or with a repeated root."""
+    if draw(st.booleans()):
+        return draw(st.lists(_small_q, min_size=2, max_size=3)) + [Fraction(1)]
+    r = draw(_small_q)
+    double = [r * r, -2 * r, Fraction(1)]  # (z - r)^2
+    if draw(st.booleans()):
+        return double
+    s = draw(_small_q)  # times (z - s); s = r gives a triple root
+    return [-s * double[0], double[0] - s * double[1], double[1] - s, Fraction(1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monic_quadratic_or_cubic())
+def test_squarefree_check_matches_sympy(coeffs):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * z ** k
+               for k, c in enumerate(coeffs))
+    chi = CharPoly(PolyRing(()), coeffs)
+    assert _sf(chi) == sympy.Poly(expr, z, domain=sympy.QQ).is_sqf
