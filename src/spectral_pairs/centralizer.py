@@ -18,6 +18,19 @@ partner built from it must still pass the exact check [L4, M] = 0 by direct
 commutator expansion.  :func:`build_ansatz_system` keeps the older
 degree-bounded ansatz as an independent formulation of the same space.
 
+Every dense polynomial in one variable that the module forms (the m_i and
+their derivatives, the coefficients of [L4, M], the Taylor data of the kernel
+basis and the action-matrix entries) is one pair (d, [n_0, n_1, ...]) for
+sum n_e x^e / d, in normal form: d > 0, no trailing zero, and gcd(d, n_0,
+n_1, ...) = 1, so zero is (1, []) and equal polynomials have equal pairs.
+A sum of products c p q is one Python-int sum over the lcm of the products'
+denominators, and each integral of the back-substitution takes the one
+denominator n d lcm(1 .. deg + 1); the common factor is cancelled once per
+result (:func:`_sum_products`, :func:`_partial_solution`).  Fractions are
+formed only where values leave the module: the rows given to
+:func:`linalg.nullspace`, the coefficients of the partners, the series of
+the kernel basis and the entries of the action matrix.
+
 The spectral curve comes from the action of M on a formal power-series basis
 psi_0 .. psi_3 of ker(L4 - z): the characteristic polynomial det(w I - A(z))
 is F^l for the irreducible relation F of the pair, and the curve is F, its
@@ -39,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, lcm, perm
 
 from .curves import SpectralCurve, charpoly_w, squarefree_normalize
 from .errors import (
@@ -107,56 +120,90 @@ def gauge_normalize(m: DiffOp, l4: DiffOp, g: int) -> DiffOp:
     return m
 
 
-def _dense(poly, var: str) -> list:
-    """Coefficients of a one-variable polynomial, lowest power first."""
-    out = [Fraction(0)] * (poly.degree_in(var) + 1)
-    for e, c in poly.terms.items():
-        out[e[0]] = c
-    return out
+def _normal(den: int, nums: list) -> tuple:
+    """The normal form of the polynomial sum nums[e] x^e / den, den > 0.
+
+    Trailing zeros are dropped and the common factor of ``den`` and the
+    numerators is divided out, so the zero polynomial is (1, []).
+    """
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return 1, []
+    g = gcd(den, *nums)
+    if g > 1:
+        return den // g, [c // g for c in nums]
+    return den, nums
 
 
-def _derivatives(p: list, count: int) -> list:
-    """[p, p', ..., p^(count)] of a dense polynomial."""
+def _const(q) -> tuple:
+    """The normal form of a rational constant (an int or a Fraction)."""
+    return (q.denominator, [q.numerator]) if q else (1, [])
+
+
+def _dense(poly) -> tuple:
+    """The normal form of a one-variable polynomial over Q.
+
+    MultiPoly clears its denominators to their lcm, which leaves no common
+    factor with the numerators.
+    """
+    den, ints = poly._cleared()
+    nums = [0] * (max((e for (e,) in ints), default=-1) + 1)
+    for (e,), c in ints.items():
+        nums[e] = c
+    return den, nums
+
+
+def _derivatives(p: tuple, count: int) -> list:
+    """[p, p', ..., p^(count)] of a polynomial in normal form."""
     out = [p]
     for _ in range(count):
-        p = [c * e for e, c in enumerate(p)][1:]
+        den, nums = p
+        p = _normal(den, [c * e for e, c in enumerate(nums)][1:])
         out.append(p)
     return out
 
 
-def _add_product(acc: list, scale: int, p: list, q: list) -> None:
-    """acc += scale * p * q for dense polynomials, growing acc as needed."""
-    if not p or not q:
-        return
-    acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
-    for s, a in enumerate(p):
-        if a:
-            a *= scale
-            for t, b in enumerate(q):
-                if b:
-                    acc[s + t] += a * b
+def _sum_products(triples) -> tuple:
+    """The normal form of sum c p q over (int c, p, q) in normal form.
+
+    Each product is scaled to the lcm of the products' denominators, so the
+    loop multiplies and adds Python ints; the common factor is cancelled once
+    at the end.
+    """
+    parts = [(c, dp * dq, np, nq) for c, (dp, np), (dq, nq) in triples if c and np and nq]
+    den = lcm(*(d for _, d, _, _ in parts))
+    acc = [0] * max((len(np) + len(nq) - 1 for _, _, np, nq in parts), default=0)
+    for c, d, np, nq in parts:
+        if len(np) > len(nq):
+            np, nq = nq, np
+        scale = c * (den // d)
+        for s, a in enumerate(np):
+            if a:
+                a *= scale
+                for t, b in enumerate(nq, s):
+                    acc[t] += a * b
+    return _normal(den, acc)
 
 
-def _commutator_coeff(a: list, m: list, r: int, lo: int) -> list:
-    """Dense D^r coefficient of [L, sum_{j >= lo} m_j D^j].
+def _commutator_coeff(a: list, m: list, r: int, lo: int) -> tuple:
+    """D^r coefficient of [L, sum_{j >= lo} m_j D^j], in normal form.
 
     ``a[k]`` and ``m[j]`` list the derivatives of L's and M's coefficients.
     By Leibniz, [L, M] = sum (C(k, l) a_k m_j^(l) - C(j, l) m_j a_k^(l))
     D^(k+j-l) over k, j and l >= 1; the l = 0 terms cancel.
     """
-    acc: list = []
+    triples = []
     for j in range(lo, len(m)):
         for k, ak in enumerate(a):
             l = k + j - r
             if l < 1:
                 continue
             if l <= k:
-                _add_product(acc, comb(k, l), ak[0], m[j][l])
+                triples.append((comb(k, l), ak[0], m[j][l]))
             if l <= j and l < len(ak):
-                _add_product(acc, -comb(j, l), m[j][0], ak[l])
-    while acc and not acc[-1]:
-        acc.pop()
-    return acc
+                triples.append((-comb(j, l), m[j][0], ak[l]))
+    return _sum_products(triples)
 
 
 def _partial_solution(a: list, k: int) -> list:
@@ -164,14 +211,17 @@ def _partial_solution(a: list, k: int) -> list:
 
     m_k = 1, and going down, m_i = -(1/n) * integral of F_i with constant
     term 0, F_i being the D^(i+n-1) coefficient of [L, M] from the m_j, j > i.
+    With F_i = sum f_e x^e / d, the integral is taken over the one common
+    denominator n d lcm(1 .. deg F_i + 1).
     """
     n = len(a) - 1
     m = [None] * (k + 1)
-    m[k] = _derivatives([Fraction(1)], n)
+    m[k] = _derivatives((1, [1]), n)
     for i in range(k - 1, -1, -1):
-        f = _commutator_coeff(a, m, i + n - 1, i + 1)
-        integral = [Fraction(-c, n * (e + 1)) for e, c in enumerate(f)]
-        m[i] = _derivatives([Fraction(0)] + integral if f else [], n)
+        d, f = _commutator_coeff(a, m, i + n - 1, i + 1)
+        big = lcm(*range(1, len(f) + 1))
+        integral = [0] + [-c * (big // (e + 1)) for e, c in enumerate(f)]
+        m[i] = _derivatives(_normal(n * d * big, integral), n)
     return m
 
 
@@ -190,24 +240,25 @@ def commuting_operators(l4: DiffOp, order: int) -> list:
     if not l4.is_monic() or l4.order < 1:
         raise SpectralPairsError("L4 must be monic of positive order")
     n = l4.order
-    a = [_dense(c, "x") for c in l4.coeffs]
-    a = [_derivatives(p, len(p)) for p in a]
+    a = [_dense(c) for c in l4.coeffs]
+    a = [_derivatives(p, len(p[1])) for p in a]
     partials = [_partial_solution(a, k) for k in range(order + 1)]
     constraints: dict = {}  # (order, x power) -> sparse row over the c_k
     for k, mk in enumerate(partials):
         for r in range(n - 1):
-            for e, c in enumerate(_commutator_coeff(a, mk, r, 0)):
+            d, f = _commutator_coeff(a, mk, r, 0)
+            for e, c in enumerate(f):
                 if c:
-                    constraints.setdefault((r, e), {})[k] = c
+                    constraints.setdefault((r, e), {})[k] = Fraction(c, d)
     rows = [r for _, r in sorted(constraints.items())]
     space = []
     for vec in nullspace(rows, order + 1):
         coeffs = []
         for i in range(len(vec)):
-            dense: list = []
-            for k in range(i, len(vec)):
-                _add_product(dense, 1, [vec[k]], partials[k][i][0])
-            coeffs.append(ring.from_terms({(e,): c for e, c in enumerate(dense)}))
+            d, f = _sum_products(
+                (1, _const(vec[k]), partials[k][i][0]) for k in range(i, len(vec))
+            )
+            coeffs.append(ring.from_terms({(e,): Fraction(c, d) for e, c in enumerate(f)}))
         space.append(DiffOp(ring, coeffs))
     return space
 
@@ -257,13 +308,6 @@ def _x_terms(op: DiffOp) -> dict:
     }
 
 
-def _trim(p: list) -> list:
-    """A dense polynomial with Fraction entries and no trailing zeros."""
-    while p and not p[-1]:
-        p.pop()
-    return [Fraction(c) for c in p]
-
-
 def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
     """Four series psi_j = x^j/j! + O(x^4) spanning ker(L4 - z), over Q[z].
 
@@ -280,21 +324,20 @@ def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
         raise SpectralPairsError("expected a monic operator of order 4")
     if truncation < 8:
         raise TruncationError("truncation must be at least 8")
-    lower = [(i, s, q) for (i, s), q in _x_terms(l4).items() if (i, s) != (4, 0)]
+    lower = [(i, s, _const(q)) for (i, s), q in _x_terms(l4).items() if (i, s) != (4, 0)]
+    z = (1, [0, 1])
     zring = PolyRing(("z",))
     basis = []
     for j in range(4):
-        # d[k]: dense z-coefficients of the k-th derivative of psi_j at 0
-        d = [[Fraction(1)] if k == j else [] for k in range(4)]
+        # d[k]: the k-th derivative of psi_j at 0, a polynomial in z
+        d = [(1, [1]) if k == j else (1, []) for k in range(4)]
         for m in range(truncation - 3):
-            acc = [Fraction(0)] + d[m] if d[m] else []
-            for i, s, q in lower:
-                if m >= s:
-                    _add_product(acc, -perm(m, s), [q], d[m - s + i])
-            d.append(_trim(acc))
+            d.append(_sum_products([(1, z, d[m])] + [
+                (-perm(m, s), q, d[m - s + i]) for i, s, q in lower if m >= s
+            ]))
         basis.append(PowerSeries(zring, [
-            zring.from_terms({(e,): c / factorial(k) for e, c in enumerate(dk) if c})
-            for k, dk in enumerate(d)
+            zring.from_terms({(e,): Fraction(c, den * factorial(k)) for e, c in enumerate(nums)})
+            for k, (den, nums) in enumerate(d)
         ]))
     return basis
 
@@ -313,19 +356,20 @@ def action_matrix(m: DiffOp, basis: list) -> list:
     """
     if basis[0].trunc - m.order < 3:
         raise TruncationError("basis truncation too small for this operator")
-    terms = _x_terms(m)
+    terms = {key: _const(a) for key, a in _x_terms(m).items()}
     matrix = [[None] * 4 for _ in range(4)]
     for j, psi in enumerate(basis):
-        c = {}  # dense z-coefficients of the c_n that the formula reads
+        c = {}  # the c_n that the formula reads, as polynomials in z
         for k in range(4):
-            acc: list = []
+            triples = []
             for (i, s), a in terms.items():
                 if s <= k:
                     n = k - s + i
                     if n not in c:
-                        c[n] = _dense(psi.coeffs[n], "z")
-                    _add_product(acc, factorial(k) * perm(n, i), [a], c[n])
-            matrix[k][j] = _trim(acc)
+                        c[n] = _dense(psi.coeffs[n])
+                    triples.append((factorial(k) * perm(n, i), a, c[n]))
+            den, nums = _sum_products(triples)
+            matrix[k][j] = [Fraction(e, den) for e in nums]
     return matrix
 
 

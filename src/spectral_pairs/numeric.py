@@ -23,7 +23,6 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DegenerateSampleError,
@@ -215,6 +214,10 @@ def integrate_kernel(
         return max(abs(y[0]), abs(y[1])) - OVERFLOW_LIMIT
 
     blow_up.terminal = True
+    # imported here: scipy is most of the package's import time, and only
+    # the numeric commands use it
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         rhs,
         (a, b),
@@ -358,6 +361,8 @@ def bessel_change_check(
 
     def rhs(x, y):
         return [y[1], -v(x) * y[0]]
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         rhs, (x0, x1), [1.0, 0.4], method="RK45", rtol=tol, atol=tol,

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from spectral_pairs.linalg import nullspace
 from spectral_pairs.operators import DiffOp
 from spectral_pairs.rings import MultiPoly, PolyRing, QuotientExt
 from spectral_pairs.suite import _random_poly as random_poly  # noqa: F401
@@ -121,6 +122,92 @@ def right_divmod_oracle(n, d):
         r = r - leibniz_compose(step, d)
     return q, r
 
+
+# -- reference back-substitution: one Fraction product per dense-list entry ---------
+
+
+def dense_oracle(poly) -> list:
+    """Fraction coefficients of a one-variable polynomial, lowest power first."""
+    out = [Fraction(0)] * (max((e for (e,) in poly.terms), default=-1) + 1)
+    for (e,), c in poly.terms.items():
+        out[e] = c
+    return out
+
+
+def derivatives_oracle(p: list, count: int) -> list:
+    out = [p]
+    for _ in range(count):
+        p = [c * e for e, c in enumerate(p)][1:]
+        out.append(p)
+    return out
+
+
+def add_product_oracle(acc: list, scale: int, p: list, q: list) -> None:
+    """acc += scale * p * q for dense polynomials, growing acc as needed."""
+    if not p or not q:
+        return
+    acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
+    for s, a in enumerate(p):
+        if a:
+            a *= scale
+            for t, b in enumerate(q):
+                if b:
+                    acc[s + t] += a * b
+
+
+def commutator_coeff_oracle(a: list, m: list, r: int, lo: int) -> list:
+    """Dense D^r coefficient of [L, sum_{j >= lo} m_j D^j], by Leibniz."""
+    acc: list = []
+    for j in range(lo, len(m)):
+        for k, ak in enumerate(a):
+            l = k + j - r
+            if l < 1:
+                continue
+            if l <= k:
+                add_product_oracle(acc, comb(k, l), ak[0], m[j][l])
+            if l <= j and l < len(ak):
+                add_product_oracle(acc, -comb(j, l), m[j][0], ak[l])
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
+
+
+def partial_solution_oracle(a: list, k: int) -> list:
+    """Derivative lists of m_0 .. m_k for M_k, integrating term by term."""
+    n = len(a) - 1
+    m = [None] * (k + 1)
+    m[k] = derivatives_oracle([Fraction(1)], n)
+    for i in range(k - 1, -1, -1):
+        f = commutator_coeff_oracle(a, m, i + n - 1, i + 1)
+        integral = [Fraction(-c, n * (e + 1)) for e, c in enumerate(f)]
+        m[i] = derivatives_oracle([Fraction(0)] + integral if f else [], n)
+    return m
+
+
+def commuting_operators_oracle(l4, order):
+    """(partials, constraint rows, space) of ``commuting_operators``, on Fractions."""
+    ring = l4.ring
+    n = l4.order
+    a = [dense_oracle(c) for c in l4.coeffs]
+    a = [derivatives_oracle(p, len(p)) for p in a]
+    partials = [partial_solution_oracle(a, k) for k in range(order + 1)]
+    constraints: dict = {}
+    for k, mk in enumerate(partials):
+        for r in range(n - 1):
+            for e, c in enumerate(commutator_coeff_oracle(a, mk, r, 0)):
+                if c:
+                    constraints.setdefault((r, e), {})[k] = c
+    rows = [r for _, r in sorted(constraints.items())]
+    space = []
+    for vec in nullspace(rows, order + 1):
+        coeffs = []
+        for i in range(len(vec)):
+            dense: list = []
+            for k in range(i, len(vec)):
+                add_product_oracle(dense, 1, [vec[k]], partials[k][i][0])
+            coeffs.append(ring.from_terms({(e,): c for e, c in enumerate(dense)}))
+        space.append(DiffOp(ring, coeffs))
+    return partials, rows, space
 
 # -- reference curves: the two-truncation computation the single basis replaced ---
 

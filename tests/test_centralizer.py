@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,11 +32,13 @@ from spectral_pairs.families import (
     make_L4,
     make_schrodinger,
 )
+from spectral_pairs.linalg import nullspace
 from spectral_pairs.operators import DiffOp, PowerSeries
 from spectral_pairs.rings import PolyRing
 from spectral_pairs.verify import sample_spec
 
 from conftest import (
+    commuting_operators_oracle,
     hyperelliptic_pair_oracle,
     multipoly_x_split,
     spectral_curve_oracle,
@@ -231,6 +233,62 @@ def test_commuting_operators_of_random_monic_l4(lower, order):
         assert _in_span(op, space)
 
 
+_big_rational = st.builds(
+    Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)
+)
+_big_poly = st.lists(_big_rational, min_size=0, max_size=4).map(
+    lambda cs: XRING.from_terms({(e,): c for e, c in enumerate(cs)})
+)
+
+
+def _is_normal(p) -> bool:
+    """(d, numerators) with d > 0, no trailing zero and no common factor."""
+    den, nums = p
+    if not nums:
+        return den == 1
+    return (type(den) is int and den > 0 and all(type(c) is int for c in nums)
+            and nums[-1] != 0 and gcd(den, *nums) == 1)
+
+
+def test_normal_form_of_zero_and_of_scaled_numerators():
+    assert centralizer._dense(XRING.zero) == (1, [])
+    assert centralizer._const(0) == (1, [])
+    assert centralizer._normal(6, [0, 0]) == (1, [])
+    assert centralizer._sum_products([]) == (1, [])
+    assert centralizer._sum_products([(3, (2, [1]), (1, []))]) == (1, [])
+    assert centralizer._normal(6, [4, 0, -2, 0]) == (3, [2, 0, -1])
+    assert centralizer._dense(XRING.from_terms({(0,): Fraction(1, 2), (2,): Fraction(-2, 3)})) \
+        == (6, [3, 0, -4])
+    assert centralizer._derivatives((2, [0, 0, 1]), 3) == [(2, [0, 0, 1]), (1, [0, 1]),
+                                                           (1, [1]), (1, [])]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_big_poly, min_size=4, max_size=4), st.integers(0, 8))
+def test_back_substitution_matches_the_fraction_oracle(lower, order):
+    """Partials, the rows given to nullspace and the space equal the oracle's."""
+    l4 = DiffOp(XRING, lower + [XRING.one])
+    partials, rows, space = commuting_operators_oracle(l4, order)
+    seen = []
+
+    def recording(rows, ncols):
+        seen.append(rows)
+        return nullspace(rows, ncols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(centralizer, "nullspace", recording)
+        got = commuting_operators(l4, order)
+    assert [[list(r.items()) for r in rs] for rs in seen] == [[list(r.items()) for r in rows]]
+    assert got == space and repr(got) == repr(space)
+
+    a = [centralizer._dense(c) for c in l4.coeffs]
+    a = [centralizer._derivatives(p, len(p[1])) for p in a]
+    for k in range(order + 1):
+        mk = centralizer._partial_solution(a, k)
+        assert all(_is_normal(p) for mj in mk for p in mj)
+        assert [[[Fraction(c, d) for c in nums] for d, nums in mj] for mj in mk] == partials[k]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_small_poly, min_size=4, max_size=4), st.integers(4, 7))
 def test_hypothesis_spectral_curve_matches_sympy_squarefree_part(lower, order):
@@ -303,14 +361,6 @@ def _c_recurrence_basis(l4, truncation):
             c[m + 4] = total * zring.const(Fraction(-factorial(m), factorial(m + 4)))
         basis.append(PowerSeries(zring, c))
     return basis
-
-
-_big_rational = st.builds(
-    Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)
-)
-_big_poly = st.lists(_big_rational, min_size=0, max_size=4).map(
-    lambda cs: XRING.from_terms({(e,): c for e, c in enumerate(cs)})
-)
 
 
 @settings(max_examples=20, deadline=None)

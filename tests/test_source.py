@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,6 +36,29 @@ def test_package_imports_only_the_stdlib_numpy_and_scipy():
             found += [f"{path.relative_to(SRC)}:{node.lineno} {name}"
                       for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+_STARTUP = """
+import sys
+import spectral_pairs, spectral_pairs.cli
+print("scipy" in sys.modules)
+from spectral_pairs.families import CUBIC, FamilySpec
+from spectral_pairs.numeric import integrate_kernel
+grid = integrate_kernel(FamilySpec(CUBIC, 1, alphas=(0, 0, 0, 0)), False,
+                        init=(0.0, 1.0), n_points=11)
+print(abs(grid.phi - grid.x).max() < 1e-12, "scipy" in sys.modules)
+"""
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # the exact engine never uses scipy: it is imported by the numeric code that calls it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run([sys.executable, "-c", _STARTUP], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.split() == ["False", "True", "True"]
 
 
 def _returned_int_literals(fn) -> list:
