@@ -1,8 +1,10 @@
 """Univariate polynomials over a field and their fraction field.
 
-Used in one place: the corollary witness, p^-3 times the quotient of the
-cleared conjugated commutator, over the fraction field of K[x] (K the
-rationals or a quotient field of them).
+No production code path uses them: they are the tests' independent
+Frac(K[x]) oracle (K the rationals or a quotient field of them) for the
+corollary, whose witness the package reports cleared, as p^-k times an
+operator over K[x].  ``rings`` still exports the names because the
+benchmark's tracer looks up ``FractionElem`` by name.
 
 A "field" here is a small adapter exposing zero/one/from_rational/inv/coerce;
 the elements themselves carry the arithmetic operators.  A
@@ -58,7 +60,17 @@ class QuotientField:
         return self.qring.const(q)
 
     def inv(self, a: QuotientExt) -> QuotientExt:
-        return a.inverse()
+        """Extended Euclid in Q[z] against chi; a zero divisor raises ZeroDivisionError."""
+        qq = RationalField()
+        r0 = UniPoly(qq, self.qring.chi.rational_coeffs(), "z")
+        r1 = UniPoly(qq, [c.as_fraction() for c in a.coords], "z")
+        s0, s1 = UniPoly(qq, [], "z"), UniPoly.const(qq, 1, "z")
+        while not r1.is_zero():  # invariant: s_i * a = r_i mod chi
+            quo, rem = r0.divmod(r1)
+            r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
+        if r0.degree != 0:
+            raise ZeroDivisionError("element is a zero divisor in the quotient")
+        return self.qring.from_z_coeffs([c / r0.lead() for c in s0.coeffs])
 
     def coerce(self, a):
         if isinstance(a, QuotientExt):

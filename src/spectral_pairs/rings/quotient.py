@@ -2,9 +2,7 @@
 
 The quotient is taken over an arbitrary commutative base ring (zero divisors
 allowed: chi need be neither irreducible nor squarefree).  Only division-free
-arithmetic is provided; inversion is attempted solely when the base ring is
-the rationals and chi is irreducible, which is what the fraction-field stage
-needs.
+arithmetic is provided.
 """
 
 from __future__ import annotations
@@ -215,20 +213,6 @@ class QuotientExt:
         # z is a constant for the derivation; differentiate coordinates
         return QuotientExt(self.ring, tuple(c.derive() for c in self.coords))
 
-    def inverse(self) -> "QuotientExt":
-        """Invert when the base coefficients are rational constants.
-
-        Extended Euclid in Q[z] against chi; raises ZeroDivisionError when the
-        element is a zero divisor (chi not coprime with the lift).
-        """
-        a = [c.as_fraction() for c in self.coords]
-        m = [c.as_fraction() for c in self.ring.chi.coeffs]
-        g, s = _ext_euclid_mod(a, m)
-        if len(g) != 1:
-            raise ZeroDivisionError("element is a zero divisor in the quotient")
-        inv = [c / g[0] for c in s]
-        return self.ring.from_z_coeffs([Fraction(c) for c in inv])
-
     def __repr__(self):
         parts = [
             f"({c})*z^{k}" if k else f"({c})"
@@ -236,48 +220,6 @@ class QuotientExt:
             if not c.is_zero()
         ]
         return " + ".join(reversed(parts)) if parts else "0"
-
-
-# -- rational univariate helpers (dense Fraction coefficient lists) ----------
-
-
-def _trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(num: list, den: list):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den) and num:
-        f = num[-1] / den[-1]
-        k = len(num) - len(den)
-        q[k] = f
-        for i, c in enumerate(den):
-            num[k + i] -= f * c
-        _trim(num)
-    return q, num
-
-
-def _ext_euclid_mod(a: list, m: list):
-    """gcd(a, m) and s with s*a = gcd (mod m), over Q[z]."""
-    r0, r1 = list(m), _trim(list(a))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        # s_new = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            for j, sc in enumerate(s1):
-                prod[i + j] += qc * sc
-        s_new = [
-            (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
-            for i in range(max(len(s0), len(prod)))
-        ]
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim([Fraction(c) for c in s_new])
-    return r0, s0
 
 
 def reduce_mod_char(p: MultiPoly, chi: CharPoly) -> QuotientExt:

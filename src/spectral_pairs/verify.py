@@ -3,7 +3,9 @@
 Every check reduces an analytic statement to ring algebra: an order-4
 operator annihilating the two-dimensional kernel of a monic order-2 operator
 must right-divide by it with zero remainder.  A nonzero remainder is reported
-with its witness intact, never corrected.
+with its witness intact, never corrected.  The corollary's witness and
+remainder are reported cleared, as p^-k times an operator over K[x]
+(:class:`Cleared`): no fraction field is built.
 """
 
 from __future__ import annotations
@@ -28,19 +30,27 @@ from .families import (
     solve_quartic_constraint,
 )
 from .operators import DiffOp
-from .rings import (
-    CharPoly,
-    PolyRing,
-    QuotientField,
-    QuotientRing,
-    RationalField,
-    UniPoly,
-    rational_roots,
-)
-from .rings.fraction_field import FractionElem, FractionFieldRing
+from .rings import CharPoly, MultiPoly, PolyRing, QuotientExt, QuotientRing, rational_roots
+from .rings.quotient import _deflate
 
 RESAMPLE_BUDGET = 50
 DEFAULT_SEED = 20140441
+
+
+@dataclass(frozen=True)
+class Cleared:
+    """p^-k op, op over K[x]: either k = 0 or p does not divide every coefficient of op."""
+
+    op: DiffOp
+    p: MultiPoly | QuotientExt
+    k: int
+
+    @property
+    def order(self):
+        return self.op.order
+
+    def is_zero(self) -> bool:
+        return self.op.is_zero()
 
 
 @dataclass
@@ -51,8 +61,8 @@ class VerificationReport:
     mode: str  # symbolic | specialized
     remainder_is_zero: bool
     params: dict = field(default_factory=dict)
-    witness: DiffOp | None = None
-    remainder: DiffOp | None = None
+    witness: DiffOp | Cleared | None = None
+    remainder: DiffOp | Cleared | None = None
     elapsed_s: float = 0.0
 
     @property
@@ -130,52 +140,26 @@ def _sf(chi: CharPoly) -> bool:
 
 def _deflate_rational_roots(coeffs, roots):
     """Divide out (z - r) for each rational root (with multiplicity)."""
-    f = UniPoly(RationalField(), coeffs, var="z")
     for r in roots:
-        lin = UniPoly(RationalField(), [-r, Fraction(1)], var="z")
-        f, rem = f.divmod(lin)
-        if not rem.is_zero():
+        coeffs, rem = _deflate(coeffs, r)
+        if rem != 0:
             raise SpectralPairsError(f"rational root {r} does not divide chi")
-    return list(f.coeffs)
-
-
-def _multipoly_to_unipoly(poly, field, var="x"):
-    """MultiPoly in x (rational coefficients) -> UniPoly over ``field``."""
-    out = [field.zero] * (poly.degree_in(var) + 1) if not poly.is_zero() else []
-    for e, c in poly.terms.items():
-        out[e[0]] = out[e[0]] + field.from_rational(c)
-    return UniPoly(field, out, var=var)
-
-
-def _quotient_coords_to_unipoly(elem, qfield, var="x"):
-    """QuotientExt with Q[x] coordinates -> UniPoly over the quotient field."""
-    deg = max((c.degree_in(var) for c in elem.coords), default=-1)
-    zero = qfield.zero
-    out = [zero] * (deg + 1)
-    for zi, coord in enumerate(elem.coords):
-        for e, c in coord.terms.items():
-            mono = [Fraction(0)] * (zi + 1)
-            mono[zi] = c
-            out[e[0]] = out[e[0]] + qfield.qring.from_z_coeffs(mono)
-    return UniPoly(qfield, out, var=var)
+    return coeffs
 
 
 def _branches(chi: CharPoly):
-    """(field, z-element) pairs covering every root class of chi over Q."""
-    coeffs = chi.rational_coeffs()
+    """Every root class of chi over Q.
+
+    Each rational root, as a Fraction, and at most one Q[x][z]/(f), as a
+    QuotientRing, for the monic cofactor f the rational roots leave.
+    """
     roots = rational_roots(chi)
-    out = []
-    qq = RationalField()
-    for r in sorted(set(roots)):
-        out.append((qq, r))
-    cofactor = _deflate_rational_roots(coeffs, roots)
+    out = sorted(set(roots))
+    cofactor = _deflate_rational_roots(chi.rational_coeffs(), roots)
     if len(cofactor) > 1:
         # no rational roots left: irreducible over Q for degree <= 3
-        lead = cofactor[-1]
-        monic = [c / lead for c in cofactor]
-        qchi = CharPoly(PolyRing(()), [Fraction(c) for c in monic])
-        qfield = QuotientField(QuotientRing(PolyRing(()), qchi))
-        out.append((qfield, qfield.gen))
+        monic = [c / cofactor[-1] for c in cofactor]
+        out.append(QuotientRing(PolyRing(("x",)), CharPoly(PolyRing(()), monic)))
     return out
 
 
@@ -200,28 +184,71 @@ def _cleared_commutator(l: DiffOp, l2: DiffOp, p) -> DiffOp:
     )
 
 
-def _over_p_cubed(num: UniPoly, p: UniPoly) -> FractionElem:
-    """num / p^3 in lowest terms over a field, as FractionElem reduces it.
+def _x_coeffs(elem) -> list:
+    """An element of K[x] as its x-coefficients, each a list of z-coordinates."""
+    coords = elem.coords if isinstance(elem, QuotientExt) else (elem,)
+    out = [[0] * len(coords) for _ in range(1 + max(c.degree_in("x") for c in coords))]
+    for i, c in enumerate(coords):
+        for (e,), v in c.terms.items():
+            out[e][i] = v
+    return out
 
-    Whole factors of p are divided out first, by exact division while the
-    remainder is zero, leaving num / p^k with p not dividing num.  Then
-    gcd(num, p) = gcd(p, num mod p) = 1 (always when p is irreducible) gives
-    gcd(num, p^k) = 1, and the fraction is already reduced; only otherwise
-    does the full gcd reduction run.
+
+def _from_x_coeffs(ring, coeffs):
+    """The element of ``ring`` (Q[x] or Q[x][z]/(f)) with these x-coefficients."""
+    quotient = isinstance(ring, QuotientRing)
+    base = ring.base if quotient else ring
+    coords = [base.from_terms({(e,): v[i] for e, v in enumerate(coeffs)})
+              for i in range(ring.degree if quotient else 1)]
+    return QuotientExt(ring, coords) if quotient else coords[0]
+
+
+def _zmul(a: list, b: list, zd: list) -> list:
+    """Product of two z-coordinate lists, z^d replaced by zd's coordinates."""
+    d = len(a)
+    w = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            w[i + j] += ai * bj
+    for top in range(2 * d - 2, d - 1, -1):
+        for i, c in enumerate(zd):
+            w[top - d + i] += w[top] * c
+    return w[:d]
+
+
+def _exact_quotient(num, p):
+    """num / p in K[x] when p divides num, else None.
+
+    Long division on x-coefficients, each a list of z-coordinates modulo K's
+    monic modulus.  p's leading x-coefficient must be a nonzero rational
+    (6 a3 at g = 2, 280 a3^2 at g = 4), so no inverse in K is needed.
     """
+    pc, rem = _x_coeffs(p), _x_coeffs(num)
+    if not pc or any(pc[-1][1:]) or not pc[-1][0]:
+        raise SpectralPairsError("p's leading x-coefficient is not a nonzero rational")
+    zd = [-c.as_fraction() for c in p.ring.chi.coeffs[:-1]] if isinstance(p, QuotientExt) else []
+    n, quo = len(pc) - 1, []
+    for top in range(len(rem) - 1, n - 1, -1):
+        f = [c / pc[-1][0] for c in rem[top]]
+        quo.append(f)
+        for i, pi in enumerate(pc[:-1]):
+            row = top - n + i
+            rem[row] = [a - b for a, b in zip(rem[row], _zmul(f, pi, zd))]
+    return None if any(map(any, rem[:n])) else _from_x_coeffs(num.ring, quo[::-1])
+
+
+def _clear(op: DiffOp, p) -> Cleared:
+    """p^-3 op as p^-k op', each whole factor p divided out of op exactly."""
     k = 3
-    while k and p.degree > 0 and not num.is_zero():
-        q, rem = num.divmod(p)
-        if not rem.is_zero():
-            break
-        num, k = q, k - 1
-    den = p ** k
-    # den has positive degree only if the loop stopped at rem = num mod p != 0
-    if num.is_zero() or (den.degree > 0 and p.gcd(rem).degree > 0):
-        return FractionElem(num, den)
-    inv = num.field.inv(den.lead())
-    scaled = UniPoly(num.field, [c * inv for c in num.coeffs], num.var)
-    return FractionElem(scaled, den.monic(), _normalized=True)
+    while k:
+        quotients = []
+        for c in op.coeffs:
+            q = _exact_quotient(c, p)
+            if q is None:
+                return Cleared(op, p, k)
+            quotients.append(q)
+        op, k = DiffOp(op.ring, quotients), k - 1
+    return Cleared(op, p, 0)
 
 
 def verify_corollary(
@@ -232,7 +259,7 @@ def verify_corollary(
     ``which`` selects L = L4 ("l4") or the computed commuting partner of
     order 4g+2 ("l4g2"); for the latter a precomputed ``partner`` may be
     passed to skip the centralizer search.  Every rational root of chi and
-    every irreducible non-rational factor (as a quotient field) is checked;
+    the irreducible non-rational factor (as Q[x][z]/(factor)) is checked;
     the report aggregates them and keeps the first witness B.
 
     Each branch runs division-free over K[x], K the rationals or
@@ -243,8 +270,10 @@ def verify_corollary(
     by the monic L2, C3 = B~ L2 + R~, and re-checks B~ L2 + R~ = C3.  If
     [p^-1 L p, L2] = B L2 + R over Frac(K[x]), then C3 = (p^3 B) L2 + p^3 R
     with order(p^3 R) < 2; right division by a monic operator is unique, so
-    B~ = p^3 B and R~ = p^3 R.  The verdict is R~ = 0, and the reported
-    witness and remainder are p^-3 B~ and p^-3 R~ over Frac(K[x]).
+    B~ = p^3 B and R~ = p^3 R.  The verdict is R~ = 0.  The reported witness
+    and remainder are p^-3 B~ and p^-3 R~ as :class:`Cleared` operators
+    p^-k op: whole factors of p are divided out of B~ (or R~) exactly, over
+    K[x], while p divides every coefficient.
     """
     if spec.symbolic:
         raise NotCoveredError("conjugation checks run at specialized parameters only")
@@ -264,23 +293,11 @@ def verify_corollary(
     all_zero = True
     witness = None
     first_remainder = None
-    for fld, z in _branches(chi):
-        if isinstance(fld, RationalField):
-            l_k, l2_k = l, l2
-            p = multiplier_p(spec, z)  # MultiPoly in x
-
-            def to_unipoly(coeff):
-                return _multipoly_to_unipoly(coeff, fld)
-
-        else:
-            # z the generator of Q[z]/(factor), coordinates in Q[x]
-            qext = QuotientRing(PolyRing(("x",)), fld.qring.chi)
-            l_k, l2_k = _lift_op(l, qext), _lift_op(l2, qext)
-            p = multiplier_p(spec, qext.gen)
-
-            def to_unipoly(coeff):
-                return _quotient_coords_to_unipoly(coeff, fld)
-
+    for branch in _branches(chi):
+        # z a rational root, or the generator of Q[x][z]/(factor)
+        quotient = isinstance(branch, QuotientRing)
+        l_k, l2_k = (_lift_op(l, branch), _lift_op(l2, branch)) if quotient else (l, l2)
+        p = multiplier_p(spec, branch.gen if quotient else branch)
         if p.is_zero():
             # degenerate root: p cannot conjugate; skip unless nothing is left
             continue
@@ -288,18 +305,12 @@ def verify_corollary(
         b, r = c3.right_divmod(l2_k)
         if b * l2_k + r != c3:
             raise SpectralPairsError("right division failed its reconstruction check")
-        frac_ring = FractionFieldRing(fld)
-
-        def uncleared(op):
-            p1 = to_unipoly(p)
-            return DiffOp(frac_ring, [_over_p_cubed(to_unipoly(c), p1) for c in op.coeffs])
-
         if not r.is_zero():
             all_zero = False
             if first_remainder is None:
-                first_remainder = uncleared(r)
+                first_remainder = _clear(r, p)
         if witness is None:
-            witness = uncleared(b)
+            witness = _clear(b, p)
     if witness is None:
         raise DegenerateSampleError("multiplier p vanished at every root of chi")
     return VerificationReport(
@@ -332,7 +343,7 @@ def sample_spec(
     """A random specialized member of the family, resampled when degenerate.
 
     Degenerate means: violated preconditions (a4 = 0, zero multiplier data) or
-    a non-squarefree chi when a fraction-field stage will follow.  The budget
+    a non-squarefree chi when the corollary check will follow.  The budget
     is fixed; genericity fails only on a measure-zero set.
     """
     for _ in range(RESAMPLE_BUDGET):

@@ -15,6 +15,7 @@ from spectral_pairs.rings import (
     FractionElem,
     FractionFieldRing,
     PolyRing,
+    QuotientField,
     QuotientRing,
     RationalField,
     UniPoly,
@@ -275,6 +276,24 @@ def test_normalize_invariant_under_common_factor(rng):
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         FractionElem(_upoly([1]), _upoly([]))
+
+
+_small_q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_small_q, min_size=2, max_size=3), st.lists(_small_q, min_size=3, max_size=3))
+def test_quotient_field_inverse(chi_low, coords):
+    # a * a^-1 = 1 in Q[z]/(chi); a zero divisor (a common root with chi) raises
+    qring = QuotientRing(PolyRing(()), CharPoly(PolyRing(()), chi_low + [Fraction(1)]))
+    a = qring.from_z_coeffs(coords[:qring.degree])
+    field = QuotientField(qring)
+    chi = _upoly(chi_low + [1])
+    if chi.gcd(_upoly(coords[:qring.degree])).degree == 0:
+        assert a * field.inv(a) == qring.one
+    else:
+        with pytest.raises(ZeroDivisionError):
+            field.inv(a)
 
 
 # -- bulk randomized properties (counts fixed by the acceptance gate) -------------

@@ -38,6 +38,32 @@ def test_package_imports_only_the_stdlib_numpy_and_scipy():
     assert found == []
 
 
+def _imported_names(node) -> list:
+    """Dotted module names and imported names of an import statement."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""] + [alias.name for alias in node.names]
+    return []
+
+
+def test_only_the_rings_package_imports_the_fraction_field():
+    # Frac(K[x]) is a test oracle: the exact engine never builds a fraction field
+    fraction_field = SRC / "rings" / "fraction_field.py"
+    defined = {node.name for node in ast.parse(fraction_field.read_text()).body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path not in (SRC / "rings" / "__init__.py", fraction_field)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in _imported_names(node)
+        if name.split(".")[-1] == "fraction_field" or name in defined
+    ]
+    assert {"FractionElem", "UniPoly", "RationalField"} <= defined
+    assert found == []
+
+
 _STARTUP = """
 import sys
 import spectral_pairs, spectral_pairs.cli

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_pairs.centralizer import find_commuting_operator
-from spectral_pairs.errors import DegenerateSampleError, NotCoveredError
+from spectral_pairs.errors import DegenerateSampleError, NotCoveredError, SpectralPairsError
 from spectral_pairs.families import (
     CUBIC,
     EXPONENTIAL,
@@ -24,16 +24,15 @@ from spectral_pairs.rings import (
     CharPoly,
     FractionFieldRing,
     PolyRing,
+    QuotientField,
     QuotientRing,
     RationalField,
-    UniPoly,
 )
-from spectral_pairs.rings.fraction_field import FractionElem
 from spectral_pairs.rings.quotient import QuotientExt
 from spectral_pairs.verify import (
     DEFAULT_SEED,
     _branches,
-    _over_p_cubed,
+    _exact_quotient,
     _sf,
     sample_spec,
     verify_commutation,
@@ -200,17 +199,22 @@ def _frac_coeff(coeff, frac, z):
     return acc
 
 
+def _oracle_field(branch):
+    """Frac(K[x]) for a branch of chi, and z in it (None for a rational root)."""
+    if not isinstance(branch, QuotientRing):
+        return FractionFieldRing(RationalField()), None
+    chi = CharPoly(PolyRing(()), branch.chi.rational_coeffs())
+    fld = QuotientField(QuotientRing(PolyRing(()), chi))
+    frac = FractionFieldRing(fld)
+    return frac, frac.const(fld.gen)
+
+
 def _fraction_field_corollary(spec, l):
-    """Per branch of chi: [p^-1 L p, L2] right-divided by L2 inside Frac(K[x])."""
+    """Per branch of chi: p, and [p^-1 L p, L2] right-divided by L2 inside Frac(K[x])."""
     out = []
-    for fld, z in _branches(char_poly_z(spec)):
-        frac = FractionFieldRing(fld)
-        if isinstance(fld, RationalField):
-            p_k = multiplier_p(spec, z)
-            zf = frac.one
-        else:
-            p_k = multiplier_p(spec, QuotientRing(XRING, fld.qring.chi).gen)
-            zf = frac.const(fld.gen)
+    for branch in _branches(char_poly_z(spec)):
+        frac, zf = _oracle_field(branch)
+        p_k = multiplier_p(spec, branch.gen if isinstance(branch, QuotientRing) else branch)
         p = _frac_coeff(p_k, frac, zf)
         if p.is_zero():
             continue
@@ -222,50 +226,86 @@ def _fraction_field_corollary(spec, l):
         comm = lift(l).conjugate_by_unit(p).commutator(l2)
         b, r = comm.right_divmod(l2)
         assert b * l2 + r == comm
-        out.append((b, r))
+        out.append((branch, p_k, b, r))
     return out
 
 
-def _stored(op):
-    """Numerator and denominator of each coefficient, as stored (lowest terms)."""
-    return None if op is None else [(c.num, c.den) for c in op.coeffs]
+def _assert_cleared(cleared, branch, p_k, want):
+    """cleared = p^-k op is the oracle's operator, coefficient by coefficient."""
+    frac, zf = _oracle_field(branch)
+    assert cleared.p == p_k
+    assert cleared.order == want.order
+    p = _frac_coeff(p_k, frac, zf)
+    p_to_k = frac.one
+    for _ in range(cleared.k):
+        p_to_k = p_to_k * p
+    op = [_frac_coeff(c, frac, zf) for c in cleared.op.coeffs]
+    assert op == [p_to_k * c for c in want.coeffs]
+    if cleared.k:
+        # p^k is the whole denominator: p does not divide every coefficient
+        assert any(not c.num.divmod(p.num)[1].is_zero() for c in op)
 
 
 def _assert_matches_fraction_field(spec, which, partner=None):
     l = make_L4(spec) if which == "l4" else partner
     branches = _fraction_field_corollary(spec, l)
     report = verify_corollary(spec, which, partner=partner)
-    remainders = [r for _, r in branches if not r.is_zero()]
-    first_remainder = remainders[0] if remainders else None
-    assert report.witness == branches[0][0]
+    remainders = [(br, p, r) for br, p, _, r in branches if not r.is_zero()]
+    branch, p_k, witness, _ = branches[0]
+    _assert_cleared(report.witness, branch, p_k, witness)
     assert report.remainder_is_zero == (not remainders)
-    assert report.remainder == first_remainder
-    # FractionElem equality cross-multiplies; the stored forms must match too
-    assert _stored(report.witness) == _stored(branches[0][0])
-    assert _stored(report.remainder) == _stored(first_remainder)
+    if remainders:
+        _assert_cleared(report.remainder, *remainders[0])
+    else:
+        assert report.remainder is None
     return report
 
 
-_QQ = RationalField()
-_root = st.integers(-3, 3)
+_small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_root, max_size=3), st.lists(_root, max_size=4),
-       st.lists(st.integers(-9, 9), max_size=4), st.integers(1, 5))
-def test_over_p_cubed_matches_fraction_reduction(p_roots, num_roots, rest, lead):
-    # p and num share roots, with multiplicity, so every partial power of p occurs
-    def poly(roots, cofactor):
-        out = UniPoly(_QQ, [Fraction(c) for c in cofactor])
-        for r in roots:
-            out = out * UniPoly(_QQ, [Fraction(-r), Fraction(1)])
-        return out
+def _k_elem(ring, coeffs):
+    """The element of K[x] with x-coefficients ``coeffs``, each a z-coordinate list."""
+    by_z = [XRING.from_terms({(e,): c[i] for e, c in enumerate(coeffs)})
+            for i in range(len(coeffs[0]) if coeffs else 1)]
+    return ring.from_z_coeffs(by_z) if isinstance(ring, QuotientRing) else by_z[0]
 
-    p = poly(p_roots, [lead])
-    num = poly(num_roots, rest)
-    got = _over_p_cubed(num, p)
-    want = FractionElem(num, p ** 3)
-    assert (got.num, got.den) == (want.num, want.den)
+
+@st.composite
+def _division_case(draw):
+    """K[x] for K = Q or Q[z]/(f), f a random monic quadratic or cubic, and
+    q, p (rational leading x-coefficient) and a nonzero r with deg r < deg p."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    ring = XRING
+    if d > 1:
+        f = draw(st.lists(_small, min_size=d, max_size=d)) + [Fraction(1)]
+        ring = QuotientRing(XRING, CharPoly(PolyRing(()), f))
+
+    coords = st.lists(_small, min_size=d, max_size=d)
+
+    def coeffs(n):
+        return draw(st.lists(coords, min_size=n, max_size=n))
+
+    deg_p = draw(st.integers(1, 3))
+    lead = draw(_small.filter(bool))
+    p = _k_elem(ring, coeffs(deg_p) + [[lead] + [Fraction(0)] * (d - 1)])
+    q = _k_elem(ring, coeffs(draw(st.integers(0, 5))))
+    r = _k_elem(ring, coeffs(draw(st.integers(0, deg_p - 1))) + [draw(coords.filter(any))])
+    return ring, q, p, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(_division_case())
+def test_exact_quotient_divides_out_p(case):
+    ring, q, p, r = case
+    assert _exact_quotient(q * p, p) == q
+    assert _exact_quotient(q * p + r, p) is None
+    if isinstance(ring, QuotientRing):
+        # z in p's leading x-coefficient: dividing would need an inverse in K
+        deg_p = max(c.degree_in("x") for c in p.coords)
+        bad = p + ring.gen * XRING.var("x", deg_p)
+        with pytest.raises(SpectralPairsError):
+            _exact_quotient(q * bad, bad)
 
 
 def _criterion5_samples():
@@ -282,8 +322,7 @@ def _criterion5_partner(index):
 
 
 def _has_quotient_branch(spec):
-    return any(not isinstance(fld, RationalField)
-               for fld, _ in _branches(char_poly_z(spec)))
+    return any(isinstance(branch, QuotientRing) for branch in _branches(char_poly_z(spec)))
 
 
 def test_corollary_samples_cover_both_branch_kinds():
@@ -297,6 +336,9 @@ def test_corollary_l4_matches_fraction_field(index):
     spec = _criterion5_samples()[index]
     report = _assert_matches_fraction_field(spec, "l4")
     assert report.remainder_is_zero
+    # at the g = 4 sample (0, 0, 2, 2), p divides B~ once: the witness is p^-2 B~/p
+    assert report.witness.k == (2 if spec.alphas[:4] == (0, 0, 2, 2) else 3)
+    assert (index == 1) == (spec.alphas[:4] == (0, 0, 2, 2))
 
 
 @pytest.mark.parametrize("index", [0, 2])
