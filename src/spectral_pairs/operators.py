@@ -12,6 +12,9 @@ exactly.  Over a polynomial ring the kernel works on integer numerators
 keyed by exponent tuple and builds one Fraction per output term; over
 Base[z]/(chi) it sums coordinate products by z-power and reduces mod chi
 once per output coefficient; over a fraction field it sums c*a*b plainly.
+The commutator [A, B] takes the same route without forming A*B and B*A: their
+k = 0 terms a_i b_j D^(i+j) cancel, so only the k >= 1 triples of both sides
+go to the kernel, one call per output order.
 Right Euclidean division is restricted to monic divisors, which keeps
 everything division-free and therefore valid over quotient rings with zero
 divisors; each quotient term is subtracted from the remainder in place.
@@ -120,7 +123,27 @@ class DiffOp:
         return power(self, n, DiffOp.identity(self.ring))
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        return self * other - other * self
+        """[self, other] = self*other - other*self, in one pass.
+
+        The k = 0 Leibniz terms a_i b_j D^(i+j) of the two products cancel,
+        so only k >= 1 is formed: the D^m coefficient is the sum over
+        i + j - k = m of C(i, k) a_i b_j^(k) - C(j, k) b_j a_i^(k), one
+        kernel call per output order and no subtraction pass.
+        """
+        other = self._check(other)
+        if self.is_zero() or other.is_zero():
+            return DiffOp.zero(self.ring)
+        na, nb = len(self.coeffs), len(other.coeffs)
+        da = _derivative_table(self.coeffs, nb - 1)
+        db = _derivative_table(other.coeffs, na - 1)
+        groups = [[] for _ in range(na + nb - 2)]
+        for i, a in enumerate(self.coeffs):
+            if not a.is_zero():
+                _leibniz(groups, 1, a, i, db, first=1)
+        for j, b in enumerate(other.coeffs):
+            if not b.is_zero():
+                _leibniz(groups, -1, b, j, da, first=1)
+        return DiffOp(self.ring, [self.ring.sum_products(g) for g in groups])
 
     # -- division and conjugation ------------------------------------------
 
@@ -224,13 +247,14 @@ def _derivative_table(coeffs, n: int) -> list:
     return table
 
 
-def _leibniz(groups, sign: int, a, i: int, db) -> None:
+def _leibniz(groups, sign: int, a, i: int, db, first: int = 0) -> None:
     """Append the triples of sign * a D^i * (sum_j b_j D^j) to groups[order].
 
     d^i (b f) = sum_k C(i, k) b^(k) f^(i-k), so the term a*C(i,k)*b_j^(k)
-    lands on D^(i+j-k); ``db[k][j]`` holds b_j^(k).
+    lands on D^(i+j-k); ``db[k][j]`` holds b_j^(k).  Only k >= ``first``
+    is formed.
     """
-    for k in range(i + 1):
+    for k in range(first, i + 1):
         c = sign * comb(i, k)
         for j, b in enumerate(db[k]):
             if not b.is_zero():

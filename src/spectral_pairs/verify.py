@@ -14,9 +14,15 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .centralizer import find_commuting_operator
-from .errors import DegenerateSampleError, NotCoveredError, SpectralPairsError
+from .errors import (
+    DegenerateSampleError,
+    NotCoveredError,
+    RingMismatchError,
+    SpectralPairsError,
+)
 from .families import (
     CUBIC,
     EXPONENTIAL,
@@ -166,22 +172,51 @@ def _branches(chi: CharPoly):
 def _cleared_commutator(l: DiffOp, l2: DiffOp, p) -> DiffOp:
     """p^3 [p^-1 L p, L2] as an operator over the polynomial ring of p.
 
-    With N = L p and L2 = D^2 + V, the rule L2 p^-1 = p^-1 L2 + (p^-1)'' +
-    2 (p^-1)' D gives
+    With N = L p = sum_j n_j D^j and L2 = D^2 + V, the rule L2 p^-1 =
+    p^-1 L2 + (p^-1)'' + 2 (p^-1)' D gives
 
-        p^3 [p^-1 N, L2] = p^2 [N, L2] - (2 p'^2 - p p'') N + 2 p p' (D N),
+        C3 = p^3 [p^-1 N, L2] = p^2 [N, L2] - (2 p'^2 - p p'') N + 2 p p' (D N),
 
-    whose coefficients are polynomials again.
+    whose D^j coefficient, read off in closed form, is
+
+        p^2 (-n_j'' - 2 n_(j-1)' + sum_(k>=1) C(j+k, k) V^(k) n_(j+k))
+            - (2 p'^2 - p p'') n_j + 2 p p' (n_j' + n_(j-1)):
+
+    the n_j D^(j+2) terms of N L2 and L2 N cancel and are never formed.  Each
+    coefficient is one kernel sum, with p^2, p^2 V^(k), 2 p'^2 - p p'' and
+    2 p p' formed once; V is differentiated at most ord N times, stopping at
+    its first zero derivative.  L2 must be monic of order 2 with no D term.
     """
-    if not l2.coeff(1).is_zero():
+    if l2.order != 2 or not l2.is_monic() or not l2.coeff(1).is_zero():
         raise SpectralPairsError("the cleared commutator needs L2 = D^2 + V")
-    dp = p.derive()
     n = l * DiffOp.mult(p)
-    return (
-        n.commutator(l2).scale(p * p)
-        - n.scale(2 * dp * dp - p * dp.derive())
-        + (DiffOp.d(n.ring) * n).scale(2 * p * dp)
-    )
+    if n.ring != l2.ring:
+        raise RingMismatchError("L and L2 are over different rings")
+    ring, n0 = n.ring, n.coeffs
+    n1 = [c.derive() for c in n0]
+    n2 = [c.derive() for c in n1]
+    dp = p.derive()
+    p2 = p * p
+    lower = 2 * dp * dp - p * dp.derive()
+    shift = 2 * p * dp
+    p2v = []  # p^2 V^(k) for k = 1, 2, ..., up to V's first zero derivative
+    v = l2.coeff(0)
+    for _ in range(len(n0) - 1):
+        v = v.derive()
+        if v.is_zero():
+            break
+        p2v.append(p2 * v)
+    out = []
+    for j in range(len(n0) + 1):
+        terms = []
+        if j < len(n0):
+            terms += [(-1, p2, n2[j]), (-1, lower, n0[j]), (1, shift, n1[j])]
+            terms += [(comb(j + k, k), p2v[k - 1], n0[j + k])
+                      for k in range(1, min(len(p2v), len(n0) - 1 - j) + 1)]
+        if j:
+            terms += [(-2, p2, n1[j - 1]), (1, shift, n0[j - 1])]
+        out.append(ring.sum_products(terms))
+    return DiffOp(ring, out)
 
 
 def _x_coeffs(elem) -> list:
@@ -263,9 +298,15 @@ def verify_corollary(
     the report aggregates them and keeps the first witness B.
 
     Each branch runs division-free over K[x], K the rationals or
-    Q[z]/(factor): with N = L p it right-divides the cleared commutator
+    Q[z]/(factor): with N = L p = sum_j n_j D^j and L2 = D^2 + V it
+    right-divides the cleared commutator
 
-        C3 = p^2 [N, L2] - (2 p'^2 - p p'') N + 2 p p' (D N) = p^3 [p^-1 L p, L2]
+        C3 = p^2 [N, L2] - (2 p'^2 - p p'') N + 2 p p' (D N) = p^3 [p^-1 L p, L2],
+
+    built in closed form (:func:`_cleared_commutator`) with D^j coefficient
+
+        p^2 (-n_j'' - 2 n_(j-1)' + sum_(k>=1) C(j+k, k) V^(k) n_(j+k))
+            - (2 p'^2 - p p'') n_j + 2 p p' (n_j' + n_(j-1)),
 
     by the monic L2, C3 = B~ L2 + R~, and re-checks B~ L2 + R~ = C3.  If
     [p^-1 L p, L2] = B L2 + R over Frac(K[x]), then C3 = (p^3 B) L2 + p^3 R

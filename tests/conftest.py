@@ -123,6 +123,22 @@ def right_divmod_oracle(n, d):
     return q, r
 
 
+def cleared_commutator_oracle(l, l2, p):
+    """p^3 [p^-1 L p, L2] by the composition chain the closed form replaced.
+
+    With N = L p: p^2 (N L2 - L2 N) - (2 p'^2 - p p'') N + 2 p p' (D N),
+    each product composed in full and each factor applied by ``scale``.
+    """
+    assert l2.coeff(1).is_zero()
+    dp = p.derive()
+    n = l * DiffOp.mult(p)
+    return (
+        (n * l2 - l2 * n).scale(p * p)
+        - n.scale(2 * dp * dp - p * dp.derive())
+        + (DiffOp.d(n.ring) * n).scale(2 * p * dp)
+    )
+
+
 # -- reference back-substitution: one Fraction product per dense-list entry ---------
 
 

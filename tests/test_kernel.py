@@ -97,6 +97,54 @@ def test_compose_and_commutator_match_leibniz_oracle(case, data):
     assert a.commutator(b) == ab - ba
 
 
+def _check_commutator(ring, elems, data):
+    """[a, b] against the oracle for a of order <= 6 and b free, zero, of
+    order 0, or of a's order with a's leading coefficient (so the top order
+    of [a, b] cancels; zero when a is), on either side."""
+    a = DiffOp(ring, data.draw(_op(elems, max_order=6)))
+    kind = data.draw(st.sampled_from(["free", "same-lead", "zero", "order-0"]))
+    if kind == "free":
+        b = DiffOp(ring, data.draw(_op(elems, max_order=6)))
+    elif kind == "same-lead" and not a.is_zero():
+        lower = data.draw(st.lists(elems, min_size=len(a.coeffs) - 1, max_size=len(a.coeffs) - 1))
+        b = DiffOp(ring, lower + [a.coeffs[-1]])
+    elif kind == "order-0":
+        b = DiffOp(ring, [data.draw(elems)])
+    else:
+        b = DiffOp.zero(ring)
+    if data.draw(st.booleans()):
+        a, b = b, a
+    got = a.commutator(b)
+    want = leibniz_compose(a, b) - leibniz_compose(b, a)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_commutator_matches_leibniz_oracle(case, data):
+    _check_commutator(*CASES[case], data)
+
+
+_QQ = RationalField()
+_FRAC = FractionFieldRing(_QQ)
+_small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_commutator_over_fraction_field_matches_leibniz_oracle(data):
+    # n/d with deg n <= 1 and d in {1, x + 1}: one pole keeps the sums of
+    # order-6 derivatives from multiplying out unrelated denominators
+    elems = st.builds(
+        lambda n, d: _FRAC.from_poly(UniPoly(_QQ, n)) / _FRAC.from_poly(UniPoly(_QQ, d)),
+        st.lists(_small, max_size=2),
+        st.sampled_from([[1], [1, 1]]),
+    )
+    _check_commutator(_FRAC, elems, data)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

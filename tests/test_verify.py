@@ -32,6 +32,7 @@ from spectral_pairs.rings.quotient import QuotientExt
 from spectral_pairs.verify import (
     DEFAULT_SEED,
     _branches,
+    _cleared_commutator,
     _exact_quotient,
     _sf,
     sample_spec,
@@ -39,6 +40,8 @@ from spectral_pairs.verify import (
     verify_corollary,
     verify_eigen_identity,
 )
+
+from conftest import cleared_commutator_oracle, leibniz_compose
 
 XRING = PolyRing(("x",))
 
@@ -223,7 +226,8 @@ def _fraction_field_corollary(spec, l):
             return DiffOp(frac, [_frac_coeff(c, frac, zf) for c in op.coeffs])
 
         l2 = lift(make_schrodinger(spec))
-        comm = lift(l).conjugate_by_unit(p).commutator(l2)
+        conj = lift(l).conjugate_by_unit(p)
+        comm = leibniz_compose(conj, l2) - leibniz_compose(l2, conj)
         b, r = comm.right_divmod(l2)
         assert b * l2 + r == comm
         out.append((branch, p_k, b, r))
@@ -306,6 +310,58 @@ def test_exact_quotient_divides_out_p(case):
         bad = p + ring.gen * XRING.var("x", deg_p)
         with pytest.raises(SpectralPairsError):
             _exact_quotient(q * bad, bad)
+
+
+# -- the cleared commutator's closed form against the composition chain --------------
+
+
+@st.composite
+def _cleared_case(draw):
+    """K[x] for K = Q or Q[z]/(f), f a random monic quadratic or cubic, and a
+    random L (order 0-10), L2 = D^2 + V (V of x-degree 0-4) and p (x-degree 0-2)."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    ring = XRING
+    if d > 1:
+        f = draw(st.lists(_small, min_size=d, max_size=d)) + [Fraction(1)]
+        ring = QuotientRing(XRING, CharPoly(PolyRing(()), f))
+
+    def elem(lo, hi):
+        coords = st.lists(_small, min_size=d, max_size=d)
+        return _k_elem(ring, draw(st.lists(coords, min_size=lo + 1, max_size=hi + 1)))
+
+    l = DiffOp(ring, [elem(0, 2) for _ in range(draw(st.integers(1, 11)))])
+    l2 = DiffOp(ring, [elem(0, 4), ring.zero, ring.one])
+    return l, l2, elem(0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cleared_case())
+def test_cleared_commutator_matches_composition_chain(case):
+    l, l2, p = case
+    got, want = _cleared_commutator(l, l2, p), cleared_commutator_oracle(l, l2, p)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("l2_coeffs", [
+    [XRING.var("x"), XRING.one],
+    [XRING.var("x"), XRING.zero, XRING.zero, XRING.one],
+    [XRING.var("x"), XRING.zero, XRING.const(2)],
+    [XRING.var("x"), XRING.zero, XRING.var("x")],
+    [XRING.var("x"), XRING.one, XRING.one],
+], ids=["order-1", "order-3", "lead-2", "lead-x", "d-term"])
+def test_cleared_commutator_rejects_other_l2(l2_coeffs):
+    l = DiffOp(XRING, [XRING.var("x", 2), XRING.one, XRING.zero, XRING.one])
+    with pytest.raises(SpectralPairsError):
+        _cleared_commutator(l, DiffOp(XRING, l2_coeffs), XRING.var("x") + XRING.one)
+
+
+def test_cleared_commutator_rejects_l2_over_another_ring():
+    other = PolyRing(("x", "a0"))
+    l = DiffOp(XRING, [XRING.var("x", 2), XRING.one])
+    l2 = DiffOp(other, [other.var("a0"), other.zero, other.one])
+    with pytest.raises(SpectralPairsError):
+        _cleared_commutator(l, l2, XRING.var("x") + XRING.one)
 
 
 def _criterion5_samples():
