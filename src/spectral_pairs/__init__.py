@@ -55,7 +55,7 @@ from .numeric import (
     numeric_roots,
     residual_profile,
 )
-from .operators import DiffOp, PowerSeries, commutator, compose, right_divide
+from .operators import DiffOp, PowerSeries
 from .rings import (
     CharPoly,
     MultiPoly,

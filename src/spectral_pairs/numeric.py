@@ -2,9 +2,12 @@
 
 The kernel ODE phi'' = -V phi is integrated with an adaptive embedded
 Runge-Kutta pair (5th order, 4th-order error estimate) and resampled on a
-uniform grid by dense interpolation.  The fourth-order operator is then
-applied by central finite differences only; reusing the symbolic reduction
-here would prove nothing, so the discretization is the whole point.
+uniform grid by dense interpolation.  The eigen-identity residual and the
+Bessel-form check share that one integration path, with its cap on
+right-hand-side evaluations and its stop at blow-up.  The fourth-order
+operator is then applied by central finite differences only; reusing the
+symbolic reduction here would prove nothing, so the discretization is the
+whole point.
 
 Finite-difference weights come from Fornberg's recurrence.  Differencing
 interpolated data amplifies the interpolation error like 1/h^m, so the
@@ -12,8 +15,9 @@ residual check uses wide least-squares stencils: minimum-norm weights exact on
 polynomials through a fixed degree (>= 12, hence at least 8th-order accurate)
 spread over hundreds of grid points, which averages the dense-output noise
 down while the polynomial-exactness constraints keep the truncation bias
-small.  Narrow Fornberg stencils remain available (optionally strided) for
-convergence studies where truncation should dominate.
+small.  Narrow Fornberg stencils remain available for convergence studies
+where truncation should dominate.  Both kinds of weights are applied by the
+same sliding correlation.
 """
 
 from __future__ import annotations
@@ -91,25 +95,26 @@ def fd_weights(m: int, offsets) -> np.ndarray:
     return c[:, m]
 
 
-def fd_derivative(values: np.ndarray, h: float, m: int, stride: int = 1,
-                  half_width: int = 5) -> np.ndarray:
-    """m-th derivative on interior points via a strided central stencil.
+def _apply_stencil(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Centred stencil ``w`` slid along ``values``; NaN where it does not fit."""
+    if len(values) < len(w):
+        raise ValueError("fewer samples than stencil points")
+    half = len(w) // 2
+    out = np.full(len(values), np.nan, dtype=complex)
+    out[half:len(values) - half] = np.correlate(values, w, "valid")
+    return out
 
-    The stencil spans ``2*half_width + 1`` samples spaced ``stride`` grid
-    steps apart; half_width = 5 gives 8th-order accuracy up to m = 4.
-    Entries without a full stencil are NaN.
+
+def fd_derivative(values: np.ndarray, h: float, m: int,
+                  half_width: int = 5) -> np.ndarray:
+    """m-th derivative on interior points via a central Fornberg stencil.
+
+    The stencil spans ``2*half_width + 1`` consecutive samples; half_width = 5
+    gives 8th-order accuracy up to m = 4.  Entries without a full stencil are
+    NaN.
     """
     offsets = np.arange(-half_width, half_width + 1)
-    w = fd_weights(m, offsets) / (h * stride) ** m
-    out = np.full(len(values), np.nan, dtype=complex)
-    margin = half_width * stride
-    core = slice(margin, len(values) - margin)
-    acc = np.zeros(len(values) - 2 * margin, dtype=complex)
-    for off, wt in zip(offsets, w):
-        lo = margin + off * stride
-        acc += wt * values[lo:lo + len(acc)]
-    out[core] = acc
-    return out
+    return _apply_stencil(values, fd_weights(m, offsets) / h ** m)
 
 
 def ls_weights(m: int, half_width: int, degree: int, h: float) -> np.ndarray:
@@ -138,14 +143,7 @@ def ls_derivative(values: np.ndarray, h: float, m: int, half_width: int,
 
     Entries without a full window are NaN, as in :func:`fd_derivative`.
     """
-    w = ls_weights(m, half_width, degree, h)
-    out = np.full(len(values), np.nan, dtype=complex)
-    core = slice(half_width, len(values) - half_width)
-    acc = np.zeros(len(values) - 2 * half_width, dtype=complex)
-    for k, wt in enumerate(w):
-        acc += wt * values[k:k + len(acc)]
-    out[core] = acc
-    return out
+    return _apply_stencil(values, ls_weights(m, half_width, degree, h))
 
 
 def _potential_callable(spec: FamilySpec, shifted: bool):
@@ -176,27 +174,15 @@ def _coeff_callable(coeff):
     return f
 
 
-def integrate_kernel(
-    spec: FamilySpec,
-    shifted: bool,
-    init=(1.0, 0.0),
-    interval=None,
-    tol: float = 1e-10,
-    n_points: int = 1001,
-) -> GridFunction:
-    """Integrate phi'' = -V(x) phi and resample on a uniform grid.
+def _integrate(v, interval, init, tol: float):
+    """Dense RK45 solution of phi'' = -v(x) phi, and where it ends.
 
-    Blow-up past the overflow limit truncates the interval; the partial grid
-    is returned with a diagnostic in ``meta``.  An integration that needs
-    more than :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations raises
+    The solution stops early, at the returned end, where |phi| or |phi'|
+    passes :data:`OVERFLOW_LIMIT`.  An integration that needs more than
+    :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations raises
     :class:`NotCoveredError`.
     """
-    if spec.symbolic:
-        raise SpectralPairsError("numeric integration needs rational parameters")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a, b = interval if interval is not None else DEFAULT_INTERVALS[spec.family]
-    v = _potential_callable(spec, shifted)
+    a, b = interval
     evaluations = 0
 
     def rhs(x, y):
@@ -204,7 +190,7 @@ def integrate_kernel(
         evaluations += 1
         if evaluations > MAX_RHS_EVALUATIONS:
             raise NotCoveredError(
-                f"integrating over [{a:g}, {b:g}] needs more than "
+                f"integrating over x in [{a:g}, {b:g}] needs more than "
                 f"MAX_RHS_EVALUATIONS = {MAX_RHS_EVALUATIONS} right-hand-side "
                 "evaluations; choose a shorter interval"
             )
@@ -228,18 +214,41 @@ def integrate_kernel(
         dense_output=True,
         events=blow_up,
     )
+    end = float(sol.t_events[0][0]) if sol.t_events[0].size else b
+    return sol.sol, end
+
+
+def integrate_kernel(
+    spec: FamilySpec,
+    shifted: bool,
+    init=(1.0, 0.0),
+    interval=None,
+    tol: float = 1e-10,
+    n_points: int = 1001,
+) -> GridFunction:
+    """Integrate phi'' = -V(x) phi and resample on a uniform grid.
+
+    Blow-up past the overflow limit truncates the interval; the partial grid
+    is returned with a diagnostic in ``meta``.  An integration that needs
+    more than :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations raises
+    :class:`NotCoveredError`.
+    """
+    if spec.symbolic:
+        raise SpectralPairsError("numeric integration needs rational parameters")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    a, b = interval if interval is not None else DEFAULT_INTERVALS[spec.family]
+    sol, end = _integrate(_potential_callable(spec, shifted), (a, b), init, tol)
     meta = {
         "family": spec.family,
         "g": spec.g,
         "params": spec.params_dict(),
         "tol": tol,
     }
-    end = b
-    if sol.t_events[0].size:
-        end = float(sol.t_events[0][0])
+    if end != b:
         meta["diagnostic"] = f"solution exceeded {OVERFLOW_LIMIT:g} at x={end:g}"
     xs = np.linspace(a, end, n_points)
-    ys = sol.sol(xs)
+    ys = sol(xs)
     return GridFunction(x=xs, phi=ys[0], dphi=ys[1], meta=meta)
 
 
@@ -314,20 +323,15 @@ def residual_profile(spec: FamilySpec, z_root: complex, grid: GridFunction):
 def _multiplier_values(spec: FamilySpec, z: complex, x: np.ndarray) -> np.ndarray:
     """p(x) at a numeric eigenvalue z (complex allowed)."""
     if spec.family == EXPONENTIAL:
-        k = spec.g if spec.eps == 0 else -(spec.g + 1)
-        return np.exp(0.5 * k * x)
+        # p = e^(kx/2), free of z
+        return _coeff_callable(multiplier_p(spec, None))(x)
     # evaluate the exact multiplier with z adjoined formally, then substitute;
     # z^3 = 0 never triggers since no multiplier exceeds degree 2 in z
-    ring = coefficient_ring(spec)
     dummy = CharPoly(PolyRing(()), [0, 0, 0, Fraction(1)])
-    qring = QuotientRing(ring, dummy)
-    p = multiplier_p(spec, qring.gen)
-    total = np.zeros_like(x, dtype=complex)
+    p = multiplier_p(spec, QuotientRing(coefficient_ring(spec), dummy).gen)
+    total = np.zeros(len(x), dtype=complex)
     for zi, coord in enumerate(p.coords):
-        vals = np.array(
-            [coord.eval_numeric({"x": xx}) for xx in np.asarray(x, dtype=float)]
-        )
-        total += vals * (z ** zi)
+        total += _coeff_callable(coord)(x) * z ** zi
     return total
 
 
@@ -357,21 +361,18 @@ def bessel_change_check(
     spec = FamilySpec(EXPONENTIAL, 1, alphas=(a0, a1))
     x0 = float(np.log(y0 ** 2 / (4 * float(a1))))
     x1 = float(np.log(y1 ** 2 / (4 * float(a1))))
-    v = _potential_callable(spec, shifted=False)
-
-    def rhs(x, y):
-        return [y[1], -v(x) * y[0]]
-
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        rhs, (x0, x1), [1.0, 0.4], method="RK45", rtol=tol, atol=tol,
-        dense_output=True,
-    )
+    sol, end = _integrate(_potential_callable(spec, shifted=False), (x0, x1),
+                          (1.0, 0.4), tol)
+    if end != x1:
+        raise NotCoveredError(
+            f"the solution exceeded {OVERFLOW_LIMIT:g} at x={end:g}, "
+            f"y={2 * np.sqrt(float(a1)) * np.exp(end / 2):g}; choose a shorter "
+            "y interval"
+        )
     ys = np.linspace(y0, y1, n_points)
     hy = ys[1] - ys[0]
     xs = np.log(ys ** 2 / (4 * float(a1)))
-    phi = sol.sol(xs)[0]
+    phi = sol(xs)[0]
     d1 = fd_derivative(phi.astype(complex), hy, 1, half_width=half_width)
     d2 = fd_derivative(phi.astype(complex), hy, 2, half_width=half_width)
     # fixed interior window: the evaluation set must not depend on n_points,

@@ -321,14 +321,3 @@ class PowerSeries:
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(x^{self.trunc + 1})"
 
-
-def compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a * b
-
-
-def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.commutator(b)
-
-
-def right_divide(n: DiffOp, d: DiffOp):
-    return n.right_divmod(d)

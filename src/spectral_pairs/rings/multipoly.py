@@ -316,17 +316,6 @@ class MultiPoly:
                 out = out + MultiPoly(target, {tuple(ne): coeff})
         return out
 
-    def eval_numeric(self, values: dict) -> complex:
-        """Evaluate at numeric (possibly complex) values of every variable."""
-        total = 0j
-        for e, c in self.terms.items():
-            term = complex(c)
-            for name, k in zip(self.ring.variables, e):
-                if k:
-                    term *= values[name] ** k
-            total += term
-        return total
-
     # -- display -------------------------------------------------------------
 
     def _sorted_terms(self):

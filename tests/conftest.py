@@ -274,3 +274,63 @@ def hyperelliptic_pair_oracle(l4, m):
         curve = spectral_curve_oracle(l4, m)
         assert not any(curve.w_slice(1))
     return m, curve
+
+
+# -- reference numerics: the per-offset stencil loops and the pointwise multiplier ---
+
+
+def fd_derivative_oracle(values, h: float, m: int, half_width: int = 5):
+    """Fornberg stencil applied one offset at a time, NaN at the margins."""
+    import numpy as np
+
+    from spectral_pairs.numeric import fd_weights
+
+    offsets = np.arange(-half_width, half_width + 1)
+    w = fd_weights(m, offsets) / h ** m
+    out = np.full(len(values), np.nan, dtype=complex)
+    acc = np.zeros(len(values) - 2 * half_width, dtype=complex)
+    for off, wt in zip(offsets, w):
+        lo = half_width + off
+        acc += wt * values[lo:lo + len(acc)]
+    out[half_width:len(values) - half_width] = acc
+    return out
+
+
+def ls_derivative_oracle(values, h: float, m: int, half_width: int, degree: int):
+    """Least-squares stencil applied one offset at a time, NaN at the margins."""
+    import numpy as np
+
+    from spectral_pairs.numeric import ls_weights
+
+    w = ls_weights(m, half_width, degree, h)
+    out = np.full(len(values), np.nan, dtype=complex)
+    acc = np.zeros(len(values) - 2 * half_width, dtype=complex)
+    for k, wt in enumerate(w):
+        acc += wt * values[k:k + len(acc)]
+    out[half_width:len(values) - half_width] = acc
+    return out
+
+
+def multiplier_values_oracle(spec, z: complex, xs):
+    """p(x) at a numeric z, one grid point and one term at a time."""
+    import numpy as np
+
+    from spectral_pairs.families import coefficient_ring, multiplier_p
+    from spectral_pairs.rings import CharPoly, QuotientRing
+
+    def eval_numeric(poly, values):
+        total = 0j
+        for e, c in poly.terms.items():
+            term = complex(c)
+            for name, k in zip(poly.ring.variables, e):
+                if k:
+                    term *= values[name] ** k
+            total += term
+        return total
+
+    dummy = CharPoly(PolyRing(()), [0, 0, 0, Fraction(1)])
+    p = multiplier_p(spec, QuotientRing(coefficient_ring(spec), dummy).gen)
+    return np.array([
+        sum(eval_numeric(coord, {"x": x}) * z ** zi for zi, coord in enumerate(p.coords))
+        for x in xs
+    ])

@@ -1,12 +1,29 @@
 import math
+import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spectral_pairs.errors import DegenerateSampleError, SpectralPairsError, UnsupportedDegreeError
-from spectral_pairs.families import CUBIC, EXPONENTIAL, FamilySpec, char_poly_z
+from spectral_pairs.errors import (
+    DegenerateSampleError,
+    NotCoveredError,
+    SpectralPairsError,
+    UnsupportedDegreeError,
+)
+from spectral_pairs.families import (
+    CUBIC,
+    EXPONENTIAL,
+    QUARTIC,
+    FamilySpec,
+    char_poly_z,
+    multiplier_p,
+)
 from spectral_pairs.numeric import (
+    MAX_RHS_EVALUATIONS,
+    OVERFLOW_LIMIT,
+    _multiplier_values,
     bessel_change_check,
     eigen_residual,
     fd_derivative,
@@ -18,6 +35,9 @@ from spectral_pairs.numeric import (
     residual_profile,
 )
 from spectral_pairs.rings import CharPoly, PolyRing, rational_roots
+from spectral_pairs.verify import sample_spec
+
+from conftest import fd_derivative_oracle, ls_derivative_oracle, multiplier_values_oracle
 
 EMPTY = PolyRing(())
 
@@ -135,6 +155,90 @@ def test_ls_derivative_exact_on_polynomials():
     assert np.max(np.abs(d2[core] - oracle[core])) < 1e-6
 
 
+def _random_complex(seed: int, n: int) -> np.ndarray:
+    gen = np.random.default_rng(seed)
+    return gen.standard_normal(n) + 1j * gen.standard_normal(n)
+
+
+def _assert_matches_oracle(got, want, w, values):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    core = ~np.isnan(want)
+    # summation order is the only difference: bound it by the sum of |w * values|
+    scale = np.correlate(np.abs(values), np.abs(w), "valid")
+    assert np.all(np.abs(got[core] - want[core]) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("m, half_width", [(1, 2), (2, 3), (4, 5), (3, 8)])
+def test_fd_derivative_matches_per_offset_loop(m, half_width):
+    values, h = _random_complex(m * 100 + half_width, 301), 0.01
+    w = fd_weights(m, np.arange(-half_width, half_width + 1)) / h ** m
+    _assert_matches_oracle(fd_derivative(values, h, m, half_width=half_width),
+                           fd_derivative_oracle(values, h, m, half_width), w, values)
+
+
+@pytest.mark.parametrize("m, half_width, degree", [(1, 20, 12), (2, 60, 12), (4, 150, 14)])
+def test_ls_derivative_matches_per_offset_loop(m, half_width, degree):
+    values, h = _random_complex(m * 1000 + half_width, 401), 0.005
+    w = ls_weights(m, half_width, degree, h)
+    _assert_matches_oracle(ls_derivative(values, h, m, half_width, degree),
+                           ls_derivative_oracle(values, h, m, half_width, degree), w, values)
+
+
+def test_stencils_need_as_many_samples_as_points():
+    values = _random_complex(7, 11)
+    with pytest.raises(ValueError, match="fewer samples"):
+        fd_derivative(values[:10], 0.1, 2, half_width=5)
+    with pytest.raises(ValueError, match="fewer samples"):
+        ls_derivative(values[:3], 0.1, 2, half_width=5, degree=6)
+    # exactly one full stencil: one derivative value, in the middle
+    d = fd_derivative(values, 0.1, 2, half_width=5)
+    assert np.flatnonzero(~np.isnan(d)).tolist() == [5]
+
+
+# -- the multiplier p(x) as floats ------------------------------------------------------
+
+
+def _exact_value(poly, values: dict) -> Fraction:
+    return sum(poly.subs(values).terms.values(), Fraction(0))
+
+
+_MULTIPLIER_CASES = [(CUBIC, 2), (CUBIC, 4), (QUARTIC, 1), (QUARTIC, 2)]
+
+
+@pytest.mark.parametrize("family, g", _MULTIPLIER_CASES)
+def test_multiplier_values_match_exact_evaluation(family, g):
+    rng = random.Random(31 * g + len(family))
+    spec = sample_spec(family, g, rng)
+    xs = [Fraction(k, 7) for k in range(-10, 11, 3)]
+    for z in (Fraction(0), Fraction(-5, 3), Fraction(11, 4)):
+        # a rational z gives p over Q[x] exactly, without the formal z of the code
+        p = multiplier_p(spec, z)
+        got = _multiplier_values(spec, float(z), np.array([float(x) for x in xs]))
+        want = np.array([float(_exact_value(p, {"x": x})) for x in xs])
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("g, eps", [(1, 0), (2, 1)])
+def test_exponential_multiplier_values_match_exact_evaluation(g, eps):
+    spec = FamilySpec(EXPONENTIAL, g, eps=eps, alphas=(0, 1))
+    p = multiplier_p(spec, None)
+    # p is a power of t = e^(x/2): exact at rational t, so sample x = 2 ln t
+    ts = [Fraction(k, 5) for k in range(1, 16, 2)]
+    got = _multiplier_values(spec, 0.5, np.array([2 * math.log(t) for t in ts]))
+    want = np.array([float(_exact_value(p, {"t": t})) for t in ts])
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("family, g", _MULTIPLIER_CASES)
+def test_multiplier_values_match_pointwise_oracle(family, g):
+    spec = sample_spec(family, g, random.Random(5 * g))
+    xs = np.linspace(-1.0, 2.0, 31)
+    for z in numeric_roots(char_poly_z(spec)):
+        want = multiplier_values_oracle(spec, z, xs)
+        got = _multiplier_values(spec, z, xs)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
 # -- eigenvalue roots -----------------------------------------------------------------
 
 
@@ -209,6 +313,17 @@ def test_degenerate_multiplier_detected():
 
 def test_bessel_form_residual_default():
     assert bessel_change_check(0, 1) < 1e-5
+
+
+def test_bessel_form_blow_up_is_not_covered():
+    # a0 = -10^6 makes phi grow like e^(1000 x): it passes the overflow limit
+    with pytest.raises(NotCoveredError, match=re.escape(f"exceeded {OVERFLOW_LIMIT:g}")):
+        bessel_change_check(-1000000, 1)
+
+
+def test_bessel_form_over_a_huge_interval_is_not_covered():
+    with pytest.raises(NotCoveredError, match=f"MAX_RHS_EVALUATIONS = {MAX_RHS_EVALUATIONS}"):
+        bessel_change_check(0, 1, y_interval=(1.0, 1e9))
 
 
 def test_bessel_form_input_validation():

@@ -303,6 +303,8 @@ _RESIDUAL = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "
         (["bessel-check", "--y-interval", "2", "2"], "--y-interval"),
         (["bessel-check", "--tol", "-1e-10"], "--tol"),
         (["bessel-check", "--threshold", "nan"], "--threshold"),
+        # phi grows like e^(1000 x) and passes the overflow limit
+        (["bessel-check", "--a0", "-1000000"], "not covered"),
     ],
 )
 def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
@@ -312,15 +314,20 @@ def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
     assert captured.out == ""
 
 
-def test_cli_residual_over_a_huge_interval_exits_2_quickly():
-    # V = x^3 has no blow-up event on [0, 1e9]: only the evaluation cap ends it
+@pytest.mark.parametrize("argv", [
+    _RESIDUAL + ["--interval", "0", "1e9"],
+    ["bessel-check", "--y-interval", "1", "1e9"],
+], ids=["residual", "bessel-check"])
+def test_cli_residual_over_a_huge_interval_exits_2_quickly(argv):
+    # neither V = x^3 on [0, 1e9] nor e^x up to y = 1e9 has a blow-up event:
+    # only the evaluation cap ends the integration
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "spectral_pairs.cli", *_RESIDUAL, "--interval", "0", "1e9"],
+        [sys.executable, "-m", "spectral_pairs.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2
