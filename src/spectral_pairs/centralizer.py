@@ -11,7 +11,7 @@ L4 has order < n - 1 are exactly sum_k c_k M_k over constants c_k, where M_k
 has m_k = 1, m_j = 0 for j > k and integration constants 0 below k.  The
 remaining coefficients of [L4, M] (orders 0 .. n-2) are linear in the c_k;
 their x-monomials are the rows of a system with N + 1 columns, solved
-exactly by :func:`linalg.nullspace` (modular elimination with an exact
+exactly by :func:`linalg.nullspace` (integer elimination with an exact
 re-check over Q).  Its null space is every commuting operator of order <= N,
 so "not found" proves that no partner of order N exists over Q[x].  The
 partner built from it must still pass the exact check [L4, M] = 0 by direct

@@ -3,11 +3,12 @@
 Exit codes: 0 every requested check passed, 1 a verification failed or no
 commuting partner of the requested order exists, 2 usage or coverage errors
 (parameters outside a family, counts, grid sizes, tolerances, thresholds
-and intervals out of range, a partner order above MAX_PARTNER_ORDER, a
-spectral curve that is not of rank two, and parameters so degenerate that
-no check could run).  Exact rationals cross the boundary as "num/den"
-strings, and negative ones such as -2/3 are read as values, not options;
-JSON reports are deterministic for a fixed seed (elapsed_ms aside).
+and intervals out of range, a grid above MAX_GRID_POINTS, a partner order
+above MAX_PARTNER_ORDER, --samples other than 1 with --alpha, a spectral
+curve that is not of rank two, and parameters so degenerate that no check
+could run).  Exact rationals cross the boundary as "num/den" strings, and
+negative ones such as -2/3 are read as values, not options; JSON reports
+are deterministic for a fixed seed (elapsed_ms aside).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .numeric import (
 )
 from .reports import curve_dict, emit_report, grid_csv
 from .suite import BESSEL_BOUND, RESIDUAL_BOUND, run_suite
-from .verify import DEFAULT_SEED, verify_corollary, verify_eigen_identity
+from .verify import DEFAULT_SEED, sample_spec, verify_corollary, verify_eigen_identity
 
 import json
 
@@ -48,6 +49,9 @@ import json
 # generic cubic 4 1 -2/3 -1 on a shared 2-core machine, and 1-2 s more for
 # its curve.
 MAX_PARTNER_ORDER = 42
+# Grid time and memory are linear: at this size `residual` (cubic g = 2) takes
+# about 3 s and 90 MB on a shared 2-core machine.
+MAX_GRID_POINTS = 100_001
 
 
 def _fraction(text: str) -> Fraction:
@@ -57,13 +61,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
-def _int_at_least(low: int):
-    """Argument type for an integer that must be at least ``low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """Argument type for an integer in [low, high], or at least ``low``."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"not an integer >= {low}: {text!r}")
+        if value < low or (high is not None and value > high):
+            need = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"not an integer {need}: {text!r}")
         return value
 
     parse.__name__ = "integer"
@@ -167,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_family_args(p, require_alpha=True)
     p.add_argument("--interval", type=_finite_float, nargs=2, action=_Interval, default=None)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
-    p.add_argument("--n-points", type=_int_at_least(RESIDUAL_MIN_POINTS), default=1001)
+    p.add_argument("--n-points", type=_int_at_least(RESIDUAL_MIN_POINTS, MAX_GRID_POINTS),
+                   default=1001)
     p.add_argument("--threshold", type=_positive_float, default=RESIDUAL_BOUND)
     p.add_argument("--out", default=None, help="CSV grid output path")
 
@@ -179,7 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
         increasing=True, default=(1.0, 5.0),
     )
     p.add_argument("--tol", type=_positive_float, default=1e-10)
-    p.add_argument("--n-points", type=_int_at_least(BESSEL_MIN_POINTS), default=101)
+    p.add_argument("--n-points", type=_int_at_least(BESSEL_MIN_POINTS, MAX_GRID_POINTS),
+                   default=101)
     p.add_argument("--threshold", type=_positive_float, default=BESSEL_BOUND)
 
     sub.add_parser("suite", help="run every acceptance check")
@@ -227,13 +234,14 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_verify_corollary(args) -> int:
-    from .verify import sample_spec
-
+    if args.alpha is not None and args.samples != 1:
+        print("--samples draws parameters; it takes no --alpha values", file=sys.stderr)
+        return 2
     which = ("l4", "l4g2") if args.which == "both" else (args.which,)
     rng = random.Random(args.seed)
     ok = True
     reports = []
-    for _ in range(args.samples if args.alpha is None else 1):
+    for _ in range(args.samples):
         if args.alpha is None:
             spec = sample_spec(CUBIC, args.g, rng, require_squarefree_chi=True)
         else:

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_pairs import linalg
-from spectral_pairs.centralizer import find_commuting_operator
+from spectral_pairs import centralizer, linalg
+from spectral_pairs.centralizer import commuting_operators, find_commuting_operator
 from spectral_pairs.errors import SpectralPairsError
 from spectral_pairs.families import CUBIC, FamilySpec, make_L4
 
 sympy = pytest.importorskip("sympy")
 
-P61 = (1 << 61) - 1
+P61 = 2**61 - 1
 
 
 def _dense(rows, ncols):
@@ -20,19 +20,6 @@ def _dense(rows, ncols):
 
 def _annihilated(rows, v):
     return all(sum(c * v[k] for k, c in row.items()) == 0 for row in rows)
-
-
-def _counting_primes(monkeypatch):
-    """Patch the per-prime elimination to record the primes it is called with."""
-    seen = []
-    inner = linalg._nullspace_mod
-
-    def spy(int_rows, ncols, p):
-        seen.append(p)
-        return inner(int_rows, ncols, p)
-
-    monkeypatch.setattr(linalg, "_nullspace_mod", spy)
-    return seen
 
 
 def _sympy_rref_basis(rows, ncols):
@@ -99,71 +86,58 @@ def test_basis_is_rref_form():
     ]
 
 
-def test_large_entries_need_crt(monkeypatch):
-    # the null vector is (-b/a, 1) with |b|, a > 2**30: one 61-bit prime
-    # cannot reconstruct -b/a, so residues of several primes are combined
-    a, b = 2**40 + 15, -(3**29)
-    assert a > 2**30 and abs(b) > 2**30
-    seen = _counting_primes(monkeypatch)
-    basis = linalg.nullspace([{0: Fraction(a), 1: Fraction(b)}], 2)
-    assert basis == [[Fraction(-b, a), Fraction(1)]]
-    assert len(seen) == 2 and len(set(seen)) == 2
+def _partner_system(g):
+    """The rows and columns the partner search of the generic cubic solves."""
+    seen = []
+
+    def recording(rows, ncols):
+        seen.append((rows, ncols))
+        return linalg.nullspace(rows, ncols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(centralizer, "nullspace", recording)
+        commuting_operators(make_L4(FamilySpec(CUBIC, g, alphas=(4, 1, Fraction(-2, 3), -1))),
+                            4 * g + 2)
+    (system,) = seen
+    return system
 
 
-def test_crt_with_large_denominators_in_the_rows(monkeypatch):
-    rows = [
+Q = 2305843009213693921  # the largest prime below 2**61 - 1
+
+_SYSTEMS = {
+    # the null vector (-b/a, 1) has |b|, a > 2**30
+    "large-entries": lambda: ([{0: Fraction(2**40 + 15), 1: Fraction(-(3**29))}], 2),
+    "large-denominators": lambda: ([
         {0: Fraction(3**25, 7**14), 1: Fraction(5**20, 11**12), 2: Fraction(1)},
         {1: Fraction(2**45 + 1), 2: Fraction(-(13**11), 17)},
-    ]
-    seen = _counting_primes(monkeypatch)
-    (v,) = linalg.nullspace(rows, 3)
-    assert v[2] == 1 and _annihilated(rows, v)
-    assert max(abs(q.numerator) for q in v) > 2**30
-    assert len(seen) >= 2
+    ], 3),
+    # entries that vanish modulo a 61-bit prime
+    "row-multiple-of-a-prime": lambda: ([{0: Fraction(P61), 1: Fraction(P61)},
+                                         {1: Fraction(1), 2: Fraction(1)}], 3),
+    "answer-over-p61": lambda: ([{0: Fraction(P61), 1: Fraction(1)}], 2),
+    "answer-over-q": lambda: ([{0: Fraction(Q), 1: Fraction(1)}], 2),
+    "two-primes": lambda: ([{0: Fraction(P61), 1: Fraction(Q)},
+                            {1: Fraction(Q, P61), 2: Fraction(-1)}], 3),
+    "one-row": lambda: ([{0: Fraction(1), 1: Fraction(1)}], 2),
+    "partner-generic-cubic-g2": lambda: _partner_system(2),
+    "partner-generic-cubic-g4": lambda: _partner_system(4),
+}
 
 
-def test_unlucky_first_prime_is_dropped(monkeypatch):
-    # row 0 vanishes modulo 2**61 - 1, so that prime misses pivot column 0 and
-    # its basis fails the exact check; the next prime has the earlier pivot
-    # set and restarts the combination
-    rows = [{0: Fraction(P61), 1: Fraction(P61)}, {1: Fraction(1), 2: Fraction(1)}]
-    seen = _counting_primes(monkeypatch)
-    assert linalg.nullspace(rows, 3) == [[Fraction(1), Fraction(-1), Fraction(1)]]
-    assert seen[0] == P61 and len(seen) == 2
+@pytest.mark.parametrize("name", list(_SYSTEMS))
+def test_nullspace_matches_sympy_rref(name):
+    rows, ncols = _SYSTEMS[name]()
+    before = [dict(row) for row in rows]
+    basis = linalg.nullspace(rows, ncols)
+    assert basis == _sympy_rref_basis(rows, ncols)
+    assert all(_annihilated(rows, v) for v in basis)
+    assert rows == before
 
 
-def test_unlucky_prime_with_large_answer(monkeypatch):
-    # the answer -1/P61 needs three lucky primes after the unlucky first one
-    seen = _counting_primes(monkeypatch)
-    basis = linalg.nullspace([{0: Fraction(P61), 1: Fraction(1)}], 2)
-    assert basis == [[Fraction(-1, P61), Fraction(1)]]
-    assert seen == [linalg._prime(i) for i in range(4)]
-
-
-def test_unlucky_later_prime_is_dropped(monkeypatch):
-    # the first prime is lucky but cannot reconstruct -1/q on its own; the
-    # second prime q misses pivot column 0 and must not enter the combination
-    q = linalg._prime(1)
-    seen = _counting_primes(monkeypatch)
-    basis = linalg.nullspace([{0: Fraction(q), 1: Fraction(1)}], 2)
-    assert basis == [[Fraction(-1, q), Fraction(1)]]
-    assert seen == [linalg._prime(i) for i in range(4)]
-
-
-def test_prime_list_is_descending_and_prime():
-    primes = [linalg._prime(i) for i in range(5)]
-    assert primes[0] == P61
-    assert primes == sorted(primes, reverse=True)
-    assert all(p > 2**60 for p in primes)
-    assert all(sympy.isprime(p) for p in primes)
-    assert linalg._is_prime(2) and not linalg._is_prime(1)
-    assert not linalg._is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
-
-
-def test_exceeding_the_prime_budget_raises(monkeypatch):
-    # a basis that can never pass the exact check must end in an error
+def test_failing_exact_check_raises(monkeypatch):
+    # a basis that does not pass the exact re-check is never returned
     monkeypatch.setattr(linalg, "_annihilates", lambda int_rows, v: False)
-    with pytest.raises(SpectralPairsError, match="bound of"):
+    with pytest.raises(SpectralPairsError, match="exact check"):
         linalg.nullspace([{0: Fraction(1), 1: Fraction(1)}], 2)
 
 

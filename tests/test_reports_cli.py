@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from fractions import Fraction
 
@@ -290,12 +291,14 @@ _RESIDUAL = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "
         (_RESIDUAL + ["--tol", "nan"], "--tol"),
         (_RESIDUAL + ["--n-points", "0"], "--n-points"),
         (_RESIDUAL + ["--n-points", "52"], "--n-points"),
+        (_RESIDUAL + ["--n-points", str(cli.MAX_GRID_POINTS + 1)], "--n-points"),
         (_RESIDUAL + ["--interval", "1", "1"], "--interval"),
         (_RESIDUAL + ["--interval", "0", "nan"], "--interval"),
         (_RESIDUAL + ["--interval", "0", "inf"], "--interval"),
         (_RESIDUAL + ["--threshold", "nan"], "--threshold"),
         (_RESIDUAL + ["--threshold", "0"], "--threshold"),
         (["bessel-check", "--n-points", "2"], "--n-points"),
+        (["bessel-check", "--n-points", str(cli.MAX_GRID_POINTS + 1)], "--n-points"),
         (["bessel-check", "--a1", "0"], "--a1"),
         (["bessel-check", "--a1", "-1/2"], "--a1"),
         (["bessel-check", "--y-interval", "0", "5"], "--y-interval"),
@@ -334,6 +337,17 @@ def test_cli_residual_over_a_huge_interval_exits_2_quickly(argv):
     assert "not covered" in proc.stderr
     assert f"MAX_RHS_EVALUATIONS = {MAX_RHS_EVALUATIONS}" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [_RESIDUAL, ["bessel-check"]], ids=["residual", "bessel-check"])
+def test_cli_grid_above_the_cap_exits_2_quickly(capsys, argv):
+    # a grid of 10^9 points would not fit in memory; it is refused unallocated
+    start = time.perf_counter()
+    assert run_command(argv + ["--n-points", str(10**9)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "--n-points" in capsys.readouterr().err
+    args = cli._build_parser().parse_args(argv + ["--n-points", str(cli.MAX_GRID_POINTS)])
+    assert args.n_points == cli.MAX_GRID_POINTS
 
 
 @pytest.mark.parametrize("argv, verdict", [
@@ -437,6 +451,9 @@ def test_cli_partner_order_is_bounded(capsys, monkeypatch, command, size, search
           "--alpha", "0", "0", "0", "1", "--degree-bound", "1"], "--degree-bound"),
         (["verify-corollary", "--g", "2", "--samples", "0"], "--samples"),
         (["verify-corollary", "--g", "2", "--samples", "-2"], "--samples"),
+        # one check of the given parameters would run, not three
+        (["verify-corollary", "--g", "2", "--alpha", "1", "2", "3", "4",
+          "--samples", "3"], "--samples"),
     ],
 )
 def test_cli_out_of_range_counts_exit_2(capsys, argv, message):
