@@ -18,18 +18,10 @@ partner built from it must still pass the exact check [L4, M] = 0 by direct
 commutator expansion.  :func:`build_ansatz_system` keeps the older
 degree-bounded ansatz as an independent formulation of the same space.
 
-Every dense polynomial in one variable that the module forms (the m_i and
-their derivatives, the coefficients of [L4, M], the Taylor data of the kernel
-basis and the action-matrix entries) is one pair (d, [n_0, n_1, ...]) for
-sum n_e x^e / d, in normal form: d > 0, no trailing zero, and gcd(d, n_0,
-n_1, ...) = 1, so zero is (1, []) and equal polynomials have equal pairs.
-A sum of products c p q is one Python-int sum over the lcm of the products'
-denominators, and each integral of the back-substitution takes the one
-denominator n d lcm(1 .. deg + 1); the common factor is cancelled once per
-result (:func:`_sum_products`, :func:`_partial_solution`).  Fractions are
-formed only where values leave the module: the rows given to
-:func:`linalg.nullspace`, the coefficients of the partners, the series of
-the kernel basis and the entries of the action matrix.
+The back-substitution is ring code over Q[x], one kernel sum per
+coefficient of [L4, M]; the integer pairs of :mod:`rings.multipoly` are
+read directly only by the integral (:func:`_partial_solution`) and for the
+entries of the action matrix.
 
 The spectral curve comes from the action of M on a formal power-series basis
 psi_0 .. psi_3 of ker(L4 - z): the characteristic polynomial det(w I - A(z))
@@ -52,9 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm
+from math import comb, factorial, lcm, perm
 
-from .curves import SpectralCurve, charpoly_w, squarefree_normalize
+from .curves import SpectralCurve, _powers, charpoly_w, squarefree_normalize
 from .errors import (
     CommutingOperatorNotFound,
     NotCoveredError,
@@ -62,7 +54,7 @@ from .errors import (
     TruncationError,
 )
 from .linalg import nullspace
-from .operators import DiffOp, PowerSeries
+from .operators import DiffOp, PowerSeries, _derivative_table
 from .rings import PolyRing
 
 @dataclass
@@ -113,100 +105,37 @@ def gauge_normalize(m: DiffOp, l4: DiffOp, g: int) -> DiffOp:
     commuting polynomials in L4 of lower order.  Powers of order >= order M
     are left alone: subtracting them could cancel M's leading term.
     """
+    pows = []
     for k in range(g, -1, -1):
         c = m.coeff(4 * k).constant_term()
         if c and 4 * k < m.order:
-            m = m - (l4 ** k).scale(m.ring.const(c))
+            pows = pows or _powers(l4, k)  # k falls, so the first list is long enough
+            m = m - pows[k].scale(c)
     return m
 
 
-def _normal(den: int, nums: list) -> tuple:
-    """The normal form of the polynomial sum nums[e] x^e / den, den > 0.
+def _commutator_coeff(ring, da: list, m: list, r: int, lo: int):
+    """D^r coefficient of [L, sum_{j >= lo} m_j D^j], one kernel sum in ``ring``.
 
-    Trailing zeros are dropped and the common factor of ``den`` and the
-    numerators is divided out, so the zero polynomial is (1, []).
-    """
-    while nums and not nums[-1]:
-        nums.pop()
-    if not nums:
-        return 1, []
-    g = gcd(den, *nums)
-    if g > 1:
-        return den // g, [c // g for c in nums]
-    return den, nums
-
-
-def _const(q) -> tuple:
-    """The normal form of a rational constant (an int or a Fraction)."""
-    return (q.denominator, [q.numerator]) if q else (1, [])
-
-
-def _dense(poly) -> tuple:
-    """The normal form of a one-variable polynomial over Q.
-
-    MultiPoly clears its denominators to their lcm, which leaves no common
-    factor with the numerators.
-    """
-    den, ints = poly._cleared()
-    nums = [0] * (max((e for (e,) in ints), default=-1) + 1)
-    for (e,), c in ints.items():
-        nums[e] = c
-    return den, nums
-
-
-def _derivatives(p: tuple, count: int) -> list:
-    """[p, p', ..., p^(count)] of a polynomial in normal form."""
-    out = [p]
-    for _ in range(count):
-        den, nums = p
-        p = _normal(den, [c * e for e, c in enumerate(nums)][1:])
-        out.append(p)
-    return out
-
-
-def _sum_products(triples) -> tuple:
-    """The normal form of sum c p q over (int c, p, q) in normal form.
-
-    Each product is scaled to the lcm of the products' denominators, so the
-    loop multiplies and adds Python ints; the common factor is cancelled once
-    at the end.
-    """
-    parts = [(c, dp * dq, np, nq) for c, (dp, np), (dq, nq) in triples if c and np and nq]
-    den = lcm(*(d for _, d, _, _ in parts))
-    acc = [0] * max((len(np) + len(nq) - 1 for _, _, np, nq in parts), default=0)
-    for c, d, np, nq in parts:
-        if len(np) > len(nq):
-            np, nq = nq, np
-        scale = c * (den // d)
-        for s, a in enumerate(np):
-            if a:
-                a *= scale
-                for t, b in enumerate(nq, s):
-                    acc[t] += a * b
-    return _normal(den, acc)
-
-
-def _commutator_coeff(a: list, m: list, r: int, lo: int) -> tuple:
-    """D^r coefficient of [L, sum_{j >= lo} m_j D^j], in normal form.
-
-    ``a[k]`` and ``m[j]`` list the derivatives of L's and M's coefficients.
+    ``da[l][k]`` is the l-th derivative of L's coefficient a_k, and ``m[j]``
+    lists the derivatives of m_j.
     By Leibniz, [L, M] = sum (C(k, l) a_k m_j^(l) - C(j, l) m_j a_k^(l))
     D^(k+j-l) over k, j and l >= 1; the l = 0 terms cancel.
     """
     triples = []
     for j in range(lo, len(m)):
-        for k, ak in enumerate(a):
+        for k, ak in enumerate(da[0]):
             l = k + j - r
             if l < 1:
                 continue
             if l <= k:
-                triples.append((comb(k, l), ak[0], m[j][l]))
-            if l <= j and l < len(ak):
-                triples.append((-comb(j, l), m[j][0], ak[l]))
-    return _sum_products(triples)
+                triples.append((comb(k, l), ak, m[j][l]))
+            if l <= j and l < len(da):
+                triples.append((-comb(j, l), m[j][0], da[l][k]))
+    return ring.sum_products(triples)
 
 
-def _partial_solution(a: list, k: int) -> list:
+def _partial_solution(ring, da: list, k: int) -> list:
     """Derivative lists of m_0 .. m_k for M_k (see the module docstring).
 
     m_k = 1, and going down, m_i = -(1/n) * integral of F_i with constant
@@ -214,14 +143,14 @@ def _partial_solution(a: list, k: int) -> list:
     With F_i = sum f_e x^e / d, the integral is taken over the one common
     denominator n d lcm(1 .. deg F_i + 1).
     """
-    n = len(a) - 1
+    n = len(da[0]) - 1
     m = [None] * (k + 1)
-    m[k] = _derivatives((1, [1]), n)
+    m[k] = [row[0] for row in _derivative_table([ring.one], n)]
     for i in range(k - 1, -1, -1):
-        d, f = _commutator_coeff(a, m, i + n - 1, i + 1)
+        d, f = _commutator_coeff(ring, da, m, i + n - 1, i + 1).dense()
         big = lcm(*range(1, len(f) + 1))
         integral = [0] + [-c * (big // (e + 1)) for e, c in enumerate(f)]
-        m[i] = _derivatives(_normal(n * d * big, integral), n)
+        m[i] = [row[0] for row in _derivative_table([ring.from_dense(n * d * big, integral)], n)]
     return m
 
 
@@ -240,27 +169,18 @@ def commuting_operators(l4: DiffOp, order: int) -> list:
     if not l4.is_monic() or l4.order < 1:
         raise SpectralPairsError("L4 must be monic of positive order")
     n = l4.order
-    a = [_dense(c) for c in l4.coeffs]
-    a = [_derivatives(p, len(p[1])) for p in a]
-    partials = [_partial_solution(a, k) for k in range(order + 1)]
+    da = _derivative_table(l4.coeffs, 1 + max(c.degree_in("x") for c in l4.coeffs))
+    partials = [_partial_solution(ring, da, k) for k in range(order + 1)]
     constraints: dict = {}  # (order, x power) -> sparse row over the c_k
     for k, mk in enumerate(partials):
         for r in range(n - 1):
-            d, f = _commutator_coeff(a, mk, r, 0)
-            for e, c in enumerate(f):
-                if c:
-                    constraints.setdefault((r, e), {})[k] = Fraction(c, d)
+            for (e,), c in _commutator_coeff(ring, da, mk, r, 0).terms.items():
+                constraints.setdefault((r, e), {})[k] = c
     rows = [r for _, r in sorted(constraints.items())]
-    space = []
-    for vec in nullspace(rows, order + 1):
-        coeffs = []
-        for i in range(len(vec)):
-            d, f = _sum_products(
-                (1, _const(vec[k]), partials[k][i][0]) for k in range(i, len(vec))
-            )
-            coeffs.append(ring.from_terms({(e,): Fraction(c, d) for e, c in enumerate(f)}))
-        space.append(DiffOp(ring, coeffs))
-    return space
+    return [DiffOp(ring, [ring.sum_products((1, ring.const(c), partials[k][i][0])
+                                            for k, c in enumerate(vec) if k >= i)
+                          for i in range(len(vec))])
+            for vec in nullspace(rows, order + 1)]
 
 
 def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
@@ -324,21 +244,18 @@ def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
         raise SpectralPairsError("expected a monic operator of order 4")
     if truncation < 8:
         raise TruncationError("truncation must be at least 8")
-    lower = [(i, s, _const(q)) for (i, s), q in _x_terms(l4).items() if (i, s) != (4, 0)]
-    z = (1, [0, 1])
     zring = PolyRing(("z",))
+    lower = [(i, s, zring.const(q)) for (i, s), q in _x_terms(l4).items() if (i, s) != (4, 0)]
+    z = zring.var("z")
     basis = []
     for j in range(4):
         # d[k]: the k-th derivative of psi_j at 0, a polynomial in z
-        d = [(1, [1]) if k == j else (1, []) for k in range(4)]
+        d = [zring.one if k == j else zring.zero for k in range(4)]
         for m in range(truncation - 3):
-            d.append(_sum_products([(1, z, d[m])] + [
+            d.append(zring.sum_products([(1, z, d[m])] + [
                 (-perm(m, s), q, d[m - s + i]) for i, s, q in lower if m >= s
             ]))
-        basis.append(PowerSeries(zring, [
-            zring.from_terms({(e,): Fraction(c, den * factorial(k)) for e, c in enumerate(nums)})
-            for k, (den, nums) in enumerate(d)
-        ]))
+        basis.append(PowerSeries(zring, [c * Fraction(1, factorial(k)) for k, c in enumerate(d)]))
     return basis
 
 
@@ -356,19 +273,15 @@ def action_matrix(m: DiffOp, basis: list) -> list:
     """
     if basis[0].trunc - m.order < 3:
         raise TruncationError("basis truncation too small for this operator")
-    terms = {key: _const(a) for key, a in _x_terms(m).items()}
+    zring = basis[0].ring
+    terms = {key: zring.const(a) for key, a in _x_terms(m).items()}
     matrix = [[None] * 4 for _ in range(4)]
     for j, psi in enumerate(basis):
-        c = {}  # the c_n that the formula reads, as polynomials in z
         for k in range(4):
-            triples = []
-            for (i, s), a in terms.items():
-                if s <= k:
-                    n = k - s + i
-                    if n not in c:
-                        c[n] = _dense(psi.coeffs[n])
-                    triples.append((factorial(k) * perm(n, i), a, c[n]))
-            den, nums = _sum_products(triples)
+            den, nums = zring.sum_products(
+                (factorial(k) * perm(k - s + i, i), a, psi.coeffs[k - s + i])
+                for (i, s), a in terms.items() if s <= k
+            ).dense()
             matrix[k][j] = [Fraction(e, den) for e in nums]
     return matrix
 
@@ -401,7 +314,8 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
         raise NotCoveredError(f"not a rank-two curve: w-degree {curve.w_degree()}")
     b = curve.w_slice(1)
     if any(b):
-        m = sum(((l4 ** k).scale(l4.ring.const(c / 2)) for k, c in enumerate(b) if c), m)
+        pows = _powers(l4, len(b) - 1)
+        m = sum((pows[k].scale(c / 2) for k, c in enumerate(b) if c), m)
         # w^2 + b w + c  ->  w^2 + c - (b/2)^2
         zw = curve.ring
         half_b = zw.from_terms({(k, 0): c / 2 for k, c in enumerate(b)})

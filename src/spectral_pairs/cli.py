@@ -5,10 +5,11 @@ commuting partner of the requested order exists, 2 usage or coverage errors
 (parameters outside a family, counts, grid sizes, tolerances, thresholds
 and intervals out of range, a grid above MAX_GRID_POINTS, a partner order
 above MAX_PARTNER_ORDER, --samples other than 1 with --alpha, a spectral
-curve that is not of rank two, and parameters so degenerate that no check
-could run).  Exact rationals cross the boundary as "num/den" strings, and
-negative ones such as -2/3 are read as values, not options; JSON reports
-are deterministic for a fixed seed (elapsed_ms aside).
+curve that is not of rank two, parameters so degenerate that no check
+could run, and an --out path that cannot be written).  Exact rationals
+cross the boundary as "num/den" strings, and negative ones such as -2/3
+are read as values, not options; JSON reports are deterministic for a
+fixed seed (elapsed_ms aside).
 """
 
 from __future__ import annotations
@@ -341,7 +342,10 @@ def run_command(argv=None) -> int:
     except CommutingOperatorNotFound as exc:
         print(f"no partner: {exc}", file=sys.stderr)
         return 1
-    except (SpectralPairsError, ValueError, OSError) as exc:
+    except OSError as exc:
+        print(f"cannot write the output: {exc}", file=sys.stderr)
+        return 2
+    except (SpectralPairsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,8 +8,8 @@ derivative).  Composition uses the closed Leibniz form
 so A*B aggregates per output order instead of shuffling single terms: the
 triples (C(i, k), a_i, b_j^(k)) that land on D^m go to one call of the
 coefficient ring's kernel ``ring.sum_products``, which returns sum c*a*b
-exactly.  Over a polynomial ring the kernel works on integer numerators
-keyed by exponent tuple and builds one Fraction per output term; over
+exactly.  Over a polynomial ring the kernel works on integer numerators,
+one dense list in one variable and keyed by exponent tuple otherwise; over
 Base[z]/(chi) it sums coordinate products by z-power and reduces mod chi
 once per output coefficient; over a fraction field it sums c*a*b plainly.
 The commutator [A, B] takes the same route without forming A*B and B*A: their

@@ -1,17 +1,24 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Multivariate polynomials over exact rationals.
 
-Terms are stored as a dict mapping exponent vectors (tuples, one entry per
-ring variable) to nonzero Fraction coefficients, so equality is structural.
-Variables declared "laurent" may carry negative exponents; all others are
-ordinary polynomial variables.  The derivation differentiates the variable
-named ``x`` and treats every other variable as a constant, except that a
-variable named ``t`` stands for exp(x/2), so D(t^k) = (k/2) t^k.
+Terms map exponent vectors (tuples, one entry per ring variable) to nonzero
+Fraction coefficients, so equality is structural.  Variables declared
+"laurent" may carry negative exponents; all others are ordinary polynomial
+variables.  The derivation differentiates the variable named ``x`` and
+treats every other variable as a constant, except that a variable named
+``t`` stands for exp(x/2), so D(t^k) = (k/2) t^k.
+
+In a ring with one ordinary variable (Q[x], and the Q[z] of the kernel
+basis) arithmetic works on one pair (d, [n_0, n_1, ...]) per element, for
+sum n_e x^e / d in normal form: d > 0, no trailing zero and gcd(d, n_0,
+n_1, ...) = 1, so zero is (1, []) and equal polynomials have equal pairs.
+Terms are built from the pair, in ascending exponent order, when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from operator import add
 
 from ..errors import RingMismatchError
@@ -42,6 +49,29 @@ def power(base, n: int, one):
     return result
 
 
+def _dense_sum_products(triples) -> tuple:
+    """(den, nums) for sum c p q over (int c, p, q) in one ordinary variable.
+
+    Each product is scaled to the lcm of the products' denominators, so the
+    loop multiplies and adds Python ints.
+    """
+    parts = []
+    for c, p, q in triples:
+        (dp, np), (dq, nq) = p._ints or p._cleared(), q._ints or q._cleared()
+        if c and np and nq:
+            parts.append((c, dp * dq, np, nq) if len(np) <= len(nq) else (c, dp * dq, nq, np))
+    den = lcm(*[d for _, d, _, _ in parts])
+    acc = [0] * max([len(np) + len(nq) - 1 for _, _, np, nq in parts], default=0)
+    for c, d, np, nq in parts:
+        scale = c * (den // d)
+        for s, a in enumerate(np):
+            if a:
+                a *= scale
+                for t, b in enumerate(nq, s):
+                    acc[t] += a * b
+    return den, acc
+
+
 class PolyRing:
     """A polynomial (optionally partly Laurent) ring over ℚ with the derivation D."""
 
@@ -53,6 +83,8 @@ class PolyRing:
         self._zero_exp = (0,) * len(self.variables)
         self._x = self._index(DERIVATION_VAR)
         self._t = self._index(EXP_HALF_VAR)
+        # one ordinary variable: arithmetic on the normal-form pair
+        self._dense = len(self.variables) == 1 and not self.laurent
         self.zero = MultiPoly(self, {})
         self.one = MultiPoly(self, {self._zero_exp: Fraction(1)})
 
@@ -91,6 +123,20 @@ class PolyRing:
         clean = {e: _as_fraction(c) for e, c in terms.items() if c != 0}
         return MultiPoly(self, clean)
 
+    def from_dense(self, den: int, nums) -> "MultiPoly":
+        """sum nums[e] v^e / den (den > 0) in normal form, v the one ordinary
+        variable; the list ``nums`` is taken over."""
+        if not self._dense:
+            raise ValueError(f"not a ring in one ordinary variable: {self}")
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g > 1:
+            den, nums = den // g, [c // g for c in nums]
+        p = object.__new__(MultiPoly)
+        p.ring, p._terms, p._ints = self, None, (den, nums)
+        return p
+
     def sum_products(self, triples) -> "MultiPoly":
         """Sum of c*a*b over (int c, MultiPoly a, MultiPoly b) triples, exactly.
 
@@ -100,6 +146,8 @@ class PolyRing:
         multiplies and adds Python ints keyed by exponent tuple: one Fraction
         is built per output term, not one per term pair.
         """
+        if self._dense:
+            return self.from_dense(*_dense_sum_products(triples))
         parts = []
         den = 1
         for c, a, b in triples:
@@ -124,23 +172,40 @@ class PolyRing:
 
 
 class MultiPoly:
-    """Element of a :class:`PolyRing`.  Immutable after construction."""
+    """Element of a :class:`PolyRing`.  Immutable after construction.
 
-    __slots__ = ("ring", "terms", "_ints")
+    It holds its Fraction ``terms``, its integer form (:meth:`_cleared`) or
+    both, each built from the other on first use.  In one ordinary variable
+    arithmetic works on the integer form, so terms are built only when read.
+    """
+
+    __slots__ = ("ring", "_terms", "_ints")
 
     def __init__(self, ring: PolyRing, terms: dict):
-        self.ring = ring
-        self.terms = terms
-        self._ints = None
+        self.ring, self._terms, self._ints = ring, terms, None
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: nonzero Fraction}."""
+        if self._terms is None:
+            den, nums = self._ints
+            self._terms = {(e,): Fraction(c, den) for e, c in enumerate(nums) if c}
+        return self._terms
+
+    def dense(self) -> tuple:
+        """The pair (d, [n_0, n_1, ...]) in one ordinary variable; do not change it."""
+        return self._cleared()
 
     def _cleared(self):
-        """(d, {exponent: int}) with self = {exponent: int} / d, d the lcm."""
+        """(d, ints) with self = ints / d, d the lcm of the denominators: in one
+        variable a list, and the normal-form pair, as the Fractions are reduced."""
         if self._ints is None:
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            self._ints = (
-                den,
-                {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()},
-            )
+            terms = self._terms
+            den = lcm(*[c.denominator for c in terms.values()])
+            ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+            if self.ring._dense:
+                ints = [ints.get((e,), 0) for e in range(max(terms)[0] + 1)] if terms else []
+            self._ints = den, ints
         return self._ints
 
     # -- basic ring operations -------------------------------------------
@@ -158,6 +223,14 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.ring._dense:
+            (da, na), (db, nb) = self._cleared(), other._cleared()
+            if not (na and nb):
+                return other if nb else self
+            d = lcm(da, db)
+            sa, sb = d // da, d // db
+            return self.ring.from_dense(d, [a * sa + b * sb
+                                            for a, b in zip_longest(na, nb, fillvalue=0)])
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, 0) + c
@@ -170,6 +243,8 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.ring._dense:
+            return self.ring.sum_products(((-1, self, self.ring.one),))
         return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -182,14 +257,16 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
-                raise RingMismatchError(f"{other.ring} != {self.ring}")
-        elif isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)):
             if not other:
-                return MultiPoly(self.ring, {})
+                return self.ring.zero
+            if self.ring._dense:
+                den, nums = self._cleared()
+                return self.ring.from_dense(den * other.denominator,
+                                            [c * other.numerator for c in nums])
             return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
-        else:
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.ring.sum_products(((1, self, other),))
 
@@ -209,13 +286,16 @@ class MultiPoly:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._ints[1] if self._terms is None else self._terms)
 
     # -- derivation -------------------------------------------------------
 
     def derive(self) -> "MultiPoly":
         """D = d/dx + (t/2) d/dt; every other variable is a constant."""
         ix, it = self.ring._x, self.ring._t
+        if self.ring._dense and ix is not None:
+            den, nums = self._cleared()
+            return self.ring.from_dense(den, [c * e for e, c in enumerate(nums)][1:])
         parts = []
         for e, c in self.terms.items():
             if ix is not None and e[ix]:

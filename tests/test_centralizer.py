@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, gcd
 
 import pytest
@@ -33,7 +34,7 @@ from spectral_pairs.families import (
     make_schrodinger,
 )
 from spectral_pairs.linalg import nullspace
-from spectral_pairs.operators import DiffOp, PowerSeries
+from spectral_pairs.operators import DiffOp, PowerSeries, _derivative_table
 from spectral_pairs.rings import PolyRing
 from spectral_pairs.verify import sample_spec
 
@@ -251,16 +252,17 @@ def _is_normal(p) -> bool:
 
 
 def test_normal_form_of_zero_and_of_scaled_numerators():
-    assert centralizer._dense(XRING.zero) == (1, [])
-    assert centralizer._const(0) == (1, [])
-    assert centralizer._normal(6, [0, 0]) == (1, [])
-    assert centralizer._sum_products([]) == (1, [])
-    assert centralizer._sum_products([(3, (2, [1]), (1, []))]) == (1, [])
-    assert centralizer._normal(6, [4, 0, -2, 0]) == (3, [2, 0, -1])
-    assert centralizer._dense(XRING.from_terms({(0,): Fraction(1, 2), (2,): Fraction(-2, 3)})) \
+    assert XRING.zero.dense() == (1, [])
+    assert XRING.const(0).dense() == (1, [])
+    assert XRING.from_dense(6, [0, 0]).dense() == (1, [])
+    assert XRING.sum_products([]).dense() == (1, [])
+    assert XRING.sum_products([(3, XRING.from_dense(2, [1]), XRING.zero)]).dense() == (1, [])
+    assert XRING.from_dense(6, [4, 0, -2, 0]).dense() == (3, [2, 0, -1])
+    assert XRING.from_terms({(0,): Fraction(1, 2), (2,): Fraction(-2, 3)}).dense() \
         == (6, [3, 0, -4])
-    assert centralizer._derivatives((2, [0, 0, 1]), 3) == [(2, [0, 0, 1]), (1, [0, 1]),
-                                                           (1, [1]), (1, [])]
+    p = XRING.from_dense(2, [0, 0, 1])
+    assert [q.dense() for q in accumulate(range(3), lambda q, _: q.derive(), initial=p)] \
+        == [(2, [0, 0, 1]), (1, [0, 1]), (1, [1]), (1, [])]
 
 
 @settings(max_examples=30, deadline=None)
@@ -281,12 +283,12 @@ def test_back_substitution_matches_the_fraction_oracle(lower, order):
     assert [[list(r.items()) for r in rs] for rs in seen] == [[list(r.items()) for r in rows]]
     assert got == space and repr(got) == repr(space)
 
-    a = [centralizer._dense(c) for c in l4.coeffs]
-    a = [centralizer._derivatives(p, len(p[1])) for p in a]
+    da = _derivative_table(l4.coeffs, 1 + max(c.degree_in("x") for c in l4.coeffs))
     for k in range(order + 1):
-        mk = centralizer._partial_solution(a, k)
-        assert all(_is_normal(p) for mj in mk for p in mj)
-        assert [[[Fraction(c, d) for c in nums] for d, nums in mj] for mj in mk] == partials[k]
+        mk = centralizer._partial_solution(XRING, da, k)
+        assert all(_is_normal(p.dense()) for mj in mk for p in mj)
+        assert [[[Fraction(c, d) for c in nums] for d, nums in (p.dense() for p in mj)]
+                for mj in mk] == partials[k]
 
 
 @settings(max_examples=25, deadline=None)

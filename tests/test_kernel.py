@@ -180,8 +180,13 @@ def test_multipoly_product_matches_schoolbook_loop(case, data):
     p, q = data.draw(elems), data.draw(elems)
     got, expected = p * q, multipoly_product_oracle(p, q)
     assert got == expected
-    # term order is part of the result: float evaluations sum in this order
-    assert list(got.terms) == list(expected.terms)
+    # term order is part of the result: float evaluations sum in this order,
+    # ascending exponents in one variable (terms built from the integer
+    # pair) and the schoolbook order of the sparse loop otherwise
+    if case == "x":
+        assert list(got.terms) == sorted(expected.terms)
+    else:
+        assert list(got.terms) == list(expected.terms)
     assert all(isinstance(c, Fraction) for c in got.terms.values())
 
 
@@ -192,6 +197,81 @@ def test_quotient_product_matches_schoolbook_loop(case, data):
     ring, elems = CASES[case]
     a, b = data.draw(elems), data.draw(elems)
     assert a * b == quotient_product_oracle(a, b)
+
+
+QZ = PolyRing(("z",))
+
+
+def _wide_poly(ring, bits):
+    """Up to five terms of degree <= 6, numerators and denominators of ``bits`` bits."""
+    coeff = st.builds(Fraction, st.integers(-(2 ** bits), 2 ** bits), st.integers(1, 2 ** bits))
+    exps = st.integers(0, 6).map(lambda e: (e,))
+    return st.dictionaries(exps, coeff, max_size=5).map(ring.from_terms)
+
+
+def _termwise_product(p, q) -> dict:
+    """{exponent: Fraction} of p*q, one Fraction product per term pair."""
+    acc: dict = {}
+    for (e1,), c1 in p.terms.items():
+        for (e2,), c2 in q.terms.items():
+            acc[(e1 + e2,)] = acc.get((e1 + e2,), 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+_ONE_VARIABLE = pytest.mark.parametrize("ring", [QX, QZ], ids=["x", "z"])
+_BITS = pytest.mark.parametrize("bits", [90, 1000])
+
+
+@_ONE_VARIABLE
+@_BITS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_variable_kernel_matches_per_term_oracles(ring, bits, data):
+    elems = _wide_poly(ring, bits)
+    p, q = data.draw(elems), data.draw(elems)
+    got, want = p * q, multipoly_product_oracle(p, q)
+    assert got == want and got.terms == want.terms
+    triples = data.draw(st.lists(st.tuples(st.integers(-20, 20), elems, elems), max_size=4))
+    acc: dict = {}
+    for c, a, b in triples:
+        for e, v in ring_product_oracle(a, b).terms.items():
+            acc[e] = acc.get(e, 0) + c * v
+    assert ring.sum_products(triples).terms == {e: v for e, v in acc.items() if v}
+    chi = CharPoly(PolyRing(()), [Fraction(2 ** bits + 1, 3), Fraction(-5, 2 ** bits), 1])
+    qring = QuotientRing(QX, chi)
+    a, b = (QuotientExt(qring, data.draw(st.lists(_wide_poly(QX, bits), min_size=2,
+                                                  max_size=2))) for _ in range(2))
+    assert a * b == ring_product_oracle(a, b)
+
+
+@_ONE_VARIABLE
+@_BITS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_variable_derive_matches_termwise_derivative(ring, bits, data):
+    # D differentiates x; z is a constant of the derivation
+    p = data.draw(_wide_poly(ring, bits))
+    want = {(e - 1,): c * e for (e,), c in p.terms.items() if e} if ring is QX else {}
+    got = p.derive()
+    assert got.terms == want
+    assert got == ring.from_terms(want)
+
+
+@_ONE_VARIABLE
+@_BITS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_element_is_the_from_terms_element(ring, bits, data):
+    """A product's terms, built from its integer pair on first read, are
+    those of the element ``from_terms`` builds from the same rationals."""
+    elems = _wide_poly(ring, bits)
+    p, q = data.draw(elems), data.draw(elems)
+    terms = _termwise_product(p, q)
+    got, want = p * q, ring.from_terms(terms)
+    assert hash(got) == hash(want)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert got.terms == terms and list(got.terms) == sorted(terms)
 
 
 def test_compose_over_fraction_field_matches_oracle():

@@ -164,6 +164,16 @@ def test_cli_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_cli_unwritable_out_exits_2(capsys, tmp_path):
+    # a path that cannot be written is a usage error, not a failed verification
+    missing = tmp_path / "missing" / "x.json"
+    code = run_command(["verify-theorem", "--family", "cubic", "--g", "2",
+                        "--out", str(missing)])
+    assert code == 2
+    assert "cannot write the output" in capsys.readouterr().err
+    assert not missing.parent.exists()
+
+
 def test_cli_spectral_curve_first_instance(capsys):
     code = run_command(
         ["spectral-curve", "--family", "cubic", "--g", "1",

@@ -64,6 +64,25 @@ def test_only_the_rings_package_imports_the_fraction_field():
     assert found == []
 
 
+def test_only_the_rings_package_reads_the_integer_form_of_polynomials():
+    # how MultiPoly stores integers (the one-variable pair, the cleared
+    # numerators, the lazily built terms) is the rings package's decision
+    private = {"_cleared", "_ints", "_terms"}
+
+    def reads(path):
+        return [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if (isinstance(node, ast.Attribute) and node.attr in private)
+            or (isinstance(node, ast.Constant) and node.value in private)
+        ]
+
+    rings = SRC / "rings"
+    assert reads(rings / "multipoly.py")
+    assert [f for path in sorted(SRC.rglob("*.py")) if rings not in path.parents
+            for f in reads(path)] == []
+
+
 _STARTUP = """
 import sys
 import spectral_pairs, spectral_pairs.cli
