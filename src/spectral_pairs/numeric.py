@@ -9,22 +9,24 @@ operator is then applied by central finite differences only; reusing the
 symbolic reduction here would prove nothing, so the discretization is the
 whole point.
 
-Finite-difference weights come from Fornberg's recurrence.  Differencing
-interpolated data amplifies the interpolation error like 1/h^m, so the
-residual check uses wide least-squares stencils: minimum-norm weights exact on
-polynomials through a fixed degree (>= 12, hence at least 8th-order accurate)
-spread over hundreds of grid points, which averages the dense-output noise
-down while the polynomial-exactness constraints keep the truncation bias
-small.  Narrow Fornberg stencils remain available for convergence studies
-where truncation should dominate.  Both kinds of weights are applied by the
-same sliding correlation.
+Finite-difference weights come from Fornberg's recurrence (Math. Comp.
+1988).  Differencing interpolated data amplifies the interpolation error like
+1/h^m, so the residual check uses wide least-squares stencils: minimum-norm
+weights exact on polynomials through a fixed degree (>= 12, hence at least
+8th-order accurate) spread over hundreds of grid points, which averages the
+dense-output noise down while the polynomial-exactness constraints keep the
+truncation bias small.  Every derivative order of one stencil shares its
+Vandermonde matrix, so the weights of all orders come from one least-squares
+solve with one right-hand-side column per order.  Narrow Fornberg stencils
+remain available for convergence studies where truncation should dominate.
+Both kinds of weights are applied by the same sliding correlation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import factorial
+from math import exp, factorial
 
 import numpy as np
 
@@ -117,24 +119,39 @@ def fd_derivative(values: np.ndarray, h: float, m: int,
     return _apply_stencil(values, fd_weights(m, offsets) / h ** m)
 
 
-def ls_weights(m: int, half_width: int, degree: int, h: float) -> np.ndarray:
-    """Minimum-norm weights for the m-th derivative, exact through ``degree``.
+def ls_weight_table(max_order: int, half_width: int, degree: int,
+                    h: float) -> np.ndarray:
+    """Least-squares stencil weights for derivative orders 0..``max_order``.
 
-    The weights live on offsets -half_width..half_width at spacing ``h`` and
-    reproduce the m-th derivative of every polynomial of degree <= ``degree``
-    exactly; among all such stencils the Euclidean-smallest one is returned,
-    which minimizes the amplification of uncorrelated sample noise.
+    Column m holds the weights on offsets -half_width..half_width at spacing
+    ``h`` that reproduce the m-th derivative at 0 of every polynomial of
+    degree <= ``degree`` exactly; among all such stencils it is the
+    Euclidean-smallest one, which minimizes the amplification of
+    uncorrelated sample noise.  All orders share one Vandermonde matrix, so
+    the table is one least-squares solve with a right-hand side per order.
     """
-    if degree < m:
+    if degree < max_order:
         raise ValueError("degree must be at least the derivative order")
     if 2 * half_width < degree:
         raise ValueError("stencil too narrow for the requested degree")
     j = np.arange(-half_width, half_width + 1)
     vander = np.vander(j * h, degree + 1, increasing=True).T
-    rhs = np.zeros(degree + 1)
-    rhs[m] = float(factorial(m))
-    w, *_ = np.linalg.lstsq(vander, rhs, rcond=None)
-    return w
+    rhs = np.zeros((degree + 1, max_order + 1))
+    for m in range(max_order + 1):
+        rhs[m, m] = float(factorial(m))
+    table, *_ = np.linalg.lstsq(vander, rhs, rcond=None)
+    return table
+
+
+def ls_weights(m: int, half_width: int, degree: int, h: float) -> np.ndarray:
+    """Minimum-norm weights for the m-th derivative, exact through ``degree``.
+
+    Column m of :func:`ls_weight_table`: the weights on offsets
+    -half_width..half_width at spacing ``h`` that reproduce the m-th
+    derivative of every polynomial of degree <= ``degree`` exactly, the
+    Euclidean-smallest such stencil.
+    """
+    return ls_weight_table(m, half_width, degree, h)[:, m]
 
 
 def ls_derivative(values: np.ndarray, h: float, m: int, half_width: int,
@@ -146,18 +163,40 @@ def ls_derivative(values: np.ndarray, h: float, m: int, half_width: int,
     return _apply_stencil(values, ls_weights(m, half_width, degree, h))
 
 
-def _potential_callable(spec: FamilySpec, shifted: bool):
-    """V(x) as a float callable, from the exact operator construction."""
-    l2 = make_schrodinger(spec, shifted=shifted)
-    return _coeff_callable(l2.coeffs[0])
-
-
-def _coeff_callable(coeff):
-    """Sum of c x^i e^(kx/2) over the terms c x^i t^k of ``coeff``."""
+def _coeff_terms(coeff) -> list:
+    """(float c, i, k) for each term c x^i t^k of ``coeff``, t = e^(x/2)."""
     terms = []
     for e, c in coeff.terms.items():
         powers = dict(zip(coeff.ring.variables, e))
         terms.append((float(c), powers.get("x", 0), powers.get("t", 0)))
+    return terms
+
+
+def _potential_callable(spec: FamilySpec, shifted: bool):
+    """V(x) at one float x, from the exact operator construction.
+
+    The integrator evaluates it once per right-hand-side call, so it works on
+    Python floats; :func:`_coeff_callable` is the array form of the same sum.
+    """
+    terms = _coeff_terms(make_schrodinger(spec, shifted=shifted).coeffs[0])
+
+    def v(x: float) -> float:
+        total = 0.0
+        for c, i, k in terms:
+            term = c
+            if i:
+                term *= x ** i
+            if k:
+                term *= exp(0.5 * k * x)
+            total += term
+        return total
+
+    return v
+
+
+def _coeff_callable(coeff):
+    """Sum of c x^i e^(kx/2) over the terms c x^i t^k of ``coeff``, on arrays."""
+    terms = _coeff_terms(coeff)
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -176,6 +215,8 @@ def _coeff_callable(coeff):
 
 def _integrate(v, interval, init, tol: float):
     """Dense RK45 solution of phi'' = -v(x) phi, and where it ends.
+
+    ``v`` takes and returns one float (see :func:`_potential_callable`).
 
     The solution stops early, at the returned end, where |phi| or |phi'|
     passes :data:`OVERFLOW_LIMIT`.  An integration that needs more than
@@ -260,19 +301,21 @@ _RESIDUAL_STENCILS = ((450, 12), (550, 14))
 RESIDUAL_MIN_POINTS = 41 + min(degree for _, degree in _RESIDUAL_STENCILS)
 
 
-def _defect_profile(spec: FamilySpec, z_root, psi, grid, half_width, degree):
-    """|L4 psi - z psi| pointwise, NaN where the stencil does not fit."""
-    l4 = make_L4(spec)
-    n = len(grid.x)
+def _defect_profile(l4_values, z_root, psi, h, half_width, degree):
+    """|L4 psi - z psi| pointwise, NaN where the stencil does not fit.
+
+    ``l4_values[m]`` is L4's coefficient of D^m on the grid, or None where it
+    is zero.
+    """
+    weights = ls_weight_table(len(l4_values) - 1, half_width, degree, h)
+    n = len(psi)
     core = slice(half_width, n - half_width)
     acc = np.zeros(core.stop - core.start, dtype=complex)
-    for m, coeff in enumerate(l4.coeffs):
-        fn = _coeff_callable(coeff)
-        if m == 0:
-            acc += fn(grid.x[core]) * psi[core]
-        else:
-            d = ls_derivative(psi, grid.h, m, half_width, degree)
-            acc += fn(grid.x[core]) * d[core]
+    for m, values in enumerate(l4_values):
+        if values is None:
+            continue
+        d = psi if m == 0 else _apply_stencil(psi, weights[:, m])
+        acc += values[core] * d[core]
     acc -= z_root * psi[core]
     out = np.full(n, np.nan)
     out[core] = np.abs(acc)
@@ -285,16 +328,21 @@ def _stencil_profiles(spec: FamilySpec, z_root, grid: GridFunction):
     if scale < 1e-280:
         raise DegenerateSampleError("psi is numerically zero on this grid")
     n = len(grid.x)
-    profiles = []
+    stencils = []
     for cap, degree in _RESIDUAL_STENCILS:
         half_width = min(cap, (n - 41) // 2)
-        if 2 * half_width < degree:
-            continue
-        profiles.append(
-            _defect_profile(spec, z_root, psi, grid, half_width, degree) / scale
-        )
-    if not profiles:
+        if 2 * half_width >= degree:
+            stencils.append((half_width, degree))
+    if not stencils:
         raise ValueError("grid too small for the residual stencils")
+    l4_values = [
+        None if coeff.is_zero() else _coeff_callable(coeff)(grid.x)
+        for coeff in make_L4(spec).coeffs
+    ]
+    profiles = [
+        _defect_profile(l4_values, z_root, psi, grid.h, half_width, degree) / scale
+        for half_width, degree in stencils
+    ]
     return psi, profiles
 
 

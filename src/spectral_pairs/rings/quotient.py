@@ -113,8 +113,9 @@ class QuotientRing:
     def sum_products(self, triples) -> "QuotientExt":
         """Sum of c*a*b over (int c, QuotientExt a, QuotientExt b) triples.
 
-        Coordinate products are bucketed by z-power, each bucket is summed by
-        the base ring's kernel, and the result is reduced mod chi once.
+        Coordinate products are bucketed by z-power, each nonempty bucket is
+        summed by the base ring's kernel, and the result is reduced mod chi
+        once.
         """
         buckets = [[] for _ in range(2 * self.degree - 1)]
         for c, a, b in triples:
@@ -124,7 +125,9 @@ class QuotientRing:
                 for j, bj in enumerate(b.coords):
                     if not bj.is_zero():
                         buckets[i + j].append((c, ai, bj))
-        return self.from_z_coeffs([self.base.sum_products(bk) for bk in buckets])
+        return self.from_z_coeffs([
+            self.base.sum_products(bk) if bk else self.base.zero for bk in buckets
+        ])
 
     def from_z_coeffs(self, coeffs) -> "QuotientExt":
         """Reduce an arbitrary-degree z-coefficient list into the quotient."""

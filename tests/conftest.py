@@ -296,6 +296,20 @@ def fd_derivative_oracle(values, h: float, m: int, half_width: int = 5):
     return out
 
 
+def ls_weights_oracle(m: int, half_width: int, degree: int, h: float):
+    """Minimum-norm m-th derivative weights by one least-squares solve per order."""
+    from math import factorial
+
+    import numpy as np
+
+    j = np.arange(-half_width, half_width + 1)
+    vander = np.vander(j * h, degree + 1, increasing=True).T
+    rhs = np.zeros(degree + 1)
+    rhs[m] = float(factorial(m))
+    w, *_ = np.linalg.lstsq(vander, rhs, rcond=None)
+    return w
+
+
 def ls_derivative_oracle(values, h: float, m: int, half_width: int, degree: int):
     """Least-squares stencil applied one offset at a time, NaN at the margins."""
     import numpy as np

@@ -172,6 +172,25 @@ def test_sum_products_matches_termwise_sum(case, data):
     assert ring.sum_products(triples) == expected
 
 
+def test_quotient_sum_products_skips_empty_z_buckets(monkeypatch):
+    qring = QuotientRing(QX, CharPoly(PolyRing(()), [0, 0, 0, 1]))  # Q[x][z]/(z^3)
+    x = QX.from_terms({(1,): Fraction(1)})
+    a = QuotientExt(qring, (x, QX.zero, QX.zero))
+    b = QuotientExt(qring, (QX.zero, QX.zero, x + 1))
+    expected = qring.zero + times_int(ring_product_oracle(a, b), 3)
+    sizes = []
+    kernel = PolyRing.sum_products
+
+    def counting(self, triples):
+        sizes.append(len(triples))
+        return kernel(self, triples)
+
+    monkeypatch.setattr(PolyRing, "sum_products", counting)
+    # only the z^2 bucket of the five has a product in it
+    assert qring.sum_products([(3, a, b)]) == expected
+    assert sizes == [1]
+
+
 @pytest.mark.parametrize("case", ["x", "params", "laurent"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

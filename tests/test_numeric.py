@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spectral_pairs import numeric
 from spectral_pairs.errors import (
     DegenerateSampleError,
     NotCoveredError,
@@ -18,18 +19,22 @@ from spectral_pairs.families import (
     QUARTIC,
     FamilySpec,
     char_poly_z,
+    make_schrodinger,
     multiplier_p,
 )
 from spectral_pairs.numeric import (
     MAX_RHS_EVALUATIONS,
     OVERFLOW_LIMIT,
+    _coeff_callable,
     _multiplier_values,
+    _potential_callable,
     bessel_change_check,
     eigen_residual,
     fd_derivative,
     fd_weights,
     integrate_kernel,
     ls_derivative,
+    ls_weight_table,
     ls_weights,
     numeric_roots,
     residual_profile,
@@ -37,7 +42,12 @@ from spectral_pairs.numeric import (
 from spectral_pairs.rings import CharPoly, PolyRing, rational_roots
 from spectral_pairs.verify import sample_spec
 
-from conftest import fd_derivative_oracle, ls_derivative_oracle, multiplier_values_oracle
+from conftest import (
+    fd_derivative_oracle,
+    ls_derivative_oracle,
+    ls_weights_oracle,
+    multiplier_values_oracle,
+)
 
 EMPTY = PolyRing(())
 
@@ -102,6 +112,39 @@ def test_integration_input_validation():
         integrate_kernel(FamilySpec(CUBIC, 2), shifted=False)
 
 
+_POTENTIAL_CASES = [
+    (FamilySpec(CUBIC, 2, alphas=(4, 1, Fraction(-2, 3), -1)), False),
+    (FamilySpec(CUBIC, 2, alphas=(4, 1, Fraction(-2, 3), -1)), True),
+    (FamilySpec(QUARTIC, 2, alphas=(Fraction(1, 3), 2, 3, 2, 1)), False),
+    (FamilySpec(QUARTIC, 2, alphas=(Fraction(1, 3), 2, 3, 2, 1)), True),
+    (FamilySpec(EXPONENTIAL, 1, alphas=(Fraction(-3, 2), 1)), False),
+    (FamilySpec(EXPONENTIAL, 1, alphas=(Fraction(-3, 2), 1)), True),
+    (FamilySpec(EXPONENTIAL, 2, eps=1, alphas=(0, Fraction(2, 7))), True),
+]
+
+
+@pytest.mark.parametrize("spec, shifted", _POTENTIAL_CASES)
+def test_float_potential_matches_array_evaluation(spec, shifted):
+    coeff = make_schrodinger(spec, shifted=shifted).coeffs[0]
+    v = _potential_callable(spec, shifted)
+    xs = np.linspace(-1.5, 2.5, 17)
+    want = _coeff_callable(coeff)(xs)
+    for x, w in zip(xs, want):
+        got = v(float(x))
+        assert isinstance(got, float)
+        assert abs(got - w) <= 1e-14 * _term_magnitudes(coeff, x)
+
+
+def _term_magnitudes(coeff, x: float) -> float:
+    """Sum of |c| |x|^i e^(kx/2) over the terms c x^i t^k of ``coeff``."""
+    total = 0.0
+    for e, c in coeff.terms.items():
+        powers = dict(zip(coeff.ring.variables, e))
+        total += (abs(float(c)) * abs(x) ** powers.get("x", 0)
+                  * math.exp(powers.get("t", 0) * x / 2))
+    return total
+
+
 # -- finite-difference stencils -------------------------------------------------------
 
 
@@ -143,6 +186,19 @@ def test_ls_weights_validation():
         ls_weights(4, 10, 3, 0.01)  # degree below the derivative order
     with pytest.raises(ValueError):
         ls_weights(2, 2, 6, 0.01)  # window too narrow for the degree
+
+
+@pytest.mark.parametrize("half_width,degree,h", [
+    (450, 12, 1e-3), (480, 14, 1e-3), (550, 14, 1e-3), (60, 12, 0.01),
+])
+def test_ls_weight_table_matches_one_solve_per_order(half_width, degree, h):
+    table = ls_weight_table(4, half_width, degree, h)
+    assert table.shape == (2 * half_width + 1, 5)
+    for m in range(5):
+        want = ls_weights_oracle(m, half_width, degree, h)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(table[:, m] - want)) <= 1e-10 * scale
+        assert np.max(np.abs(ls_weights(m, half_width, degree, h) - want)) <= 1e-10 * scale
 
 
 def test_ls_derivative_exact_on_polynomials():
@@ -299,6 +355,25 @@ def test_residual_profile_shape(x3_grid):
     assert np.isnan(profile[0]) and np.isnan(profile[-1])
     # pointwise minimum of the stencil profiles: small wherever defined
     assert np.nanmax(profile) < 1e-6
+
+
+@pytest.mark.parametrize("check", [eigen_residual, residual_profile])
+def test_one_least_squares_solve_per_stencil(x3_grid, check, monkeypatch):
+    spec, grid = x3_grid
+    calls = {"lstsq": 0, "make_L4": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(numeric, "make_L4", counting("make_L4", numeric.make_L4))
+    check(spec, 0.0, grid)
+    # both stencils fit the 1001-point grid; every derivative order of a
+    # stencil comes from its one solve
+    assert calls == {"lstsq": len(numeric._RESIDUAL_STENCILS), "make_L4": 1}
 
 
 def test_degenerate_multiplier_detected():
