@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import exp, factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -163,40 +163,18 @@ def ls_derivative(values: np.ndarray, h: float, m: int, half_width: int,
     return _apply_stencil(values, ls_weights(m, half_width, degree, h))
 
 
-def _coeff_terms(coeff) -> list:
-    """(float c, i, k) for each term c x^i t^k of ``coeff``, t = e^(x/2)."""
+def _potential_callable(spec: FamilySpec, shifted: bool):
+    """V(x) as a float callable, from the exact operator construction."""
+    l2 = make_schrodinger(spec, shifted=shifted)
+    return _coeff_callable(l2.coeffs[0])
+
+
+def _coeff_callable(coeff):
+    """Sum of c x^i e^(kx/2) over the terms c x^i t^k of ``coeff``."""
     terms = []
     for e, c in coeff.terms.items():
         powers = dict(zip(coeff.ring.variables, e))
         terms.append((float(c), powers.get("x", 0), powers.get("t", 0)))
-    return terms
-
-
-def _potential_callable(spec: FamilySpec, shifted: bool):
-    """V(x) at one float x, from the exact operator construction.
-
-    The integrator evaluates it once per right-hand-side call, so it works on
-    Python floats; :func:`_coeff_callable` is the array form of the same sum.
-    """
-    terms = _coeff_terms(make_schrodinger(spec, shifted=shifted).coeffs[0])
-
-    def v(x: float) -> float:
-        total = 0.0
-        for c, i, k in terms:
-            term = c
-            if i:
-                term *= x ** i
-            if k:
-                term *= exp(0.5 * k * x)
-            total += term
-        return total
-
-    return v
-
-
-def _coeff_callable(coeff):
-    """Sum of c x^i e^(kx/2) over the terms c x^i t^k of ``coeff``, on arrays."""
-    terms = _coeff_terms(coeff)
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -216,12 +194,10 @@ def _coeff_callable(coeff):
 def _integrate(v, interval, init, tol: float):
     """Dense RK45 solution of phi'' = -v(x) phi, and where it ends.
 
-    ``v`` takes and returns one float (see :func:`_potential_callable`).
-
     The solution stops early, at the returned end, where |phi| or |phi'|
     passes :data:`OVERFLOW_LIMIT`.  An integration that needs more than
-    :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations raises
-    :class:`NotCoveredError`.
+    :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations, or meets an x
+    where V(x) overflows a float, raises :class:`NotCoveredError`.
     """
     a, b = interval
     evaluations = 0
@@ -235,7 +211,13 @@ def _integrate(v, interval, init, tol: float):
                 f"MAX_RHS_EVALUATIONS = {MAX_RHS_EVALUATIONS} right-hand-side "
                 "evaluations; choose a shorter interval"
             )
-        return [y[1], -v(x) * y[0]]
+        vx = v(x)
+        if not isfinite(vx):
+            raise NotCoveredError(
+                f"V(x) overflows a float at x = {x:g}; choose an interval "
+                "where it stays finite"
+            )
+        return [y[1], -vx * y[0]]
 
     def blow_up(x, y):
         return max(abs(y[0]), abs(y[1])) - OVERFLOW_LIMIT
@@ -245,16 +227,18 @@ def _integrate(v, interval, init, tol: float):
     # the numeric commands use it
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(
-        rhs,
-        (a, b),
-        [float(init[0]), float(init[1])],
-        method="RK45",
-        rtol=tol,
-        atol=tol,
-        dense_output=True,
-        events=blow_up,
-    )
+    # an overflowing V is reported by rhs, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (a, b),
+            [float(init[0]), float(init[1])],
+            method="RK45",
+            rtol=tol,
+            atol=tol,
+            dense_output=True,
+            events=blow_up,
+        )
     end = float(sol.t_events[0][0]) if sol.t_events[0].size else b
     return sol.sol, end
 
@@ -271,8 +255,8 @@ def integrate_kernel(
 
     Blow-up past the overflow limit truncates the interval; the partial grid
     is returned with a diagnostic in ``meta``.  An integration that needs
-    more than :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations raises
-    :class:`NotCoveredError`.
+    more than :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations, or
+    where V(x) overflows a float, raises :class:`NotCoveredError`.
     """
     if spec.symbolic:
         raise SpectralPairsError("numeric integration needs rational parameters")

@@ -19,15 +19,12 @@ from spectral_pairs.families import (
     QUARTIC,
     FamilySpec,
     char_poly_z,
-    make_schrodinger,
     multiplier_p,
 )
 from spectral_pairs.numeric import (
     MAX_RHS_EVALUATIONS,
     OVERFLOW_LIMIT,
-    _coeff_callable,
     _multiplier_values,
-    _potential_callable,
     bessel_change_check,
     eigen_residual,
     fd_derivative,
@@ -110,39 +107,6 @@ def test_integration_input_validation():
         integrate_kernel(spec, shifted=False, tol=0.0)
     with pytest.raises(SpectralPairsError):
         integrate_kernel(FamilySpec(CUBIC, 2), shifted=False)
-
-
-_POTENTIAL_CASES = [
-    (FamilySpec(CUBIC, 2, alphas=(4, 1, Fraction(-2, 3), -1)), False),
-    (FamilySpec(CUBIC, 2, alphas=(4, 1, Fraction(-2, 3), -1)), True),
-    (FamilySpec(QUARTIC, 2, alphas=(Fraction(1, 3), 2, 3, 2, 1)), False),
-    (FamilySpec(QUARTIC, 2, alphas=(Fraction(1, 3), 2, 3, 2, 1)), True),
-    (FamilySpec(EXPONENTIAL, 1, alphas=(Fraction(-3, 2), 1)), False),
-    (FamilySpec(EXPONENTIAL, 1, alphas=(Fraction(-3, 2), 1)), True),
-    (FamilySpec(EXPONENTIAL, 2, eps=1, alphas=(0, Fraction(2, 7))), True),
-]
-
-
-@pytest.mark.parametrize("spec, shifted", _POTENTIAL_CASES)
-def test_float_potential_matches_array_evaluation(spec, shifted):
-    coeff = make_schrodinger(spec, shifted=shifted).coeffs[0]
-    v = _potential_callable(spec, shifted)
-    xs = np.linspace(-1.5, 2.5, 17)
-    want = _coeff_callable(coeff)(xs)
-    for x, w in zip(xs, want):
-        got = v(float(x))
-        assert isinstance(got, float)
-        assert abs(got - w) <= 1e-14 * _term_magnitudes(coeff, x)
-
-
-def _term_magnitudes(coeff, x: float) -> float:
-    """Sum of |c| |x|^i e^(kx/2) over the terms c x^i t^k of ``coeff``."""
-    total = 0.0
-    for e, c in coeff.terms.items():
-        powers = dict(zip(coeff.ring.variables, e))
-        total += (abs(float(c)) * abs(x) ** powers.get("x", 0)
-                  * math.exp(powers.get("t", 0) * x / 2))
-    return total
 
 
 # -- finite-difference stencils -------------------------------------------------------

@@ -318,6 +318,10 @@ _RESIDUAL = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "
         (["bessel-check", "--threshold", "nan"], "--threshold"),
         # phi grows like e^(1000 x) and passes the overflow limit
         (["bessel-check", "--a0", "-1000000"], "not covered"),
+        # V itself overflows a float at the first right-hand-side call
+        (["residual", "--family", "exponential", "--g", "1", "--alpha", "0", "1",
+          "--interval", "1000", "1001"], "not covered"),
+        (_RESIDUAL + ["--interval", "1e103", "2e103"], "not covered"),
     ],
 )
 def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
