@@ -55,7 +55,7 @@ from .numeric import (
     numeric_roots,
     residual_profile,
 )
-from .operators import DiffOp, PowerSeries
+from .operators import DiffOp
 from .rings import (
     CharPoly,
     MultiPoly,

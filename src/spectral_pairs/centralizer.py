@@ -23,28 +23,28 @@ coefficient of [L4, M]; the integer pairs of :mod:`rings.multipoly` are
 read directly only by the integral (:func:`_partial_solution`) and for the
 entries of the action matrix.
 
-The spectral curve comes from the action of M on a formal power-series basis
-psi_0 .. psi_3 of ker(L4 - z): the characteristic polynomial det(w I - A(z))
-is F^l for the irreducible relation F of the pair, and the curve is F, its
-exact monic l-th root (:func:`curves.squarefree_normalize`).  The basis is
-built from its Taylor data d_k = k! c_k at x = 0, which obey a recurrence
-over Q[z] with no factorial denominators (:func:`series_kernel_basis`).
-The action matrix holds the first four Taylor data of M psi_j, and only
-those are formed: A[k][j] = k! sum_(i, s <= k) a_(i,s) c_(k-s+i)
-(k-s+i)!/(k-s)! over the terms a_(i,s) x^s D^i of M, which reads psi_j up
-to x^(ord M + 3) (:func:`action_matrix`).  So one basis at truncation
-max(8, ord M + 3) gives the curve: the recurrence is prefix-closed (d_(m+4)
-is fixed by d_0 .. d_(m+3)), so a longer basis cut to that length is the
-same basis and gives the same matrix.  Completing the square needs no
-second curve either: M + b(L4)/2 acts on ker(L4 - z) as A + b(z)/2 I, so
-the curve w^2 + b w + c of M becomes R(z, w - b/2) = w^2 + c - b^2/4.
+The spectral curve comes from the action of M on a formal basis psi_0 ..
+psi_3 of ker(L4 - z): the characteristic polynomial det(w I - A(z)) is F^l
+for the irreducible relation F of the pair, and the curve is F, its exact
+monic l-th root (:func:`curves.squarefree_normalize`).  The basis is held as
+its Taylor data d_k = psi_j^(k)(0) over Q[z], which obey a recurrence with
+no factorial denominators (:func:`series_kernel_basis`).  The action matrix
+holds the first four Taylor data of M psi_j, and only those are formed:
+A[k][j] = sum_(i, s <= k) a_(i,s) k!/(k-s)! d_(k-s+i) over the terms
+a_(i,s) x^s D^i of M, which reads d up to d_(ord M + 3)
+(:func:`action_matrix`).  So one basis at truncation max(8, ord M + 3) gives
+the curve: the recurrence is prefix-closed (d_(m+4) is fixed by d_0 ..
+d_(m+3)), so a longer basis cut to that length is the same basis and gives
+the same matrix.  Completing the square needs no second curve either:
+M + b(L4)/2 acts on ker(L4 - z) as A + b(z)/2 I, so the curve
+w^2 + b w + c of M becomes R(z, w - b/2) = w^2 + c - b^2/4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, lcm, perm
 
 from .curves import SpectralCurve, _powers, charpoly_w, squarefree_normalize
 from .errors import (
@@ -54,7 +54,7 @@ from .errors import (
     TruncationError,
 )
 from .linalg import nullspace
-from .operators import DiffOp, PowerSeries, _derivative_table
+from .operators import DiffOp, _derivative_table
 from .rings import PolyRing
 
 @dataclass
@@ -229,16 +229,17 @@ def _x_terms(op: DiffOp) -> dict:
 
 
 def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
-    """Four series psi_j = x^j/j! + O(x^4) spanning ker(L4 - z), over Q[z].
+    """Taylor data of four solutions psi_0 .. psi_3 of (L4 - z) psi = 0.
 
+    Returns four lists d of length ``truncation + 1`` over Q[z], with d[k]
+    the k-th derivative of psi_j at 0, so d[k] = [k == j] for k < 4.
     ``l4`` must be monic of order 4 with Q[x] coefficients; x = 0 is then an
-    ordinary point.  With L4 = sum q_(i,s) x^s D^i, the coefficient of x^m
-    in (L4 - z) psi, times m!, gives a recurrence for the Taylor data
-    d_k = k! c_k of psi = sum c_k x^k that has no factorial denominators:
+    ordinary point.  With L4 = sum q_(i,s) x^s D^i, the m-th derivative of
+    (L4 - z) psi at 0 gives a recurrence with no factorial denominators:
 
         d_(m+4) = z d_m - sum_((i,s) != (4,0)) q_(i,s) m!/(m-s)! d_(m-s+i),
 
-    over m >= s, starting from d_k = [k == j] for k < 4.
+    over m >= s.
     """
     if l4.order != 4 or not l4.is_monic():
         raise SpectralPairsError("expected a monic operator of order 4")
@@ -249,13 +250,12 @@ def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
     z = zring.var("z")
     basis = []
     for j in range(4):
-        # d[k]: the k-th derivative of psi_j at 0, a polynomial in z
         d = [zring.one if k == j else zring.zero for k in range(4)]
         for m in range(truncation - 3):
             d.append(zring.sum_products([(1, z, d[m])] + [
                 (-perm(m, s), q, d[m - s + i]) for i, s, q in lower if m >= s
             ]))
-        basis.append(PowerSeries(zring, [c * Fraction(1, factorial(k)) for k, c in enumerate(d)]))
+        basis.append(d)
     return basis
 
 
@@ -264,23 +264,22 @@ def action_matrix(m: DiffOp, basis: list) -> list:
 
     Column j holds the Taylor data (k-th derivative at 0, k < 4) of M psi_j,
     which are exactly its coordinates in the basis.  With M = sum a_(i,s)
-    x^s D^i and psi_j = sum c_n x^n, only these four coefficients are formed:
+    x^s D^i and d the Taylor data of psi_j, only these four are formed:
 
-        A[k][j] = k! sum_i sum_(s <= k) a_(i,s) c_(k-s+i) (k-s+i)!/(k-s)!,
+        A[k][j] = sum_i sum_(s <= k) a_(i,s) k!/(k-s)! d_(k-s+i),
 
-    which reads psi_j up to x^(ord M + 3).  Entries are dense z-coefficient
+    which reads d up to d_(ord M + 3).  Entries are dense z-coefficient
     lists of Fractions, lowest power first.
     """
-    if basis[0].trunc - m.order < 3:
+    if len(basis[0]) - 1 - m.order < 3:
         raise TruncationError("basis truncation too small for this operator")
-    zring = basis[0].ring
+    zring = basis[0][0].ring
     terms = {key: zring.const(a) for key, a in _x_terms(m).items()}
     matrix = [[None] * 4 for _ in range(4)]
-    for j, psi in enumerate(basis):
+    for j, d in enumerate(basis):
         for k in range(4):
             den, nums = zring.sum_products(
-                (factorial(k) * perm(k - s + i, i), a, psi.coeffs[k - s + i])
-                for (i, s), a in terms.items() if s <= k
+                (perm(k, s), a, d[k - s + i]) for (i, s), a in terms.items() if s <= k
             ).dense()
             matrix[k][j] = [Fraction(e, den) for e in nums]
     return matrix

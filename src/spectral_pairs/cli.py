@@ -46,9 +46,9 @@ from .verify import DEFAULT_SEED, sample_spec, verify_corollary, verify_eigen_id
 
 import json
 
-# The partner search takes about order^3 time: at 42 (g = 10), 5-8 s for the
-# generic cubic 4 1 -2/3 -1 on a shared 2-core machine, and 1-2 s more for
-# its curve.
+# At 42 (g = 10), `spectral-curve` on the generic cubic 4 1 -2/3 -1 takes
+# about 5 s on a shared 2-core Xeon: 0.3-0.4 s for the partner search, 0.1 s
+# for its curve and about 4 s for the exact check R(L4, M) = 0.
 MAX_PARTNER_ORDER = 42
 # Grid time and memory are linear: at this size `residual` (cubic g = 2) takes
 # about 3 s and 90 MB on a shared 2-core machine.
@@ -295,8 +295,8 @@ def _cmd_residual(args) -> int:
     worst = 0.0
     for z in roots:
         worst = max(worst, eigen_residual(spec, z, grid))
-    psi, profile = residual_profile(spec, roots[0], grid)
     if args.out:
+        psi, profile = residual_profile(spec, roots[0], grid)
         _write(grid_csv(grid, psi=psi, residual=profile), args.out)
     print(f"max residual over {len(roots)} root(s): {worst:.3e}")
     return 0 if worst < args.threshold else 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import NonMonicError, RingMismatchError, TruncationError
+from .errors import NonMonicError, RingMismatchError
 from .rings.multipoly import power
 
 NEG_INF = float("-inf")
@@ -186,7 +186,7 @@ class DiffOp:
         p_inv = p.inverse()
         return (self * DiffOp.mult(p)).scale(p_inv)
 
-    # -- action on series ----------------------------------------------------
+    # -- action on functions -------------------------------------------------
 
     def apply_to_poly(self, f):
         """Act on a ring element by repeated derivation (oracle-grade path)."""
@@ -195,31 +195,6 @@ class DiffOp:
             out = out + a * f
             f = f.derive()
         return out
-
-    def apply_to_series(self, f: "PowerSeries", x_split) -> "PowerSeries":
-        """Act on a truncated series.
-
-        ``x_split(coeff)`` expands an operator coefficient as a list of
-        (x-power, series-ring element) pairs.  Output truncation drops by the
-        operator order, per the contract.
-        """
-        n = self.order
-        if self.is_zero():
-            return PowerSeries(f.ring, [f.ring.zero] * (f.trunc + 1))
-        if f.trunc < n:
-            raise TruncationError(f"series truncation {f.trunc} < order {n}")
-        out_trunc = f.trunc - n
-        out = [f.ring.zero] * (out_trunc + 1)
-        deriv = f
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for s, c in x_split(a):
-                    for k, fc in enumerate(deriv.coeffs):
-                        m = k + s
-                        if m <= out_trunc:
-                            out[m] = out[m] + c * fc
-            deriv = deriv.derive()
-        return PowerSeries(f.ring, out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -259,65 +234,4 @@ def _leibniz(groups, sign: int, a, i: int, db, first: int = 0) -> None:
         for j, b in enumerate(db[k]):
             if not b.is_zero():
                 groups[i + j - k].append((c, a, b))
-
-
-class PowerSeries:
-    """Truncated formal series sum c_k x^k + O(x^(trunc+1)) over a ring."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def trunc(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int):
-        return self.coeffs[k]
-
-    def __add__(self, other):
-        if other.ring != self.ring:
-            raise RingMismatchError("series over different rings")
-        n = min(len(self.coeffs), len(other.coeffs))
-        return PowerSeries(
-            self.ring, [self.coeffs[k] + other.coeffs[k] for k in range(n)]
-        )
-
-    def __sub__(self, other):
-        if other.ring != self.ring:
-            raise RingMismatchError("series over different rings")
-        n = min(len(self.coeffs), len(other.coeffs))
-        return PowerSeries(
-            self.ring, [self.coeffs[k] - other.coeffs[k] for k in range(n)]
-        )
-
-    def scale(self, c) -> "PowerSeries":
-        return PowerSeries(self.ring, [c * a for a in self.coeffs])
-
-    def derive(self) -> "PowerSeries":
-        if not self.coeffs:
-            raise TruncationError("cannot differentiate an empty series")
-        out = [self.coeffs[k] * k for k in range(1, len(self.coeffs))]
-        return PowerSeries(self.ring, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PowerSeries)
-            and other.ring == self.ring
-            and other.coeffs == self.coeffs
-        )
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __repr__(self):
-        parts = [
-            f"({c})*x^{k}" if k else f"({c})"
-            for k, c in enumerate(self.coeffs)
-            if not c.is_zero()
-        ]
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(x^{self.trunc + 1})"
 

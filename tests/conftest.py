@@ -30,23 +30,6 @@ def tring():
     return PolyRing(("t",), laurent=("t",))
 
 
-def multipoly_x_split(target_ring):
-    """x_split for MultiPoly coefficients: expand in x, embed the rest.
-
-    Returns a function mapping a MultiPoly to [(x-power, element of
-    ``target_ring``)], suitable for :meth:`DiffOp.apply_to_series`.
-    """
-
-    def split(coeff):
-        if "x" in coeff.ring.variables:
-            buckets = coeff.coefficients_in("x")
-        else:
-            buckets = {0: coeff}
-        return [(s, c.map_to(target_ring)) for s, c in buckets.items()]
-
-    return split
-
-
 # -- reference products: the per-term loops the kernels replaced ---------------------
 
 

@@ -34,19 +34,19 @@ from spectral_pairs.families import (
     make_schrodinger,
 )
 from spectral_pairs.linalg import nullspace
-from spectral_pairs.operators import DiffOp, PowerSeries, _derivative_table
+from spectral_pairs.operators import DiffOp, _derivative_table
 from spectral_pairs.rings import PolyRing
 from spectral_pairs.verify import sample_spec
 
 from conftest import (
     commuting_operators_oracle,
     hyperelliptic_pair_oracle,
-    multipoly_x_split,
     spectral_curve_oracle,
     sympy_squarefree_curve,
 )
 
 XRING = PolyRing(("x",))
+XZRING = PolyRing(("x", "z"))
 PURE_CUBIC = FamilySpec(CUBIC, 1, alphas=(0, 0, 0, 1))
 
 
@@ -305,31 +305,40 @@ def test_hypothesis_spectral_curve_matches_sympy_squarefree_part(lower, order):
 # -- formal kernel series --------------------------------------------------------
 
 
+def _lift(op):
+    """An operator over Q[x] as one over Q[x, z]."""
+    return DiffOp(XZRING, [c.map_to(XZRING) for c in op.coeffs])
+
+
+def _taylor_poly(d):
+    """The truncated series sum_k d_k x^k/k! as a polynomial over Q[x, z]."""
+    x = XZRING.var("x")
+    psi = XZRING.zero
+    for k, dk in enumerate(d):
+        psi = psi + dk.map_to(XZRING) * x ** k * Fraction(1, factorial(k))
+    return psi
+
+
 def test_kernel_basis_of_pure_d4():
     basis = series_kernel_basis(DiffOp.d(XRING, 4), 8)
-    zring = basis[0].ring
+    zring = basis[0][0].ring
     z = zring.var("z")
-    psi0 = basis[0]
-    assert psi0.coeffs[0] == zring.one
-    assert psi0.coeffs[4] == z * Fraction(1, 24)
-    assert psi0.coeffs[8] == z * z * Fraction(1, 40320)
-    for j, psi in enumerate(basis):
-        lead = [c for c in psi.coeffs[:4]]
-        expected = [zring.zero] * 4
-        expected[j] = zring.const(Fraction(1, factorial(j)))
-        assert lead == expected
+    assert basis[0][4] == z
+    assert basis[0][8] == z * z
+    for j, d in enumerate(basis):
+        assert len(d) == 9
+        assert d[:4] == [zring.one if k == j else zring.zero for k in range(4)]
 
 
 def test_kernel_basis_satisfies_the_equation(x3_l4):
+    """(L4 - z) psi vanishes at every x^k the cut at x^N leaves exact, k < N - 3."""
     trunc = 16
-    basis = series_kernel_basis(x3_l4, trunc)
-    zring = basis[0].ring
-    z = zring.var("z")
-    split = multipoly_x_split(zring)
-    for psi in basis:
-        image = x3_l4.apply_to_series(psi, split)
-        for k in range(trunc - 4):
-            assert image.coeffs[k] == z * psi.coeffs[k]
+    z = XZRING.var("z")
+    for d in series_kernel_basis(x3_l4, trunc):
+        psi = _taylor_poly(d)
+        defect = _lift(x3_l4).apply_to_poly(psi) - z * psi
+        assert not defect.is_zero()
+        assert min(defect.coefficients_in("x")) >= trunc - 3
 
 
 def test_kernel_basis_truncation_floor(x3_l4):
@@ -342,8 +351,9 @@ def _c_recurrence_basis(l4, truncation):
 
     The coefficient of x^m in (L4 - z) psi is solved for c_(m+4) over Q[z]
     with MultiPoly arithmetic and factorial denominators: an independent
-    formulation of series_kernel_basis's Taylor-data recurrence.  Scalars
-    enter as constant polynomials, so MultiPoly's scalar product is not used.
+    formulation of series_kernel_basis's Taylor-data recurrence, returned as
+    its Taylor data d_k = k! c_k.  Scalars enter as constant polynomials, so
+    MultiPoly's scalar product is not used.
     """
     zring = PolyRing(("z",))
     z = zring.var("z")
@@ -361,7 +371,7 @@ def _c_recurrence_basis(l4, truncation):
                     total = total + c[k] * zring.const(w)
             total = total - z * c[m]
             c[m + 4] = total * zring.const(Fraction(-factorial(m), factorial(m + 4)))
-        basis.append(PowerSeries(zring, c))
+        basis.append([ck * zring.const(factorial(k)) for k, ck in enumerate(c)])
     return basis
 
 
@@ -379,12 +389,10 @@ def test_kernel_basis_matches_the_c_recurrence(lower, truncation):
     st.integers(1, 20),
 )
 def test_kernel_basis_is_prefix_closed(lower, n, extra):
-    """The basis at n + extra, cut to x^n, is the basis at n."""
+    """The basis at n + extra, cut to d_n, is the basis at n."""
     l4 = DiffOp(XRING, lower + [XRING.one])
     longer = series_kernel_basis(l4, n + extra)
-    assert [psi.coeffs[:n + 1] for psi in longer] == [
-        psi.coeffs for psi in series_kernel_basis(l4, n)
-    ]
+    assert [d[:n + 1] for d in longer] == series_kernel_basis(l4, n)
 
 
 @pytest.mark.parametrize("spec", [
@@ -424,21 +432,19 @@ def test_l4_acts_as_z(x3_l4):
     st.integers(0, 5),
 )
 def test_action_matrix_matches_the_series_image(lower, m_coeffs, extra):
-    """A[k][j] = k! * (coefficient of x^k in M psi_j), by the series action."""
+    """A[k][j] = k! * (coefficient of x^k in M psi_j), k < 4, by direct derivation."""
     l4 = DiffOp(XRING, lower + [XRING.one])
     m = DiffOp(XRING, m_coeffs)
     order = 0 if m.is_zero() else m.order
     basis = series_kernel_basis(l4, max(order + 3 + extra, 8))
-    zring = basis[0].ring
-    split = multipoly_x_split(zring)
     expected = [[None] * 4 for _ in range(4)]
-    for j, psi in enumerate(basis):
-        image = m.apply_to_series(psi, split)
+    for j, d in enumerate(basis):
+        image = _lift(m).apply_to_poly(_taylor_poly(d)).coefficients_in("x")
         for k in range(4):
-            entry = image.coeffs[k] * zring.const(factorial(k))
-            dense = [Fraction(0)] * (entry.degree_in("z") + 1)
-            for (e,), c in entry.terms.items():
-                dense[e] = c
+            terms = image[k].terms if k in image else {}
+            dense = [Fraction(0)] * (max((e for (e,) in terms), default=-1) + 1)
+            for (e,), c in terms.items():
+                dense[e] = c * factorial(k)
             expected[k][j] = dense
     assert action_matrix(m, basis) == expected
 

@@ -3,11 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from spectral_pairs.errors import NonMonicError, RingMismatchError, TruncationError
-from spectral_pairs.operators import (
-    DiffOp,
-    PowerSeries,
-)
+from spectral_pairs.errors import NonMonicError, RingMismatchError
+from spectral_pairs.operators import DiffOp
 from spectral_pairs.rings import (
     FractionFieldRing,
     PolyRing,
@@ -15,7 +12,7 @@ from spectral_pairs.rings import (
     UniPoly,
 )
 
-from conftest import multipoly_x_split, random_poly
+from conftest import random_poly
 
 
 def _random_op(ring, rng, max_order=3, max_deg=3):
@@ -197,52 +194,3 @@ def test_conjugation_by_zero_rejected(tring):
     with pytest.raises(ZeroDivisionError):
         DiffOp.d(tring).conjugate_by_unit(tring.zero)
 
-
-# -- series action ----------------------------------------------------------------
-
-
-def _series(zring, coeffs):
-    return PowerSeries(zring, [zring.const(c) for c in coeffs])
-
-
-def test_d_fixes_exponential_series():
-    zring = PolyRing(("z",))
-    xring = PolyRing(("x",))
-    from math import factorial
-
-    exp = _series(zring, [Fraction(1, factorial(k)) for k in range(8)])
-    split = multipoly_x_split(zring)
-    image = DiffOp.d(xring).apply_to_series(exp, split)
-    assert image.coeffs == exp.coeffs[:-1]
-
-
-def test_operator_on_constant_series(xring):
-    zring = PolyRing(("z",))
-    x = xring.var("x")
-    op = DiffOp(xring, [x ** 3, xring.zero, xring.one])
-    one = _series(zring, [1, 0, 0, 0, 0, 0])
-    image = op.apply_to_series(one, multipoly_x_split(zring))
-    assert image.coeffs == _series(zring, [0, 0, 0, 1]).coeffs
-
-
-def test_series_action_matches_termwise_oracle(xring):
-    zring = PolyRing(("z",))
-    x = xring.var("x")
-    op = DiffOp(xring, [x ** 6 + 8 * x, 6 * x ** 2, 2 * x ** 3, xring.zero, xring.one])
-    f = xring.var("x") ** 3 * Fraction(1, 6)
-    # oracle in the x-ring itself: repeated derivation
-    expected = op.apply_to_poly(f)
-    series = _series(zring, [0, 0, 0, Fraction(1, 6)] + [0] * 6)
-    image = op.apply_to_series(series, multipoly_x_split(zring))
-    buckets = expected.coefficients_in("x") if not expected.is_zero() else {}
-    for k, coeff in enumerate(image.coeffs):
-        want = buckets.get(k)
-        got = coeff.as_fraction()
-        assert got == (want.as_fraction() if want is not None else Fraction(0))
-
-
-def test_insufficient_truncation_rejected(xring):
-    zring = PolyRing(("z",))
-    f = _series(zring, [1, 2])
-    with pytest.raises(TruncationError):
-        DiffOp.d(xring, 3).apply_to_series(f, multipoly_x_split(zring))

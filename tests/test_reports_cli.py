@@ -10,12 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_pairs import cli
+from spectral_pairs import cli, numeric
 from spectral_pairs.cli import run_command
 from spectral_pairs.curves import SpectralCurve
 from spectral_pairs.errors import CommutingOperatorNotFound
 from spectral_pairs.families import CUBIC, FamilySpec
-from spectral_pairs.numeric import MAX_RHS_EVALUATIONS, integrate_kernel
+from spectral_pairs.numeric import MAX_RHS_EVALUATIONS, integrate_kernel, residual_profile
 from spectral_pairs.reports import (
     CSV_HEADER,
     TOOL_VERSION,
@@ -274,6 +274,28 @@ def test_cli_residual_writes_grid_csv(capsys, tmp_path):
     # interior rows carry a finite pointwise residual
     mid = lines[501].split(",")
     assert np.isfinite(float(mid[5]))
+
+
+def test_cli_residual_builds_the_grid_profile_only_for_out(capsys, tmp_path, monkeypatch):
+    """One stencil pass per root, and one more for the first root's CSV profile."""
+    calls = []
+    inner = numeric._stencil_profiles
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(numeric, "_stencil_profiles", counted)
+    argv = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "1", "0", "1"]
+    assert run_command(argv) == 0
+    assert len(calls) == 2
+    out = tmp_path / "grid.csv"
+    assert run_command(argv + ["--out", str(out)]) == 0
+    assert len(calls) == 5
+    spec, first_root, grid = calls[2]
+    psi, profile = residual_profile(spec, first_root, grid)
+    assert out.read_bytes() == grid_csv(grid, psi=psi, residual=profile)
+    capsys.readouterr()
 
 
 def test_cli_residual_threshold_failure_exits_1(capsys):
