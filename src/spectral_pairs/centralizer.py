@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, perm
 
-from .curves import SpectralCurve, _powers, charpoly_w, squarefree_normalize
+from .curves import SpectralCurve, charpoly_w, squarefree_normalize
 from .errors import (
     CommutingOperatorNotFound,
     NotCoveredError,
@@ -112,6 +112,14 @@ def gauge_normalize(m: DiffOp, l4: DiffOp, g: int) -> DiffOp:
             pows = pows or _powers(l4, k)  # k falls, so the first list is long enough
             m = m - pows[k].scale(c)
     return m
+
+
+def _powers(op: DiffOp, n: int) -> list:
+    """[op^0, op^1, ..., op^n]; op^1 is op itself."""
+    pows = [DiffOp.identity(op.ring), op]
+    while len(pows) <= n:
+        pows.append(pows[-1] * op)
+    return pows
 
 
 def _commutator_coeff(ring, da: list, m: list, r: int, lo: int):
@@ -305,18 +313,15 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     The constant-term gauge of :func:`find_commuting_operator` can leave a
     w-linear term b(z) w in the curve R = w^2 + b w + c; M' = M + b(L4)/2
     completes the square, and its curve is R(z, w - b/2) = w^2 + c - b^2/4
-    (see the module docstring).  Only rank-two (w-degree 2) curves are
-    covered; any other curve raises :class:`NotCoveredError`.
+    (see the module docstring); b(L4)/2 is the curve b(z)/2 evaluated by
+    Horner.  Only rank-two (w-degree 2) curves are covered; any other curve
+    raises :class:`NotCoveredError`.
     """
     curve = spectral_curve(l4, m)
     if curve.w_degree() != 2:
         raise NotCoveredError(f"not a rank-two curve: w-degree {curve.w_degree()}")
-    b = curve.w_slice(1)
-    if any(b):
-        pows = _powers(l4, len(b) - 1)
-        m = sum((pows[k].scale(c / 2) for k, c in enumerate(b) if c), m)
-        # w^2 + b w + c  ->  w^2 + c - (b/2)^2
-        zw = curve.ring
-        half_b = zw.from_terms({(k, 0): c / 2 for k, c in enumerate(b)})
-        curve = SpectralCurve((curve - half_b * (2 * zw.var("w") + half_b)).terms)
+    half_b = SpectralCurve({(k, 0): c / 2 for k, c in enumerate(curve.w_slice(1))})
+    m = m + half_b.eval_at_operators(l4, m)
+    # w^2 + b w + c  ->  w^2 + c - (b/2)^2
+    curve = SpectralCurve((curve - half_b * (2 * curve.ring.var("w") + half_b)).terms)
     return m, curve

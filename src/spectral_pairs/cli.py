@@ -248,10 +248,7 @@ def _cmd_verify_corollary(args) -> int:
         else:
             spec = FamilySpec(CUBIC, args.g, alphas=tuple(args.alpha))
         for target in which:
-            partner = None
-            if target == "l4g2":
-                partner = find_commuting_operator(make_L4(spec), 4 * spec.g + 2)
-            report = verify_corollary(spec, target, partner=partner)
+            report = verify_corollary(spec, target)
             ok &= report.remainder_is_zero
             reports.append(emit_report(report, seed=args.seed).decode())
     payload = "".join(reports).encode()

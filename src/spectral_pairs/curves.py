@@ -46,18 +46,16 @@ class SpectralCurve(MultiPoly):
         return out
 
     def eval_at_operators(self, a: DiffOp, b: DiffOp) -> DiffOp:
-        """Substitute z -> a, w -> b monomial-wise; requires [a, b] = 0."""
-        a_pows = _powers(a, self.z_degree())
-        b_pows = _powers(b, self.w_degree())
+        """R(a, b) by Horner in w over Horner in z; requires [a, b] = 0.
+
+        For w^2 - F(z) that is one b*b and deg F compositions with a.
+        """
         out = DiffOp.zero(a.ring)
-        for (i, j), c in self.terms.items():
-            if j == 0:
-                op = a_pows[i]
-            elif i == 0:
-                op = b_pows[j]
-            else:
-                op = a_pows[i] * b_pows[j]
-            out = out + op.scale(c)
+        for j in range(self.w_degree(), -1, -1):
+            acc = DiffOp.zero(a.ring)
+            for c in reversed(self.w_slice(j)):
+                acc = a * acc + DiffOp.identity(a.ring).scale(c)
+            out = b * out + acc
         return out
 
     def __repr__(self):
@@ -71,14 +69,6 @@ class SpectralCurve(MultiPoly):
             ) or "1"
             parts.append(f"({c})*{mono}")
         return " + ".join(parts)
-
-
-def _powers(op: DiffOp, n: int) -> list:
-    """[op^0, op^1, ..., op^n]; op^1 is op itself."""
-    pows = [DiffOp.identity(op.ring), op]
-    while len(pows) <= n:
-        pows.append(pows[-1] * op)
-    return pows
 
 
 def charpoly_w(matrix) -> SpectralCurve:

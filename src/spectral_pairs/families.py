@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import ConstraintError, NotCoveredError
 from .operators import DiffOp
 from .rings import CharPoly, PolyRing
-from .rings.multipoly import _as_fraction
+from .rings.multipoly import DERIVATION_VAR, EXP_HALF_VAR, _as_fraction
 
 CUBIC = "cubic"
 QUARTIC = "quartic"
@@ -40,7 +40,7 @@ class FamilySpec:
     A parameter the family does not use (a4 of the cubic, a2 .. a4 of the
     exponential) must be zero, and more than five values raise
     :class:`ConstraintError`.  ``eps`` selects the branch of the exponential
-    family and is ignored elsewhere.
+    family and must be 0 elsewhere (:class:`ConstraintError` otherwise).
     """
 
     family: str
@@ -55,6 +55,8 @@ class FamilySpec:
             raise ValueError("g must be a positive integer")
         if self.eps not in (0, 1):
             raise ValueError("eps must be 0 or 1")
+        if self.eps and self.family != EXPONENTIAL:
+            raise ConstraintError(f"eps = 1 is an exponential branch, not a {self.family} one")
         if self.alphas is not None:
             if len(self.alphas) > len(_PARAM_NAMES):
                 raise ConstraintError(f"at most 5 parameters a0 .. a4, got {len(self.alphas)}")
@@ -123,14 +125,10 @@ def coefficient_ring(spec: FamilySpec):
 
 
 def parameter_ring(spec: FamilySpec):
-    """The x-free constant ring in which chi(z) coefficients live."""
-    if spec.family == EXPONENTIAL:
-        return PolyRing(() if not spec.symbolic else ("a0", "a1"))
-    if not spec.symbolic:
-        return PolyRing(())
-    if spec.family == CUBIC:
-        return PolyRing(("a0", "a1", "a2", "a3"))
-    return PolyRing(("a0", "a2", "a3", "a4"), laurent=("a4",))
+    """The constant ring of chi(z): :func:`coefficient_ring` without x and t."""
+    ring = coefficient_ring(spec)
+    params = tuple(v for v in ring.variables if v not in (DERIVATION_VAR, EXP_HALF_VAR))
+    return PolyRing(params, laurent=ring.laurent & set(params))
 
 
 def _alpha(spec: FamilySpec, ring: PolyRing, i: int):

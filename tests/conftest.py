@@ -122,6 +122,14 @@ def cleared_commutator_oracle(l, l2, p):
     )
 
 
+def eval_at_operators_oracle(curve, a, b):
+    """R(a, b) monomial by monomial: a^i b^j from ``**``, scaled and summed."""
+    out = DiffOp.zero(a.ring)
+    for (i, j), c in curve.terms.items():
+        out = out + ((a ** i) * (b ** j)).scale(c)
+    return out
+
+
 # -- reference back-substitution: one Fraction product per dense-list entry ---------
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_pairs import centralizer
+from spectral_pairs import centralizer, curves
 from spectral_pairs.centralizer import (
     action_matrix,
     build_ansatz_system,
@@ -40,6 +40,7 @@ from spectral_pairs.verify import sample_spec
 
 from conftest import (
     commuting_operators_oracle,
+    eval_at_operators_oracle,
     hyperelliptic_pair_oracle,
     spectral_curve_oracle,
     sympy_squarefree_curve,
@@ -508,7 +509,7 @@ _SEEDED_CUBICS = tuple(sample_spec(CUBIC, 2, random.Random(seed)).alphas for see
 # (family, g, alphas, partner order)
 _PAIR_CASES = (
     [(CUBIC, g, (0, 0, 0, 1), 4 * g + 2) for g in (1, 2, 3)]
-    + [(CUBIC, g, _GENERIC_CUBIC, 4 * g + 2) for g in (1, 2, 3)]
+    + [(CUBIC, g, _GENERIC_CUBIC, 4 * g + 2) for g in (1, 2, 3, 4)]
     + [(CUBIC, 1, alphas, 6) for alphas in _SEEDED_CUBICS]
     + [(QUARTIC, g, _QUARTIC_ALPHAS, 4 * g + 2) for g in (1, 2)]
     + [(CUBIC, 1, (0, 0, 0, 1), 10)]  # curve w^2 - z^5
@@ -562,7 +563,59 @@ def test_curve_path_does_each_exact_step_once(monkeypatch):
     assert calls == {"basis": 1, "curve": 1, "commutator": 1}
 
 
+def test_curve_path_forms_no_power_list_and_scales_only_the_identity(monkeypatch):
+    l4, m = _pair_input((CUBIC, 2, _GENERIC_CUBIC, 10))
+    power_lists, scaled_orders = [], []
+
+    def counted_powers(*args):
+        power_lists.append(args)
+        return powers(*args)
+
+    def recorded_scale(op, c):
+        scaled_orders.append(op.order)
+        return scale(op, c)
+
+    powers, scale = centralizer._powers, DiffOp.scale
+    monkeypatch.setattr(centralizer, "_powers", counted_powers)
+    monkeypatch.setattr(DiffOp, "scale", recorded_scale)
+    m2, curve = hyperelliptic_pair(l4, m)
+    assert m2 != m  # b(L4)/2 is evaluated
+    assert curve.eval_at_operators(l4, m2).is_zero()
+    assert not hasattr(curves, "_powers")
+    assert power_lists == []
+    assert scaled_orders and max(scaled_orders) == 0
+
+
 _small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _commuting_pairs(draw):
+    """(a, b) with [a, b] = 0: (D^p, D^q), (L4, L4) or (L4, p(L4) + c M6)."""
+    kind = draw(st.sampled_from(("d", "l4", "m6")))
+    if kind == "d":
+        p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        return DiffOp.d(XRING, p), DiffOp.d(XRING, q)
+    l4, m6 = _pair_input((CUBIC, 1, (0, 0, 0, 1), 6))
+    if kind == "l4":
+        return l4, l4
+    m = m6.scale(XRING.const(draw(_small_rational)))
+    for k, pk in enumerate(draw(st.lists(_small_rational, min_size=1, max_size=2))):
+        m = m + (l4 ** k).scale(XRING.const(pk))
+    return l4, m
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)), _small_rational,
+                    max_size=6),
+    _commuting_pairs(),
+)
+def test_eval_at_operators_matches_the_power_list_oracle(terms, pair):
+    a, b = pair
+    curve = SpectralCurve(terms)
+    assert curve.eval_at_operators(a, b) == eval_at_operators_oracle(curve, a, b)
+    assert SpectralCurve({}).eval_at_operators(a, b).is_zero()
 
 
 @settings(max_examples=15, deadline=None)

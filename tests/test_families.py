@@ -14,6 +14,7 @@ from spectral_pairs.families import (
     make_L4,
     make_schrodinger,
     multiplier_p,
+    parameter_ring,
     quartic_constraint_value,
     solve_quartic_constraint,
 )
@@ -193,6 +194,26 @@ def test_spec_rejects_parameters_the_family_does_not_use(family, alphas, bad):
     assert FamilySpec(family, 1, alphas=spec.alphas) == spec
     with pytest.raises(ConstraintError):
         FamilySpec(family, 1, alphas=bad)
+
+
+@pytest.mark.parametrize("family", [CUBIC, QUARTIC])
+def test_eps_is_rejected_outside_the_exponential_family(family):
+    with pytest.raises(ConstraintError):
+        FamilySpec(family, 2, eps=1)
+    assert FamilySpec(family, 2, eps=0).eps == 0
+
+
+@pytest.mark.parametrize("spec, ring", [
+    (FamilySpec(EXPONENTIAL, 2), PolyRing(("a0", "a1"))),
+    (FamilySpec(EXPONENTIAL, 2, eps=1, alphas=(1, 2)), PolyRing(())),
+    (FamilySpec(CUBIC, 2, alphas=(0, 0, 0, 1)), PolyRing(())),
+    (FamilySpec(QUARTIC, 1, alphas=(0, 0, 0, 0, 1)), PolyRing(())),
+    (FamilySpec(CUBIC, 2), PolyRing(("a0", "a1", "a2", "a3"))),
+    (FamilySpec(QUARTIC, 2), PolyRing(("a0", "a2", "a3", "a4"), laurent=("a4",))),
+], ids=["exponential-symbolic", "exponential", "cubic", "quartic",
+        "cubic-symbolic", "quartic-symbolic"])
+def test_parameter_ring_is_the_coefficient_ring_without_x_and_t(spec, ring):
+    assert parameter_ring(spec) == ring
 
 
 def test_symbolic_quartic_ring_inverts_a4():

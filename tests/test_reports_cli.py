@@ -344,6 +344,11 @@ _RESIDUAL = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "
         (["residual", "--family", "exponential", "--g", "1", "--alpha", "0", "1",
           "--interval", "1000", "1001"], "not covered"),
         (_RESIDUAL + ["--interval", "1e103", "2e103"], "not covered"),
+        # eps picks an exponential branch; no other family has one
+        (["spectral-curve", "--family", "cubic", "--g", "1", "--alpha", "0", "0", "0", "1",
+          "--eps", "1"], "invalid parameters"),
+        (["verify-theorem", "--family", "cubic", "--g", "2", "--eps", "1"],
+         "invalid parameters"),
     ],
 )
 def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
