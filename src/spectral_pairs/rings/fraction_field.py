@@ -2,9 +2,9 @@
 
 No production code path uses them: they are the tests' independent
 Frac(K[x]) oracle (K the rationals or a quotient field of them) for the
-corollary, whose witness the package reports cleared, as p^-k times an
-operator over K[x].  ``rings`` still exports the names because the
-benchmark's tracer looks up ``FractionElem`` by name.
+corollary, whose witness the package reports as p^-3 times an operator
+over K[x].  ``rings`` still exports the names because the benchmark's
+tracer looks up ``FractionElem`` by name.
 
 A "field" here is a small adapter exposing zero/one/from_rational/inv/coerce;
 the elements themselves carry the arithmetic operators.  A

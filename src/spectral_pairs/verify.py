@@ -4,8 +4,8 @@ Every check reduces an analytic statement to ring algebra: an order-4
 operator annihilating the two-dimensional kernel of a monic order-2 operator
 must right-divide by it with zero remainder.  A nonzero remainder is reported
 with its witness intact, never corrected.  The corollary's witness and
-remainder are reported cleared, as p^-k times an operator over K[x]
-(:class:`Cleared`): no fraction field is built.
+remainder are reported as the division leaves them, p^-3 times an operator
+over K[x] (:class:`Cleared`): no fraction field is built.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import ClassVar
 
 from .centralizer import find_commuting_operator
 from .errors import (
@@ -45,11 +46,11 @@ DEFAULT_SEED = 20140441
 
 @dataclass(frozen=True)
 class Cleared:
-    """p^-k op, op over K[x]: either k = 0 or p does not divide every coefficient of op."""
+    """p^-3 op, op an operator over K[x]."""
 
     op: DiffOp
     p: MultiPoly | QuotientExt
-    k: int
+    k: ClassVar[int] = 3
 
     @property
     def order(self):
@@ -219,73 +220,6 @@ def _cleared_commutator(l: DiffOp, l2: DiffOp, p) -> DiffOp:
     return DiffOp(ring, out)
 
 
-def _x_coeffs(elem) -> list:
-    """An element of K[x] as its x-coefficients, each a list of z-coordinates."""
-    coords = elem.coords if isinstance(elem, QuotientExt) else (elem,)
-    out = [[0] * len(coords) for _ in range(1 + max(c.degree_in("x") for c in coords))]
-    for i, c in enumerate(coords):
-        for (e,), v in c.terms.items():
-            out[e][i] = v
-    return out
-
-
-def _from_x_coeffs(ring, coeffs):
-    """The element of ``ring`` (Q[x] or Q[x][z]/(f)) with these x-coefficients."""
-    quotient = isinstance(ring, QuotientRing)
-    base = ring.base if quotient else ring
-    coords = [base.from_terms({(e,): v[i] for e, v in enumerate(coeffs)})
-              for i in range(ring.degree if quotient else 1)]
-    return QuotientExt(ring, coords) if quotient else coords[0]
-
-
-def _zmul(a: list, b: list, zd: list) -> list:
-    """Product of two z-coordinate lists, z^d replaced by zd's coordinates."""
-    d = len(a)
-    w = [0] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            w[i + j] += ai * bj
-    for top in range(2 * d - 2, d - 1, -1):
-        for i, c in enumerate(zd):
-            w[top - d + i] += w[top] * c
-    return w[:d]
-
-
-def _exact_quotient(num, p):
-    """num / p in K[x] when p divides num, else None.
-
-    Long division on x-coefficients, each a list of z-coordinates modulo K's
-    monic modulus.  p's leading x-coefficient must be a nonzero rational
-    (6 a3 at g = 2, 280 a3^2 at g = 4), so no inverse in K is needed.
-    """
-    pc, rem = _x_coeffs(p), _x_coeffs(num)
-    if not pc or any(pc[-1][1:]) or not pc[-1][0]:
-        raise SpectralPairsError("p's leading x-coefficient is not a nonzero rational")
-    zd = [-c.as_fraction() for c in p.ring.chi.coeffs[:-1]] if isinstance(p, QuotientExt) else []
-    n, quo = len(pc) - 1, []
-    for top in range(len(rem) - 1, n - 1, -1):
-        f = [c / pc[-1][0] for c in rem[top]]
-        quo.append(f)
-        for i, pi in enumerate(pc[:-1]):
-            row = top - n + i
-            rem[row] = [a - b for a, b in zip(rem[row], _zmul(f, pi, zd))]
-    return None if any(map(any, rem[:n])) else _from_x_coeffs(num.ring, quo[::-1])
-
-
-def _clear(op: DiffOp, p) -> Cleared:
-    """p^-3 op as p^-k op', each whole factor p divided out of op exactly."""
-    k = 3
-    while k:
-        quotients = []
-        for c in op.coeffs:
-            q = _exact_quotient(c, p)
-            if q is None:
-                return Cleared(op, p, k)
-            quotients.append(q)
-        op, k = DiffOp(op.ring, quotients), k - 1
-    return Cleared(op, p, 0)
-
-
 def verify_corollary(
     spec: FamilySpec, which: str = "l4", partner: DiffOp | None = None
 ) -> VerificationReport:
@@ -312,9 +246,7 @@ def verify_corollary(
     [p^-1 L p, L2] = B L2 + R over Frac(K[x]), then C3 = (p^3 B) L2 + p^3 R
     with order(p^3 R) < 2; right division by a monic operator is unique, so
     B~ = p^3 B and R~ = p^3 R.  The verdict is R~ = 0.  The reported witness
-    and remainder are p^-3 B~ and p^-3 R~ as :class:`Cleared` operators
-    p^-k op: whole factors of p are divided out of B~ (or R~) exactly, over
-    K[x], while p divides every coefficient.
+    and remainder are p^-3 B~ and p^-3 R~, as :class:`Cleared` operators.
     """
     if spec.symbolic:
         raise NotCoveredError("conjugation checks run at specialized parameters only")
@@ -349,9 +281,9 @@ def verify_corollary(
         if not r.is_zero():
             all_zero = False
             if first_remainder is None:
-                first_remainder = _clear(r, p)
+                first_remainder = Cleared(r, p)
         if witness is None:
-            witness = _clear(b, p)
+            witness = Cleared(b, p)
     if witness is None:
         raise DegenerateSampleError("multiplier p vanished at every root of chi")
     return VerificationReport(

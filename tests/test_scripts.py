@@ -52,3 +52,16 @@ def test_residual_scan_usage_errors_exit_2(args, message):
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--g", "0"], "argument --g: not an integer in [1, 10]"),
+    # partner order 46 is above the CLI's 42: refused while parsing, no search
+    (["--g", "11"], "argument --g: not an integer in [1, 10]"),
+])
+def test_commuting_pair_demo_usage_errors_exit_2(args, message):
+    proc = _run("commuting_pair_demo.py", args)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout

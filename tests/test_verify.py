@@ -33,7 +33,7 @@ from spectral_pairs.verify import (
     DEFAULT_SEED,
     _branches,
     _cleared_commutator,
-    _exact_quotient,
+    _lift_op,
     _sf,
     sample_spec,
     verify_commutation,
@@ -235,19 +235,13 @@ def _fraction_field_corollary(spec, l):
 
 
 def _assert_cleared(cleared, branch, p_k, want):
-    """cleared = p^-k op is the oracle's operator, coefficient by coefficient."""
+    """cleared = p^-3 op is the oracle's operator, coefficient by coefficient."""
     frac, zf = _oracle_field(branch)
     assert cleared.p == p_k
     assert cleared.order == want.order
     p = _frac_coeff(p_k, frac, zf)
-    p_to_k = frac.one
-    for _ in range(cleared.k):
-        p_to_k = p_to_k * p
     op = [_frac_coeff(c, frac, zf) for c in cleared.op.coeffs]
-    assert op == [p_to_k * c for c in want.coeffs]
-    if cleared.k:
-        # p^k is the whole denominator: p does not divide every coefficient
-        assert any(not c.num.divmod(p.num)[1].is_zero() for c in op)
+    assert op == [p * p * p * c for c in want.coeffs]
 
 
 def _assert_matches_fraction_field(spec, which, partner=None):
@@ -273,43 +267,6 @@ def _k_elem(ring, coeffs):
     by_z = [XRING.from_terms({(e,): c[i] for e, c in enumerate(coeffs)})
             for i in range(len(coeffs[0]) if coeffs else 1)]
     return ring.from_z_coeffs(by_z) if isinstance(ring, QuotientRing) else by_z[0]
-
-
-@st.composite
-def _division_case(draw):
-    """K[x] for K = Q or Q[z]/(f), f a random monic quadratic or cubic, and
-    q, p (rational leading x-coefficient) and a nonzero r with deg r < deg p."""
-    d = draw(st.sampled_from([1, 2, 3]))
-    ring = XRING
-    if d > 1:
-        f = draw(st.lists(_small, min_size=d, max_size=d)) + [Fraction(1)]
-        ring = QuotientRing(XRING, CharPoly(PolyRing(()), f))
-
-    coords = st.lists(_small, min_size=d, max_size=d)
-
-    def coeffs(n):
-        return draw(st.lists(coords, min_size=n, max_size=n))
-
-    deg_p = draw(st.integers(1, 3))
-    lead = draw(_small.filter(bool))
-    p = _k_elem(ring, coeffs(deg_p) + [[lead] + [Fraction(0)] * (d - 1)])
-    q = _k_elem(ring, coeffs(draw(st.integers(0, 5))))
-    r = _k_elem(ring, coeffs(draw(st.integers(0, deg_p - 1))) + [draw(coords.filter(any))])
-    return ring, q, p, r
-
-
-@settings(max_examples=150, deadline=None)
-@given(_division_case())
-def test_exact_quotient_divides_out_p(case):
-    ring, q, p, r = case
-    assert _exact_quotient(q * p, p) == q
-    assert _exact_quotient(q * p + r, p) is None
-    if isinstance(ring, QuotientRing):
-        # z in p's leading x-coefficient: dividing would need an inverse in K
-        deg_p = max(c.degree_in("x") for c in p.coords)
-        bad = p + ring.gen * XRING.var("x", deg_p)
-        with pytest.raises(SpectralPairsError):
-            _exact_quotient(q * bad, bad)
 
 
 # -- the cleared commutator's closed form against the composition chain --------------
@@ -392,9 +349,24 @@ def test_corollary_l4_matches_fraction_field(index):
     spec = _criterion5_samples()[index]
     report = _assert_matches_fraction_field(spec, "l4")
     assert report.remainder_is_zero
-    # at the g = 4 sample (0, 0, 2, 2), p divides B~ once: the witness is p^-2 B~/p
-    assert report.witness.k == (2 if spec.alphas[:4] == (0, 0, 2, 2) else 3)
+    # p divides B~ once at the g = 4 sample (0, 0, 2, 2); the witness stays p^-3 B~
+    assert report.witness.k == 3
     assert (index == 1) == (spec.alphas[:4] == (0, 0, 2, 2))
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_corollary_witness_is_the_division_quotient(index):
+    # the reported witness is B~ itself, as the first branch's division leaves it
+    spec = _criterion5_samples()[index]
+    branch = _branches(char_poly_z(spec))[0]
+    quotient = isinstance(branch, QuotientRing)
+    l, l2 = make_L4(spec), make_schrodinger(spec)
+    if quotient:
+        l, l2 = _lift_op(l, branch), _lift_op(l2, branch)
+    p = multiplier_p(spec, branch.gen if quotient else branch)
+    report = verify_corollary(spec, "l4")
+    assert report.witness.op == _cleared_commutator(l, l2, p).right_divmod(l2)[0]
+    assert report.witness.p == p
 
 
 @pytest.mark.parametrize("index", [0, 2])
@@ -480,3 +452,21 @@ def test_squarefree_check_matches_sympy(coeffs):
                for k, c in enumerate(coeffs))
     chi = CharPoly(PolyRing(()), coeffs)
     assert _sf(chi) == sympy.Poly(expr, z, domain=sympy.QQ).is_sqf
+
+
+@pytest.mark.parametrize("index", [1, 3])
+def test_corollary_order_18_partner_at_g4(index):
+    # the order-18 partner at g = 4 passes; x^2 D^3 added to it leaves an order-1 remainder
+    spec = _criterion5_samples()[index]
+    assert spec.g == 4
+    partner = _criterion5_partner(index)
+    report = verify_corollary(spec, "l4g2", partner=partner)
+    assert report.remainder_is_zero
+    assert report.witness_order == 16
+    ring = partner.ring
+    perturbed = partner + DiffOp(
+        ring, [ring.zero] * 3 + [ring.var("x") ** 2 * Fraction(3, 2)]
+    )
+    broken = verify_corollary(spec, "l4g2", partner=perturbed)
+    assert not broken.remainder_is_zero
+    assert broken.remainder.order == 1
