@@ -97,31 +97,6 @@ def build_ansatz_system(l4: DiffOp, order: int, degree_bound: int) -> AnsatzSyst
     return AnsatzSystem(order, degree_bound, columns, rows)
 
 
-def gauge_normalize(m: DiffOp, l4: DiffOp, g: int) -> DiffOp:
-    """Subtract rational multiples of L4^k (k <= g, 4k < order M) and constants.
-
-    Afterwards the coefficient of d^(4k) has zero constant term for each
-    such k, which pins down a unique representative of M modulo the obvious
-    commuting polynomials in L4 of lower order.  Powers of order >= order M
-    are left alone: subtracting them could cancel M's leading term.
-    """
-    pows = []
-    for k in range(g, -1, -1):
-        c = m.coeff(4 * k).constant_term()
-        if c and 4 * k < m.order:
-            pows = pows or _powers(l4, k)  # k falls, so the first list is long enough
-            m = m - pows[k].scale(c)
-    return m
-
-
-def _powers(op: DiffOp, n: int) -> list:
-    """[op^0, op^1, ..., op^n]; op^1 is op itself."""
-    pows = [DiffOp.identity(op.ring), op]
-    while len(pows) <= n:
-        pows.append(pows[-1] * op)
-    return pows
-
-
 def _commutator_coeff(ring, da: list, m: list, r: int, lo: int):
     """D^r coefficient of [L, sum_{j >= lo} m_j D^j], one kernel sum in ``ring``.
 
@@ -195,18 +170,25 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     """A monic operator M of exact order ``target_order`` with [L4, M] = 0.
 
     M is the basis operator of order N = ``target_order`` from
-    :func:`commuting_operators`, after :func:`gauge_normalize` subtracts
-    multiples of powers of L4.  It is the operator the degree-bounded ansatz
-    (:func:`build_ansatz_system`) gives as its reduced row echelon vector of
-    the free column (N, 0), columns ordered by (order, x power): every null
-    vector's highest ansatz column is (K, 0) for its order K, and its (K, 0)
-    entry is c_K, because the M_j with j > K have m_K with constant term 0.
-    Both are therefore the null vector with c_N = 1 and c_K = 0 at each
-    other order K of the space.
+    :func:`commuting_operators`: the reduced row echelon null vector of the
+    free column N, so c_N = 1 and c_K = 0 at each other order K of the space.
+    That already fixes M modulo polynomials in L4 of lower order: for 4k < N
+    the constant term of its D^(4k) coefficient is 0.  That constant term is
+    c_(4k), since M_(4k) has m_(4k) = 1, each M_j with j > 4k has an m_(4k)
+    with constant term 0 (its integration constants are 0), and no M_j with
+    j < 4k has a D^(4k) term; and L4^k, of order 4k, lies in the space, so
+    4k is a free column and c_(4k) = 0.  It is the operator the
+    degree-bounded ansatz (:func:`build_ansatz_system`) gives as its reduced
+    row echelon vector of the free column (N, 0), columns ordered by (order,
+    x power): every null vector's highest ansatz column is (K, 0) for its
+    order K, and its (K, 0) entry is c_K, because the M_j with j > K have
+    m_K with constant term 0.  Both are therefore the null vector with
+    c_N = 1 and c_K = 0 at each other order K of the space.
 
     Raises :class:`CommutingOperatorNotFound` when the space has no operator
     of order N, which proves that no operator of order N over Q[x] commutes
-    with L4.
+    with L4, and :class:`SpectralPairsError` unless M passes the exact check
+    [L4, M] = 0 by direct commutator expansion.
     """
     space = commuting_operators(l4, target_order)
     m = next((op for op in space if op.order == target_order), None)
@@ -215,11 +197,8 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
             f"no operator of order {target_order} over Q[x] commutes with L4; "
             f"those of order <= {target_order} have orders {[op.order for op in space]}"
         )
-    m = gauge_normalize(m, l4, max((target_order - 2) // 4, 1))
     if not l4.commutator(m).is_zero():
         raise SpectralPairsError("solver output failed exact commutator check")
-    if m.order != target_order:
-        raise SpectralPairsError("gauge normalization changed the order")
     return m
 
 
@@ -310,11 +289,11 @@ def spectral_curve(l4: DiffOp, m: DiffOp) -> SpectralCurve:
 def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     """(M', R) with R(z, w) = w^2 - F(z) and R(L4, M') = 0.
 
-    The constant-term gauge of :func:`find_commuting_operator` can leave a
-    w-linear term b(z) w in the curve R = w^2 + b w + c; M' = M + b(L4)/2
-    completes the square, and its curve is R(z, w - b/2) = w^2 + c - b^2/4
-    (see the module docstring); b(L4)/2 is the curve b(z)/2 evaluated by
-    Horner.  Only rank-two (w-degree 2) curves are covered; any other curve
+    The normal form of :func:`find_commuting_operator` (no constant term on
+    D^(4k) below its order) can leave a w-linear term b(z) w in the curve
+    R = w^2 + b w + c; M' = M + b(L4)/2 completes the square, and its curve
+    is R(z, w - b/2) = w^2 + c - b^2/4 (see the module docstring); b(L4)/2
+    is the curve b(z)/2 evaluated by Horner.  Only rank-two (w-degree 2) curves are covered; any other curve
     raises :class:`NotCoveredError`.
     """
     curve = spectral_curve(l4, m)

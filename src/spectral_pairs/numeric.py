@@ -20,6 +20,11 @@ Vandermonde matrix, so the weights of all orders come from one least-squares
 solve with one right-hand-side column per order.  Narrow Fornberg stencils
 remain available for convergence studies where truncation should dominate.
 Both kinds of weights are applied by the same sliding correlation.
+
+numpy and scipy are imported inside the functions that use them, never at
+module level: importing the package, and every exact command, loads
+neither, and only numeric code (``residual``, ``bessel-check``, the suite's
+numeric criteria) pays for them.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import factorial, isfinite
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateSampleError,
@@ -45,6 +49,9 @@ from .families import (
     multiplier_p,
 )
 from .rings import CharPoly, PolyRing, QuotientRing
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OVERFLOW_LIMIT = 1e150
 # right-hand-side evaluations one kernel integration may spend; the default
@@ -70,6 +77,7 @@ class GridFunction:
 
 def fd_weights(m: int, offsets) -> np.ndarray:
     """Fornberg weights for the m-th derivative at 0 on integer offsets."""
+    import numpy as np
     x = np.asarray(offsets, dtype=float)
     n = len(x)
     if m >= n:
@@ -99,6 +107,7 @@ def fd_weights(m: int, offsets) -> np.ndarray:
 
 def _apply_stencil(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Centred stencil ``w`` slid along ``values``; NaN where it does not fit."""
+    import numpy as np
     if len(values) < len(w):
         raise ValueError("fewer samples than stencil points")
     half = len(w) // 2
@@ -115,6 +124,7 @@ def fd_derivative(values: np.ndarray, h: float, m: int,
     gives 8th-order accuracy up to m = 4.  Entries without a full stencil are
     NaN.
     """
+    import numpy as np
     offsets = np.arange(-half_width, half_width + 1)
     return _apply_stencil(values, fd_weights(m, offsets) / h ** m)
 
@@ -130,6 +140,7 @@ def ls_weight_table(max_order: int, half_width: int, degree: int,
     uncorrelated sample noise.  All orders share one Vandermonde matrix, so
     the table is one least-squares solve with a right-hand side per order.
     """
+    import numpy as np
     if degree < max_order:
         raise ValueError("degree must be at least the derivative order")
     if 2 * half_width < degree:
@@ -171,6 +182,7 @@ def _potential_callable(spec: FamilySpec, shifted: bool):
 
 def _coeff_callable(coeff):
     """Sum of c x^i e^(kx/2) over the terms c x^i t^k of ``coeff``."""
+    import numpy as np
     terms = []
     for e, c in coeff.terms.items():
         powers = dict(zip(coeff.ring.variables, e))
@@ -199,6 +211,7 @@ def _integrate(v, interval, init, tol: float):
     :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations, or meets an x
     where V(x) overflows a float, raises :class:`NotCoveredError`.
     """
+    import numpy as np
     a, b = interval
     evaluations = 0
 
@@ -223,8 +236,6 @@ def _integrate(v, interval, init, tol: float):
         return max(abs(y[0]), abs(y[1])) - OVERFLOW_LIMIT
 
     blow_up.terminal = True
-    # imported here: scipy is most of the package's import time, and only
-    # the numeric commands use it
     from scipy.integrate import solve_ivp
 
     # an overflowing V is reported by rhs, not as a numpy warning
@@ -258,6 +269,7 @@ def integrate_kernel(
     more than :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations, or
     where V(x) overflows a float, raises :class:`NotCoveredError`.
     """
+    import numpy as np
     if spec.symbolic:
         raise SpectralPairsError("numeric integration needs rational parameters")
     if tol <= 0:
@@ -291,6 +303,7 @@ def _defect_profile(l4_values, z_root, psi, h, half_width, degree):
     ``l4_values[m]`` is L4's coefficient of D^m on the grid, or None where it
     is zero.
     """
+    import numpy as np
     weights = ls_weight_table(len(l4_values) - 1, half_width, degree, h)
     n = len(psi)
     core = slice(half_width, n - half_width)
@@ -307,6 +320,7 @@ def _defect_profile(l4_values, z_root, psi, h, half_width, degree):
 
 
 def _stencil_profiles(spec: FamilySpec, z_root, grid: GridFunction):
+    import numpy as np
     psi = _multiplier_values(spec, z_root, grid.x) * grid.phi
     scale = np.max(np.abs(psi))
     if scale < 1e-280:
@@ -338,12 +352,14 @@ def eigen_residual(spec: FamilySpec, z_root: complex, grid: GridFunction) -> flo
     residual is reported, since either one upper-bounds the defect of the
     exact identity up to its own discretization error.
     """
+    import numpy as np
     _, profiles = _stencil_profiles(spec, z_root, grid)
     return min(float(np.nanmax(p)) for p in profiles)
 
 
 def residual_profile(spec: FamilySpec, z_root: complex, grid: GridFunction):
     """(psi, pointwise relative residual) on the grid, NaN at the margins."""
+    import numpy as np
     psi, profiles = _stencil_profiles(spec, z_root, grid)
     stacked = np.stack(profiles)
     merged = np.full(len(grid.x), np.nan)
@@ -354,6 +370,7 @@ def residual_profile(spec: FamilySpec, z_root: complex, grid: GridFunction):
 
 def _multiplier_values(spec: FamilySpec, z: complex, x: np.ndarray) -> np.ndarray:
     """p(x) at a numeric eigenvalue z (complex allowed)."""
+    import numpy as np
     if spec.family == EXPONENTIAL:
         # p = e^(kx/2), free of z
         return _coeff_callable(multiplier_p(spec, None))(x)
@@ -384,6 +401,7 @@ def bessel_change_check(
     default grid the stencil truncation dominates, so halving h shows the
     expected convergence order until the integrator's tolerance floor.
     """
+    import numpy as np
     a0, a1 = Fraction(a0), Fraction(a1)
     if a1 <= 0:
         raise ValueError("a1 must be positive for the substitution")
@@ -421,6 +439,7 @@ def bessel_change_check(
 
 def numeric_roots(chi: CharPoly) -> list:
     """All complex roots of a rational chi (degree <= 3), Newton-polished."""
+    import numpy as np
     if chi.degree > 3:
         raise UnsupportedDegreeError(f"degree {chi.degree} > 3")
     coeffs = [float(c) for c in chi.rational_coeffs()]

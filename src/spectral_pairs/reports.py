@@ -11,8 +11,6 @@ import io
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .curves import SpectralCurve
 from .numeric import GridFunction
 from .verify import VerificationReport
@@ -67,6 +65,7 @@ def parse_curve(data: dict) -> SpectralCurve:
 
 def grid_csv(grid: GridFunction, psi=None, residual=None) -> bytes:
     """Grid data as CSV with the normative header; missing columns are 0/nan."""
+    import numpy as np
     n = len(grid.x)
     psi = np.zeros(n, dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
     residual = np.full(n, np.nan) if residual is None else np.asarray(residual, dtype=float)

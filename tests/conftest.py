@@ -216,6 +216,26 @@ def commuting_operators_oracle(l4, order):
         space.append(DiffOp(ring, coeffs))
     return partials, rows, space
 
+
+def gauge_normalize_oracle(m, l4, g: int):
+    """M minus rational multiples of L4^k (k <= g, 4k < ord M) and constants.
+
+    Afterwards the D^(4k) coefficient of M has zero constant term for each
+    such k.  ``find_commuting_operator`` returns an operator already in this
+    form (its docstring gives the reduced row echelon argument), so there
+    this is the identity.  Powers of order >= ord M are left alone:
+    subtracting them could cancel M's leading term.
+    """
+    pows = [DiffOp.identity(l4.ring)]
+    for k in range(g, -1, -1):
+        c = m.coeff(4 * k).constant_term()
+        if c and 4 * k < m.order:
+            while len(pows) <= k:
+                pows.append(pows[-1] * l4)
+            m = m - pows[k].scale(c)
+    return m
+
+
 # -- reference curves: the two-truncation computation the single basis replaced ---
 
 

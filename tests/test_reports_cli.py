@@ -186,6 +186,16 @@ def test_cli_spectral_curve_first_instance(capsys):
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def _env_with_src() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 _GENERIC = ["4", "1", "-2/3", "-1"]
 
 
@@ -229,6 +239,37 @@ def test_cli_exact_commands_match_golden_output(capsys, name):
     assert run_command(_GOLDEN_COMMANDS[name]) == 0
     out = capsys.readouterr().out.encode()
     assert _without_elapsed(out) == (DATA / name).read_bytes()
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # importing numpy, or scipy, now raises ImportError
+from spectral_pairs.cli import run_command
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run_command(argv)
+    results[name] = [code, out.getvalue()]
+print(json.dumps(results))
+"""
+
+
+def test_cli_exact_commands_run_without_numpy():
+    # the exact engine is rational algebra alone: numpy is imported only by
+    # the numeric code that calls it
+    commands = {**_GOLDEN_COMMANDS, "spectral-curve-generic-g2.json":
+                ["spectral-curve", "--family", "cubic", "--g", "2", "--alpha", *_GENERIC]}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(commands)],
+                          capture_output=True, text=True, env=_env_with_src(), timeout=300,
+                          check=True)
+    results = json.loads(proc.stdout)
+    assert sorted(results) == sorted(commands)
+    for name, (code, out) in results.items():
+        got = out.encode()
+        assert code == 0, name
+        # the .txt goldens hold stdout without its elapsed_ms lines
+        assert (got if name.endswith(".json") else _without_elapsed(got)) \
+            == (DATA / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("order", ["4", "0"])
@@ -365,14 +406,9 @@ def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
 def test_cli_residual_over_a_huge_interval_exits_2_quickly(argv):
     # neither V = x^3 on [0, 1e9] nor e^x up to y = 1e9 has a blow-up event:
     # only the evaluation cap ends the integration
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "spectral_pairs.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_env_with_src(), timeout=60,
     )
     assert proc.returncode == 2
     assert "not covered" in proc.stderr

@@ -86,24 +86,25 @@ def test_only_the_rings_package_reads_the_integer_form_of_polynomials():
 _STARTUP = """
 import sys
 import spectral_pairs, spectral_pairs.cli
-print("scipy" in sys.modules)
+print("scipy" in sys.modules, "numpy" in sys.modules)
 from spectral_pairs.families import CUBIC, FamilySpec
 from spectral_pairs.numeric import integrate_kernel
 grid = integrate_kernel(FamilySpec(CUBIC, 1, alphas=(0, 0, 0, 0)), False,
                         init=(0.0, 1.0), n_points=11)
-print(abs(grid.phi - grid.x).max() < 1e-12, "scipy" in sys.modules)
+print(abs(grid.phi - grid.x).max() < 1e-12, "scipy" in sys.modules, "numpy" in sys.modules)
 """
 
 
 def test_importing_the_package_leaves_scipy_unloaded():
-    # the exact engine never uses scipy: it is imported by the numeric code that calls it
+    # the exact engine never uses numpy or scipy: the numeric code that calls
+    # them imports them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run([sys.executable, "-c", _STARTUP], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
-    assert proc.stdout.split() == ["False", "True", "True"]
+    assert proc.stdout.split() == ["False", "False", "True", "True", "True"]
 
 
 def _returned_int_literals(fn) -> list:
