@@ -4,7 +4,8 @@ Exit codes: 0 every requested check passed, 1 a verification failed or no
 commuting partner of the requested order exists, 2 usage or coverage errors
 (parameters outside a family, counts, grid sizes, tolerances, thresholds
 and intervals out of range, a grid above MAX_GRID_POINTS, a partner order
-above MAX_PARTNER_ORDER, --samples other than 1 with --alpha, a spectral
+above MAX_PARTNER_ORDER, --samples above MAX_SAMPLES or other than 1 with
+--alpha, parameters beyond float range in a numeric command, a spectral
 curve that is not of rank two, parameters so degenerate that no check
 could run, and an --out path that cannot be written).  Exact rationals
 cross the boundary as "num/den" strings, and negative ones such as -2/3
@@ -50,6 +51,10 @@ import json
 # about 5 s on a shared 2-core Xeon: 0.3-0.4 s for the partner search, 0.1 s
 # for its curve and about 4 s for the exact check R(L4, M) = 0.
 MAX_PARTNER_ORDER = 42
+# `verify-corollary --g 4 --which both` takes about 50 ms per sample after
+# 0.1 s of start-up on a shared 2-core Xeon, so 100 samples take about 5.4 s
+# (--g 2: 1.2 s).
+MAX_SAMPLES = 100
 # Grid time and memory are linear: at this size `residual` (cubic g = 2) takes
 # about 3 s and 90 MB on a shared 2-core machine.
 MAX_GRID_POINTS = 100_001
@@ -118,10 +123,7 @@ class _Interval(argparse.Action):
 
 class ArgumentParser(argparse.ArgumentParser):
     """Reads "-p/q" and "-1e-3" as values, as argparse already does for "-3"
-    and "-0.5".
-
-    The scripts in ``scripts/`` build their parsers from it too.
-    """
+    and "-0.5"."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -156,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, choices=(2, 4), required=True)
     p.add_argument("--alpha", type=_fraction, nargs="+", default=None)
     p.add_argument("--which", choices=("l4", "l4g2", "both"), default="l4")
-    p.add_argument("--samples", type=_positive_int, default=1)
+    p.add_argument("--samples", type=_int_at_least(1, MAX_SAMPLES), default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
 
@@ -289,13 +291,14 @@ def _cmd_residual(args) -> int:
         tol=args.tol, n_points=args.n_points,
     )
     roots = numeric_roots(char_poly_z(spec))
-    worst = 0.0
-    for z in roots:
-        worst = max(worst, eigen_residual(spec, z, grid))
+    residuals = [eigen_residual(spec, z, grid) for z in roots]
+    worst = max(residuals)
     if args.out:
         psi, profile = residual_profile(spec, roots[0], grid)
         _write(grid_csv(grid, psi=psi, residual=profile), args.out)
     print(f"max residual over {len(roots)} root(s): {worst:.3e}")
+    for z, r in zip(roots, residuals):
+        print(f"z = {z:.6g}: {r:.3e}")
     return 0 if worst < args.threshold else 1
 
 

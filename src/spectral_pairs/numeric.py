@@ -177,16 +177,33 @@ def ls_derivative(values: np.ndarray, h: float, m: int, half_width: int,
 def _potential_callable(spec: FamilySpec, shifted: bool):
     """V(x) as a float callable, from the exact operator construction."""
     l2 = make_schrodinger(spec, shifted=shifted)
-    return _coeff_callable(l2.coeffs[0])
+    return _coeff_callable(l2.coeffs[0], "V")
 
 
-def _coeff_callable(coeff):
-    """Sum of c x^i e^(kx/2) over the terms c x^i t^k of ``coeff``."""
+def _float(value: Fraction, what: str) -> float:
+    """``value`` as a float, or NotCoveredError naming it if beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        bits = abs(value.numerator).bit_length() - value.denominator.bit_length()
+        raise NotCoveredError(
+            f"{what} is about {'-' if value < 0 else ''}10^{round(bits * 0.30103)}, "
+            "beyond float range"
+        ) from None
+
+
+def _coeff_callable(coeff, what: str):
+    """Sum of c x^i e^(kx/2) over the terms c x^i t^k of ``coeff``.
+
+    The coefficients become floats here, once; one beyond float range
+    raises :class:`NotCoveredError` naming ``what``.
+    """
     import numpy as np
     terms = []
     for e, c in coeff.terms.items():
         powers = dict(zip(coeff.ring.variables, e))
-        terms.append((float(c), powers.get("x", 0), powers.get("t", 0)))
+        terms.append((_float(c, f"a coefficient of {what}"),
+                      powers.get("x", 0), powers.get("t", 0)))
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -334,7 +351,7 @@ def _stencil_profiles(spec: FamilySpec, z_root, grid: GridFunction):
     if not stencils:
         raise ValueError("grid too small for the residual stencils")
     l4_values = [
-        None if coeff.is_zero() else _coeff_callable(coeff)(grid.x)
+        None if coeff.is_zero() else _coeff_callable(coeff, "L4")(grid.x)
         for coeff in make_L4(spec).coeffs
     ]
     profiles = [
@@ -373,14 +390,14 @@ def _multiplier_values(spec: FamilySpec, z: complex, x: np.ndarray) -> np.ndarra
     import numpy as np
     if spec.family == EXPONENTIAL:
         # p = e^(kx/2), free of z
-        return _coeff_callable(multiplier_p(spec, None))(x)
+        return _coeff_callable(multiplier_p(spec, None), "p")(x)
     # evaluate the exact multiplier with z adjoined formally, then substitute;
     # z^3 = 0 never triggers since no multiplier exceeds degree 2 in z
     dummy = CharPoly(PolyRing(()), [0, 0, 0, Fraction(1)])
     p = multiplier_p(spec, QuotientRing(coefficient_ring(spec), dummy).gen)
     total = np.zeros(len(x), dtype=complex)
     for zi, coord in enumerate(p.coords):
-        total += _coeff_callable(coord)(x) * z ** zi
+        total += _coeff_callable(coord, "p")(x) * z ** zi
     return total
 
 
@@ -409,19 +426,22 @@ def bessel_change_check(
     if y0 <= 0:
         raise ValueError("y interval must stay away from 0")
     spec = FamilySpec(EXPONENTIAL, 1, alphas=(a0, a1))
-    x0 = float(np.log(y0 ** 2 / (4 * float(a1))))
-    x1 = float(np.log(y1 ** 2 / (4 * float(a1))))
+    a0_f, a1_f = _float(a0, "a0"), _float(a1, "a1")
+    if a1_f == 0:
+        raise NotCoveredError("a1 is positive but rounds to 0 as a float")
+    x0 = float(np.log(y0 ** 2 / (4 * a1_f)))
+    x1 = float(np.log(y1 ** 2 / (4 * a1_f)))
     sol, end = _integrate(_potential_callable(spec, shifted=False), (x0, x1),
                           (1.0, 0.4), tol)
     if end != x1:
         raise NotCoveredError(
             f"the solution exceeded {OVERFLOW_LIMIT:g} at x={end:g}, "
-            f"y={2 * np.sqrt(float(a1)) * np.exp(end / 2):g}; choose a shorter "
+            f"y={2 * np.sqrt(a1_f) * np.exp(end / 2):g}; choose a shorter "
             "y interval"
         )
     ys = np.linspace(y0, y1, n_points)
     hy = ys[1] - ys[0]
-    xs = np.log(ys ** 2 / (4 * float(a1)))
+    xs = np.log(ys ** 2 / (4 * a1_f))
     phi = sol(xs)[0]
     d1 = fd_derivative(phi.astype(complex), hy, 1, half_width=half_width)
     d2 = fd_derivative(phi.astype(complex), hy, 2, half_width=half_width)
@@ -432,7 +452,7 @@ def bessel_change_check(
     res = (
         ys[core] ** 2 * d2[core]
         + ys[core] * d1[core]
-        + (ys[core] ** 2 + 4 * float(a0)) * phi[core]
+        + (ys[core] ** 2 + 4 * a0_f) * phi[core]
     )
     return float(np.max(np.abs(res)) / np.max(np.abs(phi)))
 
@@ -442,7 +462,7 @@ def numeric_roots(chi: CharPoly) -> list:
     import numpy as np
     if chi.degree > 3:
         raise UnsupportedDegreeError(f"degree {chi.degree} > 3")
-    coeffs = [float(c) for c in chi.rational_coeffs()]
+    coeffs = [_float(c, "a coefficient of chi(z)") for c in chi.rational_coeffs()]
     scale = max(abs(c) for c in coeffs)
     roots = np.roots(list(reversed(coeffs)))
 

@@ -330,6 +330,8 @@ def test_cli_residual_builds_the_grid_profile_only_for_out(capsys, tmp_path, mon
     argv = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "1", "0", "1"]
     assert run_command(argv) == 0
     assert len(calls) == 2
+    per_root = list(calls)
+    lines = capsys.readouterr().out.splitlines()
     out = tmp_path / "grid.csv"
     assert run_command(argv + ["--out", str(out)]) == 0
     assert len(calls) == 5
@@ -337,6 +339,10 @@ def test_cli_residual_builds_the_grid_profile_only_for_out(capsys, tmp_path, mon
     psi, profile = residual_profile(spec, first_root, grid)
     assert out.read_bytes() == grid_csv(grid, psi=psi, residual=profile)
     capsys.readouterr()
+    # the maximum first, then each root's eigen_residual on the same grid
+    values = [numeric.eigen_residual(spec, z, grid) for spec, z, grid in per_root]
+    assert lines[0] == f"max residual over 2 root(s): {max(values):.3e}"
+    assert lines[1:] == [f"z = {z:.6g}: {r:.3e}" for (_, z, _), r in zip(per_root, values)]
 
 
 def test_cli_residual_threshold_failure_exits_1(capsys):
@@ -354,7 +360,17 @@ def test_cli_bessel_check(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("passed, code", [(True, 0), (False, 1)])
+def test_cli_suite_exit_code_is_the_suite_verdict(monkeypatch, passed, code):
+    # the criteria themselves run in tests/test_acceptance.py
+    outs = []
+    monkeypatch.setattr(cli, "run_suite", lambda out: outs.append(out) or passed)
+    assert run_command(["suite"]) == code
+    assert outs == [sys.stdout]
+
+
 _RESIDUAL = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "0", "1"]
+_BIG = "1" + "0" * 400
 
 
 @pytest.mark.parametrize(
@@ -390,6 +406,13 @@ _RESIDUAL = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "
           "--eps", "1"], "invalid parameters"),
         (["verify-theorem", "--family", "cubic", "--g", "2", "--eps", "1"],
          "invalid parameters"),
+        # exact parameters beyond float range are refused before integrating
+        (["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "0", _BIG],
+         "not covered: a coefficient of V is about 10^400"),
+        (["residual", "--family", "exponential", "--g", "1", "--alpha", "0", _BIG],
+         "not covered: a coefficient of V is about 10^400"),
+        (["bessel-check", "--a1", _BIG], "not covered: a1 is about 10^400"),
+        (["bessel-check", "--a1", "1/" + _BIG], "not covered: a1 is positive but rounds to 0"),
     ],
 )
 def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
@@ -531,13 +554,18 @@ def test_cli_partner_order_is_bounded(capsys, monkeypatch, command, size, search
         # one check of the given parameters would run, not three
         (["verify-corollary", "--g", "2", "--alpha", "1", "2", "3", "4",
           "--samples", "3"], "--samples"),
+        (["verify-corollary", "--g", "2", "--samples", str(cli.MAX_SAMPLES + 1)],
+         "--samples"),
     ],
 )
-def test_cli_out_of_range_counts_exit_2(capsys, argv, message):
+def test_cli_out_of_range_counts_exit_2(capsys, monkeypatch, argv, message):
+    sampled = []
+    monkeypatch.setattr(cli, "sample_spec", lambda *args, **kw: sampled.append(args))
     assert run_command(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+    assert sampled == []
 
 
 def test_cli_accepts_negative_fractions(capsys):
