@@ -47,11 +47,7 @@ from .numeric import (
     GridFunction,
     bessel_change_check,
     eigen_residual,
-    fd_derivative,
-    fd_weights,
     integrate_kernel,
-    ls_derivative,
-    ls_weights,
     numeric_roots,
     residual_profile,
 )

@@ -9,17 +9,17 @@ operator is then applied by central finite differences only; reusing the
 symbolic reduction here would prove nothing, so the discretization is the
 whole point.
 
-Finite-difference weights come from Fornberg's recurrence (Math. Comp.
-1988).  Differencing interpolated data amplifies the interpolation error like
-1/h^m, so the residual check uses wide least-squares stencils: minimum-norm
-weights exact on polynomials through a fixed degree (>= 12, hence at least
-8th-order accurate) spread over hundreds of grid points, which averages the
-dense-output noise down while the polynomial-exactness constraints keep the
-truncation bias small.  Every derivative order of one stencil shares its
-Vandermonde matrix, so the weights of all orders come from one least-squares
-solve with one right-hand-side column per order.  Narrow Fornberg stencils
-remain available for convergence studies where truncation should dominate.
-Both kinds of weights are applied by the same sliding correlation.
+Finite-difference weights have one generator, :func:`ls_weight_table`: the
+minimum-norm weights on a centred stencil that reproduce the derivatives of
+every polynomial through a fixed degree, all orders from one least-squares
+solve, exact while that solve keeps full rank.  At degree 2*half_width the
+stencil is the classic central one, which the Bessel check uses where
+truncation should dominate.  Differencing interpolated data amplifies the
+interpolation error like 1/h^m, so the residual check uses wide stencils:
+degree >= 12 (hence at least 8th-order accurate) over hundreds of grid
+points, which averages the dense-output noise down while the exactness
+constraints keep the truncation bias small.  :func:`_apply_stencil` applies
+every stencil by one sliding correlation.
 
 numpy and scipy are imported inside the functions that use them, never at
 module level: importing the package, and every exact command, loads
@@ -75,36 +75,6 @@ class GridFunction:
         return float(self.x[1] - self.x[0])
 
 
-def fd_weights(m: int, offsets) -> np.ndarray:
-    """Fornberg weights for the m-th derivative at 0 on integer offsets."""
-    import numpy as np
-    x = np.asarray(offsets, dtype=float)
-    n = len(x)
-    if m >= n:
-        raise ValueError("need more stencil points than the derivative order")
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0]
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
 def _apply_stencil(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Centred stencil ``w`` slid along ``values``; NaN where it does not fit."""
     import numpy as np
@@ -114,19 +84,6 @@ def _apply_stencil(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     out = np.full(len(values), np.nan, dtype=complex)
     out[half:len(values) - half] = np.correlate(values, w, "valid")
     return out
-
-
-def fd_derivative(values: np.ndarray, h: float, m: int,
-                  half_width: int = 5) -> np.ndarray:
-    """m-th derivative on interior points via a central Fornberg stencil.
-
-    The stencil spans ``2*half_width + 1`` consecutive samples; half_width = 5
-    gives 8th-order accuracy up to m = 4.  Entries without a full stencil are
-    NaN.
-    """
-    import numpy as np
-    offsets = np.arange(-half_width, half_width + 1)
-    return _apply_stencil(values, fd_weights(m, offsets) / h ** m)
 
 
 def ls_weight_table(max_order: int, half_width: int, degree: int,
@@ -139,6 +96,10 @@ def ls_weight_table(max_order: int, half_width: int, degree: int,
     Euclidean-smallest one, which minimizes the amplification of
     uncorrelated sample noise.  All orders share one Vandermonde matrix, so
     the table is one least-squares solve with a right-hand side per order.
+    At degree 2*half_width the one solution is the classic central stencil.
+    Exactness holds only at full rank: lstsq's rcond cut-off drops small
+    singular values of wide stencils on fine spacings (the residual's
+    (450, 12) stencil on [0, 1] has rank 13 of 13 at 1001 points, 5 at 100001).
     """
     import numpy as np
     if degree < max_order:
@@ -152,26 +113,6 @@ def ls_weight_table(max_order: int, half_width: int, degree: int,
         rhs[m, m] = float(factorial(m))
     table, *_ = np.linalg.lstsq(vander, rhs, rcond=None)
     return table
-
-
-def ls_weights(m: int, half_width: int, degree: int, h: float) -> np.ndarray:
-    """Minimum-norm weights for the m-th derivative, exact through ``degree``.
-
-    Column m of :func:`ls_weight_table`: the weights on offsets
-    -half_width..half_width at spacing ``h`` that reproduce the m-th
-    derivative of every polynomial of degree <= ``degree`` exactly, the
-    Euclidean-smallest such stencil.
-    """
-    return ls_weight_table(m, half_width, degree, h)[:, m]
-
-
-def ls_derivative(values: np.ndarray, h: float, m: int, half_width: int,
-                  degree: int) -> np.ndarray:
-    """m-th derivative on interior points via the least-squares stencil.
-
-    Entries without a full window are NaN, as in :func:`fd_derivative`.
-    """
-    return _apply_stencil(values, ls_weights(m, half_width, degree, h))
 
 
 def _potential_callable(spec: FamilySpec, shifted: bool):
@@ -414,9 +355,10 @@ def bessel_change_check(
 
     Integrates (d_x^2 + a1 e^x + a0) phi = 0, transplants phi to the y grid,
     and applies y^2 d_y^2 + y d_y + (y^2 + 4 a0) by central differences in y
-    (2*half_width + 1 points; the default is 4th-order accurate).  With the
-    default grid the stencil truncation dominates, so halving h shows the
-    expected convergence order until the integrator's tolerance floor.
+    (:func:`ls_weight_table` at degree 2*half_width on 2*half_width + 1
+    points; the default is 4th-order accurate).  With the default grid the
+    stencil truncation dominates, so halving h shows the expected
+    convergence order until the integrator's tolerance floor.
     """
     import numpy as np
     a0, a1 = Fraction(a0), Fraction(a1)
@@ -429,8 +371,12 @@ def bessel_change_check(
     a0_f, a1_f = _float(a0, "a0"), _float(a1, "a1")
     if a1_f == 0:
         raise NotCoveredError("a1 is positive but rounds to 0 as a float")
-    x0 = float(np.log(y0 ** 2 / (4 * a1_f)))
-    x1 = float(np.log(y1 ** 2 / (4 * a1_f)))
+    # an a1 near either end of float range sends y^2 / (4 a1) to 0 or inf
+    with np.errstate(divide="ignore"):
+        x0, x1 = (float(np.log(y ** 2 / (4 * a1_f))) for y in (y0, y1))
+    if not (isfinite(x0) and isfinite(x1)):
+        raise NotCoveredError(f"a1 = {a1_f:.3g} sends x = ln(y^2 / (4 a1)) to "
+                              f"[{x0:g}, {x1:g}], beyond float range")
     sol, end = _integrate(_potential_callable(spec, shifted=False), (x0, x1),
                           (1.0, 0.4), tol)
     if end != x1:
@@ -443,8 +389,10 @@ def bessel_change_check(
     hy = ys[1] - ys[0]
     xs = np.log(ys ** 2 / (4 * a1_f))
     phi = sol(xs)[0]
-    d1 = fd_derivative(phi.astype(complex), hy, 1, half_width=half_width)
-    d2 = fd_derivative(phi.astype(complex), hy, 2, half_width=half_width)
+    # unit offsets, scaled by hy^-m: on offsets j*hy lstsq's rcond cuts rank
+    weights = ls_weight_table(2, half_width, 2 * half_width, 1.0)
+    d1 = _apply_stencil(phi.astype(complex), weights[:, 1] / hy)
+    d2 = _apply_stencil(phi.astype(complex), weights[:, 2] / hy ** 2)
     # fixed interior window: the evaluation set must not depend on n_points,
     # or refinement ratios are polluted by newly exposed near-boundary points
     inset = 0.1 * (y1 - y0)

@@ -45,24 +45,6 @@ def curve_dict(curve: SpectralCurve) -> dict:
     return out
 
 
-def parse_curve(data: dict) -> SpectralCurve:
-    """Inverse of :func:`curve_dict`; round-trips exactly."""
-    terms = {}
-    for key, val in data.items():
-        i = j = 0
-        if key != "1":
-            for part in key.split("*"):
-                name, _, exp = part.partition("^")
-                if name == "z":
-                    i = int(exp)
-                elif name == "w":
-                    j = int(exp)
-                else:
-                    raise ValueError(f"unknown monomial part {part!r}")
-        terms[(i, j)] = Fraction(val)
-    return SpectralCurve(terms)
-
-
 def grid_csv(grid: GridFunction, psi=None, residual=None) -> bytes:
     """Grid data as CSV with the normative header; missing columns are 0/nan."""
     import numpy as np

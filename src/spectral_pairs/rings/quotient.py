@@ -38,13 +38,6 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval_at(self, value):
-        """Horner evaluation at any element supporting the ring operations."""
-        acc = value * 0  # zero of the target structure
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def map_coeffs(self, fn, ring=None) -> "CharPoly":
         return CharPoly(ring or self.ring, [fn(c) for c in self.coeffs])
 

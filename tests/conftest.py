@@ -287,24 +287,30 @@ def hyperelliptic_pair_oracle(l4, m):
     return m, curve
 
 
-# -- reference numerics: the per-offset stencil loops and the pointwise multiplier ---
+# -- reference numerics: exact weights, the per-offset loop, the pointwise multiplier
 
 
-def fd_derivative_oracle(values, h: float, m: int, half_width: int = 5):
-    """Fornberg stencil applied one offset at a time, NaN at the margins."""
-    import numpy as np
+def central_weights_oracle(m: int, half_width: int) -> list:
+    """Exact m-th derivative weights on offsets -half_width..half_width.
 
-    from spectral_pairs.numeric import fd_weights
+    The square Vandermonde system sum_j w_j j^k = m! [k == m], k = 0..2 hw,
+    solved by Gauss-Jordan elimination over Fraction.
+    """
+    from math import factorial
 
-    offsets = np.arange(-half_width, half_width + 1)
-    w = fd_weights(m, offsets) / h ** m
-    out = np.full(len(values), np.nan, dtype=complex)
-    acc = np.zeros(len(values) - 2 * half_width, dtype=complex)
-    for off, wt in zip(offsets, w):
-        lo = half_width + off
-        acc += wt * values[lo:lo + len(acc)]
-    out[half_width:len(values) - half_width] = acc
-    return out
+    offsets = range(-half_width, half_width + 1)
+    n = len(offsets)
+    rows = [[Fraction(j) ** k for j in offsets] + [Fraction(factorial(m) if k == m else 0)]
+            for k in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * c for v, c in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
 
 
 def ls_weights_oracle(m: int, half_width: int, degree: int, h: float):
@@ -321,13 +327,11 @@ def ls_weights_oracle(m: int, half_width: int, degree: int, h: float):
     return w
 
 
-def ls_derivative_oracle(values, h: float, m: int, half_width: int, degree: int):
-    """Least-squares stencil applied one offset at a time, NaN at the margins."""
+def apply_stencil_oracle(values, w):
+    """Centred stencil ``w`` applied one offset at a time, NaN at the margins."""
     import numpy as np
 
-    from spectral_pairs.numeric import ls_weights
-
-    w = ls_weights(m, half_width, degree, h)
+    half_width = len(w) // 2
     out = np.full(len(values), np.nan, dtype=complex)
     acc = np.zeros(len(values) - 2 * half_width, dtype=complex)
     for k, wt in enumerate(w):

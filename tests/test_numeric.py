@@ -24,15 +24,12 @@ from spectral_pairs.families import (
 from spectral_pairs.numeric import (
     MAX_RHS_EVALUATIONS,
     OVERFLOW_LIMIT,
+    _apply_stencil,
     _multiplier_values,
     bessel_change_check,
     eigen_residual,
-    fd_derivative,
-    fd_weights,
     integrate_kernel,
-    ls_derivative,
     ls_weight_table,
-    ls_weights,
     numeric_roots,
     residual_profile,
 )
@@ -40,8 +37,8 @@ from spectral_pairs.rings import CharPoly, PolyRing, rational_roots
 from spectral_pairs.verify import sample_spec
 
 from conftest import (
-    fd_derivative_oracle,
-    ls_derivative_oracle,
+    apply_stencil_oracle,
+    central_weights_oracle,
     ls_weights_oracle,
     multiplier_values_oracle,
 )
@@ -113,21 +110,37 @@ def test_integration_input_validation():
 
 
 def test_classic_central_weights():
-    assert np.allclose(fd_weights(1, [-1, 0, 1]), [-0.5, 0.0, 0.5])
-    assert np.allclose(fd_weights(2, [-1, 0, 1]), [1.0, -2.0, 1.0])
-    assert np.allclose(fd_weights(4, [-2, -1, 0, 1, 2]), [1.0, -4.0, 6.0, -4.0, 1.0])
+    assert np.allclose(ls_weight_table(1, 1, 2, 1.0)[:, 1], [-0.5, 0.0, 0.5])
+    assert np.allclose(ls_weight_table(2, 1, 2, 1.0)[:, 2], [1.0, -2.0, 1.0])
+    assert np.allclose(ls_weight_table(4, 2, 4, 1.0)[:, 4], [1.0, -4.0, 6.0, -4.0, 1.0])
 
 
 def test_fd_weights_need_enough_points():
-    with pytest.raises(ValueError):
-        fd_weights(3, [-1, 0, 1])
+    # a third derivative needs four points: three allow degree 2 at most
+    with pytest.raises(ValueError, match="too narrow"):
+        ls_weight_table(3, 1, 3, 1.0)
+    with pytest.raises(ValueError, match="at least the derivative order"):
+        ls_weight_table(3, 1, 2, 1.0)
+
+
+@pytest.mark.parametrize("half_width", [1, 2, 3, 4, 5])
+def test_square_weight_table_is_exact_central_weights(half_width):
+    # degree 2*half_width leaves one solution: the classic central stencil.
+    # The solve's error grows with the width: at most 1.8e-13 relative up to
+    # half_width 4, but 3.5e-12 at half_width 5 (m = 3)
+    rel = 1e-12 if half_width <= 4 else 1e-11
+    max_order = min(4, 2 * half_width)
+    table = ls_weight_table(max_order, half_width, 2 * half_width, 1.0)
+    for m in range(max_order + 1):
+        want = np.array([float(w) for w in central_weights_oracle(m, half_width)])
+        assert np.max(np.abs(table[:, m] - want)) <= rel * np.max(np.abs(want))
 
 
 def test_fd_derivative_exact_on_polynomials():
     xs = np.linspace(0.0, 1.0, 21)
     h = xs[1] - xs[0]
     vals = (xs ** 6).astype(complex)
-    d4 = fd_derivative(vals, h, 4)
+    d4 = _apply_stencil(vals, ls_weight_table(4, 5, 10, h)[:, 4])
     core = ~np.isnan(d4.real)
     assert np.max(np.abs(d4[core] - 360.0 * xs[core] ** 2)) < 1e-8
     assert np.all(np.isnan(d4[:5].real)) and np.all(np.isnan(d4[-5:].real))
@@ -136,7 +149,7 @@ def test_fd_derivative_exact_on_polynomials():
 @pytest.mark.parametrize("half_width,degree", [(6, 12), (20, 12), (100, 14)])
 def test_ls_weights_reproduce_polynomial_derivatives(half_width, degree):
     h = 0.01
-    w = ls_weights(4, half_width, degree, h)
+    w = ls_weight_table(4, half_width, degree, h)[:, 4]
     j = (np.arange(-half_width, half_width + 1) * h)
     for k in range(degree + 1):
         moment = float(np.sum(w * j ** k))
@@ -147,9 +160,9 @@ def test_ls_weights_reproduce_polynomial_derivatives(half_width, degree):
 
 def test_ls_weights_validation():
     with pytest.raises(ValueError):
-        ls_weights(4, 10, 3, 0.01)  # degree below the derivative order
+        ls_weight_table(4, 10, 3, 0.01)  # degree below the derivative order
     with pytest.raises(ValueError):
-        ls_weights(2, 2, 6, 0.01)  # window too narrow for the degree
+        ls_weight_table(2, 2, 6, 0.01)  # window too narrow for the degree
 
 
 @pytest.mark.parametrize("half_width,degree,h", [
@@ -162,14 +175,13 @@ def test_ls_weight_table_matches_one_solve_per_order(half_width, degree, h):
         want = ls_weights_oracle(m, half_width, degree, h)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(table[:, m] - want)) <= 1e-10 * scale
-        assert np.max(np.abs(ls_weights(m, half_width, degree, h) - want)) <= 1e-10 * scale
 
 
 def test_ls_derivative_exact_on_polynomials():
     xs = np.linspace(-1.0, 1.0, 401)
     h = xs[1] - xs[0]
     vals = (xs ** 8 - 3 * xs ** 5).astype(complex)
-    d2 = ls_derivative(vals, h, 2, half_width=60, degree=12)
+    d2 = _apply_stencil(vals, ls_weight_table(2, 60, 12, h)[:, 2])
     core = ~np.isnan(d2.real)
     oracle = 56 * xs ** 6 - 60 * xs ** 3
     assert np.max(np.abs(d2[core] - oracle[core])) < 1e-6
@@ -180,7 +192,8 @@ def _random_complex(seed: int, n: int) -> np.ndarray:
     return gen.standard_normal(n) + 1j * gen.standard_normal(n)
 
 
-def _assert_matches_oracle(got, want, w, values):
+def _assert_matches_oracle(values, w):
+    got, want = _apply_stencil(values, w), apply_stencil_oracle(values, w)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     core = ~np.isnan(want)
     # summation order is the only difference: bound it by the sum of |w * values|
@@ -191,27 +204,25 @@ def _assert_matches_oracle(got, want, w, values):
 @pytest.mark.parametrize("m, half_width", [(1, 2), (2, 3), (4, 5), (3, 8)])
 def test_fd_derivative_matches_per_offset_loop(m, half_width):
     values, h = _random_complex(m * 100 + half_width, 301), 0.01
-    w = fd_weights(m, np.arange(-half_width, half_width + 1)) / h ** m
-    _assert_matches_oracle(fd_derivative(values, h, m, half_width=half_width),
-                           fd_derivative_oracle(values, h, m, half_width), w, values)
+    w = ls_weight_table(m, half_width, 2 * half_width, 1.0)[:, m] / h ** m
+    _assert_matches_oracle(values, w)
 
 
 @pytest.mark.parametrize("m, half_width, degree", [(1, 20, 12), (2, 60, 12), (4, 150, 14)])
 def test_ls_derivative_matches_per_offset_loop(m, half_width, degree):
     values, h = _random_complex(m * 1000 + half_width, 401), 0.005
-    w = ls_weights(m, half_width, degree, h)
-    _assert_matches_oracle(ls_derivative(values, h, m, half_width, degree),
-                           ls_derivative_oracle(values, h, m, half_width, degree), w, values)
+    _assert_matches_oracle(values, ls_weight_table(m, half_width, degree, h)[:, m])
 
 
 def test_stencils_need_as_many_samples_as_points():
     values = _random_complex(7, 11)
+    w = ls_weight_table(2, 5, 10, 0.1)[:, 2]
     with pytest.raises(ValueError, match="fewer samples"):
-        fd_derivative(values[:10], 0.1, 2, half_width=5)
+        _apply_stencil(values[:10], w)
     with pytest.raises(ValueError, match="fewer samples"):
-        ls_derivative(values[:3], 0.1, 2, half_width=5, degree=6)
+        _apply_stencil(values[:3], ls_weight_table(2, 5, 6, 0.1)[:, 2])
     # exactly one full stencil: one derivative value, in the middle
-    d = fd_derivative(values, 0.1, 2, half_width=5)
+    d = _apply_stencil(values, w)
     assert np.flatnonzero(~np.isnan(d)).tolist() == [5]
 
 
@@ -370,3 +381,16 @@ def test_bessel_form_input_validation():
         bessel_change_check(0, 0)
     with pytest.raises(ValueError):
         bessel_change_check(0, 1, y_interval=(-1.0, 5.0))
+
+
+@pytest.mark.parametrize("half_width", [2, 3])
+def test_bessel_form_takes_both_stencils_from_one_square_unit_table(monkeypatch, half_width):
+    calls = []
+
+    def counting(max_order, hw, degree, h):
+        calls.append((max_order, hw, degree, h))
+        return ls_weight_table(max_order, hw, degree, h)
+
+    monkeypatch.setattr(numeric, "ls_weight_table", counting)
+    bessel_change_check(0, 1, half_width=half_width)
+    assert calls == [(2, half_width, 2 * half_width, 1.0)]
