@@ -2,15 +2,17 @@
 
 Exit codes: 0 every requested check passed, 1 a verification failed or no
 commuting partner of the requested order exists, 2 usage or coverage errors
-(parameters outside a family, counts, grid sizes, tolerances, thresholds
-and intervals out of range, a grid above MAX_GRID_POINTS, a partner order
-above MAX_PARTNER_ORDER, --samples above MAX_SAMPLES or other than 1 with
---alpha, parameters beyond float range in a numeric command, a spectral
-curve that is not of rank two, parameters so degenerate that no check
-could run, and an --out path that cannot be written).  Exact rationals
-cross the boundary as "num/den" strings, and negative ones such as -2/3
-are read as values, not options; JSON reports are deterministic for a
-fixed seed (elapsed_ms aside).
+(parameters outside a family, counts, grid sizes, tolerances and intervals
+out of range, a grid above MAX_GRID_POINTS, a partner order above
+MAX_PARTNER_ORDER, --samples above MAX_SAMPLES or other than 1 with
+--alpha, parameters beyond float range in a numeric command, a numeric
+solution that passes the overflow limit, a spectral curve that is not of
+rank two, parameters so degenerate that no check could run, and an --out
+path that cannot be written).  The numeric commands decide against the
+fixed gates RESIDUAL_BOUND and BESSEL_BOUND, as the suite does.  Exact
+rationals cross the boundary as "num/den" strings, and negative ones such
+as -2/3 are read as values, not options; JSON reports are deterministic for
+a fixed seed (elapsed_ms aside).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .errors import (
 from .families import CUBIC, EXPONENTIAL, QUARTIC, FamilySpec, char_poly_z, make_L4
 from .numeric import (
     BESSEL_MIN_POINTS,
-    DEFAULT_INTERVALS,
     RESIDUAL_MIN_POINTS,
     bessel_change_check,
     eigen_residual,
@@ -151,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theorem", help="eigenfunction identity by exact division")
     _add_family_args(p)
-    p.add_argument("--mode", choices=("symbolic", "specialized"), default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify-corollary", help="conjugated commutators divisible by L2")
@@ -177,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--n-points", type=_int_at_least(RESIDUAL_MIN_POINTS, MAX_GRID_POINTS),
                    default=1001)
-    p.add_argument("--threshold", type=_positive_float, default=RESIDUAL_BOUND)
     p.add_argument("--out", default=None, help="CSV grid output path")
 
     p = sub.add_parser("bessel-check", help="second-order form change of variables")
@@ -190,7 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--n-points", type=_int_at_least(BESSEL_MIN_POINTS, MAX_GRID_POINTS),
                    default=101)
-    p.add_argument("--threshold", type=_positive_float, default=BESSEL_BOUND)
 
     sub.add_parser("suite", help="run every acceptance check")
     return parser
@@ -224,13 +222,6 @@ def _partner_args(args):
 
 
 def _cmd_verify_theorem(args) -> int:
-    mode = args.mode or ("specialized" if args.alpha else "symbolic")
-    if mode == "symbolic" and args.alpha:
-        print("symbolic mode takes no --alpha values", file=sys.stderr)
-        return 2
-    if mode == "specialized" and not args.alpha:
-        print("specialized mode requires --alpha", file=sys.stderr)
-        return 2
     report = verify_eigen_identity(_spec_from_args(args))
     _write(emit_report(report), args.out)
     return 0 if report.remainder_is_zero else 1
@@ -284,11 +275,9 @@ def _cmd_spectral_curve(args) -> int:
 
 def _cmd_residual(args) -> int:
     spec = _spec_from_args(args)
-    interval = tuple(args.interval) if args.interval else DEFAULT_INTERVALS[spec.family]
-    shifted = spec.family == EXPONENTIAL
     grid = integrate_kernel(
-        spec, shifted, init=(1.0, 0.3), interval=interval,
-        tol=args.tol, n_points=args.n_points,
+        spec, shifted=spec.family == EXPONENTIAL, init=(1.0, 0.3),
+        interval=args.interval, tol=args.tol, n_points=args.n_points,
     )
     roots = numeric_roots(char_poly_z(spec))
     residuals = [eigen_residual(spec, z, grid) for z in roots]
@@ -299,7 +288,7 @@ def _cmd_residual(args) -> int:
     print(f"max residual over {len(roots)} root(s): {worst:.3e}")
     for z, r in zip(roots, residuals):
         print(f"z = {z:.6g}: {r:.3e}")
-    return 0 if worst < args.threshold else 1
+    return 0 if worst < RESIDUAL_BOUND else 1
 
 
 def _cmd_bessel_check(args) -> int:
@@ -308,7 +297,7 @@ def _cmd_bessel_check(args) -> int:
         tol=args.tol, n_points=args.n_points,
     )
     print(f"residual: {res:.3e}")
-    return 0 if res < args.threshold else 1
+    return 0 if res < BESSEL_BOUND else 1
 
 
 _DISPATCH = {

@@ -16,8 +16,13 @@ class NonMonicError(SpectralPairsError):
 class NotCoveredError(SpectralPairsError):
     """The request lies outside what the package covers.
 
-    Raised for a (family, g, eps) combination with no known closed form, and
-    for a commuting pair whose spectral curve is not of rank two.
+    Raised for a (family, g, eps) combination with no known closed form or
+    multiplier, a commuting pair whose spectral curve is not of rank two, a
+    corollary check at symbolic parameters or outside the cubic family at
+    g in {2, 4}, a partner search above the order cap or for the exponential
+    family, and numeric work beyond its limits: an integration over the
+    right-hand-side evaluation cap, a value beyond float range, and a
+    solution that passes the overflow limit.
     """
 
 
@@ -26,7 +31,7 @@ class ConstraintError(SpectralPairsError):
 
 
 class TruncationError(SpectralPairsError):
-    """A power series was too short for the requested operation."""
+    """The kernel basis's Taylor data is too short for the requested operation."""
 
 
 class DegenerateSampleError(SpectralPairsError):

@@ -4,10 +4,10 @@ The kernel ODE phi'' = -V phi is integrated with an adaptive embedded
 Runge-Kutta pair (5th order, 4th-order error estimate) and resampled on a
 uniform grid by dense interpolation.  The eigen-identity residual and the
 Bessel-form check share that one integration path, with its cap on
-right-hand-side evaluations and its stop at blow-up.  The fourth-order
-operator is then applied by central finite differences only; reusing the
-symbolic reduction here would prove nothing, so the discretization is the
-whole point.
+right-hand-side evaluations and its refusal of a solution that blows up.
+The fourth-order operator is then applied by central finite differences
+only; reusing the symbolic reduction here would prove nothing, so the
+discretization is the whole point.
 
 Finite-difference weights have one generator, :func:`ls_weight_table`: the
 minimum-norm weights on a centred stencil that reproduce the derivatives of
@@ -29,7 +29,7 @@ numeric criteria) pays for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isfinite
 from typing import TYPE_CHECKING
@@ -63,12 +63,11 @@ DEFAULT_INTERVALS = {"cubic": (0.0, 1.0), "quartic": (0.0, 1.0), EXPONENTIAL: (0
 
 @dataclass
 class GridFunction:
-    """phi and phi' sampled on a uniform grid, with provenance metadata."""
+    """phi and phi' sampled on a uniform grid."""
 
     x: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
 
     @property
     def h(self) -> float:
@@ -162,12 +161,12 @@ def _coeff_callable(coeff, what: str):
 
 
 def _integrate(v, interval, init, tol: float):
-    """Dense RK45 solution of phi'' = -v(x) phi, and where it ends.
+    """Dense RK45 solution of phi'' = -v(x) phi over the whole interval.
 
-    The solution stops early, at the returned end, where |phi| or |phi'|
-    passes :data:`OVERFLOW_LIMIT`.  An integration that needs more than
-    :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations, or meets an x
-    where V(x) overflows a float, raises :class:`NotCoveredError`.
+    A solution whose |phi| or |phi'| passes :data:`OVERFLOW_LIMIT`, an
+    integration that needs more than :data:`MAX_RHS_EVALUATIONS`
+    right-hand-side evaluations, and one that meets an x where V(x)
+    overflows a float all raise :class:`NotCoveredError`.
     """
     import numpy as np
     a, b = interval
@@ -208,8 +207,12 @@ def _integrate(v, interval, init, tol: float):
             dense_output=True,
             events=blow_up,
         )
-    end = float(sol.t_events[0][0]) if sol.t_events[0].size else b
-    return sol.sol, end
+    if sol.t_events[0].size:
+        raise NotCoveredError(
+            f"the solution exceeded {OVERFLOW_LIMIT:g} at x = "
+            f"{sol.t_events[0][0]:g}; choose a shorter interval"
+        )
+    return sol.sol
 
 
 def integrate_kernel(
@@ -222,10 +225,11 @@ def integrate_kernel(
 ) -> GridFunction:
     """Integrate phi'' = -V(x) phi and resample on a uniform grid.
 
-    Blow-up past the overflow limit truncates the interval; the partial grid
-    is returned with a diagnostic in ``meta``.  An integration that needs
-    more than :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations, or
-    where V(x) overflows a float, raises :class:`NotCoveredError`.
+    ``interval`` defaults to the family's entry in :data:`DEFAULT_INTERVALS`.
+    The grid always spans the whole interval: a solution that passes the
+    overflow limit, an integration that needs more than
+    :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations, and one where
+    V(x) overflows a float raise :class:`NotCoveredError` (:func:`_integrate`).
     """
     import numpy as np
     if spec.symbolic:
@@ -233,25 +237,17 @@ def integrate_kernel(
     if tol <= 0:
         raise ValueError("tol must be positive")
     a, b = interval if interval is not None else DEFAULT_INTERVALS[spec.family]
-    sol, end = _integrate(_potential_callable(spec, shifted), (a, b), init, tol)
-    meta = {
-        "family": spec.family,
-        "g": spec.g,
-        "params": spec.params_dict(),
-        "tol": tol,
-    }
-    if end != b:
-        meta["diagnostic"] = f"solution exceeded {OVERFLOW_LIMIT:g} at x={end:g}"
-    xs = np.linspace(a, end, n_points)
-    ys = sol(xs)
-    return GridFunction(x=xs, phi=ys[0], dphi=ys[1], meta=meta)
+    sol = _integrate(_potential_callable(spec, shifted), (a, b), init, tol)
+    xs = np.linspace(a, b, n_points)
+    phi, dphi = sol(xs)
+    return GridFunction(x=xs, phi=phi, dphi=dphi)
 
 
 # (window cap in grid points, polynomial exactness degree); the residual is
-# taken as the best of a narrower low-degree and a wider high-degree stencil,
-# both at least 8th-order accurate
+# taken from the better of a narrower low-degree and a wider high-degree
+# stencil, both at least 8th-order accurate
 _RESIDUAL_STENCILS = ((450, 12), (550, 14))
-# grid size at which the narrowest stencil first fits (see _stencil_profiles)
+# grid size at which the narrowest stencil first fits (see residual_profile)
 RESIDUAL_MIN_POINTS = 41 + min(degree for _, degree in _RESIDUAL_STENCILS)
 
 
@@ -277,7 +273,15 @@ def _defect_profile(l4_values, z_root, psi, h, half_width, degree):
     return out
 
 
-def _stencil_profiles(spec: FamilySpec, z_root, grid: GridFunction):
+def residual_profile(spec: FamilySpec, z_root: complex, grid: GridFunction):
+    """(psi, |L4 psi - z psi| / max |psi|) on the grid, with psi = p(x) phi.
+
+    Each term of L4 is applied with a wide least-squares stencil (module
+    docstring).  Two bias/noise trade-offs are evaluated, and the profile of
+    the one with the smaller maximum is returned whole, NaN at the margins
+    where its stencil does not fit: either upper-bounds the defect of the
+    exact identity up to its own discretization error.
+    """
     import numpy as np
     psi = _multiplier_values(spec, z_root, grid.x) * grid.phi
     scale = np.max(np.abs(psi))
@@ -299,31 +303,13 @@ def _stencil_profiles(spec: FamilySpec, z_root, grid: GridFunction):
         _defect_profile(l4_values, z_root, psi, grid.h, half_width, degree) / scale
         for half_width, degree in stencils
     ]
-    return psi, profiles
+    return psi, min(profiles, key=np.nanmax)
 
 
 def eigen_residual(spec: FamilySpec, z_root: complex, grid: GridFunction) -> float:
-    """max |L4 psi - z psi| / max |psi| with psi = p(x) phi, by differences.
-
-    Each term of L4 is applied with a wide least-squares stencil (module
-    docstring); two bias/noise trade-offs are evaluated and the smaller
-    residual is reported, since either one upper-bounds the defect of the
-    exact identity up to its own discretization error.
-    """
+    """max |L4 psi - z psi| / max |psi|: the maximum of :func:`residual_profile`."""
     import numpy as np
-    _, profiles = _stencil_profiles(spec, z_root, grid)
-    return min(float(np.nanmax(p)) for p in profiles)
-
-
-def residual_profile(spec: FamilySpec, z_root: complex, grid: GridFunction):
-    """(psi, pointwise relative residual) on the grid, NaN at the margins."""
-    import numpy as np
-    psi, profiles = _stencil_profiles(spec, z_root, grid)
-    stacked = np.stack(profiles)
-    merged = np.full(len(grid.x), np.nan)
-    valid = ~np.all(np.isnan(stacked), axis=0)
-    merged[valid] = np.nanmin(stacked[:, valid], axis=0)
-    return psi, merged
+    return float(np.nanmax(residual_profile(spec, z_root, grid)[1]))
 
 
 def _multiplier_values(spec: FamilySpec, z: complex, x: np.ndarray) -> np.ndarray:
@@ -377,14 +363,7 @@ def bessel_change_check(
     if not (isfinite(x0) and isfinite(x1)):
         raise NotCoveredError(f"a1 = {a1_f:.3g} sends x = ln(y^2 / (4 a1)) to "
                               f"[{x0:g}, {x1:g}], beyond float range")
-    sol, end = _integrate(_potential_callable(spec, shifted=False), (x0, x1),
-                          (1.0, 0.4), tol)
-    if end != x1:
-        raise NotCoveredError(
-            f"the solution exceeded {OVERFLOW_LIMIT:g} at x={end:g}, "
-            f"y={2 * np.sqrt(a1_f) * np.exp(end / 2):g}; choose a shorter "
-            "y interval"
-        )
+    sol = _integrate(_potential_callable(spec, shifted=False), (x0, x1), (1.0, 0.4), tol)
     ys = np.linspace(y0, y1, n_points)
     hy = ys[1] - ys[0]
     xs = np.log(ys ** 2 / (4 * a1_f))

@@ -243,6 +243,14 @@ def rational_roots(chi: CharPoly) -> list:
     of evaluations logarithmic in the coefficients (see
     :func:`_one_rational_root`), never a scan over divisors.
     """
+    return sorted(_split_rational_roots(chi)[0])
+
+
+def _split_rational_roots(chi: CharPoly):
+    """(rational roots with multiplicity, cofactor coefficients low->high).
+
+    The cofactor is chi with every rational root divided out; it has none.
+    """
     if chi.degree > 3:
         raise UnsupportedDegreeError(f"degree {chi.degree} > 3")
     work = [_as_fraction(c) if not isinstance(c, MultiPoly) else c.as_fraction()
@@ -256,7 +264,7 @@ def rational_roots(chi: CharPoly) -> list:
         if rem != 0:
             raise SpectralPairsError("a confirmed root left a nonzero remainder")
         roots.append(found)
-    return sorted(roots)
+    return roots, work
 
 
 def _one_rational_root(coeffs):

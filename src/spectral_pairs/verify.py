@@ -38,7 +38,7 @@ from .families import (
 )
 from .operators import DiffOp
 from .rings import CharPoly, MultiPoly, PolyRing, QuotientExt, QuotientRing, rational_roots
-from .rings.quotient import _deflate
+from .rings.quotient import _split_rational_roots
 
 RESAMPLE_BUDGET = 50
 DEFAULT_SEED = 20140441
@@ -145,24 +145,14 @@ def _sf(chi: CharPoly) -> bool:
     return len(roots) == len(set(roots))
 
 
-def _deflate_rational_roots(coeffs, roots):
-    """Divide out (z - r) for each rational root (with multiplicity)."""
-    for r in roots:
-        coeffs, rem = _deflate(coeffs, r)
-        if rem != 0:
-            raise SpectralPairsError(f"rational root {r} does not divide chi")
-    return coeffs
-
-
 def _branches(chi: CharPoly):
     """Every root class of chi over Q.
 
     Each rational root, as a Fraction, and at most one Q[x][z]/(f), as a
     QuotientRing, for the monic cofactor f the rational roots leave.
     """
-    roots = rational_roots(chi)
+    roots, cofactor = _split_rational_roots(chi)
     out = sorted(set(roots))
-    cofactor = _deflate_rational_roots(chi.rational_coeffs(), roots)
     if len(cofactor) > 1:
         # no rational roots left: irreducible over Q for degree <= 3
         monic = [c / cofactor[-1] for c in cofactor]

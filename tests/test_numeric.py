@@ -90,12 +90,12 @@ def test_cubic_potential_matches_taylor_series():
     assert np.max(np.abs(grid.phi - oracle)) < 1e-9
 
 
-def test_blow_up_truncates_with_diagnostic():
+def test_blow_up_is_not_covered():
+    # V = x^3 - 10^4 makes phi grow like e^(100 x): it passes the overflow
+    # limit well before x = 4, and no partial grid is returned
     spec = FamilySpec(CUBIC, 2, alphas=(-10000, 0, 0, 1))
-    grid = integrate_kernel(spec, shifted=False, interval=(0.0, 4.0), n_points=101)
-    assert "diagnostic" in grid.meta
-    assert grid.x[-1] < 4.0
-    assert np.all(np.isfinite(grid.phi))
+    with pytest.raises(NotCoveredError, match=re.escape(f"exceeded {OVERFLOW_LIMIT:g}")):
+        integrate_kernel(spec, shifted=False, interval=(0.0, 4.0), n_points=101)
 
 
 def test_integration_input_validation():
@@ -328,8 +328,36 @@ def test_residual_profile_shape(x3_grid):
     psi, profile = residual_profile(spec, 0.0, grid)
     assert len(psi) == len(grid.x) and len(profile) == len(grid.x)
     assert np.isnan(profile[0]) and np.isnan(profile[-1])
-    # pointwise minimum of the stencil profiles: small wherever defined
+    # one stencil's profile, small wherever that stencil fits
     assert np.nanmax(profile) < 1e-6
+
+
+_CRITERION_8 = [
+    (FamilySpec(CUBIC, 2, alphas=(0, 0, 0, 1)), False, 1001, [0.0]),
+    (FamilySpec(CUBIC, 2, alphas=(0, 1, 0, 1)), False, 1001, None),
+    (FamilySpec(EXPONENTIAL, 1, alphas=(0, 1)), True, 2001, [-0.25]),
+]
+
+
+@pytest.mark.parametrize("spec, shifted, n_points, roots", _CRITERION_8,
+                         ids=["cubic-0001", "cubic-0101", "exponential-01"])
+def test_residual_profile_maximum_is_eigen_residual(monkeypatch, spec, shifted, n_points,
+                                                    roots):
+    interval = (0.0, 2.0) if shifted else (0.0, 1.0)
+    grid = integrate_kernel(spec, shifted, init=(1.0, 0.3), interval=interval,
+                            n_points=n_points)
+    for z in roots or numeric_roots(char_poly_z(spec)):
+        _, profile = residual_profile(spec, z, grid)
+        residual = eigen_residual(spec, z, grid)
+        assert float(np.nanmax(profile)) == residual
+        # the profile is the stencil whose maximum is smaller, whole: its
+        # maximum is the smaller of the two stencils' own maxima
+        per_stencil = []
+        for stencil in numeric._RESIDUAL_STENCILS:
+            with monkeypatch.context() as m:
+                m.setattr(numeric, "_RESIDUAL_STENCILS", (stencil,))
+                per_stencil.append(eigen_residual(spec, z, grid))
+        assert residual == min(per_stencil)
 
 
 @pytest.mark.parametrize("check", [eigen_residual, residual_profile])

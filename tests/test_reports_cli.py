@@ -14,7 +14,7 @@ from spectral_pairs.cli import run_command
 from spectral_pairs.curves import SpectralCurve
 from spectral_pairs.errors import CommutingOperatorNotFound
 from spectral_pairs.families import CUBIC, FamilySpec
-from spectral_pairs.numeric import MAX_RHS_EVALUATIONS, integrate_kernel, residual_profile
+from spectral_pairs.numeric import MAX_RHS_EVALUATIONS, integrate_kernel
 from spectral_pairs.reports import (
     CSV_HEADER,
     TOOL_VERSION,
@@ -100,9 +100,7 @@ def test_reports_byte_identical_up_to_elapsed():
 
 
 def test_cli_verify_theorem_symbolic(capsys):
-    code = run_command(
-        ["verify-theorem", "--family", "cubic", "--g", "2", "--mode", "symbolic"]
-    )
+    code = run_command(["verify-theorem", "--family", "cubic", "--g", "2"])
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["remainder_is_zero"] is True
@@ -122,17 +120,6 @@ def test_cli_uncovered_genus_exits_2(capsys):
     code = run_command(["verify-theorem", "--family", "cubic", "--g", "7"])
     assert code == 2
     assert "not covered" in capsys.readouterr().err
-
-
-def test_cli_mode_alpha_mismatch_exits_2(capsys):
-    assert run_command(
-        ["verify-theorem", "--family", "cubic", "--g", "2",
-         "--mode", "symbolic", "--alpha", "1"]
-    ) == 2
-    assert run_command(
-        ["verify-theorem", "--family", "cubic", "--g", "2", "--mode", "specialized"]
-    ) == 2
-    capsys.readouterr()
 
 
 def test_cli_usage_errors_exit_2(capsys):
@@ -208,9 +195,9 @@ _GOLDEN_COMMANDS = {
         ["verify-corollary", "--g", "2", "--samples", "3", "--seed", "11",
          "--which", "both"],
     "verify-theorem-exponential-g3-symbolic.txt":
-        ["verify-theorem", "--family", "exponential", "--g", "3", "--mode", "symbolic"],
+        ["verify-theorem", "--family", "exponential", "--g", "3"],
     "verify-theorem-cubic-g2-symbolic.txt":
-        ["verify-theorem", "--family", "cubic", "--g", "2", "--mode", "symbolic"],
+        ["verify-theorem", "--family", "cubic", "--g", "2"],
 }
 
 
@@ -300,13 +287,15 @@ def test_cli_residual_writes_grid_csv(capsys, tmp_path):
 def test_cli_residual_builds_the_grid_profile_only_for_out(capsys, tmp_path, monkeypatch):
     """One stencil pass per root, and one more for the first root's CSV profile."""
     calls = []
-    inner = numeric._stencil_profiles
+    inner = numeric.residual_profile
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(numeric, "_stencil_profiles", counted)
+    # eigen_residual reaches it through the module, the CSV through cli
+    monkeypatch.setattr(numeric, "residual_profile", counted)
+    monkeypatch.setattr(cli, "residual_profile", counted)
     argv = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "1", "0", "1"]
     assert run_command(argv) == 0
     assert len(calls) == 2
@@ -316,7 +305,7 @@ def test_cli_residual_builds_the_grid_profile_only_for_out(capsys, tmp_path, mon
     assert run_command(argv + ["--out", str(out)]) == 0
     assert len(calls) == 5
     spec, first_root, grid = calls[2]
-    psi, profile = residual_profile(spec, first_root, grid)
+    psi, profile = inner(spec, first_root, grid)
     assert out.read_bytes() == grid_csv(grid, psi=psi, residual=profile)
     capsys.readouterr()
     # the maximum first, then each root's eigen_residual on the same grid
@@ -325,19 +314,41 @@ def test_cli_residual_builds_the_grid_profile_only_for_out(capsys, tmp_path, mon
     assert lines[1:] == [f"z = {z:.6g}: {r:.3e}" for (_, z, _), r in zip(per_root, values)]
 
 
-def test_cli_residual_threshold_failure_exits_1(capsys):
+@pytest.mark.parametrize("argv, code", [
+    (["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "0", "1"], 0),
+    # exit 1 here is the exponential family's stencil bias (ROADMAP item 5)
+    (["residual", "--family", "exponential", "--g", "1", "--alpha", "0", "1"], 1),
+], ids=["cubic", "exponential"])
+def test_cli_residual_csv_is_the_printed_profile(capsys, tmp_path, argv, code):
+    # the CSV's residual column is the profile whose maximum is printed
+    # for the first root
+    out = tmp_path / "grid.csv"
+    assert run_command(argv) == code
+    printed = capsys.readouterr().out
+    assert run_command(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == printed
+    first_root = printed.splitlines()[1].rsplit(": ", 1)[1]
+    column = np.array([float(line.split(",")[5])
+                       for line in out.read_text().splitlines()[1:]])
+    assert f"{np.nanmax(column):.3e}" == first_root
+
+
+def test_cli_residual_threshold_failure_exits_1(capsys, monkeypatch):
+    # the gate is the suite's RESIDUAL_BOUND, passed only strictly below it
+    monkeypatch.setattr(cli, "eigen_residual", lambda spec, z, grid: cli.RESIDUAL_BOUND)
     code = run_command(
-        ["residual", "--family", "cubic", "--g", "2",
-         "--alpha", "0", "0", "0", "1", "--threshold", "1e-12"]
+        ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "0", "1"]
     )
     assert code == 1
-    capsys.readouterr()
+    assert f"{cli.RESIDUAL_BOUND:.3e}" in capsys.readouterr().out
 
 
-def test_cli_bessel_check(capsys):
+def test_cli_bessel_check(capsys, monkeypatch):
     assert run_command(["bessel-check"]) == 0
-    assert run_command(["bessel-check", "--threshold", "1e-9"]) == 1
-    capsys.readouterr()
+    # the gate is the suite's BESSEL_BOUND, passed only strictly below it
+    monkeypatch.setattr(cli, "bessel_change_check", lambda *a, **k: cli.BESSEL_BOUND)
+    assert run_command(["bessel-check"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"residual: {cli.BESSEL_BOUND:.3e}"
 
 
 @pytest.mark.parametrize("passed, code", [(True, 0), (False, 1)])
@@ -364,8 +375,10 @@ _BIG = "1" + "0" * 400
         (_RESIDUAL + ["--interval", "1", "1"], "--interval"),
         (_RESIDUAL + ["--interval", "0", "nan"], "--interval"),
         (_RESIDUAL + ["--interval", "0", "inf"], "--interval"),
-        (_RESIDUAL + ["--threshold", "nan"], "--threshold"),
-        (_RESIDUAL + ["--threshold", "0"], "--threshold"),
+        # p(x) vanishes at a root of chi, so psi = p phi is zero
+        (["residual", "--family", "cubic", "--g", "2", "--alpha", "1", "1", "0", "0"],
+         "degenerate parameters, nothing checked"),
+        (_RESIDUAL + ["--n-points", "1e3"], "--n-points"),
         (["bessel-check", "--n-points", "2"], "--n-points"),
         (["bessel-check", "--n-points", str(cli.MAX_GRID_POINTS + 1)], "--n-points"),
         (["bessel-check", "--a1", "0"], "--a1"),
@@ -374,7 +387,7 @@ _BIG = "1" + "0" * 400
         (["bessel-check", "--y-interval", "5", "1"], "--y-interval"),
         (["bessel-check", "--y-interval", "2", "2"], "--y-interval"),
         (["bessel-check", "--tol", "-1e-10"], "--tol"),
-        (["bessel-check", "--threshold", "nan"], "--threshold"),
+        (["bessel-check", "--a0", "1/0"], "--a0"),
         # phi grows like e^(1000 x) and passes the overflow limit
         (["bessel-check", "--a0", "-1000000"], "not covered"),
         # V itself overflows a float at the first right-hand-side call
@@ -396,6 +409,9 @@ _BIG = "1" + "0" * 400
         # a1 at either end of float range sends x = ln(y^2 / (4 a1)) to +-inf
         (["bessel-check", "--a1", "1e-320"], "not covered: a1 = 1e-320 sends x"),
         (["bessel-check", "--a1", "1e308"], "not covered: a1 = 1e+308 sends x"),
+        # phi grows like e^(100 x) and passes the overflow limit before x = 4
+        (["residual", "--family", "cubic", "--g", "2", "--alpha", "-10000", "0", "0", "1",
+          "--interval", "0", "4"], "not covered: the solution exceeded 1e+150"),
     ],
 )
 def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
