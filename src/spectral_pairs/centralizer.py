@@ -20,38 +20,47 @@ degree-bounded ansatz as an independent formulation of the same space.
 
 The back-substitution is ring code over Q[x], one kernel sum per
 coefficient of [L4, M]; the integer pairs of :mod:`rings.multipoly` are
-read directly only by the integral (:func:`_partial_solution`) and for the
-entries of the action matrix.
+read directly only by the integral (:func:`_partial_solution`).
 
 The spectral curve comes from the action of M on a formal basis psi_0 ..
 psi_3 of ker(L4 - z): the characteristic polynomial det(w I - A(z)) is F^l
 for the irreducible relation F of the pair, and the curve is F, its exact
-monic l-th root (:func:`curves.squarefree_normalize`).  The basis is held as
-its Taylor data d_k = psi_j^(k)(0) over Q[z], which obey a recurrence with
-no factorial denominators (:func:`series_kernel_basis`).  The action matrix
-holds the first four Taylor data of M psi_j, and only those are formed:
+monic l-th root (:func:`curves.squarefree_normalize`).  The basis and the
+action matrix live in :mod:`curves`, beside :func:`curves.charpoly_w`, and
+are imported here.  The basis is held as its Taylor data
+d_k = psi_j^(k)(0) over Q[z], which obey a recurrence with no factorial
+denominators (:func:`curves.series_kernel_basis`).  The action matrix holds
+the first four Taylor data of M psi_j, and only those are formed:
 A[k][j] = sum_(i, s <= k) a_(i,s) k!/(k-s)! d_(k-s+i) over the terms
 a_(i,s) x^s D^i of M, which reads d up to d_(ord M + 3)
-(:func:`action_matrix`).  So one basis at truncation max(8, ord M + 3) gives
-the curve: the recurrence is prefix-closed (d_(m+4) is fixed by d_0 ..
-d_(m+3)), so a longer basis cut to that length is the same basis and gives
-the same matrix.  Completing the square needs no second curve either:
-M + b(L4)/2 acts on ker(L4 - z) as A + b(z)/2 I, so the curve
-w^2 + b w + c of M becomes R(z, w - b/2) = w^2 + c - b^2/4.
+(:func:`curves.action_matrix`).  So one basis at truncation
+max(8, ord M + 3) gives the curve: the recurrence is prefix-closed (d_(m+4)
+is fixed by d_0 .. d_(m+3)), so a longer basis cut to that length is the
+same basis and gives the same matrix.  Completing the square needs no second
+curve either: M + b(L4)/2 acts on ker(L4 - z) as A + b(z)/2 I, so the curve
+w^2 + b w + c of M becomes R(z, w - b/2) = w^2 + c - b^2/4.  The same
+matrix decides R(L4, M') = 0 without composing M' with itself
+(:meth:`curves.SpectralCurve.eval_at_operators`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, perm
+from math import comb, lcm
 
-from .curves import SpectralCurve, charpoly_w, squarefree_normalize
+from .curves import (
+    SpectralCurve,
+    _over_qx,
+    action_matrix,
+    charpoly_w,
+    series_kernel_basis,
+    squarefree_normalize,
+)
 from .errors import (
     CommutingOperatorNotFound,
     NotCoveredError,
     SpectralPairsError,
-    TruncationError,
 )
 from .linalg import nullspace
 from .operators import DiffOp, _derivative_table
@@ -147,7 +156,7 @@ def commuting_operators(l4: DiffOp, order: int) -> list:
     :func:`linalg.nullspace`, so c_K = 1 and c = 0 at the other orders.
     """
     ring = l4.ring
-    if not isinstance(ring, PolyRing) or ring.variables != ("x",) or ring.laurent:
+    if not _over_qx(ring):
         raise SpectralPairsError("partner search requires specialized Q[x] coefficients")
     if not l4.is_monic() or l4.order < 1:
         raise SpectralPairsError("L4 must be monic of positive order")
@@ -200,76 +209,6 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     if not l4.commutator(m).is_zero():
         raise SpectralPairsError("solver output failed exact commutator check")
     return m
-
-
-# -- formal kernel and action matrix -------------------------------------------
-
-
-def _x_terms(op: DiffOp) -> dict:
-    """{(i, s): rational coefficient of x^s D^i} of an operator over Q[x]."""
-    ring = op.ring
-    if not isinstance(ring, PolyRing) or ring.variables != ("x",) or ring.laurent:
-        raise SpectralPairsError("expected an operator with Q[x] coefficients")
-    return {
-        (i, e[0]): c for i, coeff in enumerate(op.coeffs) for e, c in coeff.terms.items()
-    }
-
-
-def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
-    """Taylor data of four solutions psi_0 .. psi_3 of (L4 - z) psi = 0.
-
-    Returns four lists d of length ``truncation + 1`` over Q[z], with d[k]
-    the k-th derivative of psi_j at 0, so d[k] = [k == j] for k < 4.
-    ``l4`` must be monic of order 4 with Q[x] coefficients; x = 0 is then an
-    ordinary point.  With L4 = sum q_(i,s) x^s D^i, the m-th derivative of
-    (L4 - z) psi at 0 gives a recurrence with no factorial denominators:
-
-        d_(m+4) = z d_m - sum_((i,s) != (4,0)) q_(i,s) m!/(m-s)! d_(m-s+i),
-
-    over m >= s.
-    """
-    if l4.order != 4 or not l4.is_monic():
-        raise SpectralPairsError("expected a monic operator of order 4")
-    if truncation < 8:
-        raise TruncationError("truncation must be at least 8")
-    zring = PolyRing(("z",))
-    lower = [(i, s, zring.const(q)) for (i, s), q in _x_terms(l4).items() if (i, s) != (4, 0)]
-    z = zring.var("z")
-    basis = []
-    for j in range(4):
-        d = [zring.one if k == j else zring.zero for k in range(4)]
-        for m in range(truncation - 3):
-            d.append(zring.sum_products([(1, z, d[m])] + [
-                (-perm(m, s), q, d[m - s + i]) for i, s, q in lower if m >= s
-            ]))
-        basis.append(d)
-    return basis
-
-
-def action_matrix(m: DiffOp, basis: list) -> list:
-    """4x4 matrix over Q[z] of M acting on the formal kernel basis.
-
-    Column j holds the Taylor data (k-th derivative at 0, k < 4) of M psi_j,
-    which are exactly its coordinates in the basis.  With M = sum a_(i,s)
-    x^s D^i and d the Taylor data of psi_j, only these four are formed:
-
-        A[k][j] = sum_i sum_(s <= k) a_(i,s) k!/(k-s)! d_(k-s+i),
-
-    which reads d up to d_(ord M + 3).  Entries are dense z-coefficient
-    lists of Fractions, lowest power first.
-    """
-    if len(basis[0]) - 1 - m.order < 3:
-        raise TruncationError("basis truncation too small for this operator")
-    zring = basis[0][0].ring
-    terms = {key: zring.const(a) for key, a in _x_terms(m).items()}
-    matrix = [[None] * 4 for _ in range(4)]
-    for j, d in enumerate(basis):
-        for k in range(4):
-            den, nums = zring.sum_products(
-                (perm(k, s), a, d[k - s + i]) for (i, s), a in terms.items() if s <= k
-            ).dense()
-            matrix[k][j] = [Fraction(e, den) for e in nums]
-    return matrix
 
 
 def spectral_curve(l4: DiffOp, m: DiffOp) -> SpectralCurve:

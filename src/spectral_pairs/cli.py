@@ -43,14 +43,18 @@ from .numeric import (
     residual_profile,
 )
 from .reports import curve_dict, emit_report, grid_csv
+from .rings import CharPoly, rational_roots
+from .rings.quotient import _deflate
 from .suite import BESSEL_BOUND, RESIDUAL_BOUND, run_suite
 from .verify import DEFAULT_SEED, sample_spec, verify_corollary, verify_eigen_identity
 
 import json
 
 # At 42 (g = 10), `spectral-curve` on the generic cubic 4 1 -2/3 -1 takes
-# about 5 s on a shared 2-core Xeon: 0.3-0.4 s for the partner search, 0.1 s
-# for its curve and about 4 s for the exact check R(L4, M) = 0.
+# about 0.4 s on a shared 2-core Xeon: 0.25-0.3 s for the partner search,
+# 0.05 s for its curve and 0.03 s for the exact check R(L4, M) = 0 on the
+# kernel action.  The cap was sized when that check composed M with itself
+# (about 3 s) and has not been re-derived from the new cost.
 MAX_PARTNER_ORDER = 42
 # `verify-corollary --g 4 --which both` takes about 50 ms per sample after
 # 0.1 s of start-up on a shared 2-core Xeon, so 100 samples take about 5.4 s
@@ -273,13 +277,28 @@ def _cmd_spectral_curve(args) -> int:
     return 0 if identity_zero else 1
 
 
+def _distinct_roots(chi: CharPoly) -> list:
+    """The complex roots of chi, each distinct root once.
+
+    A repeated root of a rational chi of degree <= 3 is rational, so
+    :func:`rational_roots` finds it exactly, with its multiplicity; it is
+    divided out until it is simple, and the roots are those of the rest.
+    """
+    roots = rational_roots(chi)
+    coeffs = chi.rational_coeffs()
+    for r in set(roots):
+        for _ in range(roots.count(r) - 1):
+            coeffs, _ = _deflate(coeffs, r)
+    return numeric_roots(CharPoly(chi.ring, coeffs))
+
+
 def _cmd_residual(args) -> int:
     spec = _spec_from_args(args)
     grid = integrate_kernel(
         spec, shifted=spec.family == EXPONENTIAL, init=(1.0, 0.3),
         interval=args.interval, tol=args.tol, n_points=args.n_points,
     )
-    roots = numeric_roots(char_poly_z(spec))
+    roots = _distinct_roots(char_poly_z(spec))
     residuals = [eigen_residual(spec, z, grid) for z in roots]
     worst = max(residuals)
     if args.out:

@@ -1,17 +1,24 @@
-"""Bivariate spectral curves R(z, w) with exact rational coefficients.
+"""Bivariate spectral curves R(z, w) and the formal kernel they act on.
 
 The curve of a commuting pair is the squarefree part of the characteristic
 polynomial det(w*I - A(z)) of the action of the second operator on the formal
 kernel of the first.  That polynomial is F^l for the pair's irreducible
 relation F, monic in w (Burchnall and Chaundy), so the curve is its exact
 monic l-th root in Q[z][w]: no gcd and no rational functions of z.
+
+The formal kernel of L4 - z lives here too: its basis psi_0 .. psi_3 is held
+as Taylor data over Q[z] (:func:`series_kernel_basis`), and the 4x4 action
+matrix A of an operator on it (:func:`action_matrix`) feeds both
+:func:`charpoly_w` and the zero test of
+:meth:`SpectralCurve.eval_at_operators`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
-from .errors import NonMonicError, RingMismatchError
+from .errors import NonMonicError, RingMismatchError, SpectralPairsError, TruncationError
 from .operators import DiffOp
 from .rings import MultiPoly, PolyRing
 
@@ -46,10 +53,36 @@ class SpectralCurve(MultiPoly):
         return out
 
     def eval_at_operators(self, a: DiffOp, b: DiffOp) -> DiffOp:
-        """R(a, b) by Horner in w over Horner in z; requires [a, b] = 0.
+        """R(a, b) for commuting a, b; a zero result is decided on a 4x4 matrix.
 
-        For w^2 - F(z) that is one b*b and deg F compositions with a.
+        When the curve has w-degree >= 1, ``a`` is monic of order 4 over Q[x]
+        and [a, b] = 0 holds by direct expansion, R(a, b) = 0 is decided on the
+        action of b on the formal kernel of a - z, and no composition is
+        formed.  Let C(a) be the operators that commute with a, and let
+        psi_j(x, z) be the kernel basis of a - z with psi_j^(k)(0) = delta_jk
+        (:func:`series_kernel_basis`).  Then:
+
+        - P -> A(P), P psi_j = sum_k A_kj psi_k, is a ring homomorphism
+          C(a) -> M_4(Q[z]) (the entries are constant in x), and A(a) = z I.
+          So A(R(a, b)) = R(z I, A(b)), as R(a, b) lies in C(a).
+        - The map is injective.  If A(Q) = 0, Q kills psi(., c) for every
+          value c.  These are eigenfunctions of a for distinct eigenvalues,
+          so infinitely many of them are linearly independent, while a
+          nonzero operator of order n has at most n independent solutions
+          in Qbar((x)), whose constants are Qbar.  So Q = 0.
+
+        This is the Burchnall-Chaundy / Krichever correspondence (L_f psi =
+        f(P) psi): Burchnall and Chaundy, Proc. London Math. Soc. 1923;
+        Krichever, Russian Math. Surveys 1977.  R(z I, A(b)) is evaluated
+        over Q[z] by Horner in w with exact kernel sums, so no modular, float
+        or heuristic step decides the verdict.  When that matrix is zero the
+        zero operator is returned.  Otherwise, and whenever the test does not
+        apply, R(a, b) is formed by Horner in w over Horner in z: for
+        w^2 - F(z) that is one b*b and deg F compositions with a, and on the
+        matrix path the result is known to be nonzero.
         """
+        if self._kills_kernel_action(a, b):
+            return DiffOp.zero(a.ring)
         out = DiffOp.zero(a.ring)
         for j in range(self.w_degree(), -1, -1):
             acc = DiffOp.zero(a.ring)
@@ -57,6 +90,26 @@ class SpectralCurve(MultiPoly):
                 acc = a * acc + DiffOp.identity(a.ring).scale(c)
             out = b * out + acc
         return out
+
+    def _kills_kernel_action(self, a: DiffOp, b: DiffOp) -> bool:
+        """R(z I, A(b)) = 0 when the zero test of :meth:`eval_at_operators`
+        applies; False when it does not apply or the matrix is not zero."""
+        if (self.w_degree() < 1 or a.order != 4 or not a.is_monic()
+                or not _over_qx(a.ring) or not a.commutator(b).is_zero()):
+            return False
+        basis = series_kernel_basis(a, max(8, b.order + 3))
+        mat = _action_entries(b, basis)
+        zring = basis[0][0].ring
+        out = [[zring.zero] * 4 for _ in range(4)]
+        for j in range(self.w_degree(), -1, -1):
+            pj = zring.from_terms({(k,): c for k, c in enumerate(self.w_slice(j))})
+            out = [
+                [zring.sum_products([(1, mat[r][k], out[k][c]) for k in range(4)]
+                                    + ([(1, pj, zring.one)] if r == c else []))
+                 for c in range(4)]
+                for r in range(4)
+            ]
+        return all(e.is_zero() for row in out for e in row)
 
     def __repr__(self):
         if not self.terms:
@@ -89,6 +142,88 @@ def charpoly_w(matrix) -> SpectralCurve:
         for i in range(n)
     ]
     return SpectralCurve(_det(entries).terms)
+
+
+# -- formal kernel and action matrix -------------------------------------------
+
+
+def _over_qx(ring) -> bool:
+    """True for Q[x]: one ordinary variable named x."""
+    return isinstance(ring, PolyRing) and ring.variables == ("x",) and not ring.laurent
+
+
+def _x_terms(op: DiffOp) -> dict:
+    """{(i, s): rational coefficient of x^s D^i} of an operator over Q[x]."""
+    if not _over_qx(op.ring):
+        raise SpectralPairsError("expected an operator with Q[x] coefficients")
+    return {
+        (i, e[0]): c for i, coeff in enumerate(op.coeffs) for e, c in coeff.terms.items()
+    }
+
+
+def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
+    """Taylor data of four solutions psi_0 .. psi_3 of (L4 - z) psi = 0.
+
+    Returns four lists d of length ``truncation + 1`` over Q[z], with d[k]
+    the k-th derivative of psi_j at 0, so d[k] = [k == j] for k < 4.
+    ``l4`` must be monic of order 4 with Q[x] coefficients; x = 0 is then an
+    ordinary point.  With L4 = sum q_(i,s) x^s D^i, the m-th derivative of
+    (L4 - z) psi at 0 gives a recurrence with no factorial denominators:
+
+        d_(m+4) = z d_m - sum_((i,s) != (4,0)) q_(i,s) m!/(m-s)! d_(m-s+i),
+
+    over m >= s.
+    """
+    if l4.order != 4 or not l4.is_monic():
+        raise SpectralPairsError("expected a monic operator of order 4")
+    if truncation < 8:
+        raise TruncationError("truncation must be at least 8")
+    zring = PolyRing(("z",))
+    lower = [(i, s, zring.const(q)) for (i, s), q in _x_terms(l4).items() if (i, s) != (4, 0)]
+    z = zring.var("z")
+    basis = []
+    for j in range(4):
+        d = [zring.one if k == j else zring.zero for k in range(4)]
+        for m in range(truncation - 3):
+            d.append(zring.sum_products([(1, z, d[m])] + [
+                (-perm(m, s), q, d[m - s + i]) for i, s, q in lower if m >= s
+            ]))
+        basis.append(d)
+    return basis
+
+
+def _action_entries(m: DiffOp, basis: list) -> list:
+    """:func:`action_matrix` with Q[z] ``MultiPoly`` entries."""
+    if len(basis[0]) - 1 - m.order < 3:
+        raise TruncationError("basis truncation too small for this operator")
+    zring = basis[0][0].ring
+    terms = {key: zring.const(a) for key, a in _x_terms(m).items()}
+    matrix = [[None] * 4 for _ in range(4)]
+    for j, d in enumerate(basis):
+        for k in range(4):
+            matrix[k][j] = zring.sum_products(
+                (perm(k, s), a, d[k - s + i]) for (i, s), a in terms.items() if s <= k
+            )
+    return matrix
+
+
+def action_matrix(m: DiffOp, basis: list) -> list:
+    """4x4 matrix over Q[z] of M acting on the formal kernel basis.
+
+    Column j holds the Taylor data (k-th derivative at 0, k < 4) of M psi_j,
+    which are exactly its coordinates in the basis.  With M = sum a_(i,s)
+    x^s D^i and d the Taylor data of psi_j, only these four are formed:
+
+        A[k][j] = sum_i sum_(s <= k) a_(i,s) k!/(k-s)! d_(k-s+i),
+
+    which reads d up to d_(ord M + 3).  Entries are dense z-coefficient
+    lists of Fractions, lowest power first.
+    """
+    def fractions(entry):
+        den, nums = entry.dense()
+        return [Fraction(e, den) for e in nums]
+
+    return [[fractions(entry) for entry in row] for row in _action_entries(m, basis)]
 
 
 def _det(entries) -> MultiPoly:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isfinite
+from math import exp, factorial, isfinite, sqrt
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -160,13 +160,16 @@ def _coeff_callable(coeff, what: str):
     return f
 
 
-def _integrate(v, interval, init, tol: float):
+def _integrate(v, interval, init, tol: float,
+               blown_up_at=lambda x: f"x = {x:g}; choose a shorter interval"):
     """Dense RK45 solution of phi'' = -v(x) phi over the whole interval.
 
     A solution whose |phi| or |phi'| passes :data:`OVERFLOW_LIMIT`, an
     integration that needs more than :data:`MAX_RHS_EVALUATIONS`
     right-hand-side evaluations, and one that meets an x where V(x)
-    overflows a float all raise :class:`NotCoveredError`.
+    overflows a float all raise :class:`NotCoveredError`.  The blow-up
+    message ends with ``blown_up_at(x)``, so a caller that integrates in a
+    substituted variable can name the point and the interval its user chose.
     """
     import numpy as np
     a, b = interval
@@ -209,8 +212,7 @@ def _integrate(v, interval, init, tol: float):
         )
     if sol.t_events[0].size:
         raise NotCoveredError(
-            f"the solution exceeded {OVERFLOW_LIMIT:g} at x = "
-            f"{sol.t_events[0][0]:g}; choose a shorter interval"
+            f"the solution exceeded {OVERFLOW_LIMIT:g} at {blown_up_at(sol.t_events[0][0])}"
         )
     return sol.sol
 
@@ -344,7 +346,8 @@ def bessel_change_check(
     (:func:`ls_weight_table` at degree 2*half_width on 2*half_width + 1
     points; the default is 4th-order accurate).  With the default grid the
     stencil truncation dominates, so halving h shows the expected
-    convergence order until the integrator's tolerance floor.
+    convergence order until the integrator's tolerance floor.  A solution
+    that blows up raises :class:`NotCoveredError` naming the y where it did.
     """
     import numpy as np
     a0, a1 = Fraction(a0), Fraction(a1)
@@ -363,7 +366,11 @@ def bessel_change_check(
     if not (isfinite(x0) and isfinite(x1)):
         raise NotCoveredError(f"a1 = {a1_f:.3g} sends x = ln(y^2 / (4 a1)) to "
                               f"[{x0:g}, {x1:g}], beyond float range")
-    sol = _integrate(_potential_callable(spec, shifted=False), (x0, x1), (1.0, 0.4), tol)
+    sol = _integrate(
+        _potential_callable(spec, shifted=False), (x0, x1), (1.0, 0.4), tol,
+        blown_up_at=lambda x: (f"y = {2 * sqrt(a1_f) * exp(x / 2):g}; "
+                               "choose a shorter y interval (--y-interval)"),
+    )
     ys = np.linspace(y0, y1, n_points)
     hy = ys[1] - ys[0]
     xs = np.log(ys ** 2 / (4 * a1_f))

@@ -549,7 +549,7 @@ def test_some_square_completion_case_shifts():
 
 def test_curve_path_does_each_exact_step_once(monkeypatch):
     l4, m = _pair_input((CUBIC, 2, _GENERIC_CUBIC, 10))
-    calls = {"basis": 0, "curve": 0, "commutator": 0}
+    calls = {"basis": 0, "curve": 0, "commutator": 0, "compose": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -557,14 +557,70 @@ def test_curve_path_does_each_exact_step_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(centralizer, "series_kernel_basis",
-                        counted("basis", centralizer.series_kernel_basis))
+    for module in (centralizer, curves):
+        monkeypatch.setattr(module, "series_kernel_basis",
+                            counted("basis", module.series_kernel_basis))
     monkeypatch.setattr(centralizer, "spectral_curve",
                         counted("curve", centralizer.spectral_curve))
     monkeypatch.setattr(DiffOp, "commutator", counted("commutator", DiffOp.commutator))
-    m2, _ = hyperelliptic_pair(l4, m)
+    m2, curve = hyperelliptic_pair(l4, m)
     assert m2 != m  # this case completes the square
-    assert calls == {"basis": 1, "curve": 1, "commutator": 1}
+    assert calls == {"basis": 1, "curve": 1, "commutator": 1, "compose": 0}
+    # the check R(L4, M') = 0: one basis, one commutator, no composition
+    calls.update(dict.fromkeys(calls, 0))
+    monkeypatch.setattr(DiffOp, "__mul__", counted("compose", DiffOp.__mul__))
+    assert curve.eval_at_operators(l4, m2).is_zero()
+    assert calls == {"basis": 1, "curve": 0, "commutator": 1, "compose": 0}
+
+
+def _shifted(curve, key, c):
+    terms = dict(curve.terms)
+    terms[key] = terms.get(key, 0) + c
+    return SpectralCurve(terms)
+
+
+@pytest.mark.parametrize("case", _PAIR_CASES, ids=_case_id)
+def test_kernel_action_check_agrees_with_the_operator_oracle(case):
+    l4, m = _pair_input(case)
+    m2, curve = hyperelliptic_pair(l4, m)
+    assert curve.eval_at_operators(l4, m2).is_zero()
+    assert eval_at_operators_oracle(curve, l4, m2).is_zero()
+    # 1/3 added to the constant term and to the z coefficient of the curve
+    for key in ((0, 0), (1, 0)):
+        shifted = _shifted(curve, key, Fraction(1, 3))
+        identity = shifted.eval_at_operators(l4, m2)
+        assert not identity.is_zero()
+        assert identity == eval_at_operators_oracle(shifted, l4, m2)
+
+
+def test_kernel_action_check_needs_a_commuting_pair(monkeypatch):
+    l4, m = _pair_input((CUBIC, 2, (0, 0, 0, 1), 10))
+    m2, curve = hyperelliptic_pair(l4, m)
+    b = m2 + DiffOp(XRING, [XRING.zero, XRING.var("x")])  # M' + x D
+    assert not l4.commutator(b).is_zero()
+    bases = []
+    basis = curves.series_kernel_basis
+    monkeypatch.setattr(curves, "series_kernel_basis",
+                        lambda *args: bases.append(args) or basis(*args))
+    identity = curve.eval_at_operators(l4, b)
+    assert bases == []  # the zero test is not taken
+    assert not identity.is_zero()
+    assert identity == eval_at_operators_oracle(curve, l4, b)
+
+
+def test_kernel_action_check_composes_nothing(monkeypatch):
+    # criterion 7's pair: V = x^3 at g = 2, the order-10 partner
+    l4, m = _pair_input((CUBIC, 2, (0, 0, 0, 1), 10))
+    m2, curve = hyperelliptic_pair(l4, m)
+
+    def refuse(self, other):
+        raise RuntimeError("an operator composition was formed")
+
+    monkeypatch.setattr(DiffOp, "__mul__", refuse)
+    assert curve.eval_at_operators(l4, m2).is_zero()
+    # a nonzero result is still formed by composition
+    with pytest.raises(RuntimeError, match="composition"):
+        _shifted(curve, (0, 0), Fraction(1, 3)).eval_at_operators(l4, m2)
 
 
 def test_curve_path_forms_no_power_list_and_scales_only_the_identity(monkeypatch):
@@ -614,6 +670,28 @@ def test_eval_at_operators_matches_the_power_list_oracle(terms, pair):
     curve = SpectralCurve(terms)
     assert curve.eval_at_operators(a, b) == eval_at_operators_oracle(curve, a, b)
     assert SpectralCurve({}).eval_at_operators(a, b).is_zero()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(_small_rational, min_size=1, max_size=3),
+    _small_rational,
+    _small_rational.filter(bool),
+    st.integers(0, 3),
+)
+def test_kernel_action_decides_the_curve_of_p_of_l4_plus_c_m6(p, c, delta, j):
+    """M = p(L4) + c M6 on V = x^3, g = 1: R(L4, M) = 0, and R + delta z^j
+    gives delta L4^j, nonzero and equal to the power-list oracle."""
+    l4, m6 = _pair_input((CUBIC, 1, (0, 0, 0, 1), 6))
+    m = m6.scale(XRING.const(c))
+    for k, pk in enumerate(p):
+        m = m + (l4 ** k).scale(XRING.const(pk))
+    curve = spectral_curve(l4, m)
+    assert curve.eval_at_operators(l4, m).is_zero()
+    perturbed = _shifted(curve, (j, 0), delta)
+    identity = perturbed.eval_at_operators(l4, m)
+    assert not identity.is_zero()
+    assert identity == eval_at_operators_oracle(perturbed, l4, m)
 
 
 @settings(max_examples=15, deadline=None)

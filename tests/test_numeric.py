@@ -394,8 +394,9 @@ def test_bessel_form_residual_default():
 
 
 def test_bessel_form_blow_up_is_not_covered():
-    # a0 = -10^6 makes phi grow like e^(1000 x): it passes the overflow limit
-    with pytest.raises(NotCoveredError, match=re.escape(f"exceeded {OVERFLOW_LIMIT:g}")):
+    # a0 = -10^6 makes phi grow like e^(1000 x): it passes the overflow limit,
+    # reported at y = 2 sqrt(a1) e^(x/2), the variable of the y interval
+    with pytest.raises(NotCoveredError, match=re.escape(f"exceeded {OVERFLOW_LIMIT:g} at y = ")):
         bessel_change_check(-1000000, 1)
 
 

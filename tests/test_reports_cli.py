@@ -23,6 +23,7 @@ from spectral_pairs.reports import (
     grid_csv,
     report_dict,
 )
+from spectral_pairs.rings import CharPoly, PolyRing
 from spectral_pairs.verify import verify_eigen_identity
 
 REPORT_FIELDS = {
@@ -333,6 +334,26 @@ def test_cli_residual_csv_is_the_printed_profile(capsys, tmp_path, argv, code):
     assert f"{np.nanmax(column):.3e}" == first_root
 
 
+def test_cli_residual_checks_a_repeated_root_once(capsys, monkeypatch):
+    # cubic g = 2 on V = x^3 has chi = z^2: one root, one residual, one line
+    calls = []
+    inner = cli.eigen_residual
+    monkeypatch.setattr(cli, "eigen_residual", lambda *args: calls.append(args) or inner(*args))
+    assert run_command(_RESIDUAL) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == 1 and calls[0][1] == 0
+    assert lines[0].startswith("max residual over 1 root(s): ")
+    assert lines[1:] == [f"z = 0+0j: {lines[0].rsplit(': ', 1)[1]}"]
+
+
+def test_cli_residual_keeps_each_simple_root():
+    # z^3 - z^2 = z^2 (z - 1) keeps 0 and 1; an irreducible cubic keeps its three
+    base = PolyRing(("x",))
+    assert cli._distinct_roots(CharPoly(base, [0, 0, -1, 1])) == [0, 1]
+    assert cli._distinct_roots(CharPoly(base, [0, 0, 0, 1])) == [0]
+    assert len(cli._distinct_roots(CharPoly(base, [-2, 0, 0, 1]))) == 3
+
+
 def test_cli_residual_threshold_failure_exits_1(capsys, monkeypatch):
     # the gate is the suite's RESIDUAL_BOUND, passed only strictly below it
     monkeypatch.setattr(cli, "eigen_residual", lambda spec, z, grid: cli.RESIDUAL_BOUND)
@@ -411,7 +432,11 @@ _BIG = "1" + "0" * 400
         (["bessel-check", "--a1", "1e308"], "not covered: a1 = 1e+308 sends x"),
         # phi grows like e^(100 x) and passes the overflow limit before x = 4
         (["residual", "--family", "cubic", "--g", "2", "--alpha", "-10000", "0", "0", "1",
-          "--interval", "0", "4"], "not covered: the solution exceeded 1e+150"),
+          "--interval", "0", "4"], "not covered: the solution exceeded 1e+150 at x = "),
+        # the Bessel check names the y of the blow-up and its own interval option
+        (["bessel-check", "--a0", "-1000000"],
+         "not covered: the solution exceeded 1e+150 at y = 1.18481; "
+         "choose a shorter y interval (--y-interval)"),
     ],
 )
 def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
@@ -450,7 +475,8 @@ def test_cli_grid_above_the_cap_exits_2_quickly(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, verdict", [
-    (_RESIDUAL + ["--n-points", "53"], "max residual over 2 root(s): "),
+    # chi = z^2: its double root 0 is checked once
+    (_RESIDUAL + ["--n-points", "53"], "max residual over 1 root(s): "),
     (["bessel-check", "--n-points", "5"], "residual: "),
 ])
 def test_cli_numeric_smallest_accepted_grid_is_checked(capsys, argv, verdict):
