@@ -475,9 +475,12 @@ def test_cli_grid_above_the_cap_exits_2_quickly(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, verdict", [
+    # chi has the two distinct roots -4 and 0
+    (["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "1", "1",
+      "--n-points", "53"], "max residual over 2 root(s): "),
+    (["bessel-check", "--n-points", "5"], "residual: "),
     # chi = z^2: its double root 0 is checked once
     (_RESIDUAL + ["--n-points", "53"], "max residual over 1 root(s): "),
-    (["bessel-check", "--n-points", "5"], "residual: "),
 ])
 def test_cli_numeric_smallest_accepted_grid_is_checked(capsys, argv, verdict):
     # a grid this coarse may miss the bound (exit 1), but the check runs
