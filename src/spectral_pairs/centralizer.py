@@ -20,7 +20,62 @@ degree-bounded ansatz as an independent formulation of the same space.
 
 The back-substitution is ring code over Q[x], one kernel sum per
 coefficient of [L4, M]; the integer pairs of :mod:`rings.multipoly` are
-read directly only by the integral (:func:`_partial_solution`).
+read directly only by the integral (:func:`_integral`).
+
+At the order N = 4g + 2 (g >= 1) of a rank-two partner the search is the
+fallback.  When L4 = (D^2 + V)^2 + W over Q[x] (V is half the D^2
+coefficient and W = a_0 - V'' - V^2, provided the D^3 coefficient is 0
+and the D^1 coefficient is 2V'), the paper's reference [8] (Mironov,
+"Self-adjoint commuting ordinary differential operators", Invent. Math.
+2014) builds the partner from Q(x, z) = z^g + a_(g-1)(x) z^(g-1) + ... +
+a_0(x) with E0(Q) + 4z Q' = 0, where
+
+    E0 = D^5 + 4V D^3 + 6V' D^2 + 2(V'' - 2W) D - 2W'.
+
+By powers of z: a_g = 1, a_(i-1) = -(1/4) int_0^x E0(a_i) + k_(i-1), and
+E0(a_0) = 0.  With u_0 = 1 and u_(m+1) = -(1/4) int_0^x E0(u_m), a_i =
+sum_(j >= i) k_j u_(j-i) (k_g = 1), so the x-monomials of sum_j k_j E0(u_j)
+are the rows of a system in g + 1 columns (:func:`linalg.nullspace`), and
+the chain costs g + 1 applications of E0 (:func:`_chain_pair`).  It is used
+only when that system has exactly one solution and its k_g is not 0.  Then
+
+    M' = sum_i (a_i D^2 - a_i' D + a_i V + a_i''/2) L4^i,
+
+and [8] proves [L4, M'] = 0 and M'^2 = F(L4), where
+
+    F(z) = (z - W)Q^2 + Q''^2/4 - Q'Q'''/2 + QQ''''/2 + 2VQQ'' - VQ'^2 + V'QQ'
+
+(' = d/dx) is a first integral of the chain, read here at x = 0.  F is
+monic of degree 2g + 1 in z.
+
+The chain's partner is returned only when it is provably the search's, that
+is when F is squarefree, decided by gcd(F, F') = 1 modulo the prime
+2^61 - 1 (:func:`_squarefree_mod_p`).  Then C(L4), the operators over Q[x]
+that commute with L4, is Q[L4, M']:
+
+- C(L4) is commutative, and integral over Q[L4]: P -> A(P), the action on
+  the formal kernel of L4 - z, embeds it in M_4(Q[z]) with A(L4) = z I
+  (:meth:`curves.SpectralCurve.eval_at_operators`), and by Cayley-Hamilton
+  P is a root of det(w I - A(P)), monic in w over Q[z].
+- Its rank r, the gcd of its orders, divides gcd(4, 4g + 2) = 2, and its
+  fraction field has degree 4/r over Q(L4).  r = 1 is impossible:
+  rank-one commutative subalgebras of the Weyl algebra have rational
+  spectral curves (Wilson, "Bispectral commutative ordinary differential
+  operators", J. reine angew. Math. 1993), and a rational curve cannot
+  cover w^2 = F, the curve of Q[L4, M'], of genus g >= 1.  So the fraction
+  field of C(L4) is Q(L4, M'), of degree 2.
+- w^2 - F with F squarefree of odd degree is irreducible and smooth, so
+  Q[L4, M'] = Q[z, w]/(w^2 - F) is integrally closed; C(L4) is integral
+  over it with the same fraction field, so C(L4) = Q[L4, M'].
+
+So the operators of order <= N in C(L4) are p(L4) + c M', deg p <= g, of
+orders 4k and N, and the search's reduced row echelon vector is M' less
+the p(L4) that clears the constant terms of its D^(4k) coefficients
+(:func:`find_commuting_operator`, :func:`_normal_form`).  F enters only
+this guard: :func:`hyperelliptic_pair` keeps its characteristic-polynomial
+route, so the curves it prints do not rest on the chain.  Another order,
+another L4, a chain with no or several solutions, and a singular F (V = x^3
+at g = 1: F = z^3) all run the search, unchanged.
 
 The spectral curve comes from the action of M on a formal basis psi_0 ..
 psi_3 of ker(L4 - z): the characteristic polynomial det(w I - A(z)) is F^l
@@ -47,7 +102,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from .curves import (
     SpectralCurve,
@@ -127,22 +182,29 @@ def _commutator_coeff(ring, da: list, m: list, r: int, lo: int):
     return ring.sum_products(triples)
 
 
+def _integral(ring, p, n: int):
+    """-(1/n) times the integral of ``p`` over [0, x], in Q[x].
+
+    With p = sum f_e x^e / d it is taken over the one common denominator
+    n d lcm(1 .. deg p + 1).
+    """
+    d, f = p.dense()
+    big = lcm(*range(1, len(f) + 1))
+    return ring.from_dense(n * d * big, [0] + [-c * (big // (e + 1)) for e, c in enumerate(f)])
+
+
 def _partial_solution(ring, da: list, k: int) -> list:
     """Derivative lists of m_0 .. m_k for M_k (see the module docstring).
 
     m_k = 1, and going down, m_i = -(1/n) * integral of F_i with constant
     term 0, F_i being the D^(i+n-1) coefficient of [L, M] from the m_j, j > i.
-    With F_i = sum f_e x^e / d, the integral is taken over the one common
-    denominator n d lcm(1 .. deg F_i + 1).
     """
     n = len(da[0]) - 1
     m = [None] * (k + 1)
     m[k] = [row[0] for row in _derivative_table([ring.one], n)]
     for i in range(k - 1, -1, -1):
-        d, f = _commutator_coeff(ring, da, m, i + n - 1, i + 1).dense()
-        big = lcm(*range(1, len(f) + 1))
-        integral = [0] + [-c * (big // (e + 1)) for e, c in enumerate(f)]
-        m[i] = [row[0] for row in _derivative_table([ring.from_dense(n * d * big, integral)], n)]
+        f = _commutator_coeff(ring, da, m, i + n - 1, i + 1)
+        m[i] = [row[0] for row in _derivative_table([_integral(ring, f, n)], n)]
     return m
 
 
@@ -175,6 +237,154 @@ def commuting_operators(l4: DiffOp, order: int) -> list:
             for vec in nullspace(rows, order + 1)]
 
 
+# 2^61 - 1, a prime: the modulus of the squarefree guard on the chain's curve
+_GUARD_PRIME = (1 << 61) - 1
+
+
+def _schrodinger_square(l4: DiffOp):
+    """(V, W) with L4 = (D^2 + V)^2 + W over Q[x], or None if L4 is not of
+    that form (monic of order 4, no D^3 term, D^1 coefficient 2V')."""
+    if not _over_qx(l4.ring) or l4.order != 4 or not l4.is_monic():
+        return None
+    a0, a1, a2, a3, _ = l4.coeffs
+    v = a2 * Fraction(1, 2)
+    dv = v.derive()
+    if not a3.is_zero() or a1 != dv * 2:
+        return None
+    return v, a0 - dv.derive() - v * v
+
+
+def _chain_pair(l4: DiffOp, order: int):
+    """(terms, F) from the chain of the module docstring, or None.
+
+    None unless ``order`` is 4g + 2 with g >= 1, L4 is (D^2 + V)^2 + W over
+    Q[x] and the chain has exactly one solution with a_g = 1.  terms[i] is
+    a_i D^2 - a_i' D + a_i V + a_i''/2, so M' = sum_i terms[i] L4^i
+    (:func:`_in_l4`), and F in Q[z] is the chain's first integral at x = 0.
+    """
+    vw = _schrodinger_square(l4)
+    if vw is None or order % 4 != 2 or order < 6:
+        return None
+    g = (order - 2) // 4
+    ring = l4.ring
+    v, w = vw
+    dv, dw = v.derive(), w.derive()
+    # E0 = D^5 + 4V D^3 + 6V' D^2 + 2(V'' - 2W) D - 2W'
+    e0 = ((-2, dw), (2, dv.derive() - w * 2), (6, dv), (4, v), (0, None), (1, ring.one))
+    u, e = [ring.one], []
+    for _ in range(g + 1):
+        derivs = [row[0] for row in _derivative_table([u[-1]], 5)]
+        e.append(ring.sum_products((c, p, dk) for (c, p), dk in zip(e0, derivs) if c))
+        u.append(_integral(ring, e[-1], 4))
+    # a_i = sum_(j >= i) k_j u_(j-i) with k_g = 1, so E0(a_0) = sum_j k_j E0(u_j)
+    rows: dict = {}
+    for j, ej in enumerate(e):
+        for (x_power,), c in ej.terms.items():
+            rows.setdefault(x_power, {})[j] = c
+    space = nullspace(list(rows.values()), g + 1)
+    if len(space) != 1 or not space[0][g]:
+        return None
+    k = [ring.const(c / space[0][g]) for c in space[0]]
+    a = [ring.sum_products((1, k[j], u[j - i]) for j in range(i, g + 1)) for i in range(g + 1)]
+    terms = []
+    for ai in a:
+        _, dai, ddai = (row[0] for row in _derivative_table([ai], 2))
+        terms.append(DiffOp(ring, [ai * v + ddai * Fraction(1, 2), -dai, ai]))
+    # 4F = 4(z - W)Q^2 + Q''^2 - 2Q'Q''' + 2Q Q'''' + 8V Q Q'' - 4V Q'^2 + 4V' Q Q'
+    # at x = 0, with q[r] = Q^(r)(0, z)
+    zring = PolyRing(("z",))
+    q = [zring.from_terms({(i,): factorial(r) * ai.terms.get((r,), 0) for i, ai in enumerate(a)})
+         for r in range(5)]
+    v0, dv0, w0 = (p.constant_term() for p in (v, dv, w))
+    f = zring.sum_products([
+        (4, zring.var("z") - w0, q[0] * q[0]), (1, q[2], q[2]), (-2, q[1], q[3]),
+        (2, q[0], q[4]), (8, q[0] * v0, q[2]), (-4, q[1] * v0, q[1]), (4, q[0] * dv0, q[1]),
+    ]) * Fraction(1, 4)
+    return terms, f
+
+
+def _squarefree_mod_p(f) -> bool:
+    """True if f in Q[z] is monic and gcd(f, f') = 1 mod :data:`_GUARD_PRIME`.
+
+    False when the prime divides f's denominator.  True proves f squarefree
+    over Q: a square factor h^2 of the monic f can be taken monic with
+    p-integral coefficients (Gauss's lemma), and its image mod p, of the
+    same positive degree, would divide both f and f' mod p.
+    """
+    p = _GUARD_PRIME
+    den, nums = f.dense()
+    if not nums or nums[-1] != den or den % p == 0:
+        return False
+    scale = pow(den, -1, p)
+    a = [c * scale % p for c in nums]
+    b = [e * c % p for e, c in enumerate(a)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:  # Euclid: a, b = b, a mod b
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            a = a[:shift] + [(ai - c * bi) % p for ai, bi in zip(a[shift:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _in_l4(terms: list, l4: DiffOp) -> DiffOp:
+    """sum_i terms[i] L4^i, by Horner."""
+    m = DiffOp.zero(l4.ring)
+    for term in reversed(terms):
+        m = m * l4 + term
+    return m
+
+
+def _normal_form(terms: list, l4: DiffOp) -> list:
+    """``terms`` less p_k on the D^0 coefficient of terms[k], k = 0 .. g.
+
+    The p_k make sum_i terms[i] L4^i less p(L4) free of constant terms on
+    every D^(4k) coefficient.  Writing r_k and t_kj for the constant terms
+    of the D^(4k) coefficients of sum_i terms[i] L4^i and of L4^j, that
+    asks r_k = sum_(j >= k) p_j t_kj, triangular with t_kk = 1 (L4^j has
+    order 4j).  Only values at x = 0 enter, and no L4^j is formed: in
+    P L4 = sum C(i, s) p_i l_j^(s) D^(i+j-s) the derivatives fall on L4's
+    coefficients l_j alone, so the values at 0 of P L4's coefficients
+    follow from those of P's.  They are kept as integers over one
+    denominator per vector.
+    """
+    lden = lcm(*(c.denominator for lj in l4.coeffs for c in lj.terms.values()))
+    jet = [(j, s, factorial(s) * c.numerator * (lden // c.denominator))
+           for j, lj in enumerate(l4.coeffs) for (s,), c in lj.terms.items()]
+
+    def times_l4(nums):  # numerators over d -> those of P L4 over d * lden
+        out = [0] * (len(nums) + 4)
+        for i, p in enumerate(nums):
+            if p:
+                for j, s, c in jet:
+                    if s <= i:
+                        out[i + j - s] += comb(i, s) * p * c
+        return out
+
+    consts = [[c.constant_term() for c in t.coeffs] for t in terms]
+    den = lcm(*(c.denominator for row in consts for c in row))
+    at0 = []  # values at 0 of the coefficients of sum_i terms[i] L4^i, over den
+    for row in reversed(consts):
+        if at0:
+            at0, den = times_l4(at0), den * lden
+        at0 += [0] * (len(row) - len(at0))
+        for i, c in enumerate(row):
+            at0[i] += c.numerator * (den // c.denominator)
+    powers = [[1]]  # values at 0 of the coefficients of L4^j, over lden^j
+    for _ in range(len(terms) - 1):
+        powers.append(times_l4(powers[-1]))
+    shifts = [0] * len(terms)
+    for k in range(len(terms) - 1, -1, -1):
+        shifts[k] = Fraction(at0[4 * k], den) - sum(
+            (shifts[j] * Fraction(powers[j][4 * k], lden ** j)
+             for j in range(k + 1, len(terms))), Fraction(0))
+    return [t - DiffOp.identity(l4.ring).scale(c) if c else t for t, c in zip(terms, shifts)]
+
+
 def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     """A monic operator M of exact order ``target_order`` with [L4, M] = 0.
 
@@ -194,18 +404,29 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     m_K with constant term 0.  Both are therefore the null vector with
     c_N = 1 and c_K = 0 at each other order K of the space.
 
+    At N = 4g + 2 the chain of the module docstring is tried first, and its
+    M' less p(L4) (:func:`_normal_form`) is returned when its curve F is
+    squarefree: then the space is spanned by M' and the L4^k, 4k < N (the
+    module docstring's argument), so that operator has c_N = 1 and
+    c_(4k) = 0 and is the same null vector.  Every other case runs the
+    search.
+
     Raises :class:`CommutingOperatorNotFound` when the space has no operator
     of order N, which proves that no operator of order N over Q[x] commutes
     with L4, and :class:`SpectralPairsError` unless M passes the exact check
-    [L4, M] = 0 by direct commutator expansion.
+    [L4, M] = 0 by direct commutator expansion, on either path.
     """
-    space = commuting_operators(l4, target_order)
-    m = next((op for op in space if op.order == target_order), None)
-    if m is None:
-        raise CommutingOperatorNotFound(
-            f"no operator of order {target_order} over Q[x] commutes with L4; "
-            f"those of order <= {target_order} have orders {[op.order for op in space]}"
-        )
+    chain = _chain_pair(l4, target_order)
+    if chain is not None and _squarefree_mod_p(chain[1]):
+        m = _in_l4(_normal_form(chain[0], l4), l4)
+    else:
+        space = commuting_operators(l4, target_order)
+        m = next((op for op in space if op.order == target_order), None)
+        if m is None:
+            raise CommutingOperatorNotFound(
+                f"no operator of order {target_order} over Q[x] commutes with L4; "
+                f"those of order <= {target_order} have orders {[op.order for op in space]}"
+            )
     if not l4.commutator(m).is_zero():
         raise SpectralPairsError("solver output failed exact commutator check")
     return m

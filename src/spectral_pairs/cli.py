@@ -7,12 +7,13 @@ out of range, a grid above MAX_GRID_POINTS, a partner order above
 MAX_PARTNER_ORDER, --samples above MAX_SAMPLES or other than 1 with
 --alpha, parameters beyond float range in a numeric command, a numeric
 solution that passes the overflow limit, a spectral curve that is not of
-rank two, parameters so degenerate that no check could run, and an --out
-path that cannot be written).  The numeric commands decide against the
-fixed gates RESIDUAL_BOUND and BESSEL_BOUND, as the suite does.  Exact
-rationals cross the boundary as "num/den" strings, and negative ones such
-as -2/3 are read as values, not options; JSON reports are deterministic for
-a fixed seed (elapsed_ms aside).
+rank two, parameters so degenerate that no check could run, an --out
+path that cannot be written, and any other ValueError, such as a result
+with more digits than Python's int-to-str limit).  The numeric commands
+decide against the fixed gates RESIDUAL_BOUND and BESSEL_BOUND, as the
+suite does.  Exact rationals cross the boundary as "num/den" strings, and
+negative ones such as -2/3 are read as values, not options; JSON reports
+are deterministic for a fixed seed (elapsed_ms aside).
 """
 
 from __future__ import annotations
@@ -353,7 +354,12 @@ def run_command(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write the output: {exc}", file=sys.stderr)
         return 2
-    except (SpectralPairsError, ValueError) as exc:
+    except ValueError as exc:
+        # not a verdict: an input or result the command cannot handle, such as
+        # a number above Python's int-to-str digit limit
+        print(f"not covered: {exc}", file=sys.stderr)
+        return 2
+    except SpectralPairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

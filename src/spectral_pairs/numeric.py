@@ -161,18 +161,21 @@ def _coeff_callable(coeff, what: str):
 
 
 def _integrate(v, interval, init, tol: float,
-               blown_up_at=lambda x: f"x = {x:g}; choose a shorter interval"):
+               user_variable=("x", lambda x: x, "choose a shorter interval")):
     """Dense RK45 solution of phi'' = -v(x) phi over the whole interval.
 
     A solution whose |phi| or |phi'| passes :data:`OVERFLOW_LIMIT`, an
     integration that needs more than :data:`MAX_RHS_EVALUATIONS`
     right-hand-side evaluations, and one that meets an x where V(x)
-    overflows a float all raise :class:`NotCoveredError`.  The blow-up
-    message ends with ``blown_up_at(x)``, so a caller that integrates in a
-    substituted variable can name the point and the interval its user chose.
+    overflows a float all raise :class:`NotCoveredError`.  ``user_variable``
+    is (name, f, advice): the blow-up and evaluation-cap messages give
+    points as name = f(x) and end with the advice, so a caller that
+    integrates in a substituted variable names the points, the interval and
+    the option its user chose.
     """
     import numpy as np
     a, b = interval
+    name, to_user, advice = user_variable
     evaluations = 0
 
     def rhs(x, y):
@@ -180,9 +183,9 @@ def _integrate(v, interval, init, tol: float,
         evaluations += 1
         if evaluations > MAX_RHS_EVALUATIONS:
             raise NotCoveredError(
-                f"integrating over x in [{a:g}, {b:g}] needs more than "
-                f"MAX_RHS_EVALUATIONS = {MAX_RHS_EVALUATIONS} right-hand-side "
-                "evaluations; choose a shorter interval"
+                f"integrating over {name} in [{to_user(a):g}, {to_user(b):g}] needs more "
+                f"than MAX_RHS_EVALUATIONS = {MAX_RHS_EVALUATIONS} right-hand-side "
+                f"evaluations; {advice}"
             )
         vx = v(x)
         if not isfinite(vx):
@@ -212,7 +215,8 @@ def _integrate(v, interval, init, tol: float,
         )
     if sol.t_events[0].size:
         raise NotCoveredError(
-            f"the solution exceeded {OVERFLOW_LIMIT:g} at {blown_up_at(sol.t_events[0][0])}"
+            f"the solution exceeded {OVERFLOW_LIMIT:g} at "
+            f"{name} = {to_user(sol.t_events[0][0]):g}; {advice}"
         )
     return sol.sol
 
@@ -347,7 +351,8 @@ def bessel_change_check(
     points; the default is 4th-order accurate).  With the default grid the
     stencil truncation dominates, so halving h shows the expected
     convergence order until the integrator's tolerance floor.  A solution
-    that blows up raises :class:`NotCoveredError` naming the y where it did.
+    that blows up, and a y interval over the evaluation cap, raise
+    :class:`NotCoveredError` naming y and ``--y-interval``.
     """
     import numpy as np
     a0, a1 = Fraction(a0), Fraction(a1)
@@ -368,8 +373,8 @@ def bessel_change_check(
                               f"[{x0:g}, {x1:g}], beyond float range")
     sol = _integrate(
         _potential_callable(spec, shifted=False), (x0, x1), (1.0, 0.4), tol,
-        blown_up_at=lambda x: (f"y = {2 * sqrt(a1_f) * exp(x / 2):g}; "
-                               "choose a shorter y interval (--y-interval)"),
+        user_variable=("y", lambda x: 2 * sqrt(a1_f) * exp(x / 2),
+                       "choose a shorter y interval (--y-interval)"),
     )
     ys = np.linspace(y0, y1, n_points)
     hy = ys[1] - ys[0]

@@ -31,6 +31,7 @@ from spectral_pairs.families import (
     FamilySpec,
     make_L4,
     make_schrodinger,
+    solve_quartic_constraint,
 )
 from spectral_pairs.linalg import nullspace
 from spectral_pairs.operators import DiffOp, _derivative_table
@@ -710,3 +711,164 @@ def test_spectral_curve_matches_the_two_truncation_curve(alphas, p, c):
     curve = spectral_curve(l4, m)
     assert curve == spectral_curve_oracle(l4, m)
     assert curve.eval_at_operators(l4, m).is_zero()
+
+
+# -- the order-(4g+2) partner by the chain of Mironov's method --------------------
+
+
+def _search_partner(l4, order):
+    return next((op for op in commuting_operators(l4, order) if op.order == order), None)
+
+
+def _chain_partner(l4, order):
+    """The chain's operator as find_commuting_operator returns it, or None
+    where find_commuting_operator falls back to the search."""
+    chain = centralizer._chain_pair(l4, order)
+    if chain is None or not centralizer._squarefree_mod_p(chain[1]):
+        return None
+    return centralizer._in_l4(centralizer._normal_form(chain[0], l4), l4)
+
+
+# the _PAIR_CASES the search answers: V = x^3 has singular curves at g = 1
+# and g = 3, and at order 10 for g = 1 the chain has a second solution
+_FALLBACK_CASES = {(CUBIC, 1, (0, 0, 0, 1), 6), (CUBIC, 3, (0, 0, 0, 1), 14),
+                   (CUBIC, 1, (0, 0, 0, 1), 10)}
+
+
+@pytest.mark.parametrize("case", _PAIR_CASES, ids=_case_id)
+def test_chain_partner_is_the_search_partner(case):
+    l4, m = _pair_input(case)
+    chained = _chain_partner(l4, case[3])
+    assert (chained is None) == (case in _FALLBACK_CASES)
+    assert m == _search_partner(l4, case[3])
+    if chained is not None:
+        assert chained == m
+        assert gauge_normalize_oracle(chained, l4, (case[3] - 2) // 4) == chained
+
+
+@pytest.mark.parametrize("case", _PAIR_CASES, ids=_case_id)
+def test_chain_curve_is_the_hyperelliptic_curve(case):
+    """w^2 - F, F the chain's first integral at x = 0, is the curve of the
+    characteristic-polynomial route, and M' is its square-completed M."""
+    l4, m = _pair_input(case)
+    chain = centralizer._chain_pair(l4, case[3])
+    if chain is None:
+        assert case in _FALLBACK_CASES
+        return
+    terms, f = chain
+    m_prime = centralizer._in_l4(terms, l4)
+    curve = SpectralCurve({(0, 2): 1, **{(k, 0): -c for (k,), c in f.terms.items()}})
+    assert hyperelliptic_pair(l4, m) == (m_prime, curve)
+    assert curve.eval_at_operators(l4, m_prime).is_zero()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(_small_rational, min_size=4, max_size=4).filter(lambda a: a[3]),
+    st.booleans(),
+    st.integers(1, 3),
+)
+def test_chain_matches_the_search_on_drawn_potentials(alphas, quartic, g):
+    """Cubics a0 .. a3, or quartics with a2 = a0, a3 = a1, a4 = a3 and a1
+    from the quartic constraint, at g = 1 .. 3: the chain gives the search's
+    operator or falls back."""
+    if quartic:
+        a0, a2, a3, a4 = alphas[0], alphas[0], alphas[1], alphas[3]
+        alphas = (a0, solve_quartic_constraint(a2, a3, a4), a2, a3, a4)
+    l4 = make_L4(FamilySpec(QUARTIC if quartic else CUBIC, g, alphas=tuple(alphas)))
+    chained = _chain_partner(l4, 4 * g + 2)
+    assert chained is None or chained == _search_partner(l4, 4 * g + 2)
+
+
+@pytest.mark.parametrize("g, curve", [(1, {3: 1}), (3, {7: 1, 2: -2025})])
+def test_singular_curve_falls_back_to_the_search(monkeypatch, g, curve):
+    l4 = make_L4(FamilySpec(CUBIC, g, alphas=(0, 0, 0, 1)))
+    _, f = centralizer._chain_pair(l4, 4 * g + 2)
+    assert f.terms == {(k,): c for k, c in curve.items()}
+    assert not centralizer._squarefree_mod_p(f)
+    searches = []
+    search = centralizer.commuting_operators
+    monkeypatch.setattr(centralizer, "commuting_operators",
+                        lambda *args: searches.append(args) or search(*args))
+    assert find_commuting_operator(l4, 4 * g + 2) == _search_partner(l4, 4 * g + 2)
+    assert len(searches) == 1
+
+
+def test_chain_with_two_solutions_falls_back(x3_l4):
+    # order 10 for the g = 1 operator: z Q_1 + k Q_1 solves the chain for every k
+    assert centralizer._schrodinger_square(x3_l4) is not None
+    assert centralizer._chain_pair(x3_l4, 10) is None
+    assert find_commuting_operator(x3_l4, 10) == _search_partner(x3_l4, 10)
+
+
+def test_absent_order_4g_plus_2_still_raises_the_search_message():
+    l4 = make_L4(FamilySpec(CUBIC, 2, alphas=_GENERIC_CUBIC))
+    assert centralizer._chain_pair(l4, 6) is None
+    with pytest.raises(CommutingOperatorNotFound) as excinfo:
+        find_commuting_operator(l4, 6)
+    assert str(excinfo.value) == (
+        "no operator of order 6 over Q[x] commutes with L4; "
+        "those of order <= 6 have orders [0, 4]"
+    )
+
+
+def _shift_d(op):
+    """e^(-x) op e^x: D becomes D + 1, and the coefficients stay in Q[x]."""
+    d_plus_1 = DiffOp(XRING, [XRING.one, XRING.one])
+    out = DiffOp.zero(XRING)
+    for i, a in enumerate(op.coeffs):
+        out = out + DiffOp.mult(a) * d_plus_1 ** i
+    return out
+
+
+def test_l4_off_the_schrodinger_square_form_takes_the_search(monkeypatch):
+    l4, m = _pair_input((CUBIC, 1, _GENERIC_CUBIC, 6))
+    x_d = DiffOp(XRING, [XRING.zero, XRING.var("x")])
+    assert centralizer._schrodinger_square(l4 + x_d) is None  # D^1 coefficient not 2V'
+    # e^(-x) L4 e^x has a D^3 term and the partner e^(-x) M e^x
+    shifted = _shift_d(l4)
+    assert shifted.coeff(3) == XRING.const(4)
+    assert centralizer._chain_pair(shifted, 6) is None
+    searches = []
+    search = centralizer.commuting_operators
+    monkeypatch.setattr(centralizer, "commuting_operators",
+                        lambda *args: searches.append(args) or search(*args))
+    partner = find_commuting_operator(shifted, 6)
+    assert len(searches) == 1
+    assert partner == _search_partner(shifted, 6)
+    assert (partner - _shift_d(m)).order <= 4
+
+
+@pytest.mark.parametrize("g", [2, 10])
+def test_default_order_partner_needs_no_search(monkeypatch, g):
+    l4 = make_L4(FamilySpec(CUBIC, g, alphas=_GENERIC_CUBIC))
+    expected = _search_partner(l4, 4 * g + 2)
+
+    def refuse(*args):
+        raise RuntimeError("the search ran")
+
+    monkeypatch.setattr(centralizer, "commuting_operators", refuse)
+    assert find_commuting_operator(l4, 4 * g + 2) == expected
+
+
+def test_squarefree_guard_modulo_the_prime():
+    zring = PolyRing(("z",))
+    z = zring.var("z")
+    p = centralizer._GUARD_PRIME
+    assert centralizer._squarefree_mod_p(z ** 3 - z + Fraction(1, 3))
+    assert not centralizer._squarefree_mod_p((z - 1) ** 2 * (z + 2))
+    assert not centralizer._squarefree_mod_p(z * 2 + 1)  # not monic
+    # the prime divides the denominator: undecided, so not accepted
+    assert not centralizer._squarefree_mod_p(z ** 3 + z * Fraction(1, p) + 1)
+    # squarefree over Q but (z - 1)^2 (z + 1) mod p: the guard may refuse a
+    # squarefree F (the search then runs), never accept a singular one
+    assert not centralizer._squarefree_mod_p((z - 1) ** 2 * (z + 1) + p)
+
+
+def test_normal_form_clears_what_the_power_list_clears():
+    l4 = make_L4(FamilySpec(CUBIC, 3, alphas=_GENERIC_CUBIC))
+    terms, _ = centralizer._chain_pair(l4, 14)
+    m_prime = centralizer._in_l4(terms, l4)
+    reduced = centralizer._in_l4(centralizer._normal_form(terms, l4), l4)
+    assert reduced == gauge_normalize_oracle(m_prime, l4, 3)
+    assert reduced != m_prime

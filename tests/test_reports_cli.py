@@ -446,13 +446,16 @@ def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    _RESIDUAL + ["--interval", "0", "1e9"],
-    ["bessel-check", "--y-interval", "1", "1e9"],
+@pytest.mark.parametrize("argv, where", [
+    (_RESIDUAL + ["--interval", "0", "1e9"],
+     ("integrating over x in [0, 1e+09]", "choose a shorter interval")),
+    (["bessel-check", "--y-interval", "1", "1e9"],
+     ("integrating over y in [1, 1e+09]", "choose a shorter y interval (--y-interval)")),
 ], ids=["residual", "bessel-check"])
-def test_cli_residual_over_a_huge_interval_exits_2_quickly(argv):
+def test_cli_residual_over_a_huge_interval_exits_2_quickly(argv, where):
     # neither V = x^3 on [0, 1e9] nor e^x up to y = 1e9 has a blow-up event:
-    # only the evaluation cap ends the integration
+    # only the evaluation cap ends the integration; the message names the
+    # interval and the option the user chose, not the substituted x
     proc = subprocess.run(
         [sys.executable, "-m", "spectral_pairs.cli", *argv],
         capture_output=True, text=True, env=_env_with_src(), timeout=60,
@@ -460,7 +463,24 @@ def test_cli_residual_over_a_huge_interval_exits_2_quickly(argv):
     assert proc.returncode == 2
     assert "not covered" in proc.stderr
     assert f"MAX_RHS_EVALUATIONS = {MAX_RHS_EVALUATIONS}" in proc.stderr
+    assert all(part in proc.stderr for part in where)
     assert proc.stdout == ""
+
+
+def test_cli_value_error_is_not_covered_not_disproved(capsys):
+    # a curve coefficient above the int-to-str digit limit cannot be printed;
+    # that is not a verdict, so it exits 2, not 1 ("disproved")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = run_command(["spectral-curve", "--family", "cubic", "--g", "2", "--alpha",
+                            "4", "1", "-2/3", "1" + "7" * 200 + "/3" + "1" * 150])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("not covered: ")
+    assert "integer string conversion" in captured.err
 
 
 @pytest.mark.parametrize("argv", [_RESIDUAL, ["bessel-check"]], ids=["residual", "bessel-check"])
