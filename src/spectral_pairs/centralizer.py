@@ -106,6 +106,8 @@ from math import comb, factorial, lcm
 
 from .curves import (
     SpectralCurve,
+    _horner,
+    _kernel_basis_for,
     _over_qx,
     action_matrix,
     charpoly_w,
@@ -440,9 +442,9 @@ def spectral_curve(l4: DiffOp, m: DiffOp) -> SpectralCurve:
     the module docstring).  The zero operator has det(w I - 0) = w^4 and so
     the curve w.
     """
-    if not l4.commutator(m).is_zero():
+    basis = _kernel_basis_for(l4, m)
+    if basis is None:
         raise SpectralPairsError("operators do not commute")
-    basis = series_kernel_basis(l4, max(8, m.order + 3))
     return squarefree_normalize(charpoly_w(action_matrix(m, basis)))
 
 
@@ -453,14 +455,14 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     D^(4k) below its order) can leave a w-linear term b(z) w in the curve
     R = w^2 + b w + c; M' = M + b(L4)/2 completes the square, and its curve
     is R(z, w - b/2) = w^2 + c - b^2/4 (see the module docstring); b(L4)/2
-    is the curve b(z)/2 evaluated by Horner.  Only rank-two (w-degree 2) curves are covered; any other curve
-    raises :class:`NotCoveredError`.
+    is formed by Horner in L4.  Only rank-two (w-degree 2) curves are
+    covered; any other curve raises :class:`NotCoveredError`.
     """
     curve = spectral_curve(l4, m)
     if curve.w_degree() != 2:
         raise NotCoveredError(f"not a rank-two curve: w-degree {curve.w_degree()}")
-    half_b = SpectralCurve({(k, 0): c / 2 for k, c in enumerate(curve.w_slice(1))})
-    m = m + half_b.eval_at_operators(l4, m)
+    half_b = [c / 2 for c in curve.w_slice(1)]
+    m = m + _horner(half_b, l4)
     # w^2 + b w + c  ->  w^2 + c - (b/2)^2
-    curve = SpectralCurve((curve - half_b * (2 * curve.ring.var("w") + half_b)).terms)
-    return m, curve
+    hb = curve.ring.from_terms({(k, 0): c for k, c in enumerate(half_b)})
+    return m, SpectralCurve((curve - hb * (2 * curve.ring.var("w") + hb)).terms)

@@ -4,16 +4,18 @@ Exit codes: 0 every requested check passed, 1 a verification failed or no
 commuting partner of the requested order exists, 2 usage or coverage errors
 (parameters outside a family, counts, grid sizes, tolerances and intervals
 out of range, a grid above MAX_GRID_POINTS, a partner order above
-MAX_PARTNER_ORDER, --samples above MAX_SAMPLES or other than 1 with
---alpha, parameters beyond float range in a numeric command, a numeric
-solution that passes the overflow limit, a spectral curve that is not of
-rank two, parameters so degenerate that no check could run, an --out
-path that cannot be written, and any other ValueError, such as a result
-with more digits than Python's int-to-str limit).  The numeric commands
-decide against the fixed gates RESIDUAL_BOUND and BESSEL_BOUND, as the
-suite does.  Exact rationals cross the boundary as "num/den" strings, and
-negative ones such as -2/3 are read as values, not options; JSON reports
-are deterministic for a fixed seed (elapsed_ms aside).
+MAX_PARTNER_ORDER, an exact command's --alpha with more than
+MAX_PARAMETER_DIGITS digits in a numerator or denominator, --samples above
+MAX_SAMPLES or other than 1 with --alpha, parameters beyond float range in
+a numeric command, a numeric solution that passes the overflow limit, a
+spectral curve that is not of rank two, parameters so degenerate that no
+check could run, an --out path that cannot be written, and any other
+ValueError, such as a result with more digits than Python's int-to-str
+limit).  The numeric commands decide against the fixed gates
+RESIDUAL_BOUND and BESSEL_BOUND, as the suite does.  Exact rationals cross
+the boundary as "num/den" strings, and negative ones such as -2/3 are read
+as values, not options; JSON reports are deterministic for a fixed seed
+(elapsed_ms aside).
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .numeric import (
     BESSEL_MIN_POINTS,
     RESIDUAL_MIN_POINTS,
     bessel_change_check,
-    eigen_residual,
     integrate_kernel,
     numeric_roots,
     residual_profile,
@@ -52,11 +53,19 @@ from .verify import DEFAULT_SEED, sample_spec, verify_corollary, verify_eigen_id
 import json
 
 # At 42 (g = 10), `spectral-curve` on the generic cubic 4 1 -2/3 -1 takes
-# about 0.4 s on a shared 2-core Xeon: 0.25-0.3 s for the partner search,
-# 0.05 s for its curve and 0.03 s for the exact check R(L4, M) = 0 on the
-# kernel action.  The cap was sized when that check composed M with itself
-# (about 3 s) and has not been re-derived from the new cost.
+# about 0.36 s as a whole command on a shared 2-core machine (median of 5):
+# 0.04 s for the partner by the chain, 0.05 s for its curve and 0.03 s for
+# the exact check R(L4, M) = 0 on the kernel action (medians of 7).  An
+# order other than 4g + 2 runs the partner search, which takes 0.26 s for
+# the same L4 at order 42.  The cap was sized when that check composed M
+# with itself (about 3 s) and has not been re-derived from the new cost.
 MAX_PARTNER_ORDER = 42
+# Digits of each numerator and denominator of an exact command's --alpha,
+# in lowest terms.  With four random 12-digit fractions the slowest exact
+# command, `spectral-curve --order 42` at g = 1 (the partner search), takes
+# about 4 s on that machine (15 digits: 5.6 s; 30: 12 s); `spectral-curve
+# --g 10` takes 1.3 s, `verify-corollary --g 4` and `verify-theorem` under 1 s.
+MAX_PARAMETER_DIGITS = 12
 # `verify-corollary --g 4 --which both` takes about 50 ms per sample after
 # 0.1 s of start-up on a shared 2-core Xeon, so 100 samples take about 5.4 s
 # (--g 2: 1.2 s).
@@ -71,6 +80,19 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+
+
+def _exact_parameter(text: str) -> Fraction:
+    """An exact rational with at most MAX_PARAMETER_DIGITS digits in its
+    numerator and in its denominator, in lowest terms."""
+    value = _fraction(text)
+    if max(abs(value.numerator), value.denominator) >= 10 ** MAX_PARAMETER_DIGITS:
+        shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
+        raise argparse.ArgumentTypeError(
+            f"more than MAX_PARAMETER_DIGITS = {MAX_PARAMETER_DIGITS} digits "
+            f"in a numerator or denominator: {shown!r}"
+        )
+    return value
 
 
 def _int_at_least(low: int, high: int | None = None):
@@ -138,12 +160,12 @@ class ArgumentParser(argparse.ArgumentParser):
         )
 
 
-def _add_family_args(p, require_alpha=False):
+def _add_family_args(p, require_alpha=False, alpha_type=_exact_parameter):
     p.add_argument("--family", choices=(CUBIC, QUARTIC, EXPONENTIAL), required=True)
     p.add_argument("--g", type=_positive_int, required=True)
     p.add_argument("--eps", type=int, default=0, choices=(0, 1))
     p.add_argument(
-        "--alpha", type=_fraction, nargs="+", default=None, required=require_alpha,
+        "--alpha", type=alpha_type, nargs="+", default=None, required=require_alpha,
         help='parameter values as exact rationals, e.g. "0 0 0 1" or "1/2 -3"',
     )
 
@@ -161,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-corollary", help="conjugated commutators divisible by L2")
     p.add_argument("--g", type=int, choices=(2, 4), required=True)
-    p.add_argument("--alpha", type=_fraction, nargs="+", default=None)
+    p.add_argument("--alpha", type=_exact_parameter, nargs="+", default=None)
     p.add_argument("--which", choices=("l4", "l4g2", "both"), default="l4")
     p.add_argument("--samples", type=_int_at_least(1, MAX_SAMPLES), default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -177,7 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("residual", help="numeric eigen-residual on a grid")
-    _add_family_args(p, require_alpha=True)
+    # numeric: parameters beyond float range are refused when V is built
+    _add_family_args(p, require_alpha=True, alpha_type=_fraction)
     p.add_argument("--interval", type=_finite_float, nargs=2, action=_Interval, default=None)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--n-points", type=_int_at_least(RESIDUAL_MIN_POINTS, MAX_GRID_POINTS),
@@ -299,11 +322,15 @@ def _cmd_residual(args) -> int:
         spec, shifted=spec.family == EXPONENTIAL, init=(1.0, 0.3),
         interval=args.interval, tol=args.tol, n_points=args.n_points,
     )
+    import numpy as np
     roots = _distinct_roots(char_poly_z(spec))
-    residuals = [eigen_residual(spec, z, grid) for z in roots]
+    # (psi, profile) per root; each residual is its profile's maximum, as in
+    # eigen_residual, and the CSV takes the first root's
+    profiles = [residual_profile(spec, z, grid) for z in roots]
+    residuals = [float(np.nanmax(profile)) for _, profile in profiles]
     worst = max(residuals)
     if args.out:
-        psi, profile = residual_profile(spec, roots[0], grid)
+        psi, profile = profiles[0]
         _write(grid_csv(grid, psi=psi, residual=profile), args.out)
     print(f"max residual over {len(roots)} root(s): {worst:.3e}")
     for z, r in zip(roots, residuals):

@@ -6,11 +6,16 @@ kernel of the first.  That polynomial is F^l for the pair's irreducible
 relation F, monic in w (Burchnall and Chaundy), so the curve is its exact
 monic l-th root in Q[z][w]: no gcd and no rational functions of z.
 
-The formal kernel of L4 - z lives here too: its basis psi_0 .. psi_3 is held
-as Taylor data over Q[z] (:func:`series_kernel_basis`), and the 4x4 action
-matrix A of an operator on it (:func:`action_matrix`) feeds both
-:func:`charpoly_w` and the zero test of
-:meth:`SpectralCurve.eval_at_operators`.
+The characteristic polynomial is computed over Q[z] from traces, by
+Faddeev-LeVerrier (:func:`charpoly_w`), so the only arithmetic in two
+variables is that root.  The formal kernel of L4 - z lives here too: its
+basis psi_0 .. psi_3 is held as Taylor data over Q[z]
+(:func:`series_kernel_basis`), and the 4x4 action matrix A of an operator
+on it (:func:`action_matrix`) feeds both :func:`charpoly_w` and the zero
+test of :meth:`SpectralCurve.eval_at_operators`.  Both take the basis from
+one rule (:func:`_kernel_basis_for`), and a polynomial in an operator with
+rational coefficients is formed by one Horner (:func:`_horner`), which the
+square completion of :func:`centralizer.hyperelliptic_pair` shares.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .operators import DiffOp
 from .rings import MultiPoly, PolyRing
 
 _ZW = PolyRing(("z", "w"))
+_Z = PolyRing(("z",))
 
 
 class SpectralCurve(MultiPoly):
@@ -85,27 +91,23 @@ class SpectralCurve(MultiPoly):
             return DiffOp.zero(a.ring)
         out = DiffOp.zero(a.ring)
         for j in range(self.w_degree(), -1, -1):
-            acc = DiffOp.zero(a.ring)
-            for c in reversed(self.w_slice(j)):
-                acc = a * acc + DiffOp.identity(a.ring).scale(c)
-            out = b * out + acc
+            out = b * out + _horner(self.w_slice(j), a)
         return out
 
     def _kills_kernel_action(self, a: DiffOp, b: DiffOp) -> bool:
         """R(z I, A(b)) = 0 when the zero test of :meth:`eval_at_operators`
         applies; False when it does not apply or the matrix is not zero."""
-        if (self.w_degree() < 1 or a.order != 4 or not a.is_monic()
-                or not _over_qx(a.ring) or not a.commutator(b).is_zero()):
+        basis = (self.w_degree() >= 1 and a.order == 4 and a.is_monic()
+                 and _over_qx(a.ring) and _kernel_basis_for(a, b))
+        if not basis:
             return False
-        basis = series_kernel_basis(a, max(8, b.order + 3))
         mat = _action_entries(b, basis)
-        zring = basis[0][0].ring
-        out = [[zring.zero] * 4 for _ in range(4)]
+        out = [[_Z.zero] * 4 for _ in range(4)]
         for j in range(self.w_degree(), -1, -1):
-            pj = zring.from_terms({(k,): c for k, c in enumerate(self.w_slice(j))})
+            pj = _Z.from_terms({(k,): c for k, c in enumerate(self.w_slice(j))})
             out = [
-                [zring.sum_products([(1, mat[r][k], out[k][c]) for k in range(4)]
-                                    + ([(1, pj, zring.one)] if r == c else []))
+                [_Z.sum_products([(1, mat[r][k], out[k][c]) for k in range(4)]
+                                 + ([(1, pj, _Z.one)] if r == c else []))
                  for c in range(4)]
                 for r in range(4)
             ]
@@ -128,20 +130,28 @@ def charpoly_w(matrix) -> SpectralCurve:
     """det(w*I - A) for a 4x4 (or nxn) matrix of Q[z] coefficient lists.
 
     ``matrix[i][j]`` is a dense list of Fractions (z-powers, low to high).
-    The determinant is a Laplace expansion along the first row over Q[z, w]:
-    division-free and exact.
+    Its coefficients c_(n-k) of w^(n-k) come from traces by Faddeev-LeVerrier
+    over Q[z], B_1 = A, c_(n-k) = -tr(B_k)/k, B_(k+1) = A B_k + c_(n-k) A:
+    exact, as the only division is by the integer k.
     """
     n = len(matrix)
-    w = _ZW.var("w")
-    entries = [
-        [
-            _ZW.from_terms({(k, 0): -c for k, c in enumerate(matrix[i][j])})
-            + (w if i == j else 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return SpectralCurve(_det(entries).terms)
+    a = [[_Z.from_terms({(k,): c for k, c in enumerate(e)}) for e in row] for row in matrix]
+    b, terms = a, {(0, n): 1}
+    for k in range(1, n + 1):
+        c = sum((b[i][i] for i in range(n)), _Z.zero) * Fraction(-1, k)
+        terms.update({(e, n - k): v for (e,), v in c.terms.items()})
+        if k < n:  # of B_n only the diagonal is read
+            b = [[_Z.sum_products([(1, a[r][i], b[i][s]) for i in range(n)] + [(1, c, a[r][s])])
+                  if k < n - 1 or r == s else None for s in range(n)] for r in range(n)]
+    return SpectralCurve(terms)
+
+
+def _horner(coeffs, a: DiffOp) -> DiffOp:
+    """sum_k coeffs[k] a^k by Horner in a, with a on the left."""
+    acc = DiffOp.zero(a.ring)
+    for c in reversed(coeffs):
+        acc = a * acc + DiffOp.identity(a.ring).scale(c)
+    return acc
 
 
 # -- formal kernel and action matrix -------------------------------------------
@@ -178,30 +188,37 @@ def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
         raise SpectralPairsError("expected a monic operator of order 4")
     if truncation < 8:
         raise TruncationError("truncation must be at least 8")
-    zring = PolyRing(("z",))
-    lower = [(i, s, zring.const(q)) for (i, s), q in _x_terms(l4).items() if (i, s) != (4, 0)]
-    z = zring.var("z")
+    lower = [(i, s, _Z.const(q)) for (i, s), q in _x_terms(l4).items() if (i, s) != (4, 0)]
+    z = _Z.var("z")
     basis = []
     for j in range(4):
-        d = [zring.one if k == j else zring.zero for k in range(4)]
+        d = [_Z.one if k == j else _Z.zero for k in range(4)]
         for m in range(truncation - 3):
-            d.append(zring.sum_products([(1, z, d[m])] + [
+            d.append(_Z.sum_products([(1, z, d[m])] + [
                 (-perm(m, s), q, d[m - s + i]) for i, s, q in lower if m >= s
             ]))
         basis.append(d)
     return basis
 
 
+def _kernel_basis_for(a: DiffOp, b: DiffOp):
+    """The basis of ker(a - z) at truncation max(8, ord b + 3), the shortest
+    that holds every d_k :func:`action_matrix` reads for b; None unless
+    [a, b] = 0 by direct expansion.  ``a`` is monic of order 4 over Q[x]."""
+    if not a.commutator(b).is_zero():
+        return None
+    return series_kernel_basis(a, max(8, b.order + 3))
+
+
 def _action_entries(m: DiffOp, basis: list) -> list:
     """:func:`action_matrix` with Q[z] ``MultiPoly`` entries."""
     if len(basis[0]) - 1 - m.order < 3:
         raise TruncationError("basis truncation too small for this operator")
-    zring = basis[0][0].ring
-    terms = {key: zring.const(a) for key, a in _x_terms(m).items()}
+    terms = {key: _Z.const(a) for key, a in _x_terms(m).items()}
     matrix = [[None] * 4 for _ in range(4)]
     for j, d in enumerate(basis):
         for k in range(4):
-            matrix[k][j] = zring.sum_products(
+            matrix[k][j] = _Z.sum_products(
                 (perm(k, s), a, d[k - s + i]) for (i, s), a in terms.items() if s <= k
             )
     return matrix
@@ -224,22 +241,6 @@ def action_matrix(m: DiffOp, basis: list) -> list:
         return [Fraction(e, den) for e in nums]
 
     return [[fractions(entry) for entry in row] for row in _action_entries(m, basis)]
-
-
-def _det(entries) -> MultiPoly:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    out = _ZW.zero
-    for j in range(n):
-        if entries[0][j].is_zero():
-            continue
-        minor = [
-            [entries[i][k] for k in range(n) if k != j] for i in range(1, n)
-        ]
-        term = entries[0][j] * _det(minor)
-        out = out - term if j % 2 else out + term
-    return out
 
 
 def _monic_root(p: MultiPoly, l: int):

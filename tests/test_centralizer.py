@@ -534,9 +534,15 @@ def _case_id(case):
 
 
 @pytest.mark.parametrize("case", _PAIR_CASES, ids=_case_id)
-def test_square_completion_by_substitution_matches_a_second_curve(case):
+def test_square_completion_by_substitution_matches_a_second_curve(case, monkeypatch):
     l4, m = _pair_input(case)
-    m2, curve = hyperelliptic_pair(l4, m)
+
+    def refuse(*args):
+        raise AssertionError("b(L4)/2 is formed by Horner, not by evaluating a curve")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(SpectralCurve, "eval_at_operators", refuse)
+        m2, curve = hyperelliptic_pair(l4, m)
     m2_old, curve_old = hyperelliptic_pair_oracle(l4, m)
     assert curve == curve_old and repr(curve) == repr(curve_old)
     assert m2 == m2_old and repr(m2) == repr(m2_old)

@@ -115,8 +115,10 @@ def test_eval_at_operators_commuting_pair(monkeypatch):
 # -- differential tests against sympy --------------------------------------------------
 
 _small_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-_z_poly = st.lists(_small_q, max_size=3)
-_z_matrix = st.integers(1, 4).flatmap(
+# numerators and denominators of up to 30 digits
+_large_q = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+_z_poly = st.lists(st.one_of(_small_q, _large_q), max_size=3)
+_z_matrix = st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(_z_poly, min_size=n, max_size=n), min_size=n, max_size=n)
 )
 

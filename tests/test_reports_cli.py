@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -285,30 +286,31 @@ def test_cli_residual_writes_grid_csv(capsys, tmp_path):
     assert np.isfinite(float(mid[5]))
 
 
-def test_cli_residual_builds_the_grid_profile_only_for_out(capsys, tmp_path, monkeypatch):
-    """One stencil pass per root, and one more for the first root's CSV profile."""
-    calls = []
-    inner = numeric.residual_profile
+def test_cli_residual_builds_one_profile_per_root(capsys, tmp_path, monkeypatch):
+    """One residual_profile per root, with or without --out; the CSV reuses
+    the first root's, so each root takes one pass of each of the two stencils."""
+    calls, passes = [], []
+    inner, defect = numeric.residual_profile, numeric._defect_profile
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    # eigen_residual reaches it through the module, the CSV through cli
-    monkeypatch.setattr(numeric, "residual_profile", counted)
     monkeypatch.setattr(cli, "residual_profile", counted)
+    monkeypatch.setattr(numeric, "_defect_profile",
+                        lambda *args: passes.append(args) or defect(*args))
     argv = ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "1", "0", "1"]
     assert run_command(argv) == 0
-    assert len(calls) == 2
+    assert (len(calls), len(passes)) == (2, 4)
     per_root = list(calls)
     lines = capsys.readouterr().out.splitlines()
     out = tmp_path / "grid.csv"
     assert run_command(argv + ["--out", str(out)]) == 0
-    assert len(calls) == 5
+    assert (len(calls), len(passes)) == (4, 8)
+    assert capsys.readouterr().out.splitlines() == lines
     spec, first_root, grid = calls[2]
     psi, profile = inner(spec, first_root, grid)
     assert out.read_bytes() == grid_csv(grid, psi=psi, residual=profile)
-    capsys.readouterr()
     # the maximum first, then each root's eigen_residual on the same grid
     values = [numeric.eigen_residual(spec, z, grid) for spec, z, grid in per_root]
     assert lines[0] == f"max residual over 2 root(s): {max(values):.3e}"
@@ -337,8 +339,8 @@ def test_cli_residual_csv_is_the_printed_profile(capsys, tmp_path, argv, code):
 def test_cli_residual_checks_a_repeated_root_once(capsys, monkeypatch):
     # cubic g = 2 on V = x^3 has chi = z^2: one root, one residual, one line
     calls = []
-    inner = cli.eigen_residual
-    monkeypatch.setattr(cli, "eigen_residual", lambda *args: calls.append(args) or inner(*args))
+    inner = cli.residual_profile
+    monkeypatch.setattr(cli, "residual_profile", lambda *args: calls.append(args) or inner(*args))
     assert run_command(_RESIDUAL) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(calls) == 1 and calls[0][1] == 0
@@ -356,7 +358,8 @@ def test_cli_residual_keeps_each_simple_root():
 
 def test_cli_residual_threshold_failure_exits_1(capsys, monkeypatch):
     # the gate is the suite's RESIDUAL_BOUND, passed only strictly below it
-    monkeypatch.setattr(cli, "eigen_residual", lambda spec, z, grid: cli.RESIDUAL_BOUND)
+    monkeypatch.setattr(cli, "residual_profile",
+                        lambda spec, z, grid: (grid.phi, np.full(len(grid.x), cli.RESIDUAL_BOUND)))
     code = run_command(
         ["residual", "--family", "cubic", "--g", "2", "--alpha", "0", "0", "0", "1"]
     )
@@ -468,19 +471,58 @@ def test_cli_residual_over_a_huge_interval_exits_2_quickly(argv, where):
 
 
 def test_cli_value_error_is_not_covered_not_disproved(capsys):
-    # a curve coefficient above the int-to-str digit limit cannot be printed;
-    # that is not a verdict, so it exits 2, not 1 ("disproved")
+    # a partner coefficient above the int-to-str digit limit cannot be
+    # printed; that is not a verdict, so it exits 2, not 1 ("disproved").
+    # Four 12-digit parameters give M coefficients of 771 digits at g = 10.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        code = run_command(["spectral-curve", "--family", "cubic", "--g", "2", "--alpha",
-                            "4", "1", "-2/3", "1" + "7" * 200 + "/3" + "1" * 150])
+        code = run_command(["centralizer", "--family", "cubic", "--g", "10", "--alpha",
+                            "999999999989/999999999959", "-999999999961/999999999947",
+                            "999999999937/999999999929", "-999999999899/999999999877"])
     finally:
         sys.set_int_max_str_digits(limit)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("not covered: ")
     assert "integer string conversion" in captured.err
+
+
+_EXACT_ALPHA_COMMANDS = [
+    ["spectral-curve", "--family", "cubic", "--g", "10", "--alpha", "4", "1", "-2/3"],
+    ["centralizer", "--family", "cubic", "--g", "10", "--alpha", "4", "1", "-2/3"],
+    ["verify-theorem", "--family", "cubic", "--g", "2", "--alpha", "4", "1", "-2/3"],
+    ["verify-corollary", "--g", "4", "--alpha", "4", "1", "-2/3"],
+]
+
+
+@pytest.mark.parametrize("argv", _EXACT_ALPHA_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_exact_alpha_above_the_digit_cap_exits_2_quickly(capsys, argv):
+    # random 300-digit P/Q: spectral-curve at g = 10 ran 22 s before the cap
+    rng = random.Random(0)
+    big = f"{rng.randrange(10**299, 10**300)}/{rng.randrange(10**299, 10**300)}"
+    start = time.perf_counter()
+    assert run_command(argv + [big]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert f"MAX_PARAMETER_DIGITS = {cli.MAX_PARAMETER_DIGITS}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", _EXACT_ALPHA_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_exact_alpha_at_the_digit_cap_parses(capsys, argv):
+    top = 10 ** cli.MAX_PARAMETER_DIGITS
+    parser = cli._build_parser()
+    # numerator and denominator at the cap, coprime (their difference is 2)
+    at_cap = f"-{top - 1}/{top - 3}"
+    assert parser.parse_args(argv + [at_cap]).alpha[-1] == Fraction(1 - top, top - 3)
+    # the digits of the value in lowest terms count, not those of the text
+    assert parser.parse_args(argv + [f"{2 * top}/{4 * top}"]).alpha[-1] == Fraction(1, 2)
+    for over in (f"{top}/3", f"3/{top + 1}", f"1e-{cli.MAX_PARAMETER_DIGITS}"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [over])
+        assert exc.value.code == 2
+    assert "MAX_PARAMETER_DIGITS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [_RESIDUAL, ["bessel-check"]], ids=["residual", "bessel-check"])
