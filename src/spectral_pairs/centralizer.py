@@ -84,14 +84,13 @@ monic l-th root (:func:`curves.squarefree_normalize`).  The basis and the
 action matrix live in :mod:`curves`, beside :func:`curves.charpoly_w`, and
 are imported here.  The basis is held as its Taylor data
 d_k = psi_j^(k)(0) over Q[z], which obey a recurrence with no factorial
-denominators (:func:`curves.series_kernel_basis`).  The action matrix holds
-the first four Taylor data of M psi_j, and only those are formed:
-A[k][j] = sum_(i, s <= k) a_(i,s) k!/(k-s)! d_(k-s+i) over the terms
-a_(i,s) x^s D^i of M, which reads d up to d_(ord M + 3)
-(:func:`curves.action_matrix`).  So one basis at truncation
-max(8, ord M + 3) gives the curve: the recurrence is prefix-closed (d_(m+4)
-is fixed by d_0 .. d_(m+3)), so a longer basis cut to that length is the
-same basis and gives the same matrix.  Completing the square needs no second
+denominators (:func:`curves.series_kernel_basis`).  The action matrix, over
+Q[z] too, holds the first four Taylor data of M psi_j, and only those are
+formed, which reads d up to d_(ord M + 3) (:func:`curves.action_matrix`).
+So one basis at truncation max(8, ord M + 3) gives the curve: the
+recurrence is prefix-closed (d_(m+4) is fixed by d_0 .. d_(m+3)), so a
+longer basis cut to that length is the same basis and gives the same
+matrix.  Completing the square needs no second
 curve either: M + b(L4)/2 acts on ker(L4 - z) as A + b(z)/2 I, so the curve
 w^2 + b w + c of M becomes R(z, w - b/2) = w^2 + c - b^2/4.  The same
 matrix decides R(L4, M') = 0 without composing M' with itself
@@ -105,6 +104,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .curves import (
+    _Z,
     SpectralCurve,
     _horner,
     _kernel_basis_for,
@@ -294,12 +294,11 @@ def _chain_pair(l4: DiffOp, order: int):
         terms.append(DiffOp(ring, [ai * v + ddai * Fraction(1, 2), -dai, ai]))
     # 4F = 4(z - W)Q^2 + Q''^2 - 2Q'Q''' + 2Q Q'''' + 8V Q Q'' - 4V Q'^2 + 4V' Q Q'
     # at x = 0, with q[r] = Q^(r)(0, z)
-    zring = PolyRing(("z",))
-    q = [zring.from_terms({(i,): factorial(r) * ai.terms.get((r,), 0) for i, ai in enumerate(a)})
+    q = [_Z.from_terms({(i,): factorial(r) * ai.terms.get((r,), 0) for i, ai in enumerate(a)})
          for r in range(5)]
     v0, dv0, w0 = (p.constant_term() for p in (v, dv, w))
-    f = zring.sum_products([
-        (4, zring.var("z") - w0, q[0] * q[0]), (1, q[2], q[2]), (-2, q[1], q[3]),
+    f = _Z.sum_products([
+        (4, _Z.var("z") - w0, q[0] * q[0]), (1, q[2], q[2]), (-2, q[1], q[3]),
         (2, q[0], q[4]), (8, q[0] * v0, q[2]), (-4, q[1] * v0, q[1]), (4, q[0] * dv0, q[1]),
     ]) * Fraction(1, 4)
     return terms, f

@@ -6,16 +6,17 @@ kernel of the first.  That polynomial is F^l for the pair's irreducible
 relation F, monic in w (Burchnall and Chaundy), so the curve is its exact
 monic l-th root in Q[z][w]: no gcd and no rational functions of z.
 
-The characteristic polynomial is computed over Q[z] from traces, by
-Faddeev-LeVerrier (:func:`charpoly_w`), so the only arithmetic in two
-variables is that root.  The formal kernel of L4 - z lives here too: its
-basis psi_0 .. psi_3 is held as Taylor data over Q[z]
-(:func:`series_kernel_basis`), and the 4x4 action matrix A of an operator
-on it (:func:`action_matrix`) feeds both :func:`charpoly_w` and the zero
-test of :meth:`SpectralCurve.eval_at_operators`.  Both take the basis from
-one rule (:func:`_kernel_basis_for`), and a polynomial in an operator with
-rational coefficients is formed by one Horner (:func:`_horner`), which the
-square completion of :func:`centralizer.hyperelliptic_pair` shares.
+The characteristic polynomial is computed over Q[z] from the power sums
+tr(A^k) by Newton's identities (:func:`charpoly_w`), so the only arithmetic
+in two variables is that root.  The formal kernel of L4 - z lives here too:
+its basis psi_0 .. psi_3 is held as Taylor data over Q[z]
+(:func:`series_kernel_basis`), and the 4x4 action matrix A of an operator on
+it (:func:`action_matrix`), with Q[z] entries, feeds both :func:`charpoly_w`
+and the zero test of :meth:`SpectralCurve.eval_at_operators`.  Both take the
+basis from one rule (:func:`_kernel_basis_for`), and a polynomial in an
+operator with rational coefficients is formed by one Horner
+(:func:`_horner`), which the square completion of
+:func:`centralizer.hyperelliptic_pair` shares.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class SpectralCurve(MultiPoly):
                  and _over_qx(a.ring) and _kernel_basis_for(a, b))
         if not basis:
             return False
-        mat = _action_entries(b, basis)
+        mat = action_matrix(b, basis)
         out = [[_Z.zero] * 4 for _ in range(4)]
         for j in range(self.w_degree(), -1, -1):
             pj = _Z.from_terms({(k,): c for k, c in enumerate(self.w_slice(j))})
@@ -127,22 +128,29 @@ class SpectralCurve(MultiPoly):
 
 
 def charpoly_w(matrix) -> SpectralCurve:
-    """det(w*I - A) for a 4x4 (or nxn) matrix of Q[z] coefficient lists.
+    """det(w*I - A) for an n x n matrix A of Q[z] ``MultiPoly`` entries.
 
-    ``matrix[i][j]`` is a dense list of Fractions (z-powers, low to high).
-    Its coefficients c_(n-k) of w^(n-k) come from traces by Faddeev-LeVerrier
-    over Q[z], B_1 = A, c_(n-k) = -tr(B_k)/k, B_(k+1) = A B_k + c_(n-k) A:
-    exact, as the only division is by the integer k.
+    Its coefficient c_(n-k) of w^(n-k) comes from the power sums p_k =
+    tr(A^k) by Newton's identities (Le Verrier), c_n = 1 and
+
+        k c_(n-k) = -(p_k + sum_(i<k) c_(n-i) p_(k-i)),
+
+    exact over Q[z], as the only division is by the integer k.  Each p_k is
+    the trace of A^(k-j) A^j with j = min(k - 1, ceil(n/2)), a sum of n^2
+    products, so only A^2 .. A^ceil(n/2) are formed: one product at n = 4.
     """
-    n = len(matrix)
-    a = [[_Z.from_terms({(k,): c for k, c in enumerate(e)}) for e in row] for row in matrix]
-    b, terms = a, {(0, n): 1}
+    n, half = len(matrix), (len(matrix) + 1) // 2
+    powers = [[[_Z.one if r == s else _Z.zero for s in range(n)] for r in range(n)], matrix]
+    while len(powers) <= half:
+        powers.append([[_Z.sum_products((1, matrix[r][i], powers[-1][i][s]) for i in range(n))
+                        for s in range(n)] for r in range(n)])
+    p, c, terms = [None], [_Z.one], {(0, n): 1}
     for k in range(1, n + 1):
-        c = sum((b[i][i] for i in range(n)), _Z.zero) * Fraction(-1, k)
-        terms.update({(e, n - k): v for (e,), v in c.terms.items()})
-        if k < n:  # of B_n only the diagonal is read
-            b = [[_Z.sum_products([(1, a[r][i], b[i][s]) for i in range(n)] + [(1, c, a[r][s])])
-                  if k < n - 1 or r == s else None for s in range(n)] for r in range(n)]
+        a, b = powers[k - min(k - 1, half)], powers[min(k - 1, half)]
+        p.append(_Z.sum_products((1, a[r][s], b[s][r]) for r in range(n) for s in range(n)))
+        c.append(_Z.sum_products([(1, p[k], _Z.one)] + [(1, c[i], p[k - i]) for i in range(1, k)])
+                 * Fraction(-1, k))
+        terms.update({(e, n - k): v for (e,), v in c[k].terms.items()})
     return SpectralCurve(terms)
 
 
@@ -210,8 +218,18 @@ def _kernel_basis_for(a: DiffOp, b: DiffOp):
     return series_kernel_basis(a, max(8, b.order + 3))
 
 
-def _action_entries(m: DiffOp, basis: list) -> list:
-    """:func:`action_matrix` with Q[z] ``MultiPoly`` entries."""
+def action_matrix(m: DiffOp, basis: list) -> list:
+    """4x4 matrix over Q[z] of M acting on the formal kernel basis.
+
+    Column j holds the Taylor data (k-th derivative at 0, k < 4) of M psi_j,
+    which are exactly its coordinates in the basis.  With M = sum a_(i,s)
+    x^s D^i and d the Taylor data of psi_j, only these four are formed:
+
+        A[k][j] = sum_i sum_(s <= k) a_(i,s) k!/(k-s)! d_(k-s+i),
+
+    which reads d up to d_(ord M + 3).  Entries are Q[z] ``MultiPoly``
+    values, as the basis's are.
+    """
     if len(basis[0]) - 1 - m.order < 3:
         raise TruncationError("basis truncation too small for this operator")
     terms = {key: _Z.const(a) for key, a in _x_terms(m).items()}
@@ -222,25 +240,6 @@ def _action_entries(m: DiffOp, basis: list) -> list:
                 (perm(k, s), a, d[k - s + i]) for (i, s), a in terms.items() if s <= k
             )
     return matrix
-
-
-def action_matrix(m: DiffOp, basis: list) -> list:
-    """4x4 matrix over Q[z] of M acting on the formal kernel basis.
-
-    Column j holds the Taylor data (k-th derivative at 0, k < 4) of M psi_j,
-    which are exactly its coordinates in the basis.  With M = sum a_(i,s)
-    x^s D^i and d the Taylor data of psi_j, only these four are formed:
-
-        A[k][j] = sum_i sum_(s <= k) a_(i,s) k!/(k-s)! d_(k-s+i),
-
-    which reads d up to d_(ord M + 3).  Entries are dense z-coefficient
-    lists of Fractions, lowest power first.
-    """
-    def fractions(entry):
-        den, nums = entry.dense()
-        return [Fraction(e, den) for e in nums]
-
-    return [[fractions(entry) for entry in row] for row in _action_entries(m, basis)]
 
 
 def _monic_root(p: MultiPoly, l: int):

@@ -1,13 +1,16 @@
+import importlib.util
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spectral_pairs
 from spectral_pairs import centralizer, curves
 from spectral_pairs.centralizer import (
     action_matrix,
@@ -49,6 +52,7 @@ from conftest import (
 
 XRING = PolyRing(("x",))
 XZRING = PolyRing(("x", "z"))
+ZRING = PolyRing(("z",))
 PURE_CUBIC = FamilySpec(CUBIC, 1, alphas=(0, 0, 0, 1))
 
 
@@ -420,7 +424,7 @@ def test_identity_acts_as_identity(x3_l4):
     mat = action_matrix(DiffOp.identity(XRING), basis)
     for i in range(4):
         for j in range(4):
-            assert mat[i][j] == ([Fraction(1)] if i == j else [])
+            assert mat[i][j] == (ZRING.one if i == j else ZRING.zero)
 
 
 def test_l4_acts_as_z(x3_l4):
@@ -428,7 +432,7 @@ def test_l4_acts_as_z(x3_l4):
     mat = action_matrix(x3_l4, basis)
     for i in range(4):
         for j in range(4):
-            assert mat[i][j] == ([Fraction(0), Fraction(1)] if i == j else [])
+            assert mat[i][j] == (ZRING.var("z") if i == j else ZRING.zero)
 
 
 @settings(max_examples=25, deadline=None)
@@ -447,11 +451,7 @@ def test_action_matrix_matches_the_series_image(lower, m_coeffs, extra):
     for j, d in enumerate(basis):
         image = _lift(m).apply_to_poly(_taylor_poly(d)).coefficients_in("x")
         for k in range(4):
-            terms = image[k].terms if k in image else {}
-            dense = [Fraction(0)] * (max((e for (e,) in terms), default=-1) + 1)
-            for (e,), c in terms.items():
-                dense[e] = c * factorial(k)
-            expected[k][j] = dense
+            expected[k][j] = image.get(k, ZRING.zero) * factorial(k)
     assert action_matrix(m, basis) == expected
 
 
@@ -556,7 +556,7 @@ def test_some_square_completion_case_shifts():
 
 def test_curve_path_does_each_exact_step_once(monkeypatch):
     l4, m = _pair_input((CUBIC, 2, _GENERIC_CUBIC, 10))
-    calls = {"basis": 0, "curve": 0, "commutator": 0, "compose": 0}
+    calls = {"basis": 0, "matrix": 0, "curve": 0, "commutator": 0, "compose": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -567,17 +567,40 @@ def test_curve_path_does_each_exact_step_once(monkeypatch):
     for module in (centralizer, curves):
         monkeypatch.setattr(module, "series_kernel_basis",
                             counted("basis", module.series_kernel_basis))
+        monkeypatch.setattr(module, "action_matrix", counted("matrix", module.action_matrix))
     monkeypatch.setattr(centralizer, "spectral_curve",
                         counted("curve", centralizer.spectral_curve))
     monkeypatch.setattr(DiffOp, "commutator", counted("commutator", DiffOp.commutator))
     m2, curve = hyperelliptic_pair(l4, m)
     assert m2 != m  # this case completes the square
-    assert calls == {"basis": 1, "curve": 1, "commutator": 1, "compose": 0}
-    # the check R(L4, M') = 0: one basis, one commutator, no composition
+    assert calls == {"basis": 1, "matrix": 1, "curve": 1, "commutator": 1, "compose": 0}
+    # the check R(L4, M') = 0: one basis, one matrix, one commutator, no composition
     calls.update(dict.fromkeys(calls, 0))
     monkeypatch.setattr(DiffOp, "__mul__", counted("compose", DiffOp.__mul__))
     assert curve.eval_at_operators(l4, m2).is_zero()
-    assert calls == {"basis": 1, "curve": 0, "commutator": 1, "compose": 0}
+    assert calls == {"basis": 1, "matrix": 1, "curve": 0, "commutator": 1, "compose": 0}
+
+
+def test_benchmark_tracer_tallies_the_curve_path():
+    # perfbench/tracing.py wraps the package's layers by name, so a src change
+    # that drops one of those names fails here as well as in the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:  # a failed install leaves its earlier patches, which uninstall undoes
+        tracer.install(spectral_pairs)
+        tracer.active = True
+        l4 = make_L4(FamilySpec(CUBIC, 2, alphas=_GENERIC_CUBIC))
+        m2, curve = centralizer.hyperelliptic_pair(l4, centralizer.find_commuting_operator(l4, 10))
+        identity = curve.eval_at_operators(l4, m2)
+    finally:
+        tracer.uninstall()
+    assert identity.is_zero()
+    # one basis and one matrix for the curve, one of each for the check
+    assert tracer.calls("centralizer.action_matrix") == 2
+    assert tracer.calls("centralizer.series_kernel_basis") == 2
 
 
 def _shifted(curve, key, c):

@@ -11,19 +11,21 @@ from spectral_pairs.operators import DiffOp
 from spectral_pairs.rings import PolyRing
 
 XRING = PolyRing(("x",))
+ZRING = PolyRing(("z",))
 
 
-def _zero_row(entries):
-    return [list(map(Fraction, e)) for e in entries]
+def _qz(coeffs):
+    """The Q[z] entry with these coefficients, lowest power first."""
+    return ZRING.from_terms({(k,): c for k, c in enumerate(coeffs)})
 
 
 def test_charpoly_of_diagonal_matrix():
     # diag(z, z, 1, 1): det(wI - A) = (w - z)^2 (w - 1)^2
-    mat = [[[] for _ in range(4)] for _ in range(4)]
-    mat[0][0] = [Fraction(0), Fraction(1)]
-    mat[1][1] = [Fraction(0), Fraction(1)]
-    mat[2][2] = [Fraction(1)]
-    mat[3][3] = [Fraction(1)]
+    mat = [[ZRING.zero for _ in range(4)] for _ in range(4)]
+    mat[0][0] = ZRING.var("z")
+    mat[1][1] = ZRING.var("z")
+    mat[2][2] = ZRING.one
+    mat[3][3] = ZRING.one
     det = charpoly_w(mat)
     w_minus_z = SpectralCurve({(0, 1): 1, (1, 0): -1})
     w_minus_1 = SpectralCurve({(0, 1): 1, (0, 0): -1})
@@ -34,7 +36,7 @@ def test_charpoly_of_diagonal_matrix():
 
 def test_charpoly_of_nilpotent_block():
     # A = [[0, 1], [0, 0]] (2x2): det(wI - A) = w^2
-    mat = [[[], [Fraction(1)]], [[], []]]
+    mat = [[ZRING.zero, ZRING.one], [ZRING.zero, ZRING.zero]]
     assert charpoly_w(mat) == SpectralCurve({(0, 2): 1})
 
 
@@ -142,6 +144,6 @@ def test_hypothesis_charpoly_matches_sympy(matrix):
         for row in matrix
     ])
     expected = sympy.Poly(m.charpoly(w).as_expr(), z, w)
-    assert charpoly_w(matrix).terms == {
+    assert charpoly_w([[_qz(e) for e in row] for row in matrix]).terms == {
         k: Fraction(int(c.p), int(c.q)) for k, c in expected.terms()
     }

@@ -64,6 +64,35 @@ def test_only_the_rings_package_imports_the_fraction_field():
     assert found == []
 
 
+def test_only_the_definition_and_the_export_name_the_ansatz_oracles():
+    # the degree-bounded ansatz and conjugation by a unit are test oracles: no
+    # production path builds the ansatz or calls DiffOp.conjugate_by_unit
+    ansatz = {"build_ansatz_system", "AnsatzSystem"}
+
+    def names(node):
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            return [node.name]
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return [node.value]
+        return _imported_names(node)
+
+    named, called = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if path not in (SRC / "centralizer.py", SRC / "__init__.py"):
+                named += [f"{where}:{node.lineno} {n}" for n in names(node) if n in ansatz]
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "conjugate_by_unit"):
+                called.append(f"{where}:{node.lineno}")
+    assert named == []
+    assert called == []
+
+
 def test_only_the_rings_package_reads_the_integer_form_of_polynomials():
     # how MultiPoly stores integers (the one-variable pair, the cleared
     # numerators, the lazily built terms) is the rings package's decision
