@@ -78,22 +78,21 @@ another L4, a chain with no or several solutions, and a singular F (V = x^3
 at g = 1: F = z^3) all run the search, unchanged.
 
 The spectral curve comes from the action of M on a formal basis psi_0 ..
-psi_3 of ker(L4 - z): the characteristic polynomial det(w I - A(z)) is F^l
-for the irreducible relation F of the pair, and the curve is F, its exact
-monic l-th root (:func:`curves.squarefree_normalize`).  The basis and the
-action matrix live in :mod:`curves`, beside :func:`curves.charpoly_w`, and
-are imported here.  The basis is held as its Taylor data
-d_k = psi_j^(k)(0) over Q[z], which obey a recurrence with no factorial
-denominators (:func:`curves.series_kernel_basis`).  The action matrix, over
-Q[z] too, holds the first four Taylor data of M psi_j, and only those are
-formed, which reads d up to d_(ord M + 3) (:func:`curves.action_matrix`).
-So one basis at truncation max(8, ord M + 3) gives the curve: the
-recurrence is prefix-closed (d_(m+4) is fixed by d_0 .. d_(m+3)), so a
-longer basis cut to that length is the same basis and gives the same
-matrix.  Completing the square needs no second
-curve either: M + b(L4)/2 acts on ker(L4 - z) as A + b(z)/2 I, so the curve
-w^2 + b w + c of M becomes R(z, w - b/2) = w^2 + c - b^2/4.  The same
-matrix decides R(L4, M') = 0 without composing M' with itself
+psi_3 of ker(L4 - z), built in :mod:`curves` and imported here.  The basis
+is held as its Taylor data d_k = psi_j^(k)(0) over Q[z]
+(:func:`curves.series_kernel_basis`); the action matrix A, over Q[z] too,
+holds the first four Taylor data of M psi_j, which reads d up to
+d_(ord M + 3) (:func:`curves.action_matrix`).  So one basis at truncation
+max(8, ord M + 3) gives the curve: the recurrence is prefix-closed (d_(m+4)
+is fixed by d_0 .. d_(m+3)), so a longer basis cut to that length gives the
+same matrix.  det(w I - A) is F^l for the irreducible relation F of the
+pair, and the curve is F, its monic l-th root, read off the w-coefficients
+over Q[z] (:func:`curves.charpoly_w`, :func:`curves.squarefree_normalize`).
+Completing the square needs no second curve either: M + b(L4)/2 acts on
+ker(L4 - z) as A + b(z)/2 I, so the curve w^2 + b w + c of M becomes
+R(z, w - b/2) = w^2 + c - b^2/4, formed on b and c over Q[z], so no
+product in Q[z, w] is formed.  The same matrix decides R(L4, M') = 0
+without composing M' with itself
 (:meth:`curves.SpectralCurve.eval_at_operators`).
 """
 
@@ -106,6 +105,7 @@ from math import comb, factorial, lcm
 from .curves import (
     _Z,
     SpectralCurve,
+    _curve,
     _horner,
     _kernel_basis_for,
     _over_qx,
@@ -453,15 +453,13 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     The normal form of :func:`find_commuting_operator` (no constant term on
     D^(4k) below its order) can leave a w-linear term b(z) w in the curve
     R = w^2 + b w + c; M' = M + b(L4)/2 completes the square, and its curve
-    is R(z, w - b/2) = w^2 + c - b^2/4 (see the module docstring); b(L4)/2
-    is formed by Horner in L4.  Only rank-two (w-degree 2) curves are
-    covered; any other curve raises :class:`NotCoveredError`.
+    is w^2 + c - b^2/4, formed on b and c over Q[z] (see the module
+    docstring); b(L4)/2 is formed by Horner in L4.  Only rank-two (w-degree
+    2) curves are covered; any other curve raises :class:`NotCoveredError`.
     """
     curve = spectral_curve(l4, m)
     if curve.w_degree() != 2:
         raise NotCoveredError(f"not a rank-two curve: w-degree {curve.w_degree()}")
-    half_b = [c / 2 for c in curve.w_slice(1)]
-    m = m + _horner(half_b, l4)
-    # w^2 + b w + c  ->  w^2 + c - (b/2)^2
-    hb = curve.ring.from_terms({(k, 0): c for k, c in enumerate(half_b)})
-    return m, SpectralCurve((curve - hb * (2 * curve.ring.var("w") + hb)).terms)
+    b, c = (curve.coefficients_in("w").get(j, _Z.zero) for j in (1, 0))
+    half_b = b * Fraction(1, 2)
+    return m + _horner(half_b, l4), _curve([_Z.one, _Z.zero, c - half_b * half_b])

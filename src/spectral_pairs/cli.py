@@ -318,12 +318,13 @@ def _distinct_roots(chi: CharPoly) -> list:
 
 def _cmd_residual(args) -> int:
     spec = _spec_from_args(args)
+    chi = char_poly_z(spec)  # an uncovered family or genus exits before integrating
     grid = integrate_kernel(
         spec, shifted=spec.family == EXPONENTIAL, init=(1.0, 0.3),
         interval=args.interval, tol=args.tol, n_points=args.n_points,
     )
     import numpy as np
-    roots = _distinct_roots(char_poly_z(spec))
+    roots = _distinct_roots(chi)
     # (psi, profile) per root; each residual is its profile's maximum, as in
     # eigen_residual, and the CSV takes the first root's
     profiles = [residual_profile(spec, z, grid) for z in roots]

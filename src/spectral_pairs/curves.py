@@ -6,17 +6,17 @@ kernel of the first.  That polynomial is F^l for the pair's irreducible
 relation F, monic in w (Burchnall and Chaundy), so the curve is its exact
 monic l-th root in Q[z][w]: no gcd and no rational functions of z.
 
-The characteristic polynomial is computed over Q[z] from the power sums
-tr(A^k) by Newton's identities (:func:`charpoly_w`), so the only arithmetic
-in two variables is that root.  The formal kernel of L4 - z lives here too:
+The characteristic polynomial (:func:`charpoly_w`) and its root
+(:func:`squarefree_normalize`) are computed on w-coefficients over Q[z], and
+a curve is only assembled from them (:func:`_curve`), so there is no
+arithmetic in two variables.  The formal kernel of L4 - z lives here too:
 its basis psi_0 .. psi_3 is held as Taylor data over Q[z]
 (:func:`series_kernel_basis`), and the 4x4 action matrix A of an operator on
 it (:func:`action_matrix`), with Q[z] entries, feeds both :func:`charpoly_w`
 and the zero test of :meth:`SpectralCurve.eval_at_operators`.  Both take the
-basis from one rule (:func:`_kernel_basis_for`), and a polynomial in an
-operator with rational coefficients is formed by one Horner
-(:func:`_horner`), which the square completion of
-:func:`centralizer.hyperelliptic_pair` shares.
+basis from one rule (:func:`_kernel_basis_for`), and a polynomial over Q[z]
+in an operator is formed by one Horner (:func:`_horner`), which the square
+completion of :func:`centralizer.hyperelliptic_pair` shares.
 """
 
 from __future__ import annotations
@@ -52,12 +52,8 @@ class SpectralCurve(MultiPoly):
 
     def w_slice(self, j: int) -> list:
         """Coefficient of w^j as a dense z-coefficient list."""
-        top = max((i for (i, jj) in self.terms if jj == j), default=-1)
-        out = [Fraction(0)] * (top + 1)
-        for (i, jj), c in self.terms.items():
-            if jj == j:
-                out[i] = c
-        return out
+        den, nums = self.coefficients_in("w").get(j, _Z.zero).dense()
+        return [Fraction(c, den) for c in nums]
 
     def eval_at_operators(self, a: DiffOp, b: DiffOp) -> DiffOp:
         """R(a, b) for commuting a, b; a zero result is decided on a 4x4 matrix.
@@ -90,9 +86,10 @@ class SpectralCurve(MultiPoly):
         """
         if self._kills_kernel_action(a, b):
             return DiffOp.zero(a.ring)
+        by_w = self.coefficients_in("w")
         out = DiffOp.zero(a.ring)
         for j in range(self.w_degree(), -1, -1):
-            out = b * out + _horner(self.w_slice(j), a)
+            out = b * out + _horner(by_w.get(j, _Z.zero), a)
         return out
 
     def _kills_kernel_action(self, a: DiffOp, b: DiffOp) -> bool:
@@ -102,13 +99,12 @@ class SpectralCurve(MultiPoly):
                  and _over_qx(a.ring) and _kernel_basis_for(a, b))
         if not basis:
             return False
-        mat = action_matrix(b, basis)
+        mat, by_w = action_matrix(b, basis), self.coefficients_in("w")
         out = [[_Z.zero] * 4 for _ in range(4)]
         for j in range(self.w_degree(), -1, -1):
-            pj = _Z.from_terms({(k,): c for k, c in enumerate(self.w_slice(j))})
             out = [
                 [_Z.sum_products([(1, mat[r][k], out[k][c]) for k in range(4)]
-                                 + ([(1, pj, _Z.one)] if r == c else []))
+                                 + ([(1, by_w[j], _Z.one)] if r == c and j in by_w else []))
                  for c in range(4)]
                 for r in range(4)
             ]
@@ -144,21 +140,28 @@ def charpoly_w(matrix) -> SpectralCurve:
     while len(powers) <= half:
         powers.append([[_Z.sum_products((1, matrix[r][i], powers[-1][i][s]) for i in range(n))
                         for s in range(n)] for r in range(n)])
-    p, c, terms = [None], [_Z.one], {(0, n): 1}
+    p, c = [None], [_Z.one]
     for k in range(1, n + 1):
         a, b = powers[k - min(k - 1, half)], powers[min(k - 1, half)]
         p.append(_Z.sum_products((1, a[r][s], b[s][r]) for r in range(n) for s in range(n)))
         c.append(_Z.sum_products([(1, p[k], _Z.one)] + [(1, c[i], p[k - i]) for i in range(1, k)])
                  * Fraction(-1, k))
-        terms.update({(e, n - k): v for (e,), v in c[k].terms.items()})
-    return SpectralCurve(terms)
+    return _curve(c)
 
 
-def _horner(coeffs, a: DiffOp) -> DiffOp:
-    """sum_k coeffs[k] a^k by Horner in a, with a on the left."""
+def _curve(coeffs) -> SpectralCurve:
+    """sum_k coeffs[k] w^(n-k), n = len(coeffs) - 1, for coeffs over Q[z]."""
+    n = len(coeffs) - 1
+    return SpectralCurve({(e, n - k): v for k, c in enumerate(coeffs)
+                          for (e,), v in c.terms.items()})
+
+
+def _horner(p: MultiPoly, a: DiffOp) -> DiffOp:
+    """p(a) for p in Q[z], by Horner in a, with a on the left."""
+    den, nums = p.dense()
     acc = DiffOp.zero(a.ring)
-    for c in reversed(coeffs):
-        acc = a * acc + DiffOp.identity(a.ring).scale(c)
+    for c in reversed(nums):
+        acc = a * acc + DiffOp.identity(a.ring).scale(Fraction(c, den))
     return acc
 
 
@@ -242,20 +245,6 @@ def action_matrix(m: DiffOp, basis: list) -> list:
     return matrix
 
 
-def _monic_root(p: MultiPoly, l: int):
-    """The G monic in w with G^l = p, or None; ``p`` is monic in w."""
-    n = p.degree_in("w")
-    d = n // l
-    root = _ZW.var("w") ** d
-    for k in range(1, d + 1):
-        # the w^(n-k) slice of p - G^l is l times G's w^(d-k) coefficient
-        rest = (p - root ** l).terms.items()
-        root = root + _ZW.from_terms(
-            {(i, d - k): c / l for (i, j), c in rest if j == n - k}
-        )
-    return root if root ** l == p else None
-
-
 def squarefree_normalize(curve: MultiPoly) -> SpectralCurve:
     """The F monic in w with det(w I - A) = F^l, read off as an exact root.
 
@@ -266,24 +255,34 @@ def squarefree_normalize(curve: MultiPoly) -> SpectralCurve:
     w.  F(z, A) = 0 on the formal kernel of L4 - z, so det(w I - A) = F^l
     with l = n / deg_w F, n = deg_w P (Burchnall and Chaundy, 1923).
 
-    Each divisor l of n is tried from n down to 2: the candidate G =
-    w^(n/l) + ... is built from the top down, its next coefficient being the
-    w^(n-k) slice of P - G^l divided by l, and accepted when G^l == P
-    exactly.  By unique factorization in Q[z][w], P = G^m for a monic G
-    exactly when m divides the multiplicity of every irreducible factor of
-    P.  For P = F^l with F squarefree, that multiplicity is l, so the first
-    m that succeeds is l and G is F: the squarefree part of P, normalized as
-    a gcd with dP/dw over Q(z) would give it.  When no l succeeds, P is
-    returned as it is.
+    With y = 1/w, P = w^n f(y), f = sum_k c_k y^k over Q[z], c_0 = 1.  For
+    each divisor l of n, from n down to 2, f^(1/l) = sum r_k y^k has r_0 =
+    1 and r_k = sum_(0<i<=k) ((l+1) i - l k) c_i r_(k-i) / (l k) (Knuth,
+    TAOCP vol. 2, 4.7), exact over Q[z] as l k is an integer.  P = G^l, G
+    monic of w-degree d = n/l, exactly when r_(d+1) .. r_n are 0; then G =
+    sum_(k<=d) r_k w^(d-k): T = sum_(k<=d) r_k y^k agrees with f^(1/l) up
+    to y^n, so T^l agrees with f there, and both have degree <= n.
+    By unique factorization in Q[z][w], P = G^m for a monic G exactly when
+    m divides the multiplicity of every irreducible factor of P.  For P =
+    F^l with F squarefree, that multiplicity is l, so the first m that
+    succeeds is l and G is F: the squarefree part of P, normalized as a gcd
+    with dP/dw over Q(z) would give it.  When no l succeeds, P is returned
+    as it is.
     """
     if curve.ring != _ZW:
         raise RingMismatchError(f"not a polynomial in z and w: {curve.ring}")
-    n = curve.degree_in("w")
-    top = SpectralCurve(curve.terms).w_slice(n)
-    if top != [1]:
+    n, by_w = curve.degree_in("w"), curve.coefficients_in("w")
+    if by_w.get(n) != _Z.one:
+        top = SpectralCurve(curve.terms).w_slice(n)
         raise NonMonicError(f"not monic in w: the w^{n} coefficient is {top}")
-    for l in range(n, 1, -1):
-        root = _monic_root(curve, l) if n % l == 0 else None
-        if root is not None:
-            return SpectralCurve(root.terms)
+    c = [by_w.get(n - k, _Z.zero) for k in range(n + 1)]
+    for l in (l for l in range(n, 1, -1) if n % l == 0):
+        r = [_Z.one]
+        for k in range(1, n + 1):
+            r.append(_Z.sum_products(((l + 1) * i - l * k, c[i], r[k - i])
+                                     for i in range(1, k + 1)) * Fraction(1, l * k))
+            if k > n // l and not r[k].is_zero():
+                break
+        else:
+            return _curve(r[:n // l + 1])
     return SpectralCurve(curve.terms)

@@ -336,12 +336,9 @@ class MultiPoly:
         rest_vars = self.ring.variables[:i] + self.ring.variables[i + 1:]
         rest = PolyRing(rest_vars, self.ring.laurent - {name})
         out: dict = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            re = e[:i] + e[i + 1:]
-            bucket = out.setdefault(k, {})
-            bucket[re] = bucket.get(re, 0) + c
-        return {k: rest.from_terms(t) for k, t in out.items()}
+        for e, c in self.terms.items():  # distinct exponents: nothing to add up
+            out.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
+        return {k: MultiPoly(rest, t) for k, t in out.items()}
 
     def constant_term(self) -> Fraction:
         return self.terms.get(self.ring._zero_exp, Fraction(0))

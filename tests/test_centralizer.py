@@ -603,6 +603,24 @@ def test_benchmark_tracer_tallies_the_curve_path():
     assert tracer.calls("centralizer.series_kernel_basis") == 2
 
 
+@pytest.mark.parametrize("case", [(CUBIC, 2, _GENERIC_CUBIC, 10), (CUBIC, 1, (0, 0, 0, 1), 6)],
+                         ids=["chain", "search"])
+def test_curve_path_forms_no_product_in_q_z_w(case, monkeypatch):
+    # the chain partner at g = 2, and V = x^3 at g = 1, whose F = z^3 takes the search
+    family, g, alphas, order = case
+    l4 = make_L4(FamilySpec(family, g, alphas=alphas))
+    expected = hyperelliptic_pair(l4, find_commuting_operator(l4, order))
+
+    def refuse(triples):
+        raise AssertionError("a product in Q[z, w] was formed")
+
+    monkeypatch.setattr(curves._ZW, "sum_products", refuse)
+    m2, curve = hyperelliptic_pair(l4, find_commuting_operator(l4, order))
+    assert curve.eval_at_operators(l4, m2).is_zero()
+    assert curve == expected[1] and repr(curve) == repr(expected[1])
+    assert m2 == expected[0]
+
+
 def _shifted(curve, key, c):
     terms = dict(curve.terms)
     terms[key] = terms.get(key, 0) + c

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_pairs import curves
@@ -9,6 +9,8 @@ from spectral_pairs.curves import SpectralCurve, charpoly_w, squarefree_normaliz
 from spectral_pairs.errors import NonMonicError, RingMismatchError
 from spectral_pairs.operators import DiffOp
 from spectral_pairs.rings import PolyRing
+
+from conftest import sympy_squarefree_curve
 
 XRING = PolyRing(("x",))
 ZRING = PolyRing(("z",))
@@ -66,9 +68,19 @@ _Z = SpectralCurve({(1, 0): 1})
     (_W * _W - _Z ** 3, 2),
     (_W * _W - _Z ** 3, 1),
     (_W ** 4 - _Z, 1),
+    (_W * _W - _Z, 3),
+    (_W - _Z ** 2, 3),
 ])
 def test_squarefree_normalize_reads_off_the_monic_root(root, power):
     assert squarefree_normalize(root ** power) == SpectralCurve(root.terms)
+
+
+@pytest.mark.parametrize("curve", [
+    (_W - _Z) ** 2 * (_W - 1),  # n = 3: a repeated factor, but no cube
+    (_W - _Z) ** 2 * (_W * _W - 1),  # n = 4: neither a fourth power nor a square
+])
+def test_squarefree_normalize_returns_a_non_power_unchanged(curve):
+    assert squarefree_normalize(curve) == SpectralCurve(curve.terms)
 
 
 def test_squarefree_normalize_strips_repeated_factor():
@@ -147,3 +159,19 @@ def test_hypothesis_charpoly_matches_sympy(matrix):
     assert charpoly_w([[_qz(e) for e in row] for row in matrix]).terms == {
         k: Fraction(int(c.p), int(c.q)) for k, c in expected.terms()
     }
+
+
+# G = w^d + sum_(j<d) g_j(z) w^j: w-degree 1-3, z-degree <= 3
+_monic_in_w = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.one_of(_small_q, _large_q), max_size=4), min_size=d, max_size=d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_monic_in_w, st.integers(1, 4))
+def test_hypothesis_squarefree_normalize_inverts_a_power(lower, power):
+    pytest.importorskip("sympy")
+    root = SpectralCurve({(0, len(lower)): 1} | {
+        (i, j): c for j, g in enumerate(lower) for i, c in enumerate(g)})
+    assume(sympy_squarefree_curve(root) == root)
+    p = root ** power
+    assert squarefree_normalize(p) == root == sympy_squarefree_curve(p)

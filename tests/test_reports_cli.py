@@ -367,6 +367,20 @@ def test_cli_residual_threshold_failure_exits_1(capsys, monkeypatch):
     assert f"{cli.RESIDUAL_BOUND:.3e}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("family_args", [
+    ["--family", "cubic", "--g", "3", "--alpha", "0", "1", "0", "1"],
+    ["--family", "quartic", "--g", "3", "--alpha", "-4/3", "13/12", "-2", "-2/3", "2/3"],
+], ids=["cubic", "quartic"])
+def test_cli_residual_without_closed_form_exits_2_before_integrating(
+        capsys, monkeypatch, family_args):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated the kernel of a family with no chi")
+
+    monkeypatch.setattr(cli, "integrate_kernel", refuse)
+    assert run_command(["residual", *family_args, "--n-points", "100001"]) == 2
+    assert "not covered" in capsys.readouterr().err
+
+
 def test_cli_bessel_check(capsys, monkeypatch):
     assert run_command(["bessel-check"]) == 0
     # the gate is the suite's BESSEL_BOUND, passed only strictly below it
