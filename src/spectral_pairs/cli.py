@@ -11,8 +11,10 @@ a numeric command, a numeric solution that passes the overflow limit, a
 spectral curve that is not of rank two, parameters so degenerate that no
 check could run, an --out path that cannot be written, and any other
 ValueError, such as a result with more digits than Python's int-to-str
-limit).  The numeric commands decide against the fixed gates
-RESIDUAL_BOUND and BESSEL_BOUND, as the suite does.  Exact rationals cross
+limit), 3 an internal error (a failed exact self-check of the package,
+such as right division's reconstruction, reached no verdict).  The numeric
+commands decide against the fixed gates RESIDUAL_BOUND and BESSEL_BOUND, as
+the suite does.  Exact rationals cross
 the boundary as "num/den" strings, and negative ones such as -2/3 are read
 as values, not options; JSON reports are deterministic for a fixed seed
 (elapsed_ms aside).
@@ -388,8 +390,9 @@ def run_command(argv=None) -> int:
         print(f"not covered: {exc}", file=sys.stderr)
         return 2
     except SpectralPairsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # a failed self-check or a broken internal precondition, not a verdict
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

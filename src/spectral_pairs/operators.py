@@ -8,16 +8,18 @@ derivative).  Composition uses the closed Leibniz form
 so A*B aggregates per output order instead of shuffling single terms: the
 triples (C(i, k), a_i, b_j^(k)) that land on D^m go to one call of the
 coefficient ring's kernel ``ring.sum_products``, which returns sum c*a*b
-exactly.  Over a polynomial ring the kernel works on integer numerators,
-one dense list in one variable and keyed by exponent tuple otherwise; over
-Base[z]/(chi) it sums coordinate products by z-power and reduces mod chi
-once per output coefficient; over a fraction field it sums c*a*b plainly.
+exactly.  Over a polynomial ring the kernel works on each element's integer
+normal form, one dense list in one variable and keyed by exponent tuple
+otherwise; over Base[z]/(chi) it folds every z^k with k >= deg chi into the
+lower coordinates inside the base kernel's sums, one call per coordinate;
+over a fraction field it sums c*a*b plainly.
 The commutator [A, B] takes the same route without forming A*B and B*A: their
 k = 0 terms a_i b_j D^(i+j) cancel, so only the k >= 1 triples of both sides
 go to the kernel, one call per output order.
 Right Euclidean division is restricted to monic divisors, which keeps
 everything division-free and therefore valid over quotient rings with zero
-divisors; each quotient term is subtracted from the remainder in place.
+divisors.  It solves for the quotient from the top order down, and each
+quotient and remainder coefficient is one kernel sum.
 """
 
 from __future__ import annotations
@@ -150,34 +152,46 @@ class DiffOp:
     def right_divmod(self, divisor: "DiffOp"):
         """Q, R with self = Q*divisor + R and order(R) < order(divisor).
 
-        The divisor must be monic; no coefficient inverses are needed, so the
-        division is valid over any commutative differential ring.  Each
-        quotient term c*D^e is subtracted from the remainder in place, one
-        kernel sum per remainder coefficient it touches.
+        The divisor D^d + sum_(j<d) b_j D^j must be monic; no coefficient
+        inverses are needed, so the division is valid over any commutative
+        differential ring.  With self = sum s_m D^m, the D^m coefficient of
+        Q*divisor is q_(m-d) plus sum C(e, k) q_e b_j^(k) over e + j - k = m,
+        where only e > m - d occurs.  So, from the top order down,
+
+            q_e = s_(e+d) - sum_(e'>e) sum_j C(e', k) q_e' b_j^(k),
+            k = e' + j - e - d,
+
+        and r_m (m < d) is s_m less the same sum over every e'.  Each
+        coefficient is one kernel sum, with s_m entering as (1, s_m, 1).
         """
         divisor = self._check(divisor)
         if not divisor.is_monic():
             raise NonMonicError("right division requires a monic divisor")
         ring = self.ring
         d = divisor.order
-        rem = list(self.coeffs)
-        quo = [ring.zero] * max(len(rem) - d, 0)
-        # the leading coefficient of divisor is 1, so c*D^e*divisor cancels
-        # rem[e + d] exactly; only the lower coefficients need the kernel
+        s = self.coeffs
+        n_quo = max(len(s) - d, 0)
         lower = divisor.coeffs[:-1]
-        db = _derivative_table(lower, len(quo) - 1)
-        for e in range(len(quo) - 1, -1, -1):
-            c = rem[e + d]
-            if c.is_zero():
-                continue
-            quo[e] = c
-            rem[e + d] = ring.zero
-            groups = [[] for _ in range(e + d)]
-            _leibniz(groups, -1, c, e, db)
-            for m, g in enumerate(groups):
-                if g:
-                    rem[m] = rem[m] + ring.sum_products(g)
-        return DiffOp(ring, quo), DiffOp(ring, rem)
+        db = _derivative_table(lower, n_quo - 1)
+        solved = []  # (e, q_e) for the nonzero quotient coefficients found so far
+
+        def reduced(m):
+            """s_m less the D^m coefficient of sum_(solved e) q_e D^e * lower."""
+            triples = [(1, s[m], ring.one)] if m < len(s) else []
+            for e, q in solved:
+                # k = e + j - m runs over 0 .. e, with 0 <= j < d
+                for j in range(max(m - e, 0), min(m + 1, d)):
+                    b = db[e + j - m][j]
+                    if not b.is_zero():
+                        triples.append((-comb(e, e + j - m), q, b))
+            return ring.sum_products(triples) if triples else ring.zero
+
+        quo = [ring.zero] * n_quo
+        for e in range(n_quo - 1, -1, -1):
+            quo[e] = reduced(e + d)
+            if not quo[e].is_zero():
+                solved.append((e, quo[e]))
+        return DiffOp(ring, quo), DiffOp(ring, [reduced(m) for m in range(d)])
 
     def conjugate_by_unit(self, p) -> "DiffOp":
         """p^-1 * self * p for a unit p of the coefficient ring."""

@@ -1,17 +1,24 @@
 """Multivariate polynomials over exact rationals.
 
 Terms map exponent vectors (tuples, one entry per ring variable) to nonzero
-Fraction coefficients, so equality is structural.  Variables declared
-"laurent" may carry negative exponents; all others are ordinary polynomial
-variables.  The derivation differentiates the variable named ``x`` and
-treats every other variable as a constant, except that a variable named
-``t`` stands for exp(x/2), so D(t^k) = (k/2) t^k.
+Fraction coefficients.  Variables declared "laurent" may carry negative
+exponents; all others are ordinary polynomial variables.  The derivation
+differentiates the variable named ``x`` and treats every other variable as a
+constant, except that a variable named ``t`` stands for exp(x/2), so
+D(t^k) = (k/2) t^k.
 
-In a ring with one ordinary variable (Q[x], and the Q[z] of the kernel
-basis) arithmetic works on one pair (d, [n_0, n_1, ...]) per element, for
-sum n_e x^e / d in normal form: d > 0, no trailing zero and gcd(d, n_0,
-n_1, ...) = 1, so zero is (1, []) and equal polynomials have equal pairs.
-Terms are built from the pair, in ascending exponent order, when read.
+Arithmetic, equality and hashing work on one integer normal form per
+element, the pair (d, nums) for nums / d with d > 0 and gcd(d, nums) = 1:
+
+- in a ring with one ordinary variable (Q[x], and the Q[z] of the kernel
+  basis) nums is the dense list [n_0, n_1, ...] with no trailing zero, for
+  sum n_e v^e / d, so zero is (1, []);
+- in every other ring nums is a dict {exponent tuple: nonzero int}, so zero
+  is (1, {}).
+
+The normal form is unique, so equal polynomials have equal pairs.  Terms are
+built from the pair when read, in ascending exponent order in one variable
+and in the order the kernel first met each exponent otherwise.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ class PolyRing:
         self._zero_exp = (0,) * len(self.variables)
         self._x = self._index(DERIVATION_VAR)
         self._t = self._index(EXP_HALF_VAR)
-        # one ordinary variable: arithmetic on the normal-form pair
+        # one ordinary variable: the normal-form pair holds a dense list
         self._dense = len(self.variables) == 1 and not self.laurent
         self.zero = MultiPoly(self, {})
         self.one = MultiPoly(self, {self._zero_exp: Fraction(1)})
@@ -133,28 +140,34 @@ class PolyRing:
         g = gcd(den, *nums)
         if g > 1:
             den, nums = den // g, [c // g for c in nums]
-        p = object.__new__(MultiPoly)
-        p.ring, p._terms, p._ints = self, None, (den, nums)
-        return p
+        return _from_ints(self, den, nums)
+
+    def _from_sparse(self, den: int, nums: dict) -> "MultiPoly":
+        """sum nums[e] * prod v^e / den (den > 0) in normal form, outside one
+        ordinary variable; the dict ``nums`` of nonzero ints is taken over."""
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den, nums = den // g, {e: c // g for e, c in nums.items()}
+        return _from_ints(self, den, nums)
 
     def sum_products(self, triples) -> "MultiPoly":
         """Sum of c*a*b over (int c, MultiPoly a, MultiPoly b) triples, exactly.
 
-        Every factor enters as integer numerators over its own common
-        denominator (cleared once per element and kept on it), every product
-        is scaled to the lcm of the products' denominators, and the loop
-        multiplies and adds Python ints keyed by exponent tuple: one Fraction
-        is built per output term, not one per term pair.
+        Every factor enters as its normal-form pair, every product is scaled
+        to the lcm of the products' denominators, and the loop multiplies and
+        adds Python ints, into a dense list in one ordinary variable and keyed
+        by exponent tuple otherwise.  The result is the normal-form pair of
+        the sum: no Fraction is built.
         """
         if self._dense:
             return self.from_dense(*_dense_sum_products(triples))
         parts = []
         den = 1
         for c, a, b in triples:
-            da, na = a._cleared()
-            db, nb = b._cleared()
-            parts.append((c, da * db, na, nb))
-            den = lcm(den, da * db)
+            (da, na), (db, nb) = a._cleared(), b._cleared()
+            if c and na and nb:
+                parts.append((c, da * db, na, nb))
+                den = lcm(den, da * db)
         acc: dict = {}
         get, pop = acc.get, acc.pop
         for c, d, na, nb in parts:
@@ -168,15 +181,31 @@ class PolyRing:
                         acc[e] = s
                     else:
                         pop(e, None)
-        return MultiPoly(self, {e: Fraction(n, den) for e, n in acc.items()})
+        return self._from_sparse(den, acc)
+
+
+def _add_term(acc: dict, e, value: int) -> None:
+    """acc[e] += value, dropping the entry when the sum is zero."""
+    s = acc.get(e, 0) + value
+    if s:
+        acc[e] = s
+    else:
+        acc.pop(e, None)
+
+
+def _from_ints(ring: PolyRing, den: int, nums) -> "MultiPoly":
+    """The element of ``ring`` whose normal-form pair is (den, nums)."""
+    p = object.__new__(MultiPoly)
+    p.ring, p._terms, p._ints = ring, None, (den, nums)
+    return p
 
 
 class MultiPoly:
     """Element of a :class:`PolyRing`.  Immutable after construction.
 
-    It holds its Fraction ``terms``, its integer form (:meth:`_cleared`) or
-    both, each built from the other on first use.  In one ordinary variable
-    arithmetic works on the integer form, so terms are built only when read.
+    It holds its Fraction ``terms``, its normal-form pair (:meth:`_cleared`)
+    or both, each built from the other on first use.  Arithmetic, ``==`` and
+    ``hash`` work on the pair, so terms are built only when read.
     """
 
     __slots__ = ("ring", "_terms", "_ints")
@@ -189,7 +218,10 @@ class MultiPoly:
         """{exponent tuple: nonzero Fraction}."""
         if self._terms is None:
             den, nums = self._ints
-            self._terms = {(e,): Fraction(c, den) for e, c in enumerate(nums) if c}
+            if self.ring._dense:
+                self._terms = {(e,): Fraction(c, den) for e, c in enumerate(nums) if c}
+            else:
+                self._terms = {e: Fraction(c, den) for e, c in nums.items()}
         return self._terms
 
     def dense(self) -> tuple:
@@ -197,8 +229,10 @@ class MultiPoly:
         return self._cleared()
 
     def _cleared(self):
-        """(d, ints) with self = ints / d, d the lcm of the denominators: in one
-        variable a list, and the normal-form pair, as the Fractions are reduced."""
+        """The normal-form pair (d, nums) with self = nums / d: a dense list in
+        one ordinary variable, a dict by exponent tuple otherwise.  Built from
+        the terms, d is the lcm of their reduced denominators, so
+        gcd(d, nums) = 1."""
         if self._ints is None:
             terms = self._terms
             den = lcm(*[c.denominator for c in terms.values()])
@@ -223,29 +257,26 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        (da, na), (db, nb) = self._cleared(), other._cleared()
+        if not (na and nb):
+            return other if nb else self
+        d = lcm(da, db)
+        sa, sb = d // da, d // db
         if self.ring._dense:
-            (da, na), (db, nb) = self._cleared(), other._cleared()
-            if not (na and nb):
-                return other if nb else self
-            d = lcm(da, db)
-            sa, sb = d // da, d // db
             return self.ring.from_dense(d, [a * sa + b * sb
                                             for a, b in zip_longest(na, nb, fillvalue=0)])
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return MultiPoly(self.ring, terms)
+        acc = {e: c * sa for e, c in na.items()}
+        for e, c in nb.items():
+            _add_term(acc, e, c * sb)
+        return self.ring._from_sparse(d, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
+        den, nums = self._cleared()
         if self.ring._dense:
-            return self.ring.sum_products(((-1, self, self.ring.one),))
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+            return _from_ints(self.ring, den, [-c for c in nums])
+        return _from_ints(self.ring, den, {e: -c for e, c in nums.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -260,11 +291,11 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero
+            den, nums = self._cleared()
+            den, num = den * other.denominator, other.numerator
             if self.ring._dense:
-                den, nums = self._cleared()
-                return self.ring.from_dense(den * other.denominator,
-                                            [c * other.numerator for c in nums])
-            return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
+                return self.ring.from_dense(den, [c * num for c in nums])
+            return self.ring._from_sparse(den, {e: c * num for e, c in nums.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -278,12 +309,15 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        if not isinstance(other, MultiPoly) or other.ring != self.ring:
+        if not isinstance(other, MultiPoly) or (other.ring is not self.ring
+                                                and other.ring != self.ring):
             return NotImplemented
-        return self.terms == other.terms
+        return self._cleared() == other._cleared()
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        den, nums = self._cleared()
+        key = tuple(nums) if self.ring._dense else frozenset(nums.items())
+        return hash((self.ring, den, key))
 
     def is_zero(self) -> bool:
         return not (self._ints[1] if self._terms is None else self._terms)
@@ -292,24 +326,24 @@ class MultiPoly:
 
     def derive(self) -> "MultiPoly":
         """D = d/dx + (t/2) d/dt; every other variable is a constant."""
-        ix, it = self.ring._x, self.ring._t
-        if self.ring._dense and ix is not None:
-            den, nums = self._cleared()
-            return self.ring.from_dense(den, [c * e for e, c in enumerate(nums)][1:])
-        parts = []
-        for e, c in self.terms.items():
+        ring = self.ring
+        ix, it = ring._x, ring._t
+        den, nums = self._cleared()
+        if ring._dense:
+            if ix is not None:
+                return ring.from_dense(den, [c * e for e, c in enumerate(nums)][1:])
+            if it is not None:
+                return ring.from_dense(2 * den, [c * e for e, c in enumerate(nums)])
+            return ring.zero
+        # over 2d when t is a variable: D(x^a t^b) = (2a x^(a-1) t^b + b x^a t^b) / 2
+        half = 1 if it is None else 2
+        acc: dict = {}
+        for e, c in nums.items():
             if ix is not None and e[ix]:
-                parts.append((e[:ix] + (e[ix] - 1,) + e[ix + 1:], c * e[ix]))
+                _add_term(acc, e[:ix] + (e[ix] - 1,) + e[ix + 1:], half * c * e[ix])
             if it is not None and e[it]:
-                parts.append((e, c * Fraction(e[it], 2)))
-        terms: dict = {}
-        for e, c in parts:
-            s = terms.get(e, 0) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return MultiPoly(self.ring, terms)
+                _add_term(acc, e, c * e[it])
+        return ring._from_sparse(half * den, acc)
 
     def inverse(self) -> "MultiPoly":
         """Inverse of a unit: a nonzero constant times Laurent variables."""

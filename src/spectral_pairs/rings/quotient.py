@@ -2,7 +2,10 @@
 
 The quotient is taken over an arbitrary commutative base ring (zero divisors
 allowed: chi need be neither irreducible nor squarefree).  Only division-free
-arithmetic is provided.
+arithmetic is provided.  A sum of products is reduced mod chi inside the base
+ring's kernel: each z^k with k >= deg chi folds into the coordinates below
+through the ring's constant table of z^k mod chi, so every output coordinate
+is one kernel call.
 """
 
 from __future__ import annotations
@@ -69,6 +72,15 @@ class QuotientRing:
         self.degree = d
         # z^d = -(c_0 + c_1 z + ... + c_{d-1} z^{d-1})
         self._zd = [-c for c in self.chi.coeffs[:-1]]
+        # z^k mod chi for k = d .. 2d - 2 as its nonzero (coordinate, value)
+        # pairs: the rows that fold a product's z^k into the coordinates below
+        rows = [self._zd] if d > 1 else []
+        while len(rows) < d - 1:
+            # z^(k+1) = z * z^k: shift up by one, and z^d folds back by _zd
+            row = rows[-1]
+            rows.append([(row[m - 1] if m else base.zero) + row[-1] * r
+                         for m, r in enumerate(self._zd)])
+        self._fold = [[(m, r) for m, r in enumerate(row) if not r.is_zero()] for row in rows]
         self.zero = QuotientExt(self, (base.zero,) * d)
         one = [base.one] + [base.zero] * (d - 1)
         self.one = QuotientExt(self, tuple(one))
@@ -106,21 +118,29 @@ class QuotientRing:
     def sum_products(self, triples) -> "QuotientExt":
         """Sum of c*a*b over (int c, QuotientExt a, QuotientExt b) triples.
 
-        Coordinate products are bucketed by z-power, each nonempty bucket is
-        summed by the base ring's kernel, and the result is reduced mod chi
-        once.
+        Coordinate products are grouped by z-power.  Each group z^k with
+        k >= d is summed once by the base ring's kernel, and its sum s_k
+        joins every coordinate m below as the triple (1, r_km, s_k), r_km
+        the coordinate m of z^k mod chi.  Then each coordinate is one more
+        kernel call, so the reduction mod chi happens inside the kernel sum.
         """
-        buckets = [[] for _ in range(2 * self.degree - 1)]
+        d = self.degree
+        groups = [[] for _ in range(2 * d - 1)]
         for c, a, b in triples:
             for i, ai in enumerate(a.coords):
                 if ai.is_zero():
                     continue
                 for j, bj in enumerate(b.coords):
                     if not bj.is_zero():
-                        buckets[i + j].append((c, ai, bj))
-        return self.from_z_coeffs([
-            self.base.sum_products(bk) if bk else self.base.zero for bk in buckets
-        ])
+                        groups[i + j].append((c, ai, bj))
+        kernel = self.base.sum_products
+        for k in range(d, 2 * d - 1):
+            if groups[k]:
+                top = kernel(groups[k])
+                if not top.is_zero():
+                    for m, r in self._fold[k - d]:
+                        groups[m].append((1, r, top))
+        return QuotientExt(self, tuple(kernel(g) if g else self.base.zero for g in groups[:d]))
 
     def from_z_coeffs(self, coeffs) -> "QuotientExt":
         """Reduce an arbitrary-degree z-coefficient list into the quotient."""

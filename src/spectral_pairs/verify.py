@@ -170,13 +170,15 @@ def _cleared_commutator(l: DiffOp, l2: DiffOp, p) -> DiffOp:
 
     whose D^j coefficient, read off in closed form, is
 
-        p^2 (-n_j'' - 2 n_(j-1)' + sum_(k>=1) C(j+k, k) V^(k) n_(j+k))
-            - (2 p'^2 - p p'') n_j + 2 p p' (n_j' + n_(j-1)):
+        p^2 X_j - (2 p'^2 - p p'') n_j + 2 p p' (n_j' + n_(j-1)),
+        X_j = -n_j'' - 2 n_(j-1)' + sum_(k>=1) C(j+k, k) V^(k) n_(j+k):
 
     the n_j D^(j+2) terms of N L2 and L2 N cancel and are never formed.  Each
-    coefficient is one kernel sum, with p^2, p^2 V^(k), 2 p'^2 - p p'' and
-    2 p p' formed once; V is differentiated at most ord N times, stopping at
-    its first zero derivative.  L2 must be monic of order 2 with no D term.
+    coefficient is two kernel sums, X_j first and then the line above with p^2
+    factored out of X_j's terms; p^2, 2 p'^2 - p p'' and 2 p p' are formed
+    once, one kernel sum each, and V is differentiated at most ord N times,
+    stopping at its first zero derivative.  L2 must be monic of order 2 with
+    no D term.
     """
     if l2.order != 2 or not l2.is_monic() or not l2.coeff(1).is_zero():
         raise SpectralPairsError("the cleared commutator needs L2 = D^2 + V")
@@ -184,28 +186,32 @@ def _cleared_commutator(l: DiffOp, l2: DiffOp, p) -> DiffOp:
     if n.ring != l2.ring:
         raise RingMismatchError("L and L2 are over different rings")
     ring, n0 = n.ring, n.coeffs
+    one = ring.one
     n1 = [c.derive() for c in n0]
     n2 = [c.derive() for c in n1]
     dp = p.derive()
     p2 = p * p
-    lower = 2 * dp * dp - p * dp.derive()
-    shift = 2 * p * dp
-    p2v = []  # p^2 V^(k) for k = 1, 2, ..., up to V's first zero derivative
+    lower = ring.sum_products([(2, dp, dp), (-1, p, dp.derive())])
+    shift = ring.sum_products([(2, p, dp)])
+    vk = []  # V^(k) for k = 1, 2, ..., up to V's first zero derivative
     v = l2.coeff(0)
     for _ in range(len(n0) - 1):
         v = v.derive()
         if v.is_zero():
             break
-        p2v.append(p2 * v)
+        vk.append(v)
     out = []
     for j in range(len(n0) + 1):
-        terms = []
+        x_terms, terms = [], []
         if j < len(n0):
-            terms += [(-1, p2, n2[j]), (-1, lower, n0[j]), (1, shift, n1[j])]
-            terms += [(comb(j + k, k), p2v[k - 1], n0[j + k])
-                      for k in range(1, min(len(p2v), len(n0) - 1 - j) + 1)]
+            x_terms += [(-1, one, n2[j])]
+            x_terms += [(comb(j + k, k), vk[k - 1], n0[j + k])
+                        for k in range(1, min(len(vk), len(n0) - 1 - j) + 1)]
+            terms += [(-1, lower, n0[j]), (1, shift, n1[j])]
         if j:
-            terms += [(-2, p2, n1[j - 1]), (1, shift, n0[j - 1])]
+            x_terms.append((-2, one, n1[j - 1]))
+            terms.append((1, shift, n0[j - 1]))
+        terms.append((1, p2, ring.sum_products(x_terms)))
         out.append(ring.sum_products(terms))
     return DiffOp(ring, out)
 
@@ -229,8 +235,10 @@ def verify_corollary(
 
     built in closed form (:func:`_cleared_commutator`) with D^j coefficient
 
-        p^2 (-n_j'' - 2 n_(j-1)' + sum_(k>=1) C(j+k, k) V^(k) n_(j+k))
-            - (2 p'^2 - p p'') n_j + 2 p p' (n_j' + n_(j-1)),
+        p^2 X_j - (2 p'^2 - p p'') n_j + 2 p p' (n_j' + n_(j-1)),
+        X_j = -n_j'' - 2 n_(j-1)' + sum_(k>=1) C(j+k, k) V^(k) n_(j+k),
+
+    X_j formed first so that p^2 multiplies one sum, not each of its terms,
 
     by the monic L2, C3 = B~ L2 + R~, and re-checks B~ L2 + R~ = C3.  If
     [p^-1 L p, L2] = B L2 + R over Frac(K[x]), then C3 = (p^3 B) L2 + p^3 R

@@ -63,6 +63,21 @@ def quotient_product_oracle(a, b):
     return QuotientExt(qring, work[:d])
 
 
+def quotient_sum_products_oracle(qring, triples):
+    """Sum of c*a*b in Base[z]/(chi) by z-power buckets, each summed by the base
+    kernel, and one reduction of the bucket sums by ``from_z_coeffs``."""
+    base = qring.base
+    buckets = [[] for _ in range(2 * qring.degree - 1)]
+    for c, a, b in triples:
+        for i, ai in enumerate(a.coords):
+            if ai.is_zero():
+                continue
+            for j, bj in enumerate(b.coords):
+                if not bj.is_zero():
+                    buckets[i + j].append((c, ai, bj))
+    return qring.from_z_coeffs([base.sum_products(bk) if bk else base.zero for bk in buckets])
+
+
 def ring_product_oracle(a, b):
     if isinstance(a, MultiPoly):
         return multipoly_product_oracle(a, b)

@@ -28,6 +28,7 @@ from conftest import (
     leibniz_compose,
     multipoly_product_oracle,
     quotient_product_oracle,
+    quotient_sum_products_oracle,
     random_rational,
     right_divmod_oracle,
     ring_product_oracle,
@@ -145,13 +146,27 @@ def test_commutator_over_fraction_field_matches_leibniz_oracle(data):
     _check_commutator(_FRAC, elems, data)
 
 
+# An order-12 quotient multiplies the divisor's coefficient degrees by up to
+# 12, and over the parameter quotient every z^3 brings in a0^2; in several
+# variables the divisor's coefficients are one monomial of degree <= 1 (per
+# coordinate), which keeps each example to seconds against the per-term oracle
+_DIVISOR_ELEMS = {
+    "params": _poly(QX_PARAMS, [(0, 1)] * 5, max_terms=1),
+    "laurent": _poly(QX_LAURENT, [(0, 1), (-1, 1), (0, 1)], max_terms=1),
+    "quotient-parameter": _quotient_case(
+        QX_A0, CASES["quotient-parameter"][0].chi, _poly(QX_A0, [(0, 1), (0, 1)], max_terms=1)
+    )[1],
+}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_right_divmod_matches_oracle(case, data):
     ring, elems = CASES[case]
-    n = DiffOp(ring, data.draw(_op(elems, max_order=5)))
-    d = DiffOp(ring, data.draw(st.lists(elems, max_size=2)) + [ring.one])
+    n = DiffOp(ring, data.draw(_op(elems, max_order=12)))
+    d = DiffOp(ring, data.draw(st.lists(_DIVISOR_ELEMS.get(case, elems), max_size=4))
+               + [ring.one])
     q, r = n.right_divmod(d)
     assert (q, r) == right_divmod_oracle(n, d)
     assert leibniz_compose(q, d) + r == n
@@ -191,6 +206,43 @@ def test_quotient_sum_products_skips_empty_z_buckets(monkeypatch):
     assert sizes == [1]
 
 
+_Q = PolyRing(())
+_a0_coord = _poly(QX_A0, [(0, 3), (0, 2)], max_terms=2)
+# chi of degree 1, 2 and 3 over Q, and over Q[a0] with a0 in its coefficients
+_CHIS = {
+    "rational-1": (QX, CharPoly(_Q, [Fraction(-7 * BIG - 1, 3 * BIG + 1), 1]), _x_poly),
+    "rational-2": (QX, CharPoly(_Q, [Fraction(7 * BIG + 1, 3 * BIG - 1), Fraction(-BIG, 11), 1]),
+                   _x_poly),
+    "rational-3": (QX, CharPoly(_Q, [Fraction(BIG + 1, 5), 0, Fraction(-2, BIG + 3), 1]),
+                   _x_poly),
+    "parameter-1": (QX_A0, CharPoly(QX_A0, [2 * _a0 - Fraction(1, 3), QX_A0.one]), _a0_coord),
+    "parameter-2": (QX_A0, CharPoly(QX_A0, [_a0 * _a0, Fraction(-BIG, 7) * _a0, QX_A0.one]),
+                    _a0_coord),
+    "parameter-3": (QX_A0, CharPoly(QX_A0, [Fraction(5 * BIG + 3, 2 * BIG + 7), 3 * _a0,
+                                            _a0 * _a0, QX_A0.one]), _a0_coord),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHIS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_quotient_sum_products_matches_bucket_oracle(case, data):
+    """The reduction inside the kernel sum against bucket sums reduced once by
+    ``from_z_coeffs``, with zero coordinates, empty lists and cancelling sums."""
+    base, chi, coord = _CHIS[case]
+    qring = QuotientRing(base, chi)
+    coords = st.lists(st.one_of(st.just(base.zero), coord),
+                      min_size=qring.degree, max_size=qring.degree)
+    elems = coords.map(lambda cs: QuotientExt(qring, cs))
+    triples = data.draw(st.lists(st.tuples(st.integers(-20, 20), elems, elems), max_size=5))
+    got = qring.sum_products(triples)
+    assert got == quotient_sum_products_oracle(qring, triples)
+    assert got == quotient_sum_products_oracle(qring, list(reversed(triples)))
+    cancelled = qring.sum_products(triples + [(-c, a, b) for c, a, b in triples])
+    assert cancelled == qring.zero and cancelled.is_zero()
+    assert qring.sum_products([]) == qring.zero == quotient_sum_products_oracle(qring, [])
+
+
 @pytest.mark.parametrize("case", ["x", "params", "laurent"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -221,23 +273,51 @@ def test_quotient_product_matches_schoolbook_loop(case, data):
 QZ = PolyRing(("z",))
 
 
+# exponent ranges per variable; negative powers of the Laurent variable t
+_EXPONENTS = {
+    QX: [(0, 6)],
+    QZ: [(0, 6)],
+    QX_PARAMS: [(0, 3)] + [(0, 2)] * 4,
+    QX_LAURENT: [(0, 3), (-3, 3), (0, 2)],
+}
+
+
 def _wide_poly(ring, bits):
-    """Up to five terms of degree <= 6, numerators and denominators of ``bits`` bits."""
+    """Up to five terms, numerators and denominators of ``bits`` bits."""
     coeff = st.builds(Fraction, st.integers(-(2 ** bits), 2 ** bits), st.integers(1, 2 ** bits))
-    exps = st.integers(0, 6).map(lambda e: (e,))
+    exps = st.tuples(*(st.integers(lo, hi) for lo, hi in _EXPONENTS[ring]))
     return st.dictionaries(exps, coeff, max_size=5).map(ring.from_terms)
 
 
 def _termwise_product(p, q) -> dict:
     """{exponent: Fraction} of p*q, one Fraction product per term pair."""
     acc: dict = {}
-    for (e1,), c1 in p.terms.items():
-        for (e2,), c2 in q.terms.items():
-            acc[(e1 + e2,)] = acc.get((e1 + e2,), 0) + c1 * c2
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _termwise_derivative(p) -> dict:
+    """{exponent: Fraction} of D p, D x^a t^b = a x^(a-1) t^b + (b/2) x^a t^b."""
+    names = p.ring.variables
+    acc: dict = {}
+    for e, c in p.terms.items():
+        for i, name in enumerate(names):
+            if name == "x" and e[i]:
+                f = e[:i] + (e[i] - 1,) + e[i + 1:]
+                acc[f] = acc.get(f, 0) + c * e[i]
+            if name == "t" and e[i]:
+                acc[e] = acc.get(e, 0) + c * Fraction(e[i], 2)
     return {e: c for e, c in acc.items() if c}
 
 
 _ONE_VARIABLE = pytest.mark.parametrize("ring", [QX, QZ], ids=["x", "z"])
+_SEVERAL_VARIABLES = pytest.mark.parametrize("ring", [QX_PARAMS, QX_LAURENT],
+                                             ids=["params", "laurent"])
+_EVERY_RING = pytest.mark.parametrize("ring", [QX, QZ, QX_PARAMS, QX_LAURENT],
+                                      ids=["x", "z", "params", "laurent"])
 _BITS = pytest.mark.parametrize("bits", [90, 1000])
 
 
@@ -263,26 +343,42 @@ def test_one_variable_kernel_matches_per_term_oracles(ring, bits, data):
     assert a * b == ring_product_oracle(a, b)
 
 
+def _check_derive(ring, bits, data):
+    """D p against the termwise derivative: equal terms, ``==``, hash and repr."""
+    p = data.draw(_wide_poly(ring, bits))
+    want = _termwise_derivative(p)
+    got = p.derive()
+    assert got.terms == want
+    same = ring.from_terms(want)
+    assert got == same and hash(got) == hash(same) and repr(got) == repr(same)
+
+
 @_ONE_VARIABLE
 @_BITS
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_one_variable_derive_matches_termwise_derivative(ring, bits, data):
     # D differentiates x; z is a constant of the derivation
-    p = data.draw(_wide_poly(ring, bits))
-    want = {(e - 1,): c * e for (e,), c in p.terms.items() if e} if ring is QX else {}
-    got = p.derive()
-    assert got.terms == want
-    assert got == ring.from_terms(want)
+    _check_derive(ring, bits, data)
 
 
-@_ONE_VARIABLE
+@_SEVERAL_VARIABLES
+@_BITS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_derive_in_several_variables_matches_termwise_derivative(ring, bits, data):
+    _check_derive(ring, bits, data)
+
+
+@_EVERY_RING
 @_BITS
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_kernel_element_is_the_from_terms_element(ring, bits, data):
     """A product's terms, built from its integer pair on first read, are
-    those of the element ``from_terms`` builds from the same rationals."""
+    those of the element ``from_terms`` builds from the same rationals: equal
+    hash, ``==``, repr and terms.  In one variable they are in ascending
+    order, otherwise in the order of the schoolbook loop."""
     elems = _wide_poly(ring, bits)
     p, q = data.draw(elems), data.draw(elems)
     terms = _termwise_product(p, q)
@@ -290,7 +386,57 @@ def test_kernel_element_is_the_from_terms_element(ring, bits, data):
     assert hash(got) == hash(want)
     assert got == want
     assert repr(got) == repr(want)
-    assert got.terms == terms and list(got.terms) == sorted(terms)
+    assert got.terms == terms
+    if ring in (QX, QZ):
+        assert list(got.terms) == sorted(terms)
+    else:
+        assert list(got.terms) == list(multipoly_product_oracle(p, q).terms)
+
+
+@_EVERY_RING
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_equality_and_hash_of_kernel_outputs_build_no_terms(ring, data):
+    elems = _wide_poly(ring, 90)
+    p, q = data.draw(elems), data.draw(elems)
+    pairs = [
+        (p * q, q * p),
+        (ring.sum_products([(3, p, q), (-2, q, q)]), ring.sum_products([(-2, q, q), (3, q, p)])),
+        (p * Fraction(-5, 7), Fraction(-5, 7) * p),
+        (p - q, -(q - p)),
+        (p.derive(), p.derive()),
+    ]
+    # products and kernel sums come out as a normal-form pair alone
+    assert all(a._terms is None and b._terms is None for a, b in pairs[:2])
+    for a, b in pairs:
+        # a sum with a zero operand or the zero derivative may be a term-built
+        # element; either way == and hash leave the terms as they were
+        before = (a._terms, b._terms)
+        assert a == b and hash(a) == hash(b)
+        assert (a == ring.zero) == a.is_zero()
+        assert a._terms is before[0] and b._terms is before[1]
+
+
+def test_z_derive_stays_zero():
+    # z is a constant of the derivation, in Q[z] as in Q[x][z]/(chi)
+    z = QZ.var("z")
+    for p in [QZ.zero, QZ.one, z, z ** 5 * Fraction(3, 7) + z - 2]:
+        d = p.derive()
+        assert d.is_zero() and d == QZ.zero and d.terms == {}
+        assert d.derive().is_zero()
+
+
+@pytest.mark.parametrize("k", [-7, -3, -2, -1, 0, 1, 4])
+def test_laurent_derive_halves_negative_powers(k):
+    # t stands for exp(x/2), so D(t^k) = (k/2) t^k for every integer k
+    for ring in (QX_LAURENT, PolyRing(("t",), laurent=("t",))):
+        t_k = ring.var("t", k) * Fraction(5, 3)
+        want = t_k * Fraction(k, 2)
+        assert t_k.derive() == want
+        assert t_k.derive().terms == want.terms
+        if k:
+            (e, c), = t_k.derive().terms.items()
+            assert c == Fraction(5 * k, 6) and e[ring.variables.index("t")] == k
 
 
 def test_compose_over_fraction_field_matches_oracle():

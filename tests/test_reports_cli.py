@@ -600,6 +600,20 @@ def test_cli_partner_search_of_exponential_family_exits_2(capsys, command):
     assert "not covered" in capsys.readouterr().err
 
 
+def test_cli_failed_self_check_exits_3_not_1(capsys, monkeypatch):
+    # a right division that fails its reconstruction check is an internal
+    # error, not the verdict "disproved" that exit 1 reports
+    from spectral_pairs.operators import DiffOp
+
+    monkeypatch.setattr(DiffOp, "right_divmod",
+                        lambda self, divisor: (DiffOp.zero(self.ring), DiffOp.zero(self.ring)))
+    code = run_command(["verify-corollary", "--g", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ")
+    assert "reconstruction check" in err
+
+
 def test_cli_absent_partner_order_exits_1(capsys):
     # the operators commuting with this L4 up to order 5 have orders 0 and 4 only
     code = run_command(["centralizer", "--family", "cubic", "--g", "1",

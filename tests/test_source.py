@@ -151,8 +151,9 @@ def _returned_int_literals(fn) -> list:
     ]
 
 
-def test_cli_exit_codes_are_0_1_2():
-    # one outcome per exit code: passed, failed or proven absent, bad usage
+def test_cli_exit_codes_are_0_1_2_3():
+    # one outcome per exit code: passed, failed or proven absent, bad usage,
+    # internal error; 3 comes from run_command's last handler alone
     tree = ast.parse((SRC / "cli.py").read_text())
     commands = [
         node for node in ast.walk(tree)
@@ -162,4 +163,7 @@ def test_cli_exit_codes_are_0_1_2():
     ]
     literals = [lit for fn in commands for lit in _returned_int_literals(fn)]
     assert len(commands) >= 8
-    assert {value for _, value in literals} == {0, 1, 2}, literals
+    assert {value for _, value in literals} == {0, 1, 2, 3}, literals
+    threes = [getattr(fn, "name", "<lambda>") for fn in commands
+              for _, value in _returned_int_literals(fn) if value == 3]
+    assert threes == ["run_command"], threes

@@ -338,6 +338,23 @@ def _has_quotient_branch(spec):
     return any(isinstance(branch, QuotientRing) for branch in _branches(char_poly_z(spec)))
 
 
+@pytest.mark.parametrize("which", ["l4", "l4g2"])
+@pytest.mark.parametrize("index", range(4))
+def test_cleared_commutator_matches_oracle_on_criterion5_samples(index, which):
+    # every branch of criterion 5's g = 2 and g = 4 samples, rational roots
+    # over Q[x] and the non-rational factor over Q[x][z]/(f)
+    spec = _criterion5_samples()[index]
+    l = make_L4(spec) if which == "l4" else _criterion5_partner(index)
+    l2 = make_schrodinger(spec)
+    for branch in _branches(char_poly_z(spec)):
+        quotient = isinstance(branch, QuotientRing)
+        l_k, l2_k = (_lift_op(l, branch), _lift_op(l2, branch)) if quotient else (l, l2)
+        p = multiplier_p(spec, branch.gen if quotient else branch)
+        got, want = _cleared_commutator(l_k, l2_k, p), cleared_commutator_oracle(l_k, l2_k, p)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
 def test_corollary_samples_cover_both_branch_kinds():
     for g in (2, 4):
         kinds = {_has_quotient_branch(s) for s in _criterion5_samples() if s.g == g}
