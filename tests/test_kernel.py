@@ -146,6 +146,23 @@ def test_commutator_over_fraction_field_matches_leibniz_oracle(data):
     _check_commutator(_FRAC, elems, data)
 
 
+def _check_right_divmod(n, d):
+    q, r = n.right_divmod(d)
+    assert (q, r) == right_divmod_oracle(n, d)
+    assert leibniz_compose(q, d) + r == n
+    assert r.is_zero() or r.order < d.order
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_right_divmod_matches_oracle(case, data):
+    ring, elems = CASES[case]
+    n = DiffOp(ring, data.draw(_op(elems, max_order=5)))
+    d = DiffOp(ring, data.draw(st.lists(elems, max_size=2)) + [ring.one])
+    _check_right_divmod(n, d)
+
+
 # An order-12 quotient multiplies the divisor's coefficient degrees by up to
 # 12, and over the parameter quotient every z^3 brings in a0^2; in several
 # variables the divisor's coefficients are one monomial of degree <= 1 (per
@@ -162,15 +179,14 @@ _DIVISOR_ELEMS = {
 @pytest.mark.parametrize("case", sorted(CASES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_right_divmod_matches_oracle(case, data):
+def test_high_order_right_divmod_matches_oracle(case, data):
+    """Order <= 12 by a monic divisor of order <= 4: every quotient step
+    reaches back through up to four derivative orders of the divisor."""
     ring, elems = CASES[case]
     n = DiffOp(ring, data.draw(_op(elems, max_order=12)))
     d = DiffOp(ring, data.draw(st.lists(_DIVISOR_ELEMS.get(case, elems), max_size=4))
                + [ring.one])
-    q, r = n.right_divmod(d)
-    assert (q, r) == right_divmod_oracle(n, d)
-    assert leibniz_compose(q, d) + r == n
-    assert r.is_zero() or r.order < d.order
+    _check_right_divmod(n, d)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
