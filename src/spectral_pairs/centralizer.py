@@ -48,34 +48,55 @@ and [8] proves [L4, M'] = 0 and M'^2 = F(L4), where
 (' = d/dx) is a first integral of the chain, read here at x = 0.  F is
 monic of degree 2g + 1 in z.
 
-The chain's partner is returned only when it is provably the search's, that
-is when F is squarefree, decided by gcd(F, F') = 1 modulo the prime
-2^61 - 1 (:func:`_squarefree_mod_p`).  Then C(L4), the operators over Q[x]
-that commute with L4, is Q[L4, M']:
+The chain's partner is returned only when it is provably the search's.
+Write F = z^e F1 with F1(0) != 0, h = floor(e/2) and F0 = z^(e mod 2) F1,
+so F = z^(2h) F0.  The guard (:func:`_chain_spans`) asks
+
+- F1 squarefree, decided by gcd(F1, F1') = 1 modulo the prime 2^61 - 1
+  (:func:`_squarefree_mod_p`); with F1(0) != 0 this makes F0 squarefree;
+- deg F0 >= 3;
+- when e >= 2, a nonzero remainder of M' right-divided by L4
+  (:meth:`DiffOp.right_divmod`, accepted after the exact re-check
+  q L4 + r = M').
+
+Then C(L4), the operators over Q[x] that commute with L4, is Q[L4, M']:
 
 - C(L4) is commutative, and integral over Q[L4]: P -> A(P), the action on
   the formal kernel of L4 - z, embeds it in M_4(Q[z]) with A(L4) = z I
   (:meth:`curves.SpectralCurve.eval_at_operators`), and by Cayley-Hamilton
   P is a root of det(w I - A(P)), monic in w over Q[z].
-- Its rank r, the gcd of its orders, divides gcd(4, 4g + 2) = 2, and its
-  fraction field has degree 4/r over Q(L4).  r = 1 is impossible:
+- y = M' / L4^h, in the fraction field of the domain Q[L4, M'], satisfies
+  y^2 = F0(L4).  F0 is squarefree, so the curve y^2 = F0 is smooth and
+  Q[z] + Q[z] y = Q[z, y]/(y^2 - F0) is integrally closed: it is the
+  integral closure of Q[z] in Q(z, y) = Q(L4, M').  That curve has genus
+  floor((deg F0 - 1)/2) >= 1.
+- The rank r of C(L4), the gcd of its orders, divides gcd(4, 4g + 2) = 2,
+  and its fraction field has degree 4/r over Q(L4).  r = 1 is impossible:
   rank-one commutative subalgebras of the Weyl algebra have rational
   spectral curves (Wilson, "Bispectral commutative ordinary differential
   operators", J. reine angew. Math. 1993), and a rational curve cannot
-  cover w^2 = F, the curve of Q[L4, M'], of genus g >= 1.  So the fraction
-  field of C(L4) is Q(L4, M'), of degree 2.
-- w^2 - F with F squarefree of odd degree is irreducible and smooth, so
-  Q[L4, M'] = Q[z, w]/(w^2 - F) is integrally closed; C(L4) is integral
-  over it with the same fraction field, so C(L4) = Q[L4, M'].
+  cover y^2 = F0, of genus >= 1.  So C(L4) has rank 2, and its fraction
+  field is Q(L4, M'), of degree 2.
+- C(L4) is integral over Q[z] = Q[L4] inside Q(L4, M'), so it lies between
+  Q[L4] and Q[z] + Q[z] y: C(L4) = Q[z] + J y, where the ideal J of the
+  b in Q[z] with b(L4) y in C(L4) contains z^h (z^h y = M').  So J is
+  (z^j) for some j <= h.
+- j < h exactly when z^(h-1) y lies in C(L4), that is when M' = E L4 for
+  an operator E over Q[x]: such an E commutes with L4, because [L4, E] L4
+  = [L4, M'] = 0 and the Weyl algebra is a domain, and then E = z^(h-1) y.
+  The nonzero remainder rules that out (for e < 2, h = 0 and there is
+  nothing to rule out), so j = h and C(L4) = Q[z] + Q[z] M' = Q[L4, M'].
 
 So the operators of order <= N in C(L4) are p(L4) + c M', deg p <= g, of
 orders 4k and N, and the search's reduced row echelon vector is M' less
 the p(L4) that clears the constant terms of its D^(4k) coefficients
 (:func:`find_commuting_operator`, :func:`_normal_form`).  F enters only
 this guard: :func:`hyperelliptic_pair` keeps its characteristic-polynomial
-route, so the curves it prints do not rest on the chain.  Another order,
-another L4, a chain with no or several solutions, and a singular F (V = x^3
-at g = 1: F = z^3) all run the search, unchanged.
+route, so the curves it prints do not rest on the chain.  V = x^3 has
+e = 2, 4, 3, 2, 4 at g = 3, 4, 6, 8, 9 and takes the chain there.  Another
+order, another L4, a chain with no or several solutions, deg F0 < 3 (V =
+x^3 at g = 1: F = z^3, F0 = z, genus 0), a square factor of F other than
+a power of z, and a zero remainder all run the search, unchanged.
 
 The spectral curve comes from the action of M on a formal basis psi_0 ..
 psi_3 of ker(L4 - z), built in :mod:`curves` and imported here.  The basis
@@ -210,15 +231,10 @@ def _partial_solution(ring, da: list, k: int) -> list:
     return m
 
 
-def commuting_operators(l4: DiffOp, order: int) -> list:
-    """Basis of the operators M of order <= ``order`` with [L4, M] = 0.
-
-    Every such M is sum_k c_k M_k, the partial solutions of the module
-    docstring, and the constants c solve the rows from orders 0 .. n-2 of
-    [L4, M].  One monic operator per order K present, in increasing order:
-    the reduced row echelon basis vector of the free column K from
-    :func:`linalg.nullspace`, so c_K = 1 and c = 0 at the other orders.
-    """
+def _search_space(l4: DiffOp, order: int):
+    """(partials, vectors): the M_k of the module docstring, k = 0 .. ``order``,
+    and the null vectors c of the rows from orders 0 .. n-2 of [L4, M],
+    from :func:`linalg.nullspace`."""
     ring = l4.ring
     if not _over_qx(ring):
         raise SpectralPairsError("partner search requires specialized Q[x] coefficients")
@@ -233,10 +249,27 @@ def commuting_operators(l4: DiffOp, order: int) -> list:
             for (e,), c in _commutator_coeff(ring, da, mk, r, 0).terms.items():
                 constraints.setdefault((r, e), {})[k] = c
     rows = [r for _, r in sorted(constraints.items())]
-    return [DiffOp(ring, [ring.sum_products((1, ring.const(c), partials[k][i][0])
-                                            for k, c in enumerate(vec) if k >= i)
-                          for i in range(len(vec))])
-            for vec in nullspace(rows, order + 1)]
+    return partials, nullspace(rows, order + 1)
+
+
+def _combine(ring, partials: list, vec: list) -> DiffOp:
+    """sum_k vec[k] M_k, one kernel sum per coefficient."""
+    return DiffOp(ring, [ring.sum_products((1, ring.const(c), partials[k][i][0])
+                                           for k, c in enumerate(vec) if k >= i)
+                         for i in range(len(vec))])
+
+
+def commuting_operators(l4: DiffOp, order: int) -> list:
+    """Basis of the operators M of order <= ``order`` with [L4, M] = 0.
+
+    Every such M is sum_k c_k M_k, the partial solutions of the module
+    docstring, and the constants c solve the rows from orders 0 .. n-2 of
+    [L4, M].  One monic operator per order K present, in increasing order:
+    the reduced row echelon basis vector of the free column K from
+    :func:`linalg.nullspace`, so c_K = 1 and c = 0 at the other orders.
+    """
+    partials, space = _search_space(l4, order)
+    return [_combine(l4.ring, partials, vec) for vec in space]
 
 
 # 2^61 - 1, a prime: the modulus of the squarefree guard on the chain's curve
@@ -332,6 +365,28 @@ def _squarefree_mod_p(f) -> bool:
     return len(a) == 1
 
 
+def _chain_spans(l4: DiffOp, terms: list, f) -> bool:
+    """True when C(L4) = Q[L4] + Q[L4] M' is proven (the module docstring).
+
+    F = z^e F1 with F1(0) != 0 and F0 = z^(e mod 2) F1 must have F1
+    squarefree (:func:`_squarefree_mod_p`) and deg F0 >= 3, and when e >= 2
+    L4 must not right-divide M' = sum_i terms[i] L4^i.  The division is
+    accepted only after the exact re-check q L4 + r = M'.
+    """
+    den, nums = f.dense()
+    e = next((i for i, c in enumerate(nums) if c), len(nums))
+    deg_f0 = len(nums) - 1 - 2 * (e // 2)
+    if deg_f0 < 3 or not _squarefree_mod_p(_Z.from_dense(den, nums[e:])):
+        return False
+    if e < 2:
+        return True
+    m_prime = _in_l4(terms, l4)
+    q, r = m_prime.right_divmod(l4)
+    if q * l4 + r != m_prime:
+        raise SpectralPairsError("right division by L4 failed its exact re-check")
+    return not r.is_zero()
+
+
 def _in_l4(terms: list, l4: DiffOp) -> DiffOp:
     """sum_i terms[i] L4^i, by Horner."""
     m = DiffOp.zero(l4.ring)
@@ -405,12 +460,22 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     m_K with constant term 0.  Both are therefore the null vector with
     c_N = 1 and c_K = 0 at each other order K of the space.
 
+    The search builds only that operator from its null vector; the orders
+    of the others are read off their vectors (the vector of free column K
+    is zero above K).
+
     At N = 4g + 2 the chain of the module docstring is tried first, and its
-    M' less p(L4) (:func:`_normal_form`) is returned when its curve F is
-    squarefree: then the space is spanned by M' and the L4^k, 4k < N (the
-    module docstring's argument), so that operator has c_N = 1 and
-    c_(4k) = 0 and is the same null vector.  Every other case runs the
-    search.
+    M' less p(L4) (:func:`_normal_form`) is returned when its guard holds
+    (:func:`_chain_spans`): write F = z^e F1 with F1(0) != 0 and F0 =
+    z^(e mod 2) F1; F1 is squarefree, deg F0 >= 3, and for e >= 2 L4 does
+    not right-divide M'.  Then C(L4) = Q[L4, M'] (the module docstring's
+    argument: y = M'/L4^floor(e/2) has y^2 = F0, whose curve has genus
+    >= 1, so C(L4) = Q[L4] + (L4^j) y Q[L4] with j <= floor(e/2), and j
+    falls short exactly when M' = E L4 with E in C(L4)).  So the space is
+    spanned by M' and the L4^k, 4k < N, that operator has c_N = 1 and
+    c_(4k) = 0, and it is the same null vector.  V = x^3 at g = 1 (F = z^3,
+    genus 0), a square factor of F other than a power of z, a zero
+    remainder and every other case run the search.
 
     Raises :class:`CommutingOperatorNotFound` when the space has no operator
     of order N, which proves that no operator of order N over Q[x] commutes
@@ -418,16 +483,17 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     [L4, M] = 0 by direct commutator expansion, on either path.
     """
     chain = _chain_pair(l4, target_order)
-    if chain is not None and _squarefree_mod_p(chain[1]):
+    if chain is not None and _chain_spans(l4, *chain):
         m = _in_l4(_normal_form(chain[0], l4), l4)
     else:
-        space = commuting_operators(l4, target_order)
-        m = next((op for op in space if op.order == target_order), None)
-        if m is None:
+        partials, space = _search_space(l4, target_order)
+        orders = [max(k for k, c in enumerate(vec) if c) for vec in space]
+        if target_order not in orders:
             raise CommutingOperatorNotFound(
                 f"no operator of order {target_order} over Q[x] commutes with L4; "
-                f"those of order <= {target_order} have orders {[op.order for op in space]}"
+                f"those of order <= {target_order} have orders {orders}"
             )
+        m = _combine(l4.ring, partials, space[orders.index(target_order)])
     if not l4.commutator(m).is_zero():
         raise SpectralPairsError("solver output failed exact commutator check")
     return m

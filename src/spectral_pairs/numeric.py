@@ -43,7 +43,6 @@ from .errors import (
 from .families import (
     EXPONENTIAL,
     FamilySpec,
-    coefficient_ring,
     make_L4,
     make_schrodinger,
     multiplier_p,
@@ -318,16 +317,20 @@ def eigen_residual(spec: FamilySpec, z_root: complex, grid: GridFunction) -> flo
     return float(np.nanmax(residual_profile(spec, z_root, grid)[1]))
 
 
+# z adjoined formally to Q[x], the coefficient ring of every rational cubic
+# and quartic spec; z^3 = 0 never triggers since no multiplier exceeds
+# degree 2 in z
+_FORMAL_Z = QuotientRing(PolyRing(("x",)), CharPoly(PolyRing(()), [0, 0, 0, Fraction(1)])).gen
+
+
 def _multiplier_values(spec: FamilySpec, z: complex, x: np.ndarray) -> np.ndarray:
     """p(x) at a numeric eigenvalue z (complex allowed)."""
     import numpy as np
     if spec.family == EXPONENTIAL:
         # p = e^(kx/2), free of z
         return _coeff_callable(multiplier_p(spec, None), "p")(x)
-    # evaluate the exact multiplier with z adjoined formally, then substitute;
-    # z^3 = 0 never triggers since no multiplier exceeds degree 2 in z
-    dummy = CharPoly(PolyRing(()), [0, 0, 0, Fraction(1)])
-    p = multiplier_p(spec, QuotientRing(coefficient_ring(spec), dummy).gen)
+    # evaluate the exact multiplier with z adjoined formally, then substitute
+    p = multiplier_p(spec, _FORMAL_Z)
     total = np.zeros(len(x), dtype=complex)
     for zi, coord in enumerate(p.coords):
         total += _coeff_callable(coord, "p")(x) * z ** zi

@@ -771,15 +771,14 @@ def _chain_partner(l4, order):
     """The chain's operator as find_commuting_operator returns it, or None
     where find_commuting_operator falls back to the search."""
     chain = centralizer._chain_pair(l4, order)
-    if chain is None or not centralizer._squarefree_mod_p(chain[1]):
+    if chain is None or not centralizer._chain_spans(l4, *chain):
         return None
     return centralizer._in_l4(centralizer._normal_form(chain[0], l4), l4)
 
 
-# the _PAIR_CASES the search answers: V = x^3 has singular curves at g = 1
-# and g = 3, and at order 10 for g = 1 the chain has a second solution
-_FALLBACK_CASES = {(CUBIC, 1, (0, 0, 0, 1), 6), (CUBIC, 3, (0, 0, 0, 1), 14),
-                   (CUBIC, 1, (0, 0, 0, 1), 10)}
+# the _PAIR_CASES the search answers: V = x^3 at g = 1 has F = z^3, of
+# genus 0, and at order 10 for g = 1 the chain has a second solution
+_FALLBACK_CASES = {(CUBIC, 1, (0, 0, 0, 1), 6), (CUBIC, 1, (0, 0, 0, 1), 10)}
 
 
 @pytest.mark.parametrize("case", _PAIR_CASES, ids=_case_id)
@@ -827,18 +826,36 @@ def test_chain_matches_the_search_on_drawn_potentials(alphas, quartic, g):
     assert chained is None or chained == _search_partner(l4, 4 * g + 2)
 
 
+def _count_searches(monkeypatch) -> list:
+    """Record each call of the partner search (:func:`centralizer._search_space`)."""
+    searches = []
+    search = centralizer._search_space
+    monkeypatch.setattr(centralizer, "_search_space",
+                        lambda *args: searches.append(args) or search(*args))
+    return searches
+
+
+def _refuse_search(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("the search ran")
+
+    monkeypatch.setattr(centralizer, "_search_space", refuse)
+
+
 @pytest.mark.parametrize("g, curve", [(1, {3: 1}), (3, {7: 1, 2: -2025})])
 def test_singular_curve_falls_back_to_the_search(monkeypatch, g, curve):
+    """Both curves are singular.  F = z^3 at g = 1 (F0 = z, genus 0) takes
+    the search; F = z^2 (z^5 - 2025) at g = 3 has F0 = z^5 - 2025, of genus
+    2, and a nonzero remainder, so the chain answers."""
     l4 = make_L4(FamilySpec(CUBIC, g, alphas=(0, 0, 0, 1)))
-    _, f = centralizer._chain_pair(l4, 4 * g + 2)
-    assert f.terms == {(k,): c for k, c in curve.items()}
-    assert not centralizer._squarefree_mod_p(f)
-    searches = []
-    search = centralizer.commuting_operators
-    monkeypatch.setattr(centralizer, "commuting_operators",
-                        lambda *args: searches.append(args) or search(*args))
-    assert find_commuting_operator(l4, 4 * g + 2) == _search_partner(l4, 4 * g + 2)
-    assert len(searches) == 1
+    chain = centralizer._chain_pair(l4, 4 * g + 2)
+    assert chain[1].terms == {(k,): c for k, c in curve.items()}
+    assert not centralizer._squarefree_mod_p(chain[1])
+    assert centralizer._chain_spans(l4, *chain) == (g == 3)
+    searches = _count_searches(monkeypatch)
+    m = find_commuting_operator(l4, 4 * g + 2)
+    assert len(searches) == (g == 1)
+    assert m == _search_partner(l4, 4 * g + 2)
 
 
 def test_chain_with_two_solutions_falls_back(x3_l4):
@@ -876,10 +893,7 @@ def test_l4_off_the_schrodinger_square_form_takes_the_search(monkeypatch):
     shifted = _shift_d(l4)
     assert shifted.coeff(3) == XRING.const(4)
     assert centralizer._chain_pair(shifted, 6) is None
-    searches = []
-    search = centralizer.commuting_operators
-    monkeypatch.setattr(centralizer, "commuting_operators",
-                        lambda *args: searches.append(args) or search(*args))
+    searches = _count_searches(monkeypatch)
     partner = find_commuting_operator(shifted, 6)
     assert len(searches) == 1
     assert partner == _search_partner(shifted, 6)
@@ -890,12 +904,68 @@ def test_l4_off_the_schrodinger_square_form_takes_the_search(monkeypatch):
 def test_default_order_partner_needs_no_search(monkeypatch, g):
     l4 = make_L4(FamilySpec(CUBIC, g, alphas=_GENERIC_CUBIC))
     expected = _search_partner(l4, 4 * g + 2)
-
-    def refuse(*args):
-        raise RuntimeError("the search ran")
-
-    monkeypatch.setattr(centralizer, "commuting_operators", refuse)
+    _refuse_search(monkeypatch)
     assert find_commuting_operator(l4, 4 * g + 2) == expected
+
+
+# V = x^4: the quartic family with a4 = 1 and a0 = a2 = a3 = 0
+_X4 = (0, solve_quartic_constraint(0, 0, 1), 0, 0, 1)
+
+
+@pytest.mark.parametrize("family, g, alphas",
+                         [(CUBIC, g, (0, 0, 0, 1)) for g in (3, 4, 6, 8, 9)]
+                         + [(QUARTIC, 2, _X4)],
+                         ids=["x3-g3", "x3-g4", "x3-g6", "x3-g8", "x3-g9", "x4-g2"])
+def test_chain_partner_of_a_curve_with_a_z_square_factor(monkeypatch, family, g, alphas):
+    """z^2 divides F; the chain, with one right division by L4, gives the
+    search's operator, and no search runs."""
+    l4 = make_L4(FamilySpec(family, g, alphas=alphas))
+    expected = _search_partner(l4, 4 * g + 2)
+    _, f = centralizer._chain_pair(l4, 4 * g + 2)
+    assert (0,) not in f.terms and (1,) not in f.terms
+    _refuse_search(monkeypatch)
+    assert find_commuting_operator(l4, 4 * g + 2) == expected
+
+
+def test_zero_remainder_falls_back_to_the_search(monkeypatch):
+    """With M' L4 in place of M', which L4 right-divides, the guard refuses
+    and the search answers."""
+    l4 = make_L4(FamilySpec(CUBIC, 3, alphas=(0, 0, 0, 1)))
+    expected = _search_partner(l4, 14)
+    in_l4 = centralizer._in_l4
+    monkeypatch.setattr(centralizer, "_in_l4", lambda terms, op: in_l4(terms, op) * op)
+    assert not centralizer._chain_spans(l4, *centralizer._chain_pair(l4, 14))
+    searches = _count_searches(monkeypatch)
+    assert find_commuting_operator(l4, 14) == expected
+    assert len(searches) == 1
+
+
+def test_right_division_in_the_guard_is_re_checked(monkeypatch):
+    l4 = make_L4(FamilySpec(CUBIC, 3, alphas=(0, 0, 0, 1)))
+    right_divmod = DiffOp.right_divmod
+
+    def off_by_one(self, divisor):
+        q, r = right_divmod(self, divisor)
+        return q, r + DiffOp.identity(XRING)
+
+    monkeypatch.setattr(DiffOp, "right_divmod", off_by_one)
+    _refuse_search(monkeypatch)
+    with pytest.raises(SpectralPairsError, match="re-check"):
+        find_commuting_operator(l4, 14)
+
+
+def test_chain_guard_limits():
+    """No L4 is needed where the guard refuses before the division, or
+    where z^2 does not divide F."""
+    z = ZRING.var("z")
+    # deg F0 < 3: genus 0
+    assert not centralizer._chain_spans(None, None, z ** 3)
+    assert not centralizer._chain_spans(None, None, z ** 4 * (z + 1))
+    # a square factor other than a power of z
+    assert not centralizer._chain_spans(None, None, z ** 2 * (z - 1) ** 2 * (z + 1))
+    # e = 0 or 1: F0 = F, no division
+    assert centralizer._chain_spans(None, None, z * (z * z + 1))
+    assert centralizer._chain_spans(None, None, z ** 3 + 1)
 
 
 def test_squarefree_guard_modulo_the_prime():

@@ -176,6 +176,8 @@ _GENERIC = ["4", "1", "-2/3", "-1"]
     ("generic-g2", 2, _GENERIC),
     ("cubic-generic-g3", 3, _GENERIC),
     ("quartic-g2", 2, ["-4/3", "13/12", "-2", "-2/3", "2/3"]),
+    ("x3-g4", 4, ["0", "0", "0", "1"]),
+    ("x3-g6", 6, ["0", "0", "0", "1"]),
 ])
 def test_cli_spectral_curve_matches_golden_output(capsys, tmp_path, name, g, alpha):
     out = tmp_path / "curve.json"
