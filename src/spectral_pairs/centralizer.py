@@ -55,9 +55,11 @@ so F = z^(2h) F0.  The guard (:func:`_chain_spans`) asks
 - F1 squarefree, decided by gcd(F1, F1') = 1 modulo the prime 2^61 - 1
   (:func:`_squarefree_mod_p`); with F1(0) != 0 this makes F0 squarefree;
 - deg F0 >= 3;
-- when e >= 2, a nonzero remainder of M' right-divided by L4
-  (:meth:`DiffOp.right_divmod`, accepted after the exact re-check
-  q L4 + r = M').
+- when e >= 2, a nonzero remainder of M' right-divided by L4.  That
+  remainder is terms[0] = a_0 D^2 - a_0' D + a_0 V + a_0''/2, so the test
+  is a_0 != 0 and no operator is formed: M' = (sum_(i >= 1) terms[i]
+  L4^(i-1)) L4 + terms[0], terms[0] has order 2 < 4, and right division
+  by the monic L4 is unique.
 
 Then C(L4), the operators over Q[x] that commute with L4, is Q[L4, M']:
 
@@ -84,8 +86,9 @@ Then C(L4), the operators over Q[x] that commute with L4, is Q[L4, M']:
 - j < h exactly when z^(h-1) y lies in C(L4), that is when M' = E L4 for
   an operator E over Q[x]: such an E commutes with L4, because [L4, E] L4
   = [L4, M'] = 0 and the Weyl algebra is a domain, and then E = z^(h-1) y.
-  The nonzero remainder rules that out (for e < 2, h = 0 and there is
-  nothing to rule out), so j = h and C(L4) = Q[z] + Q[z] M' = Q[L4, M'].
+  M' = E L4 means a zero remainder, that is a_0 = 0, and the guard rules
+  it out (for e < 2, h = 0 and there is nothing to rule out), so j = h and
+  C(L4) = Q[z] + Q[z] M' = Q[L4, M'].
 
 So the operators of order <= N in C(L4) are p(L4) + c M', deg p <= g, of
 orders 4k and N, and the search's reduced row echelon vector is M' less
@@ -96,7 +99,7 @@ route, so the curves it prints do not rest on the chain.  V = x^3 has
 e = 2, 4, 3, 2, 4 at g = 3, 4, 6, 8, 9 and takes the chain there.  Another
 order, another L4, a chain with no or several solutions, deg F0 < 3 (V =
 x^3 at g = 1: F = z^3, F0 = z, genus 0), a square factor of F other than
-a power of z, and a zero remainder all run the search, unchanged.
+a power of z, and a_0 = 0 when e >= 2 all run the search, unchanged.
 
 The spectral curve comes from the action of M on a formal basis psi_0 ..
 psi_3 of ker(L4 - z), built in :mod:`curves` and imported here.  The basis
@@ -127,9 +130,9 @@ from .curves import (
     _Z,
     SpectralCurve,
     _curve,
-    _horner,
     _kernel_basis_for,
     _over_qx,
+    _scalars,
     action_matrix,
     charpoly_w,
     series_kernel_basis,
@@ -141,7 +144,7 @@ from .errors import (
     SpectralPairsError,
 )
 from .linalg import nullspace
-from .operators import DiffOp, _derivative_table
+from .operators import DiffOp, _derivative_table, _horner
 from .rings import PolyRing
 
 @dataclass
@@ -295,7 +298,8 @@ def _chain_pair(l4: DiffOp, order: int):
     None unless ``order`` is 4g + 2 with g >= 1, L4 is (D^2 + V)^2 + W over
     Q[x] and the chain has exactly one solution with a_g = 1.  terms[i] is
     a_i D^2 - a_i' D + a_i V + a_i''/2, so M' = sum_i terms[i] L4^i
-    (:func:`_in_l4`), and F in Q[z] is the chain's first integral at x = 0.
+    (:func:`operators._horner`), and F in Q[z] is the chain's first integral
+    at x = 0.
     """
     vw = _schrodinger_square(l4)
     if vw is None or order % 4 != 2 or order < 6:
@@ -365,34 +369,21 @@ def _squarefree_mod_p(f) -> bool:
     return len(a) == 1
 
 
-def _chain_spans(l4: DiffOp, terms: list, f) -> bool:
+def _chain_spans(terms: list, f) -> bool:
     """True when C(L4) = Q[L4] + Q[L4] M' is proven (the module docstring).
 
     F = z^e F1 with F1(0) != 0 and F0 = z^(e mod 2) F1 must have F1
     squarefree (:func:`_squarefree_mod_p`) and deg F0 >= 3, and when e >= 2
-    L4 must not right-divide M' = sum_i terms[i] L4^i.  The division is
-    accepted only after the exact re-check q L4 + r = M'.
+    L4 must not right-divide M' = sum_i terms[i] L4^i.  The remainder of
+    that division is terms[0], as the Horner form of M'
+    (:func:`operators._horner`) shows, so no operator is formed.
     """
     den, nums = f.dense()
     e = next((i for i, c in enumerate(nums) if c), len(nums))
     deg_f0 = len(nums) - 1 - 2 * (e // 2)
     if deg_f0 < 3 or not _squarefree_mod_p(_Z.from_dense(den, nums[e:])):
         return False
-    if e < 2:
-        return True
-    m_prime = _in_l4(terms, l4)
-    q, r = m_prime.right_divmod(l4)
-    if q * l4 + r != m_prime:
-        raise SpectralPairsError("right division by L4 failed its exact re-check")
-    return not r.is_zero()
-
-
-def _in_l4(terms: list, l4: DiffOp) -> DiffOp:
-    """sum_i terms[i] L4^i, by Horner."""
-    m = DiffOp.zero(l4.ring)
-    for term in reversed(terms):
-        m = m * l4 + term
-    return m
+    return e < 2 or not terms[0].is_zero()
 
 
 def _normal_form(terms: list, l4: DiffOp) -> list:
@@ -466,16 +457,8 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
 
     At N = 4g + 2 the chain of the module docstring is tried first, and its
     M' less p(L4) (:func:`_normal_form`) is returned when its guard holds
-    (:func:`_chain_spans`): write F = z^e F1 with F1(0) != 0 and F0 =
-    z^(e mod 2) F1; F1 is squarefree, deg F0 >= 3, and for e >= 2 L4 does
-    not right-divide M'.  Then C(L4) = Q[L4, M'] (the module docstring's
-    argument: y = M'/L4^floor(e/2) has y^2 = F0, whose curve has genus
-    >= 1, so C(L4) = Q[L4] + (L4^j) y Q[L4] with j <= floor(e/2), and j
-    falls short exactly when M' = E L4 with E in C(L4)).  So the space is
-    spanned by M' and the L4^k, 4k < N, that operator has c_N = 1 and
-    c_(4k) = 0, and it is the same null vector.  V = x^3 at g = 1 (F = z^3,
-    genus 0), a square factor of F other than a power of z, a zero
-    remainder and every other case run the search.
+    (:func:`_chain_spans`).  The module docstring proves that it is then the
+    same null vector; every other case runs the search.
 
     Raises :class:`CommutingOperatorNotFound` when the space has no operator
     of order N, which proves that no operator of order N over Q[x] commutes
@@ -483,8 +466,8 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     [L4, M] = 0 by direct commutator expansion, on either path.
     """
     chain = _chain_pair(l4, target_order)
-    if chain is not None and _chain_spans(l4, *chain):
-        m = _in_l4(_normal_form(chain[0], l4), l4)
+    if chain is not None and _chain_spans(*chain):
+        m = _horner(_normal_form(chain[0], l4), l4)
     else:
         partials, space = _search_space(l4, target_order)
         orders = [max(k for k, c in enumerate(vec) if c) for vec in space]
@@ -520,12 +503,14 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     D^(4k) below its order) can leave a w-linear term b(z) w in the curve
     R = w^2 + b w + c; M' = M + b(L4)/2 completes the square, and its curve
     is w^2 + c - b^2/4, formed on b and c over Q[z] (see the module
-    docstring); b(L4)/2 is formed by Horner in L4.  Only rank-two (w-degree
-    2) curves are covered; any other curve raises :class:`NotCoveredError`.
+    docstring); b(L4)/2 is formed by Horner in L4 (:func:`operators._horner`).
+    Only rank-two (w-degree 2) curves are covered; any other curve raises
+    :class:`NotCoveredError`.
     """
     curve = spectral_curve(l4, m)
     if curve.w_degree() != 2:
         raise NotCoveredError(f"not a rank-two curve: w-degree {curve.w_degree()}")
     b, c = (curve.coefficients_in("w").get(j, _Z.zero) for j in (1, 0))
     half_b = b * Fraction(1, 2)
-    return m + _horner(half_b, l4), _curve([_Z.one, _Z.zero, c - half_b * half_b])
+    m_prime = m + _horner(_scalars(half_b, l4.ring), l4)
+    return m_prime, _curve([_Z.one, _Z.zero, c - half_b * half_b])

@@ -14,9 +14,10 @@ its basis psi_0 .. psi_3 is held as Taylor data over Q[z]
 (:func:`series_kernel_basis`), and the 4x4 action matrix A of an operator on
 it (:func:`action_matrix`), with Q[z] entries, feeds both :func:`charpoly_w`
 and the zero test of :meth:`SpectralCurve.eval_at_operators`.  Both take the
-basis from one rule (:func:`_kernel_basis_for`), and a polynomial over Q[z]
-in an operator is formed by one Horner (:func:`_horner`), which the square
-completion of :func:`centralizer.hyperelliptic_pair` shares.
+basis from one rule (:func:`_kernel_basis_for`).  A polynomial over Q[z]
+in an operator is formed on its scalar operators (:func:`_scalars`) by the
+one Horner of :func:`operators._horner`, which the chain partner and the
+square completion of :mod:`centralizer` share.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import perm
 
 from .errors import NonMonicError, RingMismatchError, SpectralPairsError, TruncationError
-from .operators import DiffOp
+from .operators import DiffOp, _horner
 from .rings import MultiPoly, PolyRing
 
 _ZW = PolyRing(("z", "w"))
@@ -80,17 +81,16 @@ class SpectralCurve(MultiPoly):
         over Q[z] by Horner in w with exact kernel sums, so no modular, float
         or heuristic step decides the verdict.  When that matrix is zero the
         zero operator is returned.  Otherwise, and whenever the test does not
-        apply, R(a, b) is formed by Horner in w over Horner in z: for
-        w^2 - F(z) that is one b*b and deg F compositions with a, and on the
-        matrix path the result is known to be nonzero.
+        apply, R(a, b) = sum_j R_j(a) b^j is formed by Horner in w over
+        Horner in z (:func:`operators._horner`): for w^2 - F(z) that is one
+        b*b and deg F compositions with a, and on the matrix path the result
+        is known to be nonzero.
         """
         if self._kills_kernel_action(a, b):
             return DiffOp.zero(a.ring)
         by_w = self.coefficients_in("w")
-        out = DiffOp.zero(a.ring)
-        for j in range(self.w_degree(), -1, -1):
-            out = b * out + _horner(by_w.get(j, _Z.zero), a)
-        return out
+        return _horner([_horner(_scalars(by_w.get(j, _Z.zero), a.ring), a)
+                        for j in range(self.w_degree() + 1)], b)
 
     def _kills_kernel_action(self, a: DiffOp, b: DiffOp) -> bool:
         """R(z I, A(b)) = 0 when the zero test of :meth:`eval_at_operators`
@@ -156,13 +156,11 @@ def _curve(coeffs) -> SpectralCurve:
                           for (e,), v in c.terms.items()})
 
 
-def _horner(p: MultiPoly, a: DiffOp) -> DiffOp:
-    """p(a) for p in Q[z], by Horner in a, with a on the left."""
+def _scalars(p: MultiPoly, ring) -> list:
+    """The coefficients of p in Q[z] as scalar operators over ``ring``, so
+    that :func:`operators._horner` forms p(a)."""
     den, nums = p.dense()
-    acc = DiffOp.zero(a.ring)
-    for c in reversed(nums):
-        acc = a * acc + DiffOp.identity(a.ring).scale(Fraction(c, den))
-    return acc
+    return [DiffOp.identity(ring).scale(Fraction(c, den)) for c in nums]
 
 
 # -- formal kernel and action matrix -------------------------------------------

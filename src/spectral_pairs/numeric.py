@@ -58,6 +58,7 @@ OVERFLOW_LIMIT = 1e150
 # blow-up (V = x^3 on [0, 1e9]) runs without bound
 MAX_RHS_EVALUATIONS = 100_000
 DEFAULT_INTERVALS = {"cubic": (0.0, 1.0), "quartic": (0.0, 1.0), EXPONENTIAL: (0.0, 2.0)}
+_SYMBOLIC = "numeric integration needs rational parameters"
 
 
 @dataclass
@@ -135,12 +136,15 @@ def _coeff_callable(coeff, what: str):
     """Sum of c x^i e^(kx/2) over the terms c x^i t^k of ``coeff``.
 
     The coefficients become floats here, once; one beyond float range
-    raises :class:`NotCoveredError` naming ``what``.
+    raises :class:`NotCoveredError` naming ``what``, and a term in any other
+    variable (a symbolic parameter) raises :class:`SpectralPairsError`.
     """
     import numpy as np
     terms = []
     for e, c in coeff.terms.items():
         powers = dict(zip(coeff.ring.variables, e))
+        if any(k for v, k in powers.items() if v not in ("x", "t")):
+            raise SpectralPairsError(_SYMBOLIC)
         terms.append((_float(c, f"a coefficient of {what}"),
                       powers.get("x", 0), powers.get("t", 0)))
 
@@ -238,7 +242,7 @@ def integrate_kernel(
     """
     import numpy as np
     if spec.symbolic:
-        raise SpectralPairsError("numeric integration needs rational parameters")
+        raise SpectralPairsError(_SYMBOLIC)
     if tol <= 0:
         raise ValueError("tol must be positive")
     a, b = interval if interval is not None else DEFAULT_INTERVALS[spec.family]

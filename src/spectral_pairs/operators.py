@@ -228,6 +228,15 @@ class DiffOp:
         return " + ".join(parts)
 
 
+def _horner(coeffs, a: DiffOp) -> DiffOp:
+    """sum_i coeffs[i] a^i for operators coeffs[i], by Horner with each
+    coefficient on the left: acc = acc * a + c."""
+    acc = DiffOp.zero(a.ring)
+    for c in reversed(coeffs):
+        acc = acc * a + c
+    return acc
+
+
 def _derivative_table(coeffs, n: int) -> list:
     """table[k][j]: the k-th derivative of coeffs[j], for k = 0 .. n."""
     table = [list(coeffs)]

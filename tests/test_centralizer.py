@@ -37,7 +37,7 @@ from spectral_pairs.families import (
     solve_quartic_constraint,
 )
 from spectral_pairs.linalg import nullspace
-from spectral_pairs.operators import DiffOp, _derivative_table
+from spectral_pairs.operators import DiffOp, _derivative_table, _horner
 from spectral_pairs.rings import PolyRing
 from spectral_pairs.verify import sample_spec
 
@@ -771,9 +771,9 @@ def _chain_partner(l4, order):
     """The chain's operator as find_commuting_operator returns it, or None
     where find_commuting_operator falls back to the search."""
     chain = centralizer._chain_pair(l4, order)
-    if chain is None or not centralizer._chain_spans(l4, *chain):
+    if chain is None or not centralizer._chain_spans(*chain):
         return None
-    return centralizer._in_l4(centralizer._normal_form(chain[0], l4), l4)
+    return _horner(centralizer._normal_form(chain[0], l4), l4)
 
 
 # the _PAIR_CASES the search answers: V = x^3 at g = 1 has F = z^3, of
@@ -802,7 +802,7 @@ def test_chain_curve_is_the_hyperelliptic_curve(case):
         assert case in _FALLBACK_CASES
         return
     terms, f = chain
-    m_prime = centralizer._in_l4(terms, l4)
+    m_prime = _horner(terms, l4)
     curve = SpectralCurve({(0, 2): 1, **{(k, 0): -c for (k,), c in f.terms.items()}})
     assert hyperelliptic_pair(l4, m) == (m_prime, curve)
     assert curve.eval_at_operators(l4, m_prime).is_zero()
@@ -851,7 +851,7 @@ def test_singular_curve_falls_back_to_the_search(monkeypatch, g, curve):
     chain = centralizer._chain_pair(l4, 4 * g + 2)
     assert chain[1].terms == {(k,): c for k, c in curve.items()}
     assert not centralizer._squarefree_mod_p(chain[1])
-    assert centralizer._chain_spans(l4, *chain) == (g == 3)
+    assert centralizer._chain_spans(*chain) == (g == 3)
     searches = _count_searches(monkeypatch)
     m = find_commuting_operator(l4, 4 * g + 2)
     assert len(searches) == (g == 1)
@@ -912,60 +912,78 @@ def test_default_order_partner_needs_no_search(monkeypatch, g):
 _X4 = (0, solve_quartic_constraint(0, 0, 1), 0, 0, 1)
 
 
+def _assert_remainder_is_terms_0(l4, terms):
+    """The guard's reading, checked by the division it replaces: M' right-
+    divided by L4 is (sum_(i >= 1) terms[i] L4^(i-1), terms[0])."""
+    q, r = _horner(terms, l4).right_divmod(l4)
+    assert q == _horner(terms[1:], l4)
+    assert r == terms[0]
+
+
 @pytest.mark.parametrize("family, g, alphas",
                          [(CUBIC, g, (0, 0, 0, 1)) for g in (3, 4, 6, 8, 9)]
                          + [(QUARTIC, 2, _X4)],
                          ids=["x3-g3", "x3-g4", "x3-g6", "x3-g8", "x3-g9", "x4-g2"])
 def test_chain_partner_of_a_curve_with_a_z_square_factor(monkeypatch, family, g, alphas):
-    """z^2 divides F; the chain, with one right division by L4, gives the
-    search's operator, and no search runs."""
+    """z^2 divides F; the chain, whose guard reads a_0 != 0 off terms[0],
+    gives the search's operator, and neither a search nor a right division
+    runs."""
     l4 = make_L4(FamilySpec(family, g, alphas=alphas))
     expected = _search_partner(l4, 4 * g + 2)
-    _, f = centralizer._chain_pair(l4, 4 * g + 2)
+    terms, f = centralizer._chain_pair(l4, 4 * g + 2)
     assert (0,) not in f.terms and (1,) not in f.terms
+    assert not terms[0].is_zero()
+    _assert_remainder_is_terms_0(l4, terms)
+
+    def refuse(*args):
+        raise RuntimeError("a right division ran")
+
+    monkeypatch.setattr(DiffOp, "right_divmod", refuse)
     _refuse_search(monkeypatch)
     assert find_commuting_operator(l4, 4 * g + 2) == expected
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.lists(_small_rational, min_size=4, max_size=4).filter(lambda a: a[3]),
+       st.integers(1, 3))
+def test_right_division_of_drawn_chain_partners_leaves_terms_0(alphas, g):
+    l4 = make_L4(FamilySpec(CUBIC, g, alphas=tuple(alphas)))
+    chain = centralizer._chain_pair(l4, 4 * g + 2)
+    assume(chain is not None)
+    _assert_remainder_is_terms_0(l4, chain[0])
+
+
 def test_zero_remainder_falls_back_to_the_search(monkeypatch):
-    """With M' L4 in place of M', which L4 right-divides, the guard refuses
-    and the search answers."""
+    """Terms with a zero terms[0] sum to M' L4, which L4 right-divides: the
+    guard refuses and the search answers."""
     l4 = make_L4(FamilySpec(CUBIC, 3, alphas=(0, 0, 0, 1)))
     expected = _search_partner(l4, 14)
-    in_l4 = centralizer._in_l4
-    monkeypatch.setattr(centralizer, "_in_l4", lambda terms, op: in_l4(terms, op) * op)
-    assert not centralizer._chain_spans(l4, *centralizer._chain_pair(l4, 14))
+    terms, f = centralizer._chain_pair(l4, 14)
+    shifted = [DiffOp.zero(XRING)] + terms
+    assert _horner(shifted, l4) == _horner(terms, l4) * l4
+    assert centralizer._chain_spans(terms, f)
+    assert not centralizer._chain_spans(shifted, f)
+    monkeypatch.setattr(centralizer, "_chain_pair", lambda *args: (shifted, f))
     searches = _count_searches(monkeypatch)
     assert find_commuting_operator(l4, 14) == expected
     assert len(searches) == 1
 
 
-def test_right_division_in_the_guard_is_re_checked(monkeypatch):
-    l4 = make_L4(FamilySpec(CUBIC, 3, alphas=(0, 0, 0, 1)))
-    right_divmod = DiffOp.right_divmod
-
-    def off_by_one(self, divisor):
-        q, r = right_divmod(self, divisor)
-        return q, r + DiffOp.identity(XRING)
-
-    monkeypatch.setattr(DiffOp, "right_divmod", off_by_one)
-    _refuse_search(monkeypatch)
-    with pytest.raises(SpectralPairsError, match="re-check"):
-        find_commuting_operator(l4, 14)
-
-
 def test_chain_guard_limits():
-    """No L4 is needed where the guard refuses before the division, or
-    where z^2 does not divide F."""
+    """No terms are read where the guard refuses on F alone, or where z^2
+    does not divide F; where it does, only whether terms[0] is zero."""
     z = ZRING.var("z")
     # deg F0 < 3: genus 0
-    assert not centralizer._chain_spans(None, None, z ** 3)
-    assert not centralizer._chain_spans(None, None, z ** 4 * (z + 1))
+    assert not centralizer._chain_spans(None, z ** 3)
+    assert not centralizer._chain_spans(None, z ** 4 * (z + 1))
     # a square factor other than a power of z
-    assert not centralizer._chain_spans(None, None, z ** 2 * (z - 1) ** 2 * (z + 1))
-    # e = 0 or 1: F0 = F, no division
-    assert centralizer._chain_spans(None, None, z * (z * z + 1))
-    assert centralizer._chain_spans(None, None, z ** 3 + 1)
+    assert not centralizer._chain_spans(None, z ** 2 * (z - 1) ** 2 * (z + 1))
+    # e = 0 or 1: F0 = F, no remainder to read
+    assert centralizer._chain_spans(None, z * (z * z + 1))
+    assert centralizer._chain_spans(None, z ** 3 + 1)
+    # e = 2: the remainder terms[0]
+    assert centralizer._chain_spans([DiffOp.identity(XRING)], z ** 2 * (z ** 3 + 1))
+    assert not centralizer._chain_spans([DiffOp.zero(XRING)], z ** 2 * (z ** 3 + 1))
 
 
 def test_squarefree_guard_modulo_the_prime():
@@ -985,7 +1003,7 @@ def test_squarefree_guard_modulo_the_prime():
 def test_normal_form_clears_what_the_power_list_clears():
     l4 = make_L4(FamilySpec(CUBIC, 3, alphas=_GENERIC_CUBIC))
     terms, _ = centralizer._chain_pair(l4, 14)
-    m_prime = centralizer._in_l4(terms, l4)
-    reduced = centralizer._in_l4(centralizer._normal_form(terms, l4), l4)
+    m_prime = _horner(terms, l4)
+    reduced = _horner(centralizer._normal_form(terms, l4), l4)
     assert reduced == gauge_normalize_oracle(m_prime, l4, 3)
     assert reduced != m_prime

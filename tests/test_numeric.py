@@ -332,6 +332,17 @@ def test_residual_profile_shape(x3_grid):
     assert np.nanmax(profile) < 1e-6
 
 
+@pytest.mark.parametrize("check", [eigen_residual, residual_profile])
+def test_residual_of_a_symbolic_spec_is_refused(check):
+    """L4 of a symbolic spec has parameter terms; they are not read as 1."""
+    spec = FamilySpec(EXPONENTIAL, 1, alphas=(0, 1))
+    grid = integrate_kernel(spec, shifted=True, init=(1.0, 0.3), interval=(0.0, 2.0),
+                            n_points=201)
+    with pytest.raises(SpectralPairsError, match="^numeric integration needs rational "
+                                                 "parameters$"):
+        check(FamilySpec(EXPONENTIAL, 1), -0.25, grid)
+
+
 _CRITERION_8 = [
     (FamilySpec(CUBIC, 2, alphas=(0, 0, 0, 1)), False, 1001, [0.0]),
     (FamilySpec(CUBIC, 2, alphas=(0, 1, 0, 1)), False, 1001, None),

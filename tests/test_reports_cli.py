@@ -178,10 +178,11 @@ _GENERIC = ["4", "1", "-2/3", "-1"]
     ("quartic-g2", 2, ["-4/3", "13/12", "-2", "-2/3", "2/3"]),
     ("x3-g4", 4, ["0", "0", "0", "1"]),
     ("x3-g6", 6, ["0", "0", "0", "1"]),
+    ("x4-g2", 2, ["0", "0", "0", "0", "1"]),  # F = z^2 (z^3 + 1872), e = 2
 ])
 def test_cli_spectral_curve_matches_golden_output(capsys, tmp_path, name, g, alpha):
     out = tmp_path / "curve.json"
-    family = "quartic" if name.startswith("quartic") else "cubic"
+    family = "quartic" if name.startswith(("quartic", "x4")) else "cubic"
     argv = ["spectral-curve", "--family", family, "--g", str(g), "--alpha", *alpha]
     assert run_command(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"spectral-curve-{name}.json").read_bytes()
