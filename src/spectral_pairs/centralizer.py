@@ -18,9 +18,14 @@ partner built from it must still pass the exact check [L4, M] = 0 by direct
 commutator expansion.  :func:`build_ansatz_system` keeps the older
 degree-bounded ansatz as an independent formulation of the same space.
 
-The back-substitution is ring code over Q[x], one kernel sum per
-coefficient of [L4, M]; the integer pairs of :mod:`rings.multipoly` are
-read directly only by the integral (:func:`_integral`).
+The back-substitution is ring code over Q[x] on the Leibniz triples of
+:func:`operators._leibniz`, the ones composition uses: once m_i is
+integrated, the triples of [L4, m_i D^i] join the list of their output
+order, so the list of order i + n - 1 holds exactly the terms from the m_j
+with j > i when m_i is solved, and the lists of orders 0 .. n-2 are the
+constraint rows.  Each list is one kernel sum; the integer pairs of
+:mod:`rings.multipoly` are read directly only by the integral
+(:func:`_integral`).
 
 At the order N = 4g + 2 (g >= 1) of a rank-two partner the search is the
 fallback.  When L4 = (D^2 + V)^2 + W over Q[x] (V is half the D^2
@@ -144,7 +149,7 @@ from .errors import (
     SpectralPairsError,
 )
 from .linalg import nullspace
-from .operators import DiffOp, _derivative_table, _horner
+from .operators import DiffOp, _columns, _derivatives, _horner, _leibniz
 from .rings import PolyRing
 
 @dataclass
@@ -187,27 +192,6 @@ def build_ansatz_system(l4: DiffOp, order: int, degree_bound: int) -> AnsatzSyst
     return AnsatzSystem(order, degree_bound, columns, rows)
 
 
-def _commutator_coeff(ring, da: list, m: list, r: int, lo: int):
-    """D^r coefficient of [L, sum_{j >= lo} m_j D^j], one kernel sum in ``ring``.
-
-    ``da[l][k]`` is the l-th derivative of L's coefficient a_k, and ``m[j]``
-    lists the derivatives of m_j.
-    By Leibniz, [L, M] = sum (C(k, l) a_k m_j^(l) - C(j, l) m_j a_k^(l))
-    D^(k+j-l) over k, j and l >= 1; the l = 0 terms cancel.
-    """
-    triples = []
-    for j in range(lo, len(m)):
-        for k, ak in enumerate(da[0]):
-            l = k + j - r
-            if l < 1:
-                continue
-            if l <= k:
-                triples.append((comb(k, l), ak, m[j][l]))
-            if l <= j and l < len(da):
-                triples.append((-comb(j, l), m[j][0], da[l][k]))
-    return ring.sum_products(triples)
-
-
 def _integral(ring, p, n: int):
     """-(1/n) times the integral of ``p`` over [0, x], in Q[x].
 
@@ -219,37 +203,44 @@ def _integral(ring, p, n: int):
     return ring.from_dense(n * d * big, [0] + [-c * (big // (e + 1)) for e, c in enumerate(f)])
 
 
-def _partial_solution(ring, da: list, k: int) -> list:
-    """Derivative lists of m_0 .. m_k for M_k (see the module docstring).
-
-    m_k = 1, and going down, m_i = -(1/n) * integral of F_i with constant
-    term 0, F_i being the D^(i+n-1) coefficient of [L, M] from the m_j, j > i.
-    """
-    n = len(da[0]) - 1
-    m = [None] * (k + 1)
-    m[k] = [row[0] for row in _derivative_table([ring.one], n)]
-    for i in range(k - 1, -1, -1):
-        f = _commutator_coeff(ring, da, m, i + n - 1, i + 1)
-        m[i] = [row[0] for row in _derivative_table([_integral(ring, f, n)], n)]
-    return m
+def _partial_solution(ring, cols: list, k: int):
+    """(m, rows): m_0 .. m_k of M_k and the D^0 .. D^(n-2) coefficients of
+    [L, M_k], by the back-substitution of the module docstring: m_k = 1, and
+    going down, m_i = -(1/n) * integral of F_i with constant term 0.
+    ``cols`` holds L's coefficients as from :func:`operators._columns`, and
+    n is L's order."""
+    n = cols[-1][0]
+    groups = [[] for _ in range(k + n)]
+    m = [ring.zero] * k + [ring.one]
+    for i in range(k, -1, -1):
+        if i < k:
+            m[i] = _integral(ring, ring.sum_products(groups[i + n - 1]), n)
+        if m[i].is_zero():
+            continue
+        col = [(i, _derivatives(m[i], n))]
+        for j, da in cols:
+            _leibniz(groups, 1, da[0], j, col, first=1)
+        _leibniz(groups, -1, m[i], i, cols, first=1)
+    return m, [ring.sum_products(g) for g in groups[:n - 1]]
 
 
 def _search_space(l4: DiffOp, order: int):
-    """(partials, vectors): the M_k of the module docstring, k = 0 .. ``order``,
-    and the null vectors c of the rows from orders 0 .. n-2 of [L4, M],
-    from :func:`linalg.nullspace`."""
+    """(partials, vectors): the m_i of the M_k of the module docstring,
+    k = 0 .. ``order``, and the null vectors c of the rows from orders
+    0 .. n-2 of [L4, M], from :func:`linalg.nullspace`."""
     ring = l4.ring
     if not _over_qx(ring):
         raise SpectralPairsError("partner search requires specialized Q[x] coefficients")
     if not l4.is_monic() or l4.order < 1:
         raise SpectralPairsError("L4 must be monic of positive order")
-    n = l4.order
-    da = _derivative_table(l4.coeffs, 1 + max(c.degree_in("x") for c in l4.coeffs))
-    partials = [_partial_solution(ring, da, k) for k in range(order + 1)]
+    cols = _columns(l4.coeffs, order)
+    partials = []
     constraints: dict = {}  # (order, x power) -> sparse row over the c_k
-    for k, mk in enumerate(partials):
-        for r in range(n - 1):
-            for (e,), c in _commutator_coeff(ring, da, mk, r, 0).terms.items():
+    for k in range(order + 1):
+        mk, lower = _partial_solution(ring, cols, k)
+        partials.append(mk)
+        for r, row in enumerate(lower):
+            for (e,), c in row.terms.items():
                 constraints.setdefault((r, e), {})[k] = c
     rows = [r for _, r in sorted(constraints.items())]
     return partials, nullspace(rows, order + 1)
@@ -257,7 +248,7 @@ def _search_space(l4: DiffOp, order: int):
 
 def _combine(ring, partials: list, vec: list) -> DiffOp:
     """sum_k vec[k] M_k, one kernel sum per coefficient."""
-    return DiffOp(ring, [ring.sum_products((1, ring.const(c), partials[k][i][0])
+    return DiffOp(ring, [ring.sum_products((1, ring.const(c), partials[k][i])
                                            for k, c in enumerate(vec) if k >= i)
                          for i in range(len(vec))])
 
@@ -312,7 +303,7 @@ def _chain_pair(l4: DiffOp, order: int):
     e0 = ((-2, dw), (2, dv.derive() - w * 2), (6, dv), (4, v), (0, None), (1, ring.one))
     u, e = [ring.one], []
     for _ in range(g + 1):
-        derivs = [row[0] for row in _derivative_table([u[-1]], 5)]
+        derivs = _derivatives(u[-1], 5)
         e.append(ring.sum_products((c, p, dk) for (c, p), dk in zip(e0, derivs) if c))
         u.append(_integral(ring, e[-1], 4))
     # a_i = sum_(j >= i) k_j u_(j-i) with k_g = 1, so E0(a_0) = sum_j k_j E0(u_j)
@@ -327,7 +318,8 @@ def _chain_pair(l4: DiffOp, order: int):
     a = [ring.sum_products((1, k[j], u[j - i]) for j in range(i, g + 1)) for i in range(g + 1)]
     terms = []
     for ai in a:
-        _, dai, ddai = (row[0] for row in _derivative_table([ai], 2))
+        dai = ai.derive()
+        ddai = dai.derive()
         terms.append(DiffOp(ring, [ai * v + ddai * Fraction(1, 2), -dai, ai]))
     # 4F = 4(z - W)Q^2 + Q''^2 - 2Q'Q''' + 2Q Q'''' + 8V Q Q'' - 4V Q'^2 + 4V' Q Q'
     # at x = 0, with q[r] = Q^(r)(0, z)

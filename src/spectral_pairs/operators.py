@@ -1,12 +1,15 @@
 """Ordinary differential operators over a differential coefficient ring.
 
 An operator is a finite coefficient list a_0 .. a_n (a_i multiplies the i-th
-derivative).  Composition uses the closed Leibniz form
+derivative).  Every product of operators here rests on the closed Leibniz form
 
-    d^i (b f) = sum_k  C(i, k) b^(k) f^(i-k),
+    (a D^i) (b D^j) = sum_k C(i, k) a b^(k) D^(i+j-k),
 
-so A*B aggregates per output order instead of shuffling single terms: the
-triples (C(i, k), a_i, b_j^(k)) that land on D^m go to one call of the
+and one function, :func:`_leibniz`, forms its triples (C(i, k), a, b_j^(k))
+and appends each to the list of its output order.  b_j enters as its list of
+derivatives up to the first zero one (:func:`_derivatives`), so a polynomial
+coefficient of degree d costs d + 1 derivations however long the other
+operand is.  Each output order's list then goes to one call of the
 coefficient ring's kernel ``ring.sum_products``, which returns sum c*a*b
 exactly.  Over a polynomial ring the kernel works on each element's integer
 normal form, one dense list in one variable and keyed by exponent tuple
@@ -15,10 +18,12 @@ lower coordinates inside the base kernel's sums, one call per coordinate;
 over a fraction field it sums c*a*b plainly.
 The commutator [A, B] takes the same route without forming A*B and B*A: their
 k = 0 terms a_i b_j D^(i+j) cancel, so only the k >= 1 triples of both sides
-go to the kernel, one call per output order.
+are formed.  The partner search of :mod:`centralizer` builds its commutator
+coefficients with the same function.
 Right Euclidean division is restricted to monic divisors, which keeps
 everything division-free and therefore valid over quotient rings with zero
-divisors.  It solves for the quotient from the top order down, and each
+divisors.  It solves for the quotient from the top order down, appending
+each quotient coefficient's triples as soon as it is solved, so each
 quotient and remainder coefficient is one kernel sum.
 """
 
@@ -114,11 +119,11 @@ class DiffOp:
         other = self._check(other)
         if self.is_zero() or other.is_zero():
             return DiffOp.zero(self.ring)
-        db = _derivative_table(other.coeffs, len(self.coeffs) - 1)
+        cols = _columns(other.coeffs, len(self.coeffs) - 1)
         groups = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
             if not a.is_zero():
-                _leibniz(groups, 1, a, i, db)
+                _leibniz(groups, 1, a, i, cols)
         return DiffOp(self.ring, [self.ring.sum_products(g) for g in groups])
 
     def __pow__(self, n: int):
@@ -136,15 +141,13 @@ class DiffOp:
         if self.is_zero() or other.is_zero():
             return DiffOp.zero(self.ring)
         na, nb = len(self.coeffs), len(other.coeffs)
-        da = _derivative_table(self.coeffs, nb - 1)
-        db = _derivative_table(other.coeffs, na - 1)
+        cols_a = _columns(self.coeffs, nb - 1)
+        cols_b = _columns(other.coeffs, na - 1)
         groups = [[] for _ in range(na + nb - 2)]
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                _leibniz(groups, 1, a, i, db, first=1)
-        for j, b in enumerate(other.coeffs):
-            if not b.is_zero():
-                _leibniz(groups, -1, b, j, da, first=1)
+        for i, da in cols_a:
+            _leibniz(groups, 1, da[0], i, cols_b, first=1)
+        for j, db in cols_b:
+            _leibniz(groups, -1, db[0], j, cols_a, first=1)
         return DiffOp(self.ring, [self.ring.sum_products(g) for g in groups])
 
     # -- division and conjugation ------------------------------------------
@@ -161,37 +164,26 @@ class DiffOp:
             q_e = s_(e+d) - sum_(e'>e) sum_j C(e', k) q_e' b_j^(k),
             k = e' + j - e - d,
 
-        and r_m (m < d) is s_m less the same sum over every e'.  Each
-        coefficient is one kernel sum, with s_m entering as (1, s_m, 1).
+        and r_m (m < d) is s_m less the same sum over every e'.  The list
+        of order m starts as the triple (1, s_m, 1), and as soon as q_e is
+        solved the triples of -q_e D^e * (divisor - D^d) join the lower
+        orders, so each list is complete when its coefficient is summed.
         """
         divisor = self._check(divisor)
         if not divisor.is_monic():
             raise NonMonicError("right division requires a monic divisor")
         ring = self.ring
         d = divisor.order
-        s = self.coeffs
-        n_quo = max(len(s) - d, 0)
-        lower = divisor.coeffs[:-1]
-        db = _derivative_table(lower, n_quo - 1)
-        solved = []  # (e, q_e) for the nonzero quotient coefficients found so far
-
-        def reduced(m):
-            """s_m less the D^m coefficient of sum_(solved e) q_e D^e * lower."""
-            triples = [(1, s[m], ring.one)] if m < len(s) else []
-            for e, q in solved:
-                # k = e + j - m runs over 0 .. e, with 0 <= j < d
-                for j in range(max(m - e, 0), min(m + 1, d)):
-                    b = db[e + j - m][j]
-                    if not b.is_zero():
-                        triples.append((-comb(e, e + j - m), q, b))
-            return ring.sum_products(triples) if triples else ring.zero
-
+        n_quo = max(len(self.coeffs) - d, 0)
+        cols = _columns(divisor.coeffs[:-1], n_quo - 1)
+        groups = [[(1, c, ring.one)] for c in self.coeffs]
+        groups += [[] for _ in range(d - len(groups))]
         quo = [ring.zero] * n_quo
         for e in range(n_quo - 1, -1, -1):
-            quo[e] = reduced(e + d)
+            quo[e] = ring.sum_products(groups[e + d])
             if not quo[e].is_zero():
-                solved.append((e, quo[e]))
-        return DiffOp(ring, quo), DiffOp(ring, [reduced(m) for m in range(d)])
+                _leibniz(groups, -1, quo[e], e, cols)
+        return DiffOp(ring, quo), DiffOp(ring, [ring.sum_products(g) for g in groups[:d]])
 
     def conjugate_by_unit(self, p) -> "DiffOp":
         """p^-1 * self * p for a unit p of the coefficient ring."""
@@ -237,24 +229,30 @@ def _horner(coeffs, a: DiffOp) -> DiffOp:
     return acc
 
 
-def _derivative_table(coeffs, n: int) -> list:
-    """table[k][j]: the k-th derivative of coeffs[j], for k = 0 .. n."""
-    table = [list(coeffs)]
-    for _ in range(n):
-        table.append([c.derive() for c in table[-1]])
-    return table
+def _derivatives(p, n: int) -> list:
+    """[p, p', ..., p^(n)], cut before the first zero derivative ([] for 0)."""
+    out = []
+    while not p.is_zero():
+        out.append(p)
+        if len(out) > n:
+            break
+        p = p.derive()
+    return out
 
 
-def _leibniz(groups, sign: int, a, i: int, db, first: int = 0) -> None:
+def _columns(coeffs, n: int) -> list:
+    """(j, derivatives of b_j up to order n) for the nonzero coefficients b_j."""
+    return [(j, db) for j, b in enumerate(coeffs) if (db := _derivatives(b, n))]
+
+
+def _leibniz(groups, sign: int, a, i: int, cols, first: int = 0) -> None:
     """Append the triples of sign * a D^i * (sum_j b_j D^j) to groups[order].
 
     d^i (b f) = sum_k C(i, k) b^(k) f^(i-k), so the term a*C(i,k)*b_j^(k)
-    lands on D^(i+j-k); ``db[k][j]`` holds b_j^(k).  Only k >= ``first``
-    is formed.
+    lands on D^(i+j-k); ``cols`` holds (j, [b_j, b_j', ...]) as from
+    :func:`_columns`, and a list that stops early means the derivatives past
+    it are zero.  Only k >= ``first`` is formed.
     """
-    for k in range(first, i + 1):
-        c = sign * comb(i, k)
-        for j, b in enumerate(db[k]):
-            if not b.is_zero():
-                groups[i + j - k].append((c, a, b))
-
+    for j, db in cols:
+        for k in range(first, min(i + 1, len(db))):
+            groups[i + j - k].append((sign * comb(i, k), a, db[k]))

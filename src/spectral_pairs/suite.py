@@ -44,6 +44,8 @@ from .verify import (
 
 RESIDUAL_BOUND = 1e-6
 BESSEL_BOUND = 1e-5
+# criterion 9: every refinement ratio of the Bessel ladder must reach this floor
+_REFINEMENT_FLOOR = 16.0
 
 
 @dataclass
@@ -179,7 +181,9 @@ def check_numeric_residuals() -> CriterionResult:
         g3 = integrate_kernel(s3, True, init=(1.0, 0.3), interval=(0, 2),
                               tol=1e-10, n_points=2001)
         worst = max(worst, eigen_residual(s3, -0.25, g3))
-        return worst < RESIDUAL_BOUND, f"worst residual {worst:.2e}"
+        margin = RESIDUAL_BOUND / worst if worst else float("inf")
+        return worst < RESIDUAL_BOUND, (f"worst residual {worst:.2e} "
+                                        f"(bound {RESIDUAL_BOUND:.0e}, margin {margin:.1f}x)")
 
     return _timed("finite-difference eigen residuals", run)
 
@@ -193,10 +197,10 @@ def check_bessel_form() -> CriterionResult:
         levels = [bessel_change_check(0, 1, n_points=n, half_width=3, tol=1e-12)
                   for n in (26, 51, 101)]
         ratios = [levels[i] / levels[i + 1] for i in range(len(levels) - 1)]
-        conv_ok = all(r >= 16.0 for r in ratios)
+        conv_ok = all(r >= _REFINEMENT_FLOOR for r in ratios)
         detail = f"residual {res:.2e}, refinement ratios " + ", ".join(
             f"{r:.1f}" for r in ratios
-        )
+        ) + f" (floor {_REFINEMENT_FLOOR:.0f}, margin {min(ratios) / _REFINEMENT_FLOOR:.2f}x)"
         return conv_ok, detail
 
     return _timed("second-order form change of variables", run)

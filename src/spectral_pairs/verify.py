@@ -36,7 +36,7 @@ from .families import (
     multiplier_p,
     solve_quartic_constraint,
 )
-from .operators import DiffOp
+from .operators import DiffOp, _derivatives
 from .rings import CharPoly, MultiPoly, PolyRing, QuotientExt, QuotientRing, rational_roots
 from .rings.quotient import _split_rational_roots
 
@@ -193,13 +193,7 @@ def _cleared_commutator(l: DiffOp, l2: DiffOp, p) -> DiffOp:
     p2 = p * p
     lower = ring.sum_products([(2, dp, dp), (-1, p, dp.derive())])
     shift = ring.sum_products([(2, p, dp)])
-    vk = []  # V^(k) for k = 1, 2, ..., up to V's first zero derivative
-    v = l2.coeff(0)
-    for _ in range(len(n0) - 1):
-        v = v.derive()
-        if v.is_zero():
-            break
-        vk.append(v)
+    vk = _derivatives(l2.coeff(0), len(n0) - 1)[1:]  # V^(k), k = 1, 2, ...
     out = []
     for j in range(len(n0) + 1):
         x_terms, terms = [], []

@@ -37,12 +37,15 @@ from spectral_pairs.families import (
     solve_quartic_constraint,
 )
 from spectral_pairs.linalg import nullspace
-from spectral_pairs.operators import DiffOp, _derivative_table, _horner
+from spectral_pairs.operators import DiffOp, _columns, _horner
 from spectral_pairs.rings import PolyRing
 from spectral_pairs.verify import sample_spec
 
 from conftest import (
+    commutator_coeff_oracle,
     commuting_operators_oracle,
+    dense_oracle,
+    derivatives_oracle,
     eval_at_operators_oracle,
     gauge_normalize_oracle,
     hyperelliptic_pair_oracle,
@@ -293,12 +296,15 @@ def test_back_substitution_matches_the_fraction_oracle(lower, order):
     assert [[list(r.items()) for r in rs] for rs in seen] == [[list(r.items()) for r in rows]]
     assert got == space and repr(got) == repr(space)
 
-    da = _derivative_table(l4.coeffs, 1 + max(c.degree_in("x") for c in l4.coeffs))
+    cols = _columns(l4.coeffs, order)
+    a = [derivatives_oracle(dense_oracle(c), order) for c in l4.coeffs]
     for k in range(order + 1):
-        mk = centralizer._partial_solution(XRING, da, k)
-        assert all(_is_normal(p.dense()) for mj in mk for p in mj)
-        assert [[[Fraction(c, d) for c in nums] for d, nums in (p.dense() for p in mj)]
-                for mj in mk] == partials[k]
+        mk, lower = centralizer._partial_solution(XRING, cols, k)
+        assert all(_is_normal(p.dense()) for p in mk + lower)
+        assert [[Fraction(c, d) for c in nums] for d, nums in (p.dense() for p in mk)] \
+            == [mj[0] for mj in partials[k]]
+        assert [[Fraction(c, d) for c in nums] for d, nums in (p.dense() for p in lower)] \
+            == [commutator_coeff_oracle(a, partials[k], r, 0) for r in range(3)]
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_pairs.operators import DiffOp
+from spectral_pairs.operators import DiffOp, _derivatives
 from spectral_pairs.rings import (
     CharPoly,
     FractionFieldRing,
@@ -161,6 +161,10 @@ def test_right_divmod_matches_oracle(case, data):
     n = DiffOp(ring, data.draw(_op(elems, max_order=5)))
     d = DiffOp(ring, data.draw(st.lists(elems, max_size=2)) + [ring.one])
     _check_right_divmod(n, d)
+    # the zero operator, and an operator of lower order than d: q = 0, r = n
+    for low in (DiffOp.zero(ring), DiffOp(ring, n.coeffs[:d.order])):
+        assert low.right_divmod(d) == (DiffOp.zero(ring), low)
+        _check_right_divmod(low, d)
 
 
 # An order-12 quotient multiplies the divisor's coefficient degrees by up to
@@ -367,6 +371,14 @@ def _check_derive(ring, bits, data):
     assert got.terms == want
     same = ring.from_terms(want)
     assert got == same and hash(got) == hash(same) and repr(got) == repr(same)
+    # the derivative list stops before the first zero derivative, or at p^(6)
+    chain = [p]
+    while len(chain) < 7 and not chain[-1].is_zero():
+        chain.append(chain[-1].derive())
+    derivs = _derivatives(p, 6)
+    assert derivs == [q for q in chain if not q.is_zero()]
+    if ring is QX:  # deg p + 1 derivatives are nonzero, none for p = 0
+        assert len(derivs) == min(p.degree_in("x") + 1, 7)
 
 
 @_ONE_VARIABLE
@@ -440,6 +452,7 @@ def test_z_derive_stays_zero():
         d = p.derive()
         assert d.is_zero() and d == QZ.zero and d.terms == {}
         assert d.derive().is_zero()
+        assert _derivatives(p, 3) == ([] if p.is_zero() else [p])
 
 
 @pytest.mark.parametrize("k", [-7, -3, -2, -1, 0, 1, 4])
@@ -453,6 +466,9 @@ def test_laurent_derive_halves_negative_powers(k):
         if k:
             (e, c), = t_k.derive().terms.items()
             assert c == Fraction(5 * k, 6) and e[ring.variables.index("t")] == k
+        # a power of t never derives to zero, so its derivative list runs to n
+        assert _derivatives(t_k, 5) == ([t_k * Fraction(k, 2) ** i for i in range(6)]
+                                        if k else [t_k])
 
 
 def test_compose_over_fraction_field_matches_oracle():

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from spectral_pairs.errors import NonMonicError, RingMismatchError
-from spectral_pairs.operators import DiffOp
+from spectral_pairs.families import CUBIC, FamilySpec, make_L4
+from spectral_pairs.operators import DiffOp, _derivatives
 from spectral_pairs.rings import (
     FractionFieldRing,
+    MultiPoly,
     PolyRing,
     RationalField,
     UniPoly,
@@ -66,6 +68,27 @@ def test_compose_associativity_bulk(xring):
     for _ in range(200):
         a, b, c = (_random_op(xring, rng, max_order=2, max_deg=2) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+def test_composition_derives_the_right_operand_only_to_its_degrees(monkeypatch):
+    """A*L4 derives each coefficient of L4 only until it vanishes, however
+    long A is: on the g = 20 generic cubic L4's coefficients have degree
+    <= 6 and 15 nonzero derivatives in all, against 80 derivative orders
+    an order-80 A could reach."""
+    l4 = make_L4(FamilySpec(CUBIC, 20, alphas=(4, 1, Fraction(-2, 3), -1)))
+    ring = l4.ring
+    x = ring.var("x")
+    nonzero = sum(len(_derivatives(c, 100)) for c in l4.coeffs)
+    derive = MultiPoly.derive
+    calls = []
+    monkeypatch.setattr(MultiPoly, "derive", lambda p: calls.append(p) or derive(p))
+    counts = []
+    for order in (8, 80):
+        a = DiffOp(ring, [x * (i + 1) + 1 for i in range(order + 1)])
+        before = len(calls)
+        assert (a * l4).order == order + 4
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] <= nonzero == 15
 
 
 def test_ring_mismatch_rejected(xring):
