@@ -134,10 +134,10 @@ from math import comb, factorial, lcm
 from .curves import (
     _Z,
     SpectralCurve,
+    _at_operator,
     _curve,
     _kernel_basis_for,
     _over_qx,
-    _scalars,
     action_matrix,
     charpoly_w,
     series_kernel_basis,
@@ -149,8 +149,10 @@ from .errors import (
     SpectralPairsError,
 )
 from .linalg import nullspace
-from .operators import DiffOp, _columns, _derivatives, _horner, _leibniz
+from .operators import DiffOp, _columns, _derivatives, _leibniz
 from .rings import PolyRing
+from .rings.multipoly import horner
+
 
 @dataclass
 class AnsatzSystem:
@@ -289,8 +291,8 @@ def _chain_pair(l4: DiffOp, order: int):
     None unless ``order`` is 4g + 2 with g >= 1, L4 is (D^2 + V)^2 + W over
     Q[x] and the chain has exactly one solution with a_g = 1.  terms[i] is
     a_i D^2 - a_i' D + a_i V + a_i''/2, so M' = sum_i terms[i] L4^i
-    (:func:`operators._horner`), and F in Q[z] is the chain's first integral
-    at x = 0.
+    (:func:`rings.multipoly.horner`), and F in Q[z] is the chain's first
+    integral at x = 0.
     """
     vw = _schrodinger_square(l4)
     if vw is None or order % 4 != 2 or order < 6:
@@ -368,7 +370,7 @@ def _chain_spans(terms: list, f) -> bool:
     squarefree (:func:`_squarefree_mod_p`) and deg F0 >= 3, and when e >= 2
     L4 must not right-divide M' = sum_i terms[i] L4^i.  The remainder of
     that division is terms[0], as the Horner form of M'
-    (:func:`operators._horner`) shows, so no operator is formed.
+    (:func:`rings.multipoly.horner`) shows, so no operator is formed.
     """
     den, nums = f.dense()
     e = next((i for i, c in enumerate(nums) if c), len(nums))
@@ -459,7 +461,7 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     """
     chain = _chain_pair(l4, target_order)
     if chain is not None and _chain_spans(*chain):
-        m = _horner(_normal_form(chain[0], l4), l4)
+        m = horner(_normal_form(chain[0], l4), l4, DiffOp.zero(l4.ring))
     else:
         partials, space = _search_space(l4, target_order)
         orders = [max(k for k, c in enumerate(vec) if c) for vec in space]
@@ -495,7 +497,7 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     D^(4k) below its order) can leave a w-linear term b(z) w in the curve
     R = w^2 + b w + c; M' = M + b(L4)/2 completes the square, and its curve
     is w^2 + c - b^2/4, formed on b and c over Q[z] (see the module
-    docstring); b(L4)/2 is formed by Horner in L4 (:func:`operators._horner`).
+    docstring); b(L4)/2 comes from :func:`curves._at_operator`.
     Only rank-two (w-degree 2) curves are covered; any other curve raises
     :class:`NotCoveredError`.
     """
@@ -504,5 +506,5 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
         raise NotCoveredError(f"not a rank-two curve: w-degree {curve.w_degree()}")
     b, c = (curve.coefficients_in("w").get(j, _Z.zero) for j in (1, 0))
     half_b = b * Fraction(1, 2)
-    m_prime = m + _horner(_scalars(half_b, l4.ring), l4)
+    m_prime = m + _at_operator(half_b, l4)
     return m_prime, _curve([_Z.one, _Z.zero, c - half_b * half_b])

@@ -14,10 +14,11 @@ its basis psi_0 .. psi_3 is held as Taylor data over Q[z]
 (:func:`series_kernel_basis`), and the 4x4 action matrix A of an operator on
 it (:func:`action_matrix`), with Q[z] entries, feeds both :func:`charpoly_w`
 and the zero test of :meth:`SpectralCurve.eval_at_operators`.  Both take the
-basis from one rule (:func:`_kernel_basis_for`).  A polynomial over Q[z]
-in an operator is formed on its scalar operators (:func:`_scalars`) by the
-one Horner of :func:`operators._horner`, which the chain partner and the
-square completion of :mod:`centralizer` share.
+basis from one rule (:func:`_kernel_basis_for`) and the powers I, A, A^2, ...
+from another (:func:`_matrix_powers`).  A polynomial over Q[z] in an
+operator is formed on its scalar operators (:func:`_at_operator`) by the
+package's one Horner, :func:`rings.multipoly.horner`, which the chain
+partner and the square completion of :mod:`centralizer` share.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from fractions import Fraction
 from math import perm
 
 from .errors import NonMonicError, RingMismatchError, SpectralPairsError, TruncationError
-from .operators import DiffOp, _horner
+from .operators import DiffOp
 from .rings import MultiPoly, PolyRing
+from .rings.multipoly import horner
 
 _ZW = PolyRing(("z", "w"))
 _Z = PolyRing(("z",))
@@ -77,20 +79,22 @@ class SpectralCurve(MultiPoly):
 
         This is the Burchnall-Chaundy / Krichever correspondence (L_f psi =
         f(P) psi): Burchnall and Chaundy, Proc. London Math. Soc. 1923;
-        Krichever, Russian Math. Surveys 1977.  R(z I, A(b)) is evaluated
-        over Q[z] by Horner in w with exact kernel sums, so no modular, float
-        or heuristic step decides the verdict.  When that matrix is zero the
-        zero operator is returned.  Otherwise, and whenever the test does not
-        apply, R(a, b) = sum_j R_j(a) b^j is formed by Horner in w over
-        Horner in z (:func:`operators._horner`): for w^2 - F(z) that is one
-        b*b and deg F compositions with a, and on the matrix path the result
-        is known to be nonzero.
+        Krichever, Russian Math. Surveys 1977.  R(z I, A(b)) = sum_j R_j(z)
+        A(b)^j is decided over Q[z] entry by entry, one exact kernel sum per
+        entry on the powers of A(b) (:func:`_matrix_powers`), stopping at the
+        first nonzero entry, so no modular, float or heuristic step decides
+        the verdict.  When that matrix is zero the zero operator is returned.
+        Otherwise, and whenever the test does not apply, R(a, b) = sum_j
+        R_j(a) b^j is formed by Horner in w over Horner in z
+        (:func:`rings.multipoly.horner`): for w^2 - F(z) that is one b*b and
+        deg F compositions with a, and on the matrix path the result is known
+        to be nonzero.
         """
         if self._kills_kernel_action(a, b):
             return DiffOp.zero(a.ring)
         by_w = self.coefficients_in("w")
-        return _horner([_horner(_scalars(by_w.get(j, _Z.zero), a.ring), a)
-                        for j in range(self.w_degree() + 1)], b)
+        return horner([_at_operator(by_w.get(j, _Z.zero), a)
+                       for j in range(self.w_degree() + 1)], b, DiffOp.zero(a.ring))
 
     def _kills_kernel_action(self, a: DiffOp, b: DiffOp) -> bool:
         """R(z I, A(b)) = 0 when the zero test of :meth:`eval_at_operators`
@@ -99,16 +103,10 @@ class SpectralCurve(MultiPoly):
                  and _over_qx(a.ring) and _kernel_basis_for(a, b))
         if not basis:
             return False
-        mat, by_w = action_matrix(b, basis), self.coefficients_in("w")
-        out = [[_Z.zero] * 4 for _ in range(4)]
-        for j in range(self.w_degree(), -1, -1):
-            out = [
-                [_Z.sum_products([(1, mat[r][k], out[k][c]) for k in range(4)]
-                                 + ([(1, by_w[j], _Z.one)] if r == c and j in by_w else []))
-                 for c in range(4)]
-                for r in range(4)
-            ]
-        return all(e.is_zero() for row in out for e in row)
+        powers = _matrix_powers(action_matrix(b, basis), self.w_degree())
+        terms = self.coefficients_in("w").items()
+        return all(_Z.sum_products((1, r, powers[j][row][col]) for j, r in terms).is_zero()
+                   for row in range(4) for col in range(4))
 
     def __repr__(self):
         if not self.terms:
@@ -136,10 +134,7 @@ def charpoly_w(matrix) -> SpectralCurve:
     products, so only A^2 .. A^ceil(n/2) are formed: one product at n = 4.
     """
     n, half = len(matrix), (len(matrix) + 1) // 2
-    powers = [[[_Z.one if r == s else _Z.zero for s in range(n)] for r in range(n)], matrix]
-    while len(powers) <= half:
-        powers.append([[_Z.sum_products((1, matrix[r][i], powers[-1][i][s]) for i in range(n))
-                        for s in range(n)] for r in range(n)])
+    powers = _matrix_powers(matrix, half)
     p, c = [None], [_Z.one]
     for k in range(1, n + 1):
         a, b = powers[k - min(k - 1, half)], powers[min(k - 1, half)]
@@ -149,6 +144,17 @@ def charpoly_w(matrix) -> SpectralCurve:
     return _curve(c)
 
 
+def _matrix_powers(matrix, top: int) -> list:
+    """[I, A, A^2, ..., A^top] for a square matrix A over Q[z], each entry
+    of A^(k+1) = A A^k one kernel sum."""
+    n = len(matrix)
+    powers = [[[_Z.one if r == s else _Z.zero for s in range(n)] for r in range(n)], matrix]
+    while len(powers) <= top:
+        powers.append([[_Z.sum_products((1, matrix[r][i], powers[-1][i][s]) for i in range(n))
+                        for s in range(n)] for r in range(n)])
+    return powers
+
+
 def _curve(coeffs) -> SpectralCurve:
     """sum_k coeffs[k] w^(n-k), n = len(coeffs) - 1, for coeffs over Q[z]."""
     n = len(coeffs) - 1
@@ -156,11 +162,11 @@ def _curve(coeffs) -> SpectralCurve:
                           for (e,), v in c.terms.items()})
 
 
-def _scalars(p: MultiPoly, ring) -> list:
-    """The coefficients of p in Q[z] as scalar operators over ``ring``, so
-    that :func:`operators._horner` forms p(a)."""
+def _at_operator(p: MultiPoly, a: DiffOp) -> DiffOp:
+    """p(a) for p in Q[z]: Horner on p's coefficients as scalar operators."""
     den, nums = p.dense()
-    return [DiffOp.identity(ring).scale(Fraction(c, den)) for c in nums]
+    return horner([DiffOp.identity(a.ring).scale(Fraction(c, den)) for c in nums],
+                  a, DiffOp.zero(a.ring))
 
 
 # -- formal kernel and action matrix -------------------------------------------

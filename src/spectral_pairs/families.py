@@ -10,7 +10,8 @@ Each family has a fourth-order operator L4 = L2^2 + (lower-order term) that
 commutes with an operator of order 4g+2, an eigenvalue characteristic
 polynomial chi(z), and an explicit multiplier p(x) sending kernel functions of
 L2 to eigenfunctions of L4.  The closed forms exist for cubic g in {2, 4},
-quartic g in {1, 2}, and every g >= 1 in the exponential family.
+quartic g in {1, 2}, and every g >= 1 in the exponential family.  A cubic or
+quartic p is a list of z-coefficients, evaluated by :func:`rings.multipoly.horner`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .errors import ConstraintError, NotCoveredError
 from .operators import DiffOp
 from .rings import CharPoly, PolyRing
-from .rings.multipoly import DERIVATION_VAR, EXP_HALF_VAR, _as_fraction
+from .rings.multipoly import DERIVATION_VAR, EXP_HALF_VAR, _as_fraction, horner
 
 CUBIC = "cubic"
 QUARTIC = "quartic"
@@ -236,19 +237,19 @@ def char_poly_z(spec: FamilySpec) -> CharPoly:
 def multiplier_p(spec: FamilySpec, z):
     """The eigenfunction multiplier p(x), over the ring where ``z`` lives.
 
-    ``z`` must support arithmetic with lifted parameter-ring elements: a
-    QuotientExt generator, a base-ring element (deg chi = 1), or a rational
-    specialization inside a quotient field.
+    Horner on :func:`_multiplier_z_coeffs` from ``z * 0``, for z a QuotientExt
+    generator, a base-ring element or a rational; the exponential p ignores z.
     """
     if spec.family == EXPONENTIAL:
         ring = coefficient_ring(spec)
         k = spec.g if spec.eps == 0 else -(spec.g + 1)
         return ring.var("t", k)
+    return horner(_multiplier_z_coeffs(spec), z, z * 0)
 
-    # target ring: the ring z lives in; parameters are embedded through it
-    def lift(elem):
-        return z * 0 + elem
 
+def _multiplier_z_coeffs(spec: FamilySpec) -> list:
+    """[p_0, p_1, ...] with p = sum_i p_i(x) z^i over :func:`coefficient_ring`,
+    for the cubic family at g in {2, 4} and the quartic at g in {1, 2}."""
     ring = coefficient_ring(spec)
     x = ring.var("x")
 
@@ -257,21 +258,18 @@ def multiplier_p(spec: FamilySpec, z):
 
     if spec.family == CUBIC:
         if spec.g == 2:
-            return lift(6 * a(3) * x) + z + lift(4 * a(2))
+            return [6 * a(3) * x + 4 * a(2), ring.one]
         if spec.g == 4:
-            return (
-                lift(280 * a(3) ** 2 * x ** 2)
-                + (z + lift(16 * a(2))) * lift(20 * a(3) * x)
-                + z * z
-                + z * lift(20 * a(2))
-                + lift(64 * a(2) ** 2 + 168 * a(1) * a(3))
-            )
+            return [
+                280 * a(3) ** 2 * x ** 2 + 320 * a(2) * a(3) * x
+                + 64 * a(2) ** 2 + 168 * a(1) * a(3),
+                20 * a(3) * x + 20 * a(2),
+                ring.one,
+            ]
         raise NotCoveredError(f"cubic family has no multiplier for g={spec.g}")
     if spec.g == 1:
-        return lift(4 * a(4) * x + a(3))
+        return [4 * a(4) * x + a(3)]
     if spec.g == 2:
-        return (
-            lift(24 * a(4) ** 2 * x ** 2 + 12 * a(3) * a(4) * x - 3 * a(3) ** 2)
-            + (z + lift(16 * a(2))) * lift(a(4))
-        )
+        return [24 * a(4) ** 2 * x ** 2 + 12 * a(3) * a(4) * x - 3 * a(3) ** 2 + 16 * a(2) * a(4),
+                a(4)]
     raise NotCoveredError(f"quartic family has no multiplier for g={spec.g}")

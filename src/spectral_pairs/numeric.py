@@ -7,7 +7,8 @@ Bessel-form check share that one integration path, with its cap on
 right-hand-side evaluations and its refusal of a solution that blows up.
 The fourth-order operator is then applied by central finite differences
 only; reusing the symbolic reduction here would prove nothing, so the
-discretization is the whole point.
+discretization is the whole point.  The multiplier p(x) at a float z sums
+the z-coefficient list that :func:`rings.multipoly.horner` evaluates exactly.
 
 Finite-difference weights have one generator, :func:`ls_weight_table`: the
 minimum-norm weights on a centred stencil that reproduce the derivatives of
@@ -43,11 +44,12 @@ from .errors import (
 from .families import (
     EXPONENTIAL,
     FamilySpec,
+    _multiplier_z_coeffs,
     make_L4,
     make_schrodinger,
     multiplier_p,
 )
-from .rings import CharPoly, PolyRing, QuotientRing
+from .rings import CharPoly
 
 if TYPE_CHECKING:
     import numpy as np
@@ -321,23 +323,16 @@ def eigen_residual(spec: FamilySpec, z_root: complex, grid: GridFunction) -> flo
     return float(np.nanmax(residual_profile(spec, z_root, grid)[1]))
 
 
-# z adjoined formally to Q[x], the coefficient ring of every rational cubic
-# and quartic spec; z^3 = 0 never triggers since no multiplier exceeds
-# degree 2 in z
-_FORMAL_Z = QuotientRing(PolyRing(("x",)), CharPoly(PolyRing(()), [0, 0, 0, Fraction(1)])).gen
-
-
 def _multiplier_values(spec: FamilySpec, z: complex, x: np.ndarray) -> np.ndarray:
-    """p(x) at a numeric eigenvalue z (complex allowed)."""
+    """p(x) at a numeric eigenvalue z (complex allowed): sum_i p_i(x) z^i
+    over the exact z-coefficients p_i of :func:`families._multiplier_z_coeffs`."""
     import numpy as np
     if spec.family == EXPONENTIAL:
         # p = e^(kx/2), free of z
         return _coeff_callable(multiplier_p(spec, None), "p")(x)
-    # evaluate the exact multiplier with z adjoined formally, then substitute
-    p = multiplier_p(spec, _FORMAL_Z)
     total = np.zeros(len(x), dtype=complex)
-    for zi, coord in enumerate(p.coords):
-        total += _coeff_callable(coord, "p")(x) * z ** zi
+    for zi, coeff in enumerate(_multiplier_z_coeffs(spec)):
+        total += _coeff_callable(coeff, "p")(x) * z ** zi
     return total
 
 

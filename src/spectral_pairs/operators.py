@@ -25,6 +25,9 @@ everything division-free and therefore valid over quotient rings with zero
 divisors.  It solves for the quotient from the top order down, appending
 each quotient coefficient's triples as soon as it is solved, so each
 quotient and remainder coefficient is one kernel sum.
+A polynomial sum_i c_i a^i in an operator, with operator coefficients c_i,
+is formed by the package's one Horner, :func:`rings.multipoly.horner`, as
+acc*a + c from the zero operator: ``a`` is composed on the right.
 """
 
 from __future__ import annotations
@@ -218,15 +221,6 @@ class DiffOp:
             else:
                 parts.append(f"({c})*{d}")
         return " + ".join(parts)
-
-
-def _horner(coeffs, a: DiffOp) -> DiffOp:
-    """sum_i coeffs[i] a^i for operators coeffs[i], by Horner with each
-    coefficient on the left: acc = acc * a + c."""
-    acc = DiffOp.zero(a.ring)
-    for c in reversed(coeffs):
-        acc = acc * a + c
-    return acc
 
 
 def _derivatives(p, n: int) -> list:

@@ -56,6 +56,14 @@ def power(base, n: int, one):
     return result
 
 
+def horner(coeffs, value, zero):
+    """sum_i coeffs[i] value^i by Horner, acc = acc * value + c, from ``zero``."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * value + c
+    return acc
+
+
 def _dense_sum_products(triples) -> tuple:
     """(den, nums) for sum c p q over (int c, p, q) in one ordinary variable.
 

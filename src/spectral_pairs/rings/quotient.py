@@ -19,7 +19,7 @@ from ..errors import (
     SpectralPairsError,
     UnsupportedDegreeError,
 )
-from .multipoly import MultiPoly, PolyRing, _as_fraction, power
+from .multipoly import MultiPoly, PolyRing, _as_fraction, horner, power
 
 
 class CharPoly:
@@ -302,7 +302,7 @@ def _one_rational_root(coeffs):
     monic = [a[i] * lead ** (n - 1 - i) for i in range(n)] + [1]
     for y in _integer_roots(monic):
         cand = Fraction(y, lead)
-        if _horner(coeffs, cand) == 0:
+        if horner(coeffs, cand, 0) == 0:
             return cand
     return None
 
@@ -350,7 +350,7 @@ def _critical_floors(g):
 
 def _bisect_root(g, lo: int, hi: int):
     """The integer root of g in [lo, hi], where g is monotone, or None."""
-    g_lo, g_hi = _horner(g, lo), _horner(g, hi)
+    g_lo, g_hi = horner(g, lo, 0), horner(g, hi, 0)
     if g_lo == 0:
         return lo
     if g_hi != 0 and (g_lo > 0) == (g_hi > 0):
@@ -358,18 +358,11 @@ def _bisect_root(g, lo: int, hi: int):
     sign = 1 if g_lo < 0 else -1  # sign * g rises from < 0 to >= 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if sign * _horner(g, mid) < 0:
+        if sign * horner(g, mid, 0) < 0:
             lo = mid
         else:
             hi = mid
-    return hi if _horner(g, hi) == 0 else None
-
-
-def _horner(coeffs, value):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * value + c
-    return acc
+    return hi if horner(g, hi, 0) == 0 else None
 
 
 def _deflate(coeffs, root):

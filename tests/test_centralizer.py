@@ -37,8 +37,9 @@ from spectral_pairs.families import (
     solve_quartic_constraint,
 )
 from spectral_pairs.linalg import nullspace
-from spectral_pairs.operators import DiffOp, _columns, _horner
+from spectral_pairs.operators import DiffOp, _columns
 from spectral_pairs.rings import PolyRing
+from spectral_pairs.rings.multipoly import horner
 from spectral_pairs.verify import sample_spec
 
 from conftest import (
@@ -57,6 +58,11 @@ XRING = PolyRing(("x",))
 XZRING = PolyRing(("x", "z"))
 ZRING = PolyRing(("z",))
 PURE_CUBIC = FamilySpec(CUBIC, 1, alphas=(0, 0, 0, 1))
+
+
+def _horner(coeffs, a):
+    """sum_i coeffs[i] a^i for operators coeffs[i]."""
+    return horner(coeffs, a, DiffOp.zero(a.ring))
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_pairs import curves
+from spectral_pairs.centralizer import find_commuting_operator, hyperelliptic_pair
 from spectral_pairs.curves import SpectralCurve, charpoly_w, squarefree_normalize
 from spectral_pairs.errors import NonMonicError, RingMismatchError
+from spectral_pairs.families import CUBIC, FamilySpec, make_L4
 from spectral_pairs.operators import DiffOp
 from spectral_pairs.rings import PolyRing
 
@@ -124,6 +126,48 @@ def test_eval_at_operators_commuting_pair(monkeypatch):
     # and a curve that does not annihilate the pair reports a nonzero witness
     wrong = SpectralCurve({(0, 2): 1, (2, 0): -1})
     assert wrong.eval_at_operators(d2, d3) == DiffOp.d(XRING, 6) - DiffOp.d(XRING, 4)
+
+
+def _check_kernel_sums(monkeypatch, curve, a, b):
+    """(R(a, b), the Q[z] kernel sums eval_at_operators spends outside the
+    kernel basis and the action matrix)."""
+    calls, inside = [0], [False]
+    kernel = curves._Z.sum_products
+
+    def counted(triples):
+        calls[0] += not inside[0]
+        return kernel(triples)
+
+    def uncounted(fn):
+        def wrapped(*args):
+            inside[0] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = False
+        return wrapped
+
+    monkeypatch.setattr(curves._Z, "sum_products", counted)
+    monkeypatch.setattr(curves, "_kernel_basis_for", uncounted(curves._kernel_basis_for))
+    monkeypatch.setattr(curves, "action_matrix", uncounted(curves.action_matrix))
+    return curve.eval_at_operators(a, b), calls[0]
+
+
+def test_check_decides_on_powers_of_the_action_matrix(monkeypatch):
+    # w^2 - F on the 4x4 action matrix A: 16 sums form A^2, and each entry of
+    # F(z) I - A^2 is one more sum, 32 in all
+    l4 = make_L4(FamilySpec(CUBIC, 2, alphas=(4, 1, Fraction(-2, 3), -1)))
+    m, curve = hyperelliptic_pair(l4, find_commuting_operator(l4, 10))
+    result, sums = _check_kernel_sums(monkeypatch, curve, l4, m)
+    assert result.is_zero()
+    assert sums == 32
+    # R + 1 gives R(z I, A) + I = I: A^2 and the first entry, then the
+    # operator R(L4, M') + 1 by Horner
+    terms = dict(curve.terms)
+    terms[(0, 0)] += 1
+    result, sums = _check_kernel_sums(monkeypatch, SpectralCurve(terms), l4, m)
+    assert result == DiffOp.identity(l4.ring)
+    assert sums == 17
 
 
 # -- differential tests against sympy --------------------------------------------------

@@ -9,6 +9,7 @@ from spectral_pairs.families import (
     EXPONENTIAL,
     QUARTIC,
     FamilySpec,
+    _alpha,
     char_poly_z,
     coefficient_ring,
     make_L4,
@@ -19,7 +20,8 @@ from spectral_pairs.families import (
     solve_quartic_constraint,
 )
 from spectral_pairs.operators import DiffOp
-from spectral_pairs.rings import PolyRing, QuotientRing
+from spectral_pairs.rings import CharPoly, PolyRing, QuotientRing
+from spectral_pairs.verify import sample_spec
 
 from conftest import random_rational
 
@@ -131,14 +133,53 @@ def test_uncovered_pairs_rejected():
         multiplier_p(FamilySpec(CUBIC, 7), None)
 
 
-def test_multiplier_cubic_g2():
-    spec = FamilySpec(CUBIC, 2)
-    chi = char_poly_z(spec)
-    q = QuotientRing(coefficient_ring(spec), chi)
-    p = multiplier_p(spec, q.gen)
+def _multiplier_closed_form(spec, z):
+    """The multiplier as the closed forms write it, each z-free term lifted
+    into z's ring by z * 0 + term."""
     ring = coefficient_ring(spec)
-    x, a2, a3 = ring.var("x"), ring.var("a2"), ring.var("a3")
-    assert p == q.from_base(6 * a3 * x + 4 * a2) + q.gen
+    x = ring.var("x")
+
+    def a(i):
+        return _alpha(spec, ring, i)
+
+    def lift(elem):
+        return z * 0 + elem
+
+    if (spec.family, spec.g) == (CUBIC, 2):
+        return lift(6 * a(3) * x) + z + lift(4 * a(2))
+    if (spec.family, spec.g) == (CUBIC, 4):
+        return (lift(280 * a(3) ** 2 * x ** 2) + (z + lift(16 * a(2))) * lift(20 * a(3) * x)
+                + z * z + z * lift(20 * a(2)) + lift(64 * a(2) ** 2 + 168 * a(1) * a(3)))
+    if spec.g == 1:
+        return lift(4 * a(4) * x + a(3))
+    return (lift(24 * a(4) ** 2 * x ** 2 + 12 * a(3) * a(4) * x - 3 * a(3) ** 2)
+            + (z + lift(16 * a(2))) * lift(a(4)))
+
+
+def _z_of_kind(spec, kind):
+    ring, params = coefficient_ring(spec), parameter_ring(spec)
+    if kind == "quotient":
+        chi = char_poly_z(spec)
+        if chi.degree < 2:
+            chi = CharPoly(params, [params.const(2), params.const(-1), params.one])
+        return QuotientRing(ring, chi).gen
+    if kind == "quotient-deg1":
+        return QuotientRing(ring, CharPoly(params, [params.const(Fraction(-7, 3)), params.one])).gen
+    if kind == "rational":
+        return Fraction(-5, 7)
+    return ring.var("x") * 3 + Fraction(1, 2)
+
+
+@pytest.mark.parametrize("kind", ["quotient", "quotient-deg1", "rational", "base"])
+@pytest.mark.parametrize("family, g", [(CUBIC, 2), (CUBIC, 4), (QUARTIC, 1), (QUARTIC, 2)])
+def test_multiplier_cubic_g2(family, g, kind):
+    # p is Horner on its z-coefficients: the closed form's value, in z's ring
+    for spec in (FamilySpec(family, g), sample_spec(family, g, random.Random(g))):
+        z = _z_of_kind(spec, kind)
+        p, want = multiplier_p(spec, z), _multiplier_closed_form(spec, z)
+        assert p == want
+        assert type(p) is type(want)
+        assert p.ring == (coefficient_ring(spec) if kind == "rational" else z.ring)
 
 
 def test_multiplier_exponential_branches():

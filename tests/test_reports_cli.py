@@ -226,12 +226,14 @@ print(json.dumps(results))
 """
 
 
-def test_cli_exact_commands_run_without_numpy():
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "no-asserts"])
+def test_cli_exact_commands_run_without_numpy(flags):
     # the exact engine is rational algebra alone: numpy is imported only by
-    # the numeric code that calls it
+    # the numeric code that calls it; under -O every golden holds with the
+    # asserts stripped
     commands = {**_GOLDEN_COMMANDS, "spectral-curve-generic-g2.json":
                 ["spectral-curve", "--family", "cubic", "--g", "2", "--alpha", *_GENERIC]}
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, *flags, "-c", _WITHOUT_NUMPY, json.dumps(commands)],
                           capture_output=True, text=True, env=_env_with_src(), timeout=300,
                           check=True)
     results = json.loads(proc.stdout)

@@ -23,6 +23,7 @@ from spectral_pairs.rings import (
     reduce_mod_char,
 )
 from spectral_pairs.operators import DiffOp
+from spectral_pairs.rings.multipoly import horner
 
 from conftest import random_poly, random_rational
 
@@ -73,6 +74,43 @@ POWER_BASES = {
 def test_power_rejects_negative_and_non_integer_exponents(kind, exponent):
     with pytest.raises(ValueError):
         POWER_BASES[kind]() ** exponent
+
+
+def _quotient_horner_case():
+    xring = PolyRing(("x",))
+    x = xring.var("x")
+    q = QuotientRing(xring, CharPoly(PolyRing(()), [2, 0, -1, 1]))
+    return [x + 1, q.from_base(x * Fraction(1, 3)), xring.const(-2), x ** 2], q.gen + x, q.zero
+
+
+def _diffop_horner_case():
+    xring = PolyRing(("x",))
+    x, d = xring.var("x"), DiffOp.d(xring)
+    coeffs = [DiffOp.mult(x), d.scale(Fraction(1, 2)), DiffOp.mult(x ** 2 - 1)]
+    return coeffs, d * d + DiffOp.mult(x ** 3), DiffOp.zero(xring)
+
+
+# (coefficients c_0 .. c_n, value v, zero) for horner
+HORNER_CASES = {
+    "int": lambda: ([3, -1, 0, 7], -4, 0),
+    "Fraction": lambda: ([Fraction(1, 3), 0, Fraction(-5, 2)], Fraction(7, 11), Fraction(0)),
+    "DiffOp": _diffop_horner_case,
+    "QuotientExt": _quotient_horner_case,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HORNER_CASES))
+def test_horner_is_the_power_sum(kind):
+    # sum_k c_k v^k, v^k by ** (power for DiffOp and QuotientExt); an operator
+    # c_k composes on the left
+    coeffs, value, zero = HORNER_CASES[kind]()
+    want = zero
+    for k, c in enumerate(coeffs):
+        want = want + c * value ** k
+    got = horner(coeffs, value, zero)
+    assert got == want
+    assert type(got) is type(want)
+    assert horner([], value, zero) == zero
 
 
 # -- derivation ------------------------------------------------------------------
