@@ -15,8 +15,7 @@ exactly by :func:`linalg.nullspace` (integer elimination with an exact
 re-check over Q).  Its null space is every commuting operator of order <= N,
 so "not found" proves that no partner of order N exists over Q[x].  The
 partner built from it must still pass the exact check [L4, M] = 0 by direct
-commutator expansion.  :func:`build_ansatz_system` keeps the older
-degree-bounded ansatz as an independent formulation of the same space.
+commutator expansion.
 
 The back-substitution is ring code over Q[x] on the Leibniz triples of
 :func:`operators._leibniz`, the ones composition uses: once m_i is
@@ -173,7 +172,18 @@ class AnsatzSystem:
 
 
 def build_ansatz_system(l4: DiffOp, order: int, degree_bound: int) -> AnsatzSystem:
-    """Constraint system over Q for operators of order <= ``order``."""
+    """Constraint system over Q for operators of order <= ``order``.
+
+    The tests' independent formulation of the space that
+    :func:`commuting_operators` solves.  With a large enough
+    ``degree_bound``, its reduced row echelon vector of the free column
+    (N, 0), columns ordered by (order, x power), is
+    :func:`find_commuting_operator`'s M: every null vector's highest column
+    is (K, 0) for its order K, and its (K, 0) entry is c_K (module
+    docstring), because the M_j with j > K have m_K with constant term 0.
+    So both are the null vector with c_N = 1 and c_K = 0 at each other
+    order K of the space.
+    """
     ring = l4.ring
     if not isinstance(ring, PolyRing) or ring.variables != ("x",):
         raise SpectralPairsError("ansatz requires specialized Q[x] coefficients")
@@ -437,13 +447,7 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     c_(4k), since M_(4k) has m_(4k) = 1, each M_j with j > 4k has an m_(4k)
     with constant term 0 (its integration constants are 0), and no M_j with
     j < 4k has a D^(4k) term; and L4^k, of order 4k, lies in the space, so
-    4k is a free column and c_(4k) = 0.  It is the operator the
-    degree-bounded ansatz (:func:`build_ansatz_system`) gives as its reduced
-    row echelon vector of the free column (N, 0), columns ordered by (order,
-    x power): every null vector's highest ansatz column is (K, 0) for its
-    order K, and its (K, 0) entry is c_K, because the M_j with j > K have
-    m_K with constant term 0.  Both are therefore the null vector with
-    c_N = 1 and c_K = 0 at each other order K of the space.
+    4k is a free column and c_(4k) = 0.
 
     The search builds only that operator from its null vector; the orders
     of the others are read off their vectors (the vector of free column K

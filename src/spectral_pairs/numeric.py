@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial, isfinite, sqrt
+from sys import float_info
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -59,6 +60,8 @@ OVERFLOW_LIMIT = 1e150
 # intervals take a few hundred, and without a cap a long interval with no
 # blow-up (V = x^3 on [0, 1e9]) runs without bound
 MAX_RHS_EVALUATIONS = 100_000
+# scipy's RK45 raises a smaller rtol to this floor, warning only on stderr
+RK45_RTOL_FLOOR = 100 * float_info.epsilon
 DEFAULT_INTERVALS = {"cubic": (0.0, 1.0), "quartic": (0.0, 1.0), EXPONENTIAL: (0.0, 2.0)}
 _SYMBOLIC = "numeric integration needs rational parameters"
 
@@ -169,15 +172,18 @@ def _integrate(v, interval, init, tol: float,
                user_variable=("x", lambda x: x, "choose a shorter interval")):
     """Dense RK45 solution of phi'' = -v(x) phi over the whole interval.
 
-    A solution whose |phi| or |phi'| passes :data:`OVERFLOW_LIMIT`, an
-    integration that needs more than :data:`MAX_RHS_EVALUATIONS`
-    right-hand-side evaluations, and one that meets an x where V(x)
-    overflows a float all raise :class:`NotCoveredError`.  ``user_variable``
-    is (name, f, advice): the blow-up and evaluation-cap messages give
-    points as name = f(x) and end with the advice, so a caller that
-    integrates in a substituted variable names the points, the interval and
-    the option its user chose.
+    A ``tol`` below :data:`RK45_RTOL_FLOOR`, a solution whose |phi| or
+    |phi'| passes :data:`OVERFLOW_LIMIT`, an integration that needs more
+    than :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations, and one
+    that meets an x where V(x) overflows a float all raise
+    :class:`NotCoveredError`.  ``user_variable`` is (name, f, advice): the
+    blow-up and evaluation-cap messages give points as name = f(x) and end
+    with the advice, so a caller that integrates in a substituted variable
+    names the points, the interval and the option its user chose.
     """
+    if tol < RK45_RTOL_FLOOR:
+        raise NotCoveredError(f"tol = {tol:g} is below RK45's relative tolerance floor "
+                              f"100 eps = {RK45_RTOL_FLOOR:.6g}; choose --tol >= that floor")
     import numpy as np
     a, b = interval
     name, to_user, advice = user_variable
@@ -239,8 +245,9 @@ def integrate_kernel(
     ``interval`` defaults to the family's entry in :data:`DEFAULT_INTERVALS`.
     The grid always spans the whole interval: a solution that passes the
     overflow limit, an integration that needs more than
-    :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations, and one where
-    V(x) overflows a float raise :class:`NotCoveredError` (:func:`_integrate`).
+    :data:`MAX_RHS_EVALUATIONS` right-hand-side evaluations, one where V(x)
+    overflows a float and a ``tol`` below :data:`RK45_RTOL_FLOOR` raise
+    :class:`NotCoveredError` (:func:`_integrate`).
     """
     import numpy as np
     if spec.symbolic:

@@ -6,9 +6,9 @@ corollary, whose witness the package reports as p^-3 times an operator
 over K[x].  ``rings`` still exports the names because the benchmark's
 tracer looks up ``FractionElem`` by name.
 
-A "field" here is a small adapter exposing zero/one/from_rational/inv/coerce;
-the elements themselves carry the arithmetic operators.  A
-:class:`FractionFieldRing` is such an adapter too.
+A "field" (:class:`RationalField`, :class:`QuotientField`) is a small adapter
+exposing zero, one, inv and coerce; the elements carry the arithmetic.
+A :class:`FractionFieldRing` is not one: it is a coefficient ring of DiffOp.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import RingMismatchError
-from .multipoly import DERIVATION_VAR, power
+from .multipoly import DERIVATION_VAR, RingElement, power
 from .quotient import QuotientExt, QuotientRing
 
 
@@ -25,9 +25,6 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def from_rational(self, q) -> Fraction:
-        return Fraction(q)
 
     def inv(self, a: Fraction) -> Fraction:
         return Fraction(1) / a
@@ -56,9 +53,6 @@ class QuotientField:
         self.one = qring.one
         self.gen = qring.gen
 
-    def from_rational(self, q) -> QuotientExt:
-        return self.qring.const(q)
-
     def inv(self, a: QuotientExt) -> QuotientExt:
         """Extended Euclid in Q[z] against chi; a zero divisor raises ZeroDivisionError."""
         qq = RationalField()
@@ -78,7 +72,7 @@ class QuotientField:
                 raise RingMismatchError("quotient fields differ")
             return a
         if isinstance(a, (int, Fraction)):
-            return self.from_rational(a)
+            return self.qring.const(a)
         raise TypeError(f"cannot coerce {a!r}")
 
     def __eq__(self, other):
@@ -95,7 +89,7 @@ def _is_zero(a) -> bool:
     return a.is_zero() if isinstance(a, QuotientExt) else a == 0
 
 
-class UniPoly:
+class UniPoly(RingElement):
     """Dense univariate polynomial over a field adapter."""
 
     __slots__ = ("field", "var", "coeffs")
@@ -150,15 +144,6 @@ class UniPoly:
 
     def __neg__(self):
         return UniPoly(self.field, [-c for c in self.coeffs], self.var)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -225,11 +210,7 @@ class UniPoly:
         """d/dx; identically zero when the variable is not x."""
         if self.var != DERIVATION_VAR:
             return UniPoly(self.field, [], self.var)
-        out = [
-            c * self.field.from_rational(Fraction(k))
-            for k, c in enumerate(self.coeffs)
-        ][1:]
-        return UniPoly(self.field, out, self.var)
+        return UniPoly(self.field, [c * k for k, c in enumerate(self.coeffs)][1:], self.var)
 
     def __repr__(self):
         if not self.coeffs:
@@ -270,14 +251,10 @@ class FractionFieldRing:
         return self.from_poly(UniPoly.const(self.field, value, self.var))
 
     def from_poly(self, p: UniPoly) -> "FractionElem":
-        one = UniPoly.const(self.field, self.field.one, self.var)
-        return FractionElem(p, one, _normalized=True)
+        return FractionElem(p, self.one.den, _normalized=True)
 
     def gen(self) -> "FractionElem":
         return self.from_poly(UniPoly.gen(self.field, self.var))
-
-    def from_rational(self, q) -> "FractionElem":
-        return self.const(q)
 
     def sum_products(self, triples) -> "FractionElem":
         """Sum of c*a*b over (int c, FractionElem a, FractionElem b) triples."""
@@ -287,20 +264,8 @@ class FractionFieldRing:
             out = out + (term if c == 1 else term * c)
         return out
 
-    def inv(self, a: "FractionElem") -> "FractionElem":
-        return a.inverse()
 
-    def coerce(self, a):
-        if isinstance(a, FractionElem):
-            if a.num.field != self.field or a.num.var != self.var:
-                raise RingMismatchError("fraction fields differ")
-            return a
-        if isinstance(a, (int, Fraction)):
-            return self.const(a)
-        raise TypeError(f"cannot coerce {a!r}")
-
-
-class FractionElem:
+class FractionElem(RingElement):
     """num/den over K[var], gcd-reduced, denominator monic."""
 
     __slots__ = ("num", "den")
@@ -351,15 +316,6 @@ class FractionElem:
     def __neg__(self):
         return FractionElem(-self.num, self.den, _normalized=True)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -375,9 +331,6 @@ class FractionElem:
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero fraction")
         return FractionElem(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __eq__(self, other):
         other = self._coerce(other)

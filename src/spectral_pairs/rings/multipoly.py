@@ -64,6 +64,22 @@ def horner(coeffs, value, zero):
     return acc
 
 
+class RingElement:
+    """Coerced subtraction and :func:`power` for an exact ring element, from
+    its ``_coerce``, ``+``, unary ``-`` and ``*`` (and ``ring.one``)."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __pow__(self, n: int):
+        return power(self, n, self.ring.one)
+
+
 def _dense_sum_products(triples) -> tuple:
     """(den, nums) for sum c p q over (int c, p, q) in one ordinary variable.
 
@@ -208,7 +224,7 @@ def _from_ints(ring: PolyRing, den: int, nums) -> "MultiPoly":
     return p
 
 
-class MultiPoly:
+class MultiPoly(RingElement):
     """Element of a :class:`PolyRing`.  Immutable after construction.
 
     It holds its Fraction ``terms``, its normal-form pair (:meth:`_cleared`)
@@ -286,15 +302,6 @@ class MultiPoly:
             return _from_ints(self.ring, den, [-c for c in nums])
         return _from_ints(self.ring, den, {e: -c for e, c in nums.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -310,9 +317,6 @@ class MultiPoly:
         return self.ring.sum_products(((1, self, other),))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return power(self, n, self.ring.one)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

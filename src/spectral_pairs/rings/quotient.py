@@ -19,7 +19,7 @@ from ..errors import (
     SpectralPairsError,
     UnsupportedDegreeError,
 )
-from .multipoly import MultiPoly, PolyRing, _as_fraction, horner, power
+from .multipoly import MultiPoly, PolyRing, RingElement, _as_fraction, horner
 
 
 class CharPoly:
@@ -160,7 +160,7 @@ class QuotientRing:
         return QuotientExt(self, tuple(work))
 
 
-class QuotientExt:
+class QuotientExt(RingElement):
     """Element of a :class:`QuotientRing`: polynomial in z of degree < deg chi."""
 
     __slots__ = ("ring", "coords")
@@ -193,15 +193,6 @@ class QuotientExt:
     def __neg__(self):
         return QuotientExt(self.ring, tuple(-a for a in self.coords))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -209,9 +200,6 @@ class QuotientExt:
         return self.ring.sum_products(((1, self, other),))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return power(self, n, self.ring.one)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -292,10 +292,8 @@ def verify_corollary(
 # -- seeded sampling -------------------------------------------------------------
 
 
-def _random_rational(rng: random.Random, span: int = 4) -> Fraction:
-    num = rng.randint(-span, span)
-    den = rng.randint(1, 3)
-    return Fraction(num, den)
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
 def sample_spec(

@@ -24,6 +24,7 @@ from spectral_pairs.families import (
 from spectral_pairs.numeric import (
     MAX_RHS_EVALUATIONS,
     OVERFLOW_LIMIT,
+    RK45_RTOL_FLOOR,
     _apply_stencil,
     _multiplier_values,
     bessel_change_check,
@@ -414,6 +415,19 @@ def test_bessel_form_blow_up_is_not_covered():
 def test_bessel_form_over_a_huge_interval_is_not_covered():
     with pytest.raises(NotCoveredError, match=f"MAX_RHS_EVALUATIONS = {MAX_RHS_EVALUATIONS}"):
         bessel_change_check(0, 1, y_interval=(1.0, 1e9))
+
+
+def test_tolerance_below_the_rk45_floor_is_not_covered():
+    # scipy's RK45 would raise rtol to 100 eps and only warn; the floor is
+    # computed without numpy, and a tol at the floor still integrates
+    assert RK45_RTOL_FLOOR == 100 * np.finfo(float).eps
+    spec = FamilySpec(CUBIC, 1, alphas=(0, 0, 0, 1))
+    for tol in (1e-300, RK45_RTOL_FLOOR / 2):
+        with pytest.raises(NotCoveredError, match="relative tolerance floor"):
+            integrate_kernel(spec, False, tol=tol, n_points=11)
+        with pytest.raises(NotCoveredError, match="relative tolerance floor"):
+            bessel_change_check(0, 1, tol=tol)
+    assert len(integrate_kernel(spec, False, tol=RK45_RTOL_FLOOR, n_points=11).x) == 11
 
 
 def test_bessel_form_input_validation():

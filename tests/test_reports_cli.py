@@ -459,6 +459,11 @@ _BIG = "1" + "0" * 400
         (["bessel-check", "--a0", "-1000000"],
          "not covered: the solution exceeded 1e+150 at y = 1.18481; "
          "choose a shorter y interval (--y-interval)"),
+        # scipy's RK45 would silently raise rtol to 100 eps
+        (_RESIDUAL + ["--tol", "1e-300"],
+         "not covered: tol = 1e-300 is below RK45's relative tolerance floor"),
+        (["bessel-check", "--tol", "1e-300"],
+         "not covered: tol = 1e-300 is below RK45's relative tolerance floor"),
     ],
 )
 def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
@@ -466,6 +471,12 @@ def test_cli_numeric_usage_errors_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [_RESIDUAL, ["bessel-check"]], ids=["residual", "bessel-check"])
+def test_cli_tolerance_above_the_rk45_floor_still_runs(capsys, argv):
+    assert run_command(argv + ["--tol", "1e-13"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv, where", [

@@ -14,7 +14,9 @@ from spectral_pairs.rings import (
     CharPoly,
     FractionElem,
     FractionFieldRing,
+    MultiPoly,
     PolyRing,
+    QuotientExt,
     QuotientField,
     QuotientRing,
     RationalField,
@@ -23,7 +25,7 @@ from spectral_pairs.rings import (
     reduce_mod_char,
 )
 from spectral_pairs.operators import DiffOp
-from spectral_pairs.rings.multipoly import horner
+from spectral_pairs.rings.multipoly import RingElement, horner
 
 from conftest import random_poly, random_rational
 
@@ -66,6 +68,7 @@ POWER_BASES = {
     "QuotientExt": lambda: QuotientRing(PolyRing(()), CharPoly(PolyRing(()), [1, 0, 1])).gen,
     "UniPoly": lambda: UniPoly(RationalField(), [Fraction(1), Fraction(1, 2)]),
     "DiffOp": lambda: DiffOp.d(PolyRing(("x",))) + DiffOp.mult(PolyRing(("x",)).var("x")),
+    "FractionElem": lambda: FractionFieldRing(RationalField()).gen() + 1,
 }
 
 
@@ -74,6 +77,21 @@ POWER_BASES = {
 def test_power_rejects_negative_and_non_integer_exponents(kind, exponent):
     with pytest.raises(ValueError):
         POWER_BASES[kind]() ** exponent
+
+
+def test_ring_elements_share_one_subtraction_and_keep_their_own_products():
+    # the benchmark's tracer wraps __mul__ and __rmul__ from each class's own
+    # __dict__; subtraction is one coerced a + (-b), with no reflected form
+    for cls in (MultiPoly, QuotientExt, UniPoly, FractionElem):
+        assert cls.__sub__ is RingElement.__sub__
+        assert not hasattr(cls, "__rsub__")
+    for cls in (MultiPoly, QuotientExt, FractionElem):
+        assert {"__mul__", "__rmul__"} <= cls.__dict__.keys()
+    x = PolyRing(("x",)).var("x")
+    assert x - 1 == x + Fraction(-1) and (x - x).is_zero()
+    frac = FractionFieldRing(RationalField())
+    assert frac.gen() - frac.gen() == frac.zero
+    assert (frac.gen() + 1) ** 2 == frac.gen() * frac.gen() + frac.gen() * 2 + 1
 
 
 def _quotient_horner_case():
