@@ -15,7 +15,8 @@ exactly by :func:`linalg.nullspace` (integer elimination with an exact
 re-check over Q).  Its null space is every commuting operator of order <= N,
 so "not found" proves that no partner of order N exists over Q[x].  The
 partner built from it must still pass the exact check [L4, M] = 0 by direct
-commutator expansion.
+commutator expansion, on either path below; that expansion is the only one
+the curve path makes (see the end of this docstring).
 
 The back-substitution is ring code over Q[x] on the Leibniz triples of
 :func:`operators._leibniz`, the ones composition uses: once m_i is
@@ -119,9 +120,19 @@ over Q[z] (:func:`curves.charpoly_w`, :func:`curves.squarefree_normalize`).
 Completing the square needs no second curve either: M + b(L4)/2 acts on
 ker(L4 - z) as A + b(z)/2 I, so the curve w^2 + b w + c of M becomes
 R(z, w - b/2) = w^2 + c - b^2/4, formed on b and c over Q[z], so no
-product in Q[z, w] is formed.  The same matrix decides R(L4, M') = 0
+product in Q[z, w] is formed.  A + b(z)/2 I also decides R(L4, M') = 0
 without composing M' with itself
 (:meth:`curves.SpectralCurve.eval_at_operators`).
+
+Each of these facts is computed once per pair, on the operators returned:
+:func:`find_commuting_operator` marks its partner with the L4 object whose
+commutator with it it has just expanded to zero (:class:`curves._Commuting`),
+so :func:`spectral_curve` and :func:`hyperelliptic_pair` build the kernel
+basis and A without expanding [L4, M] again, and :func:`hyperelliptic_pair`
+returns M' with the same mark and A(M') = A(M) + b(z)/2 I: M' - M lies in
+Q[L4], which commutes with L4 and acts as b(z)/2 on ker(L4 - z).  The mark
+holds only for that L4 object; any other L4, even one of equal value, and
+any operator formed from a marked one get the direct expansion.
 """
 
 from __future__ import annotations
@@ -134,8 +145,9 @@ from .curves import (
     _Z,
     SpectralCurve,
     _at_operator,
+    _Commuting,
     _curve,
-    _kernel_basis_for,
+    _kernel_action,
     _over_qx,
     action_matrix,
     charpoly_w,
@@ -461,7 +473,10 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     Raises :class:`CommutingOperatorNotFound` when the space has no operator
     of order N, which proves that no operator of order N over Q[x] commutes
     with L4, and :class:`SpectralPairsError` unless M passes the exact check
-    [L4, M] = 0 by direct commutator expansion, on either path.
+    [L4, M] = 0 by direct commutator expansion, on either path.  M is
+    returned marked with ``l4`` (:class:`curves._Commuting`), so that
+    :func:`spectral_curve` and :func:`hyperelliptic_pair` given this same
+    ``l4`` object do not expand the commutator again.
     """
     chain = _chain_pair(l4, target_order)
     if chain is not None and _chain_spans(*chain):
@@ -477,7 +492,7 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
         m = _combine(l4.ring, partials, space[orders.index(target_order)])
     if not l4.commutator(m).is_zero():
         raise SpectralPairsError("solver output failed exact commutator check")
-    return m
+    return _Commuting(m, l4)
 
 
 def spectral_curve(l4: DiffOp, m: DiffOp) -> SpectralCurve:
@@ -488,10 +503,17 @@ def spectral_curve(l4: DiffOp, m: DiffOp) -> SpectralCurve:
     the module docstring).  The zero operator has det(w I - 0) = w^4 and so
     the curve w.
     """
-    basis = _kernel_basis_for(l4, m)
-    if basis is None:
+    return _curve_and_action(l4, m)[0]
+
+
+def _curve_and_action(l4: DiffOp, m: DiffOp):
+    """(R, A(M)): the curve of :func:`spectral_curve` and the matrix it came
+    from.  [L4, M] = 0 is expanded unless ``m`` is marked with this ``l4``
+    (:func:`curves._kernel_action`)."""
+    action = _kernel_action(l4, m)
+    if action is None:
         raise SpectralPairsError("operators do not commute")
-    return squarefree_normalize(charpoly_w(action_matrix(m, basis)))
+    return squarefree_normalize(charpoly_w(action)), action
 
 
 def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
@@ -502,13 +524,21 @@ def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     R = w^2 + b w + c; M' = M + b(L4)/2 completes the square, and its curve
     is w^2 + c - b^2/4, formed on b and c over Q[z] (see the module
     docstring); b(L4)/2 comes from :func:`curves._at_operator`.
+    [L4, M] = 0 is expanded here unless ``m`` is marked with this ``l4``
+    object (as :func:`find_commuting_operator` returns it).  M' is returned
+    marked with ``l4`` and carries A(M') = A(M) + b(z)/2 I: M' - M lies in
+    Q[L4], so M' commutes with L4, and L4^i acts as z^i on ker(L4 - z).
+    :meth:`curves.SpectralCurve.eval_at_operators` decides R(L4, M') = 0 on
+    that matrix.
     Only rank-two (w-degree 2) curves are covered; any other curve raises
     :class:`NotCoveredError`.
     """
-    curve = spectral_curve(l4, m)
+    curve, action = _curve_and_action(l4, m)
     if curve.w_degree() != 2:
         raise NotCoveredError(f"not a rank-two curve: w-degree {curve.w_degree()}")
     b, c = (curve.coefficients_in("w").get(j, _Z.zero) for j in (1, 0))
     half_b = b * Fraction(1, 2)
-    m_prime = m + _at_operator(half_b, l4)
+    shifted = [[e + half_b if r == s else e for s, e in enumerate(row)]
+               for r, row in enumerate(action)]
+    m_prime = _Commuting(m + _at_operator(half_b, l4), l4, shifted)
     return m_prime, _curve([_Z.one, _Z.zero, c - half_b * half_b])

@@ -13,12 +13,20 @@ arithmetic in two variables.  The formal kernel of L4 - z lives here too:
 its basis psi_0 .. psi_3 is held as Taylor data over Q[z]
 (:func:`series_kernel_basis`), and the 4x4 action matrix A of an operator on
 it (:func:`action_matrix`), with Q[z] entries, feeds both :func:`charpoly_w`
-and the zero test of :meth:`SpectralCurve.eval_at_operators`.  Both take the
-basis from one rule (:func:`_kernel_basis_for`) and the powers I, A, A^2, ...
-from another (:func:`_matrix_powers`).  A polynomial over Q[z] in an
-operator is formed on its scalar operators (:func:`_at_operator`) by the
-package's one Horner, :func:`rings.multipoly.horner`, which the chain
-partner and the square completion of :mod:`centralizer` share.
+and the zero test of :meth:`SpectralCurve.eval_at_operators`.  Both take A
+from one function (:func:`_kernel_action`), the one place on the curve path
+that decides [a, b] = 0, and the powers I, A, A^2, ... from another
+(:func:`_matrix_powers`).
+
+A partner whose commutation is already proven carries the proof:
+:class:`_Commuting` marks it with the very L4 object it commutes with, and,
+once formed, with its action matrix.  :func:`_kernel_action` trusts the mark
+only for that same object (``is``) and expands [a, b] for every other pair,
+so each fact is computed once per pair and nothing is kept across calls.
+A polynomial over Q[z] in an operator is formed on its scalar operators
+(:func:`_at_operator`) by the package's one Horner,
+:func:`rings.multipoly.horner`, which the chain partner and the square
+completion of :mod:`centralizer` share.
 """
 
 from __future__ import annotations
@@ -62,11 +70,14 @@ class SpectralCurve(MultiPoly):
         """R(a, b) for commuting a, b; a zero result is decided on a 4x4 matrix.
 
         When the curve has w-degree >= 1, ``a`` is monic of order 4 over Q[x]
-        and [a, b] = 0 holds by direct expansion, R(a, b) = 0 is decided on the
-        action of b on the formal kernel of a - z, and no composition is
-        formed.  Let C(a) be the operators that commute with a, and let
-        psi_j(x, z) be the kernel basis of a - z with psi_j^(k)(0) = delta_jk
-        (:func:`series_kernel_basis`).  Then:
+        and [a, b] = 0 holds, R(a, b) = 0 is decided on the action of b on
+        the formal kernel of a - z, and no composition is formed.  Both the
+        commutation and the matrix come from :func:`_kernel_action`: a ``b``
+        that :func:`centralizer.hyperelliptic_pair` returned for this very
+        ``a`` carries its matrix, and any other ``b`` has [a, b] expanded
+        directly and its matrix built.  Let C(a) be the operators that
+        commute with a, and let psi_j(x, z) be the kernel basis of a - z
+        with psi_j^(k)(0) = delta_jk (:func:`series_kernel_basis`).  Then:
 
         - P -> A(P), P psi_j = sum_k A_kj psi_k, is a ring homomorphism
           C(a) -> M_4(Q[z]) (the entries are constant in x), and A(a) = z I.
@@ -99,11 +110,11 @@ class SpectralCurve(MultiPoly):
     def _kills_kernel_action(self, a: DiffOp, b: DiffOp) -> bool:
         """R(z I, A(b)) = 0 when the zero test of :meth:`eval_at_operators`
         applies; False when it does not apply or the matrix is not zero."""
-        basis = (self.w_degree() >= 1 and a.order == 4 and a.is_monic()
-                 and _over_qx(a.ring) and _kernel_basis_for(a, b))
-        if not basis:
+        matrix = (self.w_degree() >= 1 and a.order == 4 and a.is_monic()
+                  and _over_qx(a.ring) and _kernel_action(a, b))
+        if not matrix:
             return False
-        powers = _matrix_powers(action_matrix(b, basis), self.w_degree())
+        powers = _matrix_powers(matrix, self.w_degree())
         terms = self.coefficients_in("w").items()
         return all(_Z.sum_products((1, r, powers[j][row][col]) for j, r in terms).is_zero()
                    for row in range(4) for col in range(4))
@@ -216,13 +227,42 @@ def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
     return basis
 
 
-def _kernel_basis_for(a: DiffOp, b: DiffOp):
-    """The basis of ker(a - z) at truncation max(8, ord b + 3), the shortest
-    that holds every d_k :func:`action_matrix` reads for b; None unless
-    [a, b] = 0 by direct expansion.  ``a`` is monic of order 4 over Q[x]."""
-    if not a.commutator(b).is_zero():
+class _Commuting(DiffOp):
+    """An operator proven to commute with the operator object ``l4``, with
+    its action matrix on ker(l4 - z) in ``action`` once that is formed.
+
+    Only :func:`centralizer.find_commuting_operator`, right after its exact
+    [L4, M] = 0 expansion, and :func:`centralizer.hyperelliptic_pair`, whose
+    M' differs from a proven M by b(L4)/2 in Q[L4], build one.  Arithmetic
+    and every other method return plain :class:`DiffOp`, so no operator
+    derived from a marked one inherits the mark, and :func:`_kernel_action`
+    reads it only when the L4 it is given is ``l4`` itself: an L4 of equal
+    value is still expanded, as nothing ties it to the proof.
+    """
+
+    __slots__ = ("l4", "action")
+
+    def __init__(self, op: DiffOp, l4: DiffOp, action=None):
+        super().__init__(op.ring, op.coeffs)
+        self.l4, self.action = l4, action
+
+
+def _kernel_action(a: DiffOp, b: DiffOp):
+    """A(b) on the formal kernel of a - z, or None unless [a, b] = 0.
+
+    ``a`` is monic of order 4 over Q[x].  A ``b`` marked with this very
+    ``a`` (:class:`_Commuting`) has [a, b] = 0 proven, and its carried
+    matrix is returned when it has one; [a, b] is expanded directly for any
+    other ``b``.  The matrix is built on the basis at truncation max(8,
+    ord b + 3), the shortest that holds every d_k :func:`action_matrix`
+    reads for b.
+    """
+    marked = isinstance(b, _Commuting) and b.l4 is a
+    if marked and b.action is not None:
+        return b.action
+    if not marked and not a.commutator(b).is_zero():
         return None
-    return series_kernel_basis(a, max(8, b.order + 3))
+    return action_matrix(b, series_kernel_basis(a, max(8, b.order + 3)))
 
 
 def action_matrix(m: DiffOp, basis: list) -> list:

@@ -2,8 +2,10 @@
 
 Each criterion function performs one self-contained end-to-end check and
 returns a :class:`CriterionResult` with a pass verdict, a short detail string,
-and its wall-clock time; nothing is cached between criteria.  Budgets are
-enforced by the caller (the test suite), not here.
+and its wall-clock time; nothing is cached between criteria.  The runtime
+budgets of criteria 1-7 are the one table :data:`RUNTIME_BUDGETS_S`:
+:func:`run_suite` prints each budget and its margin, and the caller (the
+test suite) enforces them.
 """
 
 from __future__ import annotations
@@ -337,15 +339,34 @@ ALL_CRITERIA = (
     check_property_suites,
 )
 
+# wall-clock budgets in seconds of criteria 1-7, enforced by tests/test_acceptance.py
+RUNTIME_BUDGETS_S = {
+    check_cubic_g2_symbolic: 5,
+    check_cubic_g4_symbolic: 60,
+    check_quartic_symbolic_and_samples: 30,
+    check_exponential_all_branches: 10,
+    check_conjugation_ring: 300,
+    check_order6_pair: 60,
+    check_g2_pair: 600,
+}
+
 
 def run_suite(out=None) -> bool:
-    """Run every acceptance check; one verdict line each; True iff all pass."""
+    """Run every acceptance check; one verdict line each; True iff all pass.
+
+    A criterion with a runtime budget reports it and its margin, budget over
+    elapsed time, after its detail, as criteria 8 and 9 report their bounds.
+    """
     ok = True
     for idx, check in enumerate(ALL_CRITERIA, start=1):
         result = check()
         ok &= result.passed
         verdict = "PASS" if result.passed else "FAIL"
         line = f"[{verdict}] {idx:2d}. {result.name} ({result.elapsed_s:.1f}s) - {result.detail}"
+        budget = RUNTIME_BUDGETS_S.get(check)
+        if budget is not None:
+            margin = budget / result.elapsed_s if result.elapsed_s else float("inf")
+            line += f" (budget {budget}s, margin {margin:.1f}x)"
         if out is not None:
             out.write(line + "\n")
             out.flush()

@@ -2,15 +2,19 @@
 
 Each test runs one self-contained end-to-end criterion from
 :mod:`spectral_pairs.suite` and asserts both the verdict and, where a budget
-is part of the requirement, the wall-clock time.
+is part of the requirement, the wall-clock time, read from the suite's one
+table :data:`spectral_pairs.suite.RUNTIME_BUDGETS_S`.
 """
+
+import io
 
 from spectral_pairs import suite
 
 
-def _run(check, budget_s=None):
+def _run(check):
     result = check()
     assert result.passed, f"{result.name}: {result.detail}"
+    budget_s = suite.RUNTIME_BUDGETS_S.get(check)
     if budget_s is not None:
         assert result.elapsed_s < budget_s, (
             f"{result.name} took {result.elapsed_s:.1f}s (budget {budget_s}s)"
@@ -19,31 +23,31 @@ def _run(check, budget_s=None):
 
 
 def test_01_cubic_g2_symbolic_identity():
-    _run(suite.check_cubic_g2_symbolic, budget_s=5)
+    _run(suite.check_cubic_g2_symbolic)
 
 
 def test_02_cubic_g4_symbolic_identity():
-    _run(suite.check_cubic_g4_symbolic, budget_s=60)
+    _run(suite.check_cubic_g4_symbolic)
 
 
 def test_03_quartic_symbolic_and_25_specializations():
-    _run(suite.check_quartic_symbolic_and_samples, budget_s=30)
+    _run(suite.check_quartic_symbolic_and_samples)
 
 
 def test_04_exponential_all_branches():
-    _run(suite.check_exponential_all_branches, budget_s=10)
+    _run(suite.check_exponential_all_branches)
 
 
 def test_05_conjugated_commutators_at_10_samples():
-    _run(suite.check_conjugation_ring, budget_s=300)
+    _run(suite.check_conjugation_ring)
 
 
 def test_06_order6_partner_and_cubic_curve():
-    _run(suite.check_order6_pair, budget_s=60)
+    _run(suite.check_order6_pair)
 
 
 def test_07_order10_partner_and_quintic_curve():
-    _run(suite.check_g2_pair, budget_s=600)
+    _run(suite.check_g2_pair)
 
 
 def test_08_numeric_eigen_residuals():
@@ -58,3 +62,14 @@ def test_09_bessel_form_residual_and_convergence():
 
 def test_10_property_suites():
     _run(suite.check_property_suites)
+
+
+def test_runtime_budgets_cover_criteria_1_to_7_and_print_their_margin(monkeypatch):
+    assert list(suite.RUNTIME_BUDGETS_S) == list(suite.ALL_CRITERIA[:7])
+    assert list(suite.RUNTIME_BUDGETS_S.values()) == [5, 60, 30, 10, 300, 60, 600]
+    monkeypatch.setattr(suite, "ALL_CRITERIA", (suite.check_cubic_g2_symbolic,))
+    out = io.StringIO()
+    assert suite.run_suite(out)
+    line = out.getvalue()
+    assert line.startswith("[PASS]  1. cubic g=2 symbolic eigen identity (")
+    assert line.rstrip().endswith("x)") and " - remainder zero: True (budget 5s, margin " in line

@@ -567,8 +567,11 @@ def test_some_square_completion_case_shifts():
 
 
 def test_curve_path_does_each_exact_step_once(monkeypatch):
-    l4, m = _pair_input((CUBIC, 2, _GENERIC_CUBIC, 10))
-    calls = {"basis": 0, "matrix": 0, "curve": 0, "commutator": 0, "compose": 0}
+    # find -> pair -> check on one L4 object: find's exact check is the one
+    # expansion of [L4, M], pair builds the one basis and matrix, and the
+    # check decides on the matrix that M' carries, with no composition
+    l4 = make_L4(FamilySpec(CUBIC, 2, alphas=_GENERIC_CUBIC))
+    calls = {"basis": 0, "matrix": 0, "charpoly": 0, "commutator": 0, "compose": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -580,17 +583,16 @@ def test_curve_path_does_each_exact_step_once(monkeypatch):
         monkeypatch.setattr(module, "series_kernel_basis",
                             counted("basis", module.series_kernel_basis))
         monkeypatch.setattr(module, "action_matrix", counted("matrix", module.action_matrix))
-    monkeypatch.setattr(centralizer, "spectral_curve",
-                        counted("curve", centralizer.spectral_curve))
+        monkeypatch.setattr(module, "charpoly_w", counted("charpoly", module.charpoly_w))
     monkeypatch.setattr(DiffOp, "commutator", counted("commutator", DiffOp.commutator))
+    m = find_commuting_operator(l4, 10)
+    assert calls == {"basis": 0, "matrix": 0, "charpoly": 0, "commutator": 1, "compose": 0}
     m2, curve = hyperelliptic_pair(l4, m)
     assert m2 != m  # this case completes the square
-    assert calls == {"basis": 1, "matrix": 1, "curve": 1, "commutator": 1, "compose": 0}
-    # the check R(L4, M') = 0: one basis, one matrix, one commutator, no composition
-    calls.update(dict.fromkeys(calls, 0))
+    assert calls == {"basis": 1, "matrix": 1, "charpoly": 1, "commutator": 1, "compose": 0}
     monkeypatch.setattr(DiffOp, "__mul__", counted("compose", DiffOp.__mul__))
     assert curve.eval_at_operators(l4, m2).is_zero()
-    assert calls == {"basis": 1, "matrix": 1, "curve": 0, "commutator": 1, "compose": 0}
+    assert calls == {"basis": 1, "matrix": 1, "charpoly": 1, "commutator": 1, "compose": 0}
 
 
 def test_benchmark_tracer_tallies_the_curve_path():
@@ -610,9 +612,103 @@ def test_benchmark_tracer_tallies_the_curve_path():
     finally:
         tracer.uninstall()
     assert identity.is_zero()
-    # one basis and one matrix for the curve, one of each for the check
-    assert tracer.calls("centralizer.action_matrix") == 2
-    assert tracer.calls("centralizer.series_kernel_basis") == 2
+    # one basis and one matrix for the curve; the check reads the matrix M'
+    # carries, and find's exact check is the one commutator expansion
+    assert tracer.calls("centralizer.action_matrix") == 1
+    assert tracer.calls("centralizer.series_kernel_basis") == 1
+    assert tracer.calls("operators.commutator") == 1
+
+
+# _PAIR_CASES plus V = x^3 at g = 4 and V = x^4 at g = 2 (V = x^3 at g = 3 is in it)
+_DIFFERENTIAL_CASES = _PAIR_CASES + [
+    (CUBIC, 4, (0, 0, 0, 1), 18),
+    (QUARTIC, 2, (0, 0, 0, 0, 1), 10),
+]
+
+
+def _plain(op):
+    """An unmarked copy, which takes the direct expansion of [L4, op]."""
+    return DiffOp(op.ring, op.coeffs)
+
+
+@pytest.mark.parametrize("case", _DIFFERENTIAL_CASES, ids=_case_id)
+def test_carried_proof_and_matrix_match_the_direct_expansion(case):
+    l4, m = _pair_input(case)
+    assert isinstance(m, curves._Commuting) and m.l4 is l4 and m.action is None
+    m2, curve = hyperelliptic_pair(l4, m)
+    verdict = curve.eval_at_operators(l4, m2).is_zero()
+    plain_m2, plain_curve = hyperelliptic_pair(l4, _plain(m))
+    plain_verdict = plain_curve.eval_at_operators(l4, _plain(plain_m2)).is_zero()
+    assert curve == plain_curve and repr(curve) == repr(plain_curve)
+    assert m2 == plain_m2 and repr(m2) == repr(plain_m2)
+    assert verdict and plain_verdict
+    assert m2.l4 is l4
+    assert m2.action == action_matrix(m2, series_kernel_basis(l4, m2.order + 3))
+
+
+def _counted_commutators(monkeypatch) -> list:
+    count = [0]
+    commutator = DiffOp.commutator
+
+    def counted(self, other):
+        count[0] += 1
+        return commutator(self, other)
+
+    monkeypatch.setattr(DiffOp, "commutator", counted)
+    return count
+
+
+def test_operators_formed_from_a_marked_partner_are_expanded(monkeypatch):
+    l4, m = _pair_input((CUBIC, 2, (0, 0, 0, 1), 10))
+    m2, curve = hyperelliptic_pair(l4, m)
+    x_d = DiffOp(XRING, [XRING.zero, XRING.var("x")])
+    count = _counted_commutators(monkeypatch)
+    for derived, commutes in ((m2 + x_d, False), (m2.scale(1), True), (-(-m2), True)):
+        assert type(derived) is DiffOp
+        count[0] = 0
+        assert curve.eval_at_operators(l4, derived).is_zero() == commutes
+        assert count[0] == 1
+    count[0] = 0
+    assert curve.eval_at_operators(l4, m2).is_zero()
+    assert count[0] == 0
+
+
+def test_the_mark_holds_only_for_its_own_l4_object(monkeypatch):
+    l4, m = _pair_input((CUBIC, 2, _GENERIC_CUBIC, 10))
+    twin = make_L4(FamilySpec(CUBIC, 2, alphas=_GENERIC_CUBIC))
+    assert twin == l4 and twin is not l4
+    count = _counted_commutators(monkeypatch)
+    assert spectral_curve(twin, m) == spectral_curve(l4, m)
+    assert count[0] == 1
+    count[0] = 0
+    m2, curve = hyperelliptic_pair(twin, m)
+    assert count[0] == 1 and m2.l4 is twin
+    count[0] = 0
+    assert curve.eval_at_operators(l4, m2).is_zero()  # marked for twin, given l4
+    assert count[0] == 1
+    # another spec's L4: the mark does not vouch for it
+    other = make_L4(FamilySpec(CUBIC, 2, alphas=(0, 0, 0, 1)))
+    count[0] = 0
+    with pytest.raises(SpectralPairsError, match="operators do not commute"):
+        spectral_curve(other, m)
+    with pytest.raises(SpectralPairsError, match="operators do not commute"):
+        hyperelliptic_pair(other, m2)
+    assert count[0] == 2
+    identity = curve.eval_at_operators(other, m2)
+    assert count[0] == 3
+    assert identity == eval_at_operators_oracle(curve, other, m2)
+    assert not identity.is_zero()
+
+
+def test_a_perturbed_curve_on_a_marked_partner_matches_the_oracle():
+    l4, m = _pair_input((CUBIC, 2, _GENERIC_CUBIC, 10))
+    m2, curve = hyperelliptic_pair(l4, m)
+    assert isinstance(m2, curves._Commuting) and m2.action is not None
+    for key in ((0, 0), (2, 0)):
+        perturbed = _shifted(curve, key, Fraction(-2, 3))
+        identity = perturbed.eval_at_operators(l4, m2)
+        assert not identity.is_zero()
+        assert identity == eval_at_operators_oracle(perturbed, l4, m2)
 
 
 @pytest.mark.parametrize("case", [(CUBIC, 2, _GENERIC_CUBIC, 10), (CUBIC, 1, (0, 0, 0, 1), 6)],

@@ -148,8 +148,7 @@ def _check_kernel_sums(monkeypatch, curve, a, b):
         return wrapped
 
     monkeypatch.setattr(curves._Z, "sum_products", counted)
-    monkeypatch.setattr(curves, "_kernel_basis_for", uncounted(curves._kernel_basis_for))
-    monkeypatch.setattr(curves, "action_matrix", uncounted(curves.action_matrix))
+    monkeypatch.setattr(curves, "_kernel_action", uncounted(curves._kernel_action))
     return curve.eval_at_operators(a, b), calls[0]
 
 

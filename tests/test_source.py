@@ -128,6 +128,65 @@ def test_only_the_rings_package_reads_the_integer_form_of_polynomials():
             for f in reads(path)] == []
 
 
+def _calls_by_function(tree, name: str) -> list:
+    """(innermost enclosing function or None, line) of each call of ``name``."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            called = node.func
+            if getattr(called, "id", None) == name or getattr(called, "attr", None) == name:
+                found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_find_and_pair_build_a_marked_partner():
+    # a curves._Commuting operator vouches for [L4, M] = 0 without a second
+    # expansion, so only find_commuting_operator, after its exact check, and
+    # hyperelliptic_pair, whose M' - M lies in Q[L4], may build one
+    marking = sorted(
+        (str(path.relative_to(SRC)), fn)
+        for path in SRC.rglob("*.py")
+        for fn, _ in _calls_by_function(ast.parse(path.read_text()), "_Commuting")
+    )
+    assert marking == [("centralizer.py", "find_commuting_operator"),
+                        ("centralizer.py", "hyperelliptic_pair")]
+    tree = ast.parse((SRC / "centralizer.py").read_text())
+    find = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "find_commuting_operator")
+    checks = [
+        node.end_lineno for node in ast.walk(find)
+        if isinstance(node, ast.If)
+        and any(getattr(n, "attr", None) == "commutator" for n in ast.walk(node.test))
+        and any(isinstance(n, ast.Raise) for n in node.body)
+    ]
+    [(_, mark)] = _calls_by_function(find, "_Commuting")
+    assert checks and max(checks) < mark
+
+
+def test_no_module_memoizes_with_functools():
+    # the benchmark repeats its inputs pass after pass: a cache keyed by value
+    # would measure memory instead of work
+    memos = {"lru_cache", "cache", "cached_property"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno} {n}" for n in names if n in memos]
+    assert found == []
+
+
 _STARTUP = """
 import sys
 import spectral_pairs, spectral_pairs.cli
