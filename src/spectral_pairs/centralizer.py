@@ -296,7 +296,11 @@ _GUARD_PRIME = (1 << 61) - 1
 
 def _schrodinger_square(l4: DiffOp):
     """(V, W) with L4 = (D^2 + V)^2 + W over Q[x], or None if L4 is not of
-    that form (monic of order 4, no D^3 term, D^1 coefficient 2V')."""
+    that form (monic of order 4, no D^3 term, D^1 coefficient 2V').
+
+    Exactly the inverse of :func:`families._l4_from`, which builds
+    L4 = D^4 + 2V D^2 + 2V' D + (V'' + V^2 + W): V is half the D^2
+    coefficient and W the D^0 coefficient less V'' + V^2."""
     if not _over_qx(l4.ring) or l4.order != 4 or not l4.is_monic():
         return None
     a0, a1, a2, a3, _ = l4.coeffs

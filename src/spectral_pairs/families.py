@@ -6,12 +6,20 @@ Three potentials are covered:
 * quartic:      V = a4 x^4 + ... + a0, tied by a3^3 - 4 a2 a3 a4 + 8 a1 a4^2 = 0
 * exponential:  V = a1 e^x + a0 (with an optional +(g+eps)^2/4 shift)
 
-Each family has a fourth-order operator L4 = L2^2 + (lower-order term) that
+Each family has a fourth-order operator L4 = L2^2 + W, W of order zero, that
 commutes with an operator of order 4g+2, an eigenvalue characteristic
 polynomial chi(z), and an explicit multiplier p(x) sending kernel functions of
 L2 to eigenfunctions of L4.  The closed forms exist for cubic g in {2, 4},
 quartic g in {1, 2}, and every g >= 1 in the exponential family.  A cubic or
 quartic p is a list of z-coefficients, evaluated by :func:`rings.multipoly.horner`.
+
+Both operators are built in closed form, with no operator composition: V is
+one kernel sum of a_i times a monomial, and the Leibniz step
+D^2 V = V D^2 + 2V' D + V'' gives
+
+    L4 = D^4 + 2V D^2 + 2V' D + (V'' + V^2 + W),
+
+read off L2's V (:func:`_l4_from`), so a caller holding L2 builds L4 from it.
 """
 
 from __future__ import annotations
@@ -152,38 +160,63 @@ def _alpha(spec: FamilySpec, ring: PolyRing, i: int):
 def make_schrodinger(spec: FamilySpec, shifted: bool = False) -> DiffOp:
     """The monic order-2 operator d^2 + V(x), optionally energy-shifted.
 
-    ``shifted`` adds (g+eps)^2/4 and is meaningful only for the exponential
-    family, whose eigenfunction statements run through the shifted kernel.
+    V is one kernel sum of a_i times a monomial: a_i x^i, or a1 t^2 and a0
+    in the exponential family.  ``shifted`` adds (g+eps)^2/4 and is
+    meaningful only for the exponential family, whose eigenfunction
+    statements run through the shifted kernel (:func:`_shifted`).
     """
     ring = coefficient_ring(spec)
     if spec.family == EXPONENTIAL:
-        v = _alpha(spec, ring, 1) * ring.var("t", 2) + _alpha(spec, ring, 0)
-        if shifted:
-            v = v + ring.const(Fraction((spec.g + spec.eps) ** 2, 4))
-        return DiffOp(ring, [v, ring.zero, ring.one])
-    top = 4 if spec.family == QUARTIC else 3
-    x = ring.var("x")
-    v = ring.zero
-    for i in range(top + 1):
-        v = v + _alpha(spec, ring, i) * x ** i
-    return DiffOp(ring, [v, ring.zero, ring.one])
+        terms = [(1, _alpha(spec, ring, 1), ring.var("t", 2)),
+                 (1, _alpha(spec, ring, 0), ring.one)]
+    else:
+        top = 4 if spec.family == QUARTIC else 3
+        terms = [(1, _alpha(spec, ring, i), ring.var("x", i)) for i in range(top + 1)]
+    l2 = DiffOp(ring, [ring.sum_products(terms), ring.zero, ring.one])
+    return _shifted(spec, l2) if shifted else l2
+
+
+def _shifted(spec: FamilySpec, l2: DiffOp) -> DiffOp:
+    """The exponential family's L2 + (g+eps)^2/4; ``l2`` itself otherwise."""
+    if spec.family != EXPONENTIAL:
+        return l2
+    return l2 + DiffOp(l2.ring, [l2.ring.const(Fraction((spec.g + spec.eps) ** 2, 4))])
 
 
 def make_L4(spec: FamilySpec) -> DiffOp:
-    """L2^2 plus the family's order-zero correction term."""
-    ring = coefficient_ring(spec)
-    l2 = make_schrodinger(spec, shifted=False)
+    """L4 = L2^2 + W = D^4 + 2V D^2 + 2V' D + (V'' + V^2 + W), L2 = D^2 + V.
+
+    The closed form rests on the Leibniz step D^2 V = V D^2 + 2V' D + V'';
+    no composition runs (:func:`_l4_from`).
+    """
+    return _l4_from(spec, make_schrodinger(spec))
+
+
+def _l4_from(spec: FamilySpec, l2: DiffOp) -> DiffOp:
+    """L4 = (D^2 + V)^2 + W from the unshifted L2 = D^2 + V, with no composition.
+
+    The Leibniz step D^2 V = V D^2 + 2V' D + V'' gives
+
+        L4 = D^4 + 2V D^2 + 2V' D + (V'' + V^2 + W),
+
+    whose order-0 coefficient is one kernel sum.  W is a3 g(g+1) x (cubic),
+    2 g(g+1) x (a3 + 2 a4 x) (quartic) or a1 g(g+1) e^x (exponential).
+    :func:`centralizer._schrodinger_square` is exactly the inverse: it reads
+    V and W back off these coefficients.
+    """
+    ring = l2.ring
+    v = l2.coeff(0)
+    dv = v.derive()
     gg1 = spec.g * (spec.g + 1)
     if spec.family == EXPONENTIAL:
-        extra = _alpha(spec, ring, 1) * gg1 * ring.var("t", 2)
+        w = [(gg1, _alpha(spec, ring, 1), ring.var("t", 2))]
     elif spec.family == CUBIC:
-        extra = _alpha(spec, ring, 3) * ring.var("x") * gg1
+        w = [(gg1, _alpha(spec, ring, 3), ring.var("x"))]
     else:
-        x = ring.var("x")
-        a3 = _alpha(spec, ring, 3)
-        a4 = _alpha(spec, ring, 4)
-        extra = 2 * gg1 * x * (a3 + 2 * a4 * x)
-    return l2 * l2 + DiffOp(ring, [extra])
+        w = [(2 * gg1, _alpha(spec, ring, 3), ring.var("x")),
+             (4 * gg1, _alpha(spec, ring, 4), ring.var("x", 2))]
+    c0 = ring.sum_products([(1, v, v), (1, dv.derive(), ring.one), *w])
+    return DiffOp(ring, [c0, dv * 2, v * 2, ring.zero, ring.one])
 
 
 # -- eigenvalue data -------------------------------------------------------------

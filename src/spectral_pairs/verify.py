@@ -26,12 +26,12 @@ from .errors import (
 )
 from .families import (
     CUBIC,
-    EXPONENTIAL,
     QUARTIC,
     FamilySpec,
+    _l4_from,
+    _shifted,
     char_poly_z,
     coefficient_ring,
-    make_L4,
     make_schrodinger,
     multiplier_p,
     solve_quartic_constraint,
@@ -89,11 +89,14 @@ def verify_eigen_identity(spec: FamilySpec) -> VerificationReport:
     Builds N = L4 p - z p as an operator (p and z acting by multiplication)
     and right-divides by L2; the identity holds iff the remainder vanishes.
     For deg chi >= 2 the computation runs in Base[z]/(chi), treating z as a
-    formal root without choosing one.
+    formal root without choosing one.  L2 is built once: L4 is formed from
+    it in closed form (:func:`families._l4_from`), and the exponential
+    family divides by the shifted L2 + (g+eps)^2/4.
     """
     t0 = time.perf_counter()
-    l2 = make_schrodinger(spec, shifted=(spec.family == EXPONENTIAL))
-    l4 = make_L4(spec)
+    l2 = make_schrodinger(spec)
+    l4 = _l4_from(spec, l2)
+    l2 = _shifted(spec, l2)
     chi = char_poly_z(spec)
     if chi.degree == 1:
         z = (-chi.coeffs[0]).map_to(coefficient_ring(spec))
@@ -219,7 +222,8 @@ def verify_corollary(
     order 4g+2 ("l4g2"); for the latter a precomputed ``partner`` may be
     passed to skip the centralizer search.  Every rational root of chi and
     the irreducible non-rational factor (as Q[x][z]/(factor)) is checked;
-    the report aggregates them and keeps the first witness B.
+    the report aggregates them and keeps the first witness B.  L2 is built
+    once, and L4 from it in closed form (:func:`families._l4_from`).
 
     Each branch runs division-free over K[x], K the rationals or
     Q[z]/(factor): with N = L p = sum_j n_j D^j and L2 = D^2 + V it
@@ -247,10 +251,10 @@ def verify_corollary(
     t0 = time.perf_counter()
     l2 = make_schrodinger(spec)
     if which == "l4":
-        l = make_L4(spec)
+        l = _l4_from(spec, l2)
     elif which == "l4g2":
         l = partner if partner is not None else find_commuting_operator(
-            make_L4(spec), 4 * spec.g + 2
+            _l4_from(spec, l2), 4 * spec.g + 2
         )
     else:
         raise ValueError(f"unknown target {which!r}")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from spectral_pairs import centralizer
 from spectral_pairs.errors import ConstraintError, NotCoveredError
 from spectral_pairs.families import (
     CUBIC,
@@ -80,6 +81,70 @@ def test_l4_exponential_correction():
     ring = l4.ring
     a1 = ring.var("a1")
     assert l4 - l2 * l2 == DiffOp(ring, [6 * a1 * ring.var("t", 2)])
+
+
+# -- L4 in closed form against the composed square ----------------------------------
+
+_CLOSED_FORM_CASES = (
+    [(CUBIC, g, 0) for g in range(1, 7)]
+    + [(QUARTIC, g, 0) for g in range(1, 4)]
+    + [(EXPONENTIAL, g, eps) for g in range(1, 7) for eps in (0, 1)]
+)
+
+
+def _specs_at(family, g, eps):
+    """The symbolic spec and three seeded specializations.  The parameters
+    are drawn at g = 2, where every family has its closed forms, so cubic
+    g = 3 and quartic g = 3 get samples too."""
+    rng = random.Random(100 * g + eps)
+    samples = [sample_spec(family, 2, rng, eps=eps).alphas for _ in range(3)]
+    return [FamilySpec(family, g, eps=eps)] + [
+        FamilySpec(family, g, eps=eps, alphas=a) for a in samples
+    ]
+
+
+def _paper_l2(spec):
+    """d^2 + V with V summed term by term as the paper writes it."""
+    ring = coefficient_ring(spec)
+    if spec.family == EXPONENTIAL:
+        v = _alpha(spec, ring, 1) * ring.var("t", 2) + _alpha(spec, ring, 0)
+    else:
+        x = ring.var("x")
+        v = ring.zero
+        for i in range(5 if spec.family == QUARTIC else 4):
+            v = v + _alpha(spec, ring, i) * x ** i
+    return DiffOp(ring, [v, ring.zero, ring.one])
+
+
+def _paper_w(spec, ring):
+    """The paper's order-zero term W of L4 = L2^2 + W."""
+    gg1 = spec.g * (spec.g + 1)
+    if spec.family == CUBIC:
+        return _alpha(spec, ring, 3) * gg1 * ring.var("x")
+    if spec.family == QUARTIC:
+        x = ring.var("x")
+        return 2 * gg1 * x * (_alpha(spec, ring, 3) + 2 * _alpha(spec, ring, 4) * x)
+    return _alpha(spec, ring, 1) * gg1 * ring.var("t", 2)  # a1 g(g+1) e^x
+
+
+@pytest.mark.parametrize("family, g, eps", _CLOSED_FORM_CASES)
+def test_l4_closed_form_equals_the_composed_square(family, g, eps):
+    for spec in _specs_at(family, g, eps):
+        l2 = _paper_l2(spec)
+        ring = l2.ring
+        assert make_schrodinger(spec) == l2
+        assert make_L4(spec) == l2 * l2 + DiffOp(ring, [_paper_w(spec, ring)])
+        shift = Fraction((g + eps) ** 2, 4) if family == EXPONENTIAL else 0
+        assert make_schrodinger(spec, shifted=True) == l2 + DiffOp(ring, [ring.const(shift)])
+
+
+@pytest.mark.parametrize("family, g", [(CUBIC, g) for g in range(1, 7)]
+                         + [(QUARTIC, g) for g in range(1, 4)])
+def test_schrodinger_square_reads_back_the_v_and_w_of_make_l4(family, g):
+    for spec in _specs_at(family, g, 0)[1:]:  # over Q[x]: specialized only
+        v, w = centralizer._schrodinger_square(make_L4(spec))
+        assert v == make_schrodinger(spec).coeff(0)
+        assert w == _paper_w(spec, v.ring)
 
 
 def test_char_poly_cubic_g2():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_pairs import families, verify
 from spectral_pairs.centralizer import find_commuting_operator
 from spectral_pairs.errors import DegenerateSampleError, NotCoveredError, SpectralPairsError
 from spectral_pairs.families import (
@@ -68,6 +69,37 @@ def test_symbolic_identity_holds(spec):
     assert report.identity_id == f"eigen-{spec.identity_id()}"
     # the witness is the exact quotient of an order-4 by an order-2 operator
     assert report.witness_order == 2
+
+
+def _counted(monkeypatch, owners, name) -> list:
+    """Record each call of ``name`` on every one of ``owners`` in one list."""
+    calls = []
+    for owner in owners:
+        def counted(*args, _inner=getattr(owner, name), **kwargs):
+            calls.append(args)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(CUBIC, 2),
+    FamilySpec(QUARTIC, 2),
+    FamilySpec(EXPONENTIAL, 3, eps=1),
+    sample_spec(CUBIC, 4, random.Random(DEFAULT_SEED)),
+], ids=["cubic", "quartic", "exponential", "cubic-specialized"])
+def test_each_verdict_builds_l2_once_and_composes_only_what_it_checks(spec, monkeypatch):
+    compositions = _counted(monkeypatch, [DiffOp], "__mul__")
+    make_L4(spec)
+    assert len(compositions) == 0  # L4 in closed form, not L2 * L2
+    l2_builds = _counted(monkeypatch, [families, verify], "make_schrodinger")
+    verify_eigen_identity(spec)
+    assert len(compositions) == 2  # L4 p, then the reconstruction q L2
+    assert len(l2_builds) == 1
+    if not spec.symbolic:
+        l2_builds.clear()
+        verify_corollary(spec, "l4")
+        assert len(l2_builds) == 1
 
 
 # -- specialized mode agrees with symbolic mode under substitution ------------------
