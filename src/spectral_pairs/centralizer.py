@@ -99,12 +99,13 @@ So the operators of order <= N in C(L4) are p(L4) + c M', deg p <= g, of
 orders 4k and N, and the search's reduced row echelon vector is M' less
 the p(L4) that clears the constant terms of its D^(4k) coefficients
 (:func:`find_commuting_operator`, :func:`_normal_form`).  F enters only
-this guard: :func:`hyperelliptic_pair` keeps its characteristic-polynomial
-route, so the curves it prints do not rest on the chain.  V = x^3 has
-e = 2, 4, 3, 2, 4 at g = 3, 4, 6, 8, 9 and takes the chain there.  Another
-order, another L4, a chain with no or several solutions, deg F0 < 3 (V =
-x^3 at g = 1: F = z^3, F0 = z, genus 0), a square factor of F other than
-a power of z, and a_0 = 0 when e >= 2 all run the search, unchanged.
+this guard: :func:`hyperelliptic_pair` reads its curve off the action
+matrix of the partner it is given, so the curves it prints do not rest on
+the chain.  V = x^3 has e = 2, 4, 3, 2, 4 at g = 3, 4, 6, 8, 9 and takes
+the chain there.  Another order, another L4, a chain with no or several
+solutions, deg F0 < 3 (V = x^3 at g = 1: F = z^3, F0 = z, genus 0), a
+square factor of F other than a power of z, and a_0 = 0 when e >= 2 all run
+the search, unchanged.
 
 The spectral curve comes from the action of M on a formal basis psi_0 ..
 psi_3 of ker(L4 - z), built in :mod:`curves` and imported here.  The basis
@@ -114,25 +115,28 @@ holds the first four Taylor data of M psi_j, which reads d up to
 d_(ord M + 3) (:func:`curves.action_matrix`).  So one basis at truncation
 max(8, ord M + 3) gives the curve: the recurrence is prefix-closed (d_(m+4)
 is fixed by d_0 .. d_(m+3)), so a longer basis cut to that length gives the
-same matrix.  det(w I - A) is F^l for the irreducible relation F of the
-pair, and the curve is F, its monic l-th root, read off the w-coefficients
-over Q[z] (:func:`curves.charpoly_w`, :func:`curves.squarefree_normalize`).
-Completing the square needs no second curve either: M + b(L4)/2 acts on
-ker(L4 - z) as A + b(z)/2 I, so the curve w^2 + b w + c of M becomes
-R(z, w - b/2) = w^2 + c - b^2/4, formed on b and c over Q[z], so no
-product in Q[z, w] is formed.  A + b(z)/2 I also decides R(L4, M') = 0
-without composing M' with itself
-(:meth:`curves.SpectralCurve.eval_at_operators`).
+same matrix.  det(w I - A) is R^l for the irreducible relation R of the
+pair.  :func:`spectral_curve`, for any rank, reads R off the w-coefficients
+over Q[z] as the monic l-th root (:func:`curves.charpoly_w`,
+:func:`curves.squarefree_normalize`).  :func:`hyperelliptic_pair` forms no
+characteristic polynomial: a rank-two R = w^2 + b w + c has b = -tr(A)/2,
+so it completes the square on the matrix, A' = A + b(z)/2 I, and one
+product A'^2 = F I both decides the rank and gives the curve w^2 - F of
+M' = M + b(L4)/2, which acts on ker(L4 - z) as A'.  That is the square
+completion R(z, w - b/2) = w^2 + c - b^2/4, so no product in Q[z, w] is
+formed.  A'^2 also decides R(L4, M') = 0 with no matrix product and no
+composition of M' with itself (:meth:`curves.SpectralCurve.eval_at_operators`).
 
 Each of these facts is computed once per pair, on the operators returned:
 :func:`find_commuting_operator` marks its partner with the L4 object whose
 commutator with it it has just expanded to zero (:class:`curves._Commuting`),
 so :func:`spectral_curve` and :func:`hyperelliptic_pair` build the kernel
 basis and A without expanding [L4, M] again, and :func:`hyperelliptic_pair`
-returns M' with the same mark and A(M') = A(M) + b(z)/2 I: M' - M lies in
-Q[L4], which commutes with L4 and acts as b(z)/2 on ker(L4 - z).  The mark
-holds only for that L4 object; any other L4, even one of equal value, and
-any operator formed from a marked one get the direct expansion.
+returns M' with the same mark and the powers [I, A', A'^2] of A(M') = A(M)
++ b(z)/2 I: M' - M lies in Q[L4], which commutes with L4 and acts as b(z)/2
+on ker(L4 - z).  The mark holds only for that L4 object; any other L4, even
+one of equal value, and any operator formed from a marked one get the
+direct expansion.
 """
 
 from __future__ import annotations
@@ -148,6 +152,7 @@ from .curves import (
     _Commuting,
     _curve,
     _kernel_action,
+    _matrix_powers,
     _over_qx,
     action_matrix,
     charpoly_w,
@@ -505,44 +510,60 @@ def spectral_curve(l4: DiffOp, m: DiffOp) -> SpectralCurve:
     One kernel basis, at truncation max(8, ord M + 3), is enough: a longer
     one agrees with it on every coefficient :func:`action_matrix` reads (see
     the module docstring).  The zero operator has det(w I - 0) = w^4 and so
-    the curve w.
+    the curve w.  [L4, M] = 0 is expanded unless ``m`` is marked with this
+    ``l4`` (:func:`curves._kernel_action`).
     """
-    return _curve_and_action(l4, m)[0]
-
-
-def _curve_and_action(l4: DiffOp, m: DiffOp):
-    """(R, A(M)): the curve of :func:`spectral_curve` and the matrix it came
-    from.  [L4, M] = 0 is expanded unless ``m`` is marked with this ``l4``
-    (:func:`curves._kernel_action`)."""
     action = _kernel_action(l4, m)
     if action is None:
         raise SpectralPairsError("operators do not commute")
-    return squarefree_normalize(charpoly_w(action)), action
+    return squarefree_normalize(charpoly_w(action))
 
 
 def hyperelliptic_pair(l4: DiffOp, m: DiffOp):
     """(M', R) with R(z, w) = w^2 - F(z) and R(L4, M') = 0.
 
-    The normal form of :func:`find_commuting_operator` (no constant term on
-    D^(4k) below its order) can leave a w-linear term b(z) w in the curve
-    R = w^2 + b w + c; M' = M + b(L4)/2 completes the square, and its curve
-    is w^2 + c - b^2/4, formed on b and c over Q[z] (see the module
-    docstring); b(L4)/2 comes from :func:`curves._at_operator`.
-    [L4, M] = 0 is expanded here unless ``m`` is marked with this ``l4``
-    object (as :func:`find_commuting_operator` returns it).  M' is returned
-    marked with ``l4`` and carries A(M') = A(M) + b(z)/2 I: M' - M lies in
-    Q[L4], so M' commutes with L4, and L4^i acts as z^i on ker(L4 - z).
+    The curve is read off the action matrix A = A(M) on ker(L4 - z) in
+    closed form, with no characteristic polynomial.  [L4, M] = 0 is proven
+    (expanded here unless ``m`` is marked with this ``l4`` object, as
+    :func:`find_commuting_operator` returns it), so det(w I - A) = R^l with
+    R irreducible and monic in w over Q[z]
+    (:func:`curves.squarefree_normalize`), and deg_w R is 1, 2 or 4.
+    R(z, A) = 0, and R is irreducible over Q(z) (Gauss), so R is the
+    minimal polynomial of A.  With b/2 = -tr(A)/4 in Q[z] and A' = A +
+    (b/2) I, tr A' = 0, and the minimal polynomial of A' is R(z, w - b/2):
+
+    - A' = 0 exactly when A is scalar, that is deg_w R = 1: a scalar A is
+      tr(A)/4 I.  This raises :class:`NotCoveredError` (w-degree 1).
+    - A' != 0 and A'^2 = F I, tested exactly (F = A'^2[0][0], every
+      diagonal entry F and every off-diagonal entry 0): A' is not scalar,
+      as tr A' = 0, so its minimal polynomial is w^2 - F, and the curve of
+      M' = M + b(L4)/2 is w^2 - F.  If deg_w R = 2, det(w I - A) = R^2
+      gives R = w^2 + b w + c (the w^3 coefficient of R^2 is 2b = -tr A),
+      so A'^2 = (b^2/4 - c) I and the test holds: the curve is the square
+      completion w^2 + c - b^2/4 of R.
+    - Otherwise deg_w R = 4, which raises :class:`NotCoveredError`
+      (w-degree 4).
+
+    b(L4)/2 comes from :func:`curves._at_operator`.  M' is returned marked
+    with ``l4`` and carries [I, A', A'^2] (:class:`curves._Commuting`): M' - M
+    lies in Q[L4], so M' commutes with L4, and L4^i acts as z^i on
+    ker(L4 - z), so A(M') = A'.
     :meth:`curves.SpectralCurve.eval_at_operators` decides R(L4, M') = 0 on
-    that matrix.
-    Only rank-two (w-degree 2) curves are covered; any other curve raises
-    :class:`NotCoveredError`.
+    the carried A'^2 with no matrix product.  A non-commuting pair raises
+    :class:`SpectralPairsError`.
     """
-    curve, action = _curve_and_action(l4, m)
-    if curve.w_degree() != 2:
-        raise NotCoveredError(f"not a rank-two curve: w-degree {curve.w_degree()}")
-    b, c = (curve.coefficients_in("w").get(j, _Z.zero) for j in (1, 0))
-    half_b = b * Fraction(1, 2)
+    action = _kernel_action(l4, m)
+    if action is None:
+        raise SpectralPairsError("operators do not commute")
+    half_b = _Z.sum_products((1, action[i][i], _Z.one) for i in range(4)) * Fraction(-1, 4)
     shifted = [[e + half_b if r == s else e for s, e in enumerate(row)]
                for r, row in enumerate(action)]
-    m_prime = _Commuting(m + _at_operator(half_b, l4), l4, shifted)
-    return m_prime, _curve([_Z.one, _Z.zero, c - half_b * half_b])
+    if all(e.is_zero() for row in shifted for e in row):
+        raise NotCoveredError("not a rank-two curve: w-degree 1")
+    powers = _matrix_powers(shifted, 2)
+    f = powers[2][0][0]
+    if any(e != (f if r == s else _Z.zero) for r, row in enumerate(powers[2])
+           for s, e in enumerate(row)):
+        raise NotCoveredError("not a rank-two curve: w-degree 4")
+    m_prime = _Commuting(m + _at_operator(half_b, l4), l4, powers)
+    return m_prime, _curve([_Z.one, _Z.zero, -f])

@@ -9,20 +9,24 @@ monic l-th root in Q[z][w]: no gcd and no rational functions of z.
 The characteristic polynomial (:func:`charpoly_w`) and its root
 (:func:`squarefree_normalize`) are computed on w-coefficients over Q[z], and
 a curve is only assembled from them (:func:`_curve`), so there is no
-arithmetic in two variables.  The formal kernel of L4 - z lives here too:
-its basis psi_0 .. psi_3 is held as Taylor data over Q[z]
-(:func:`series_kernel_basis`), and the 4x4 action matrix A of an operator on
-it (:func:`action_matrix`), with Q[z] entries, feeds both :func:`charpoly_w`
-and the zero test of :meth:`SpectralCurve.eval_at_operators`.  Both take A
-from one function (:func:`_kernel_action`), the one place on the curve path
-that decides [a, b] = 0, and the powers I, A, A^2, ... from another
+arithmetic in two variables.  They serve :func:`centralizer.spectral_curve`,
+the curve of any rank; the rank-two curve of
+:func:`centralizer.hyperelliptic_pair` is read off tr A and one matrix
+square instead.  The formal kernel of L4 - z lives here too: its basis
+psi_0 .. psi_3 is held as Taylor data over Q[z] (:func:`series_kernel_basis`),
+and the 4x4 action matrix A of an operator on it (:func:`action_matrix`),
+with Q[z] entries, feeds the curve and the zero test of
+:meth:`SpectralCurve.eval_at_operators`.  Both take A from one function
+(:func:`_kernel_action`), the one place on the curve path that decides
+[a, b] = 0, and the powers I, A, A^2, ... from another
 (:func:`_matrix_powers`).
 
 A partner whose commutation is already proven carries the proof:
 :class:`_Commuting` marks it with the very L4 object it commutes with, and,
-once formed, with its action matrix.  :func:`_kernel_action` trusts the mark
-only for that same object (``is``) and expands [a, b] for every other pair,
-so each fact is computed once per pair and nothing is kept across calls.
+once formed, with the powers of its action matrix.  :func:`_kernel_action`
+trusts the mark only for that same object (``is``) and expands [a, b] for
+every other pair, so each fact is computed once per pair and nothing is kept
+across calls.
 A polynomial over Q[z] in an operator is formed on its scalar operators
 (:func:`_at_operator`) by the package's one Horner,
 :func:`rings.multipoly.horner`, which the chain partner and the square
@@ -74,10 +78,11 @@ class SpectralCurve(MultiPoly):
         the formal kernel of a - z, and no composition is formed.  Both the
         commutation and the matrix come from :func:`_kernel_action`: a ``b``
         that :func:`centralizer.hyperelliptic_pair` returned for this very
-        ``a`` carries its matrix, and any other ``b`` has [a, b] expanded
-        directly and its matrix built.  Let C(a) be the operators that
-        commute with a, and let psi_j(x, z) be the kernel basis of a - z
-        with psi_j^(k)(0) = delta_jk (:func:`series_kernel_basis`).  Then:
+        ``a`` carries the powers [I, A, A^2] of its matrix, and any other
+        ``b`` has [a, b] expanded directly and its matrix built.  Let C(a)
+        be the operators that commute with a, and let psi_j(x, z) be the
+        kernel basis of a - z with psi_j^(k)(0) = delta_jk
+        (:func:`series_kernel_basis`).  Then:
 
         - P -> A(P), P psi_j = sum_k A_kj psi_k, is a ring homomorphism
           C(a) -> M_4(Q[z]) (the entries are constant in x), and A(a) = z I.
@@ -92,9 +97,11 @@ class SpectralCurve(MultiPoly):
         f(P) psi): Burchnall and Chaundy, Proc. London Math. Soc. 1923;
         Krichever, Russian Math. Surveys 1977.  R(z I, A(b)) = sum_j R_j(z)
         A(b)^j is decided over Q[z] entry by entry, one exact kernel sum per
-        entry on the powers of A(b) (:func:`_matrix_powers`), stopping at the
-        first nonzero entry, so no modular, float or heuristic step decides
-        the verdict.  When that matrix is zero the zero operator is returned.
+        entry on the powers of A(b) (:func:`_matrix_powers`, which extends
+        the powers ``b`` carries), stopping at the first nonzero entry, so
+        for w^2 - F on a carried A^2 no matrix product is formed.  No
+        modular, float or heuristic step decides the verdict.  When that
+        matrix is zero the zero operator is returned.
         Otherwise, and whenever the test does not apply, R(a, b) = sum_j
         R_j(a) b^j is formed by Horner in w over Horner in z
         (:func:`rings.multipoly.horner`): for w^2 - F(z) that is one b*b and
@@ -114,7 +121,8 @@ class SpectralCurve(MultiPoly):
                   and _over_qx(a.ring) and _kernel_action(a, b))
         if not matrix:
             return False
-        powers = _matrix_powers(matrix, self.w_degree())
+        carried = b.powers if isinstance(b, _Commuting) and b.l4 is a else None
+        powers = _matrix_powers(matrix, self.w_degree(), carried)
         terms = self.coefficients_in("w").items()
         return all(_Z.sum_products((1, r, powers[j][row][col]) for j, r in terms).is_zero()
                    for row in range(4) for col in range(4))
@@ -155,11 +163,14 @@ def charpoly_w(matrix) -> SpectralCurve:
     return _curve(c)
 
 
-def _matrix_powers(matrix, top: int) -> list:
-    """[I, A, A^2, ..., A^top] for a square matrix A over Q[z], each entry
-    of A^(k+1) = A A^k one kernel sum."""
+def _matrix_powers(matrix, top: int, powers=None) -> list:
+    """[I, A, A^2, ..., A^top] (or longer) for a square matrix A over Q[z],
+    each entry of A^(k+1) = A A^k one kernel sum.  ``powers``, a list
+    [I, A, ...] already formed, is extended into a new list in place of
+    starting from [I, A]."""
     n = len(matrix)
-    powers = [[[_Z.one if r == s else _Z.zero for s in range(n)] for r in range(n)], matrix]
+    powers = list(powers or [[[_Z.one if r == s else _Z.zero for s in range(n)]
+                              for r in range(n)], matrix])
     while len(powers) <= top:
         powers.append([[_Z.sum_products((1, matrix[r][i], powers[-1][i][s]) for i in range(n))
                         for s in range(n)] for r in range(n)])
@@ -229,37 +240,39 @@ def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
 
 class _Commuting(DiffOp):
     """An operator proven to commute with the operator object ``l4``, with
-    its action matrix on ker(l4 - z) in ``action`` once that is formed.
+    the powers [I, A, A^2] of its action matrix A on ker(l4 - z) in
+    ``powers`` once they are formed.
 
     Only :func:`centralizer.find_commuting_operator`, right after its exact
     [L4, M] = 0 expansion, and :func:`centralizer.hyperelliptic_pair`, whose
-    M' differs from a proven M by b(L4)/2 in Q[L4], build one.  Arithmetic
-    and every other method return plain :class:`DiffOp`, so no operator
-    derived from a marked one inherits the mark, and :func:`_kernel_action`
-    reads it only when the L4 it is given is ``l4`` itself: an L4 of equal
-    value is still expanded, as nothing ties it to the proof.
+    M' differs from a proven M by b(L4)/2 in Q[L4] and whose A(M')^2 it
+    has formed to read the curve, build one.  Arithmetic and every other
+    method return plain :class:`DiffOp`, so no operator derived from a
+    marked one inherits the mark, and :func:`_kernel_action` reads it only
+    when the L4 it is given is ``l4`` itself: an L4 of equal value is still
+    expanded, as nothing ties it to the proof.
     """
 
-    __slots__ = ("l4", "action")
+    __slots__ = ("l4", "powers")
 
-    def __init__(self, op: DiffOp, l4: DiffOp, action=None):
+    def __init__(self, op: DiffOp, l4: DiffOp, powers=None):
         super().__init__(op.ring, op.coeffs)
-        self.l4, self.action = l4, action
+        self.l4, self.powers = l4, powers
 
 
 def _kernel_action(a: DiffOp, b: DiffOp):
     """A(b) on the formal kernel of a - z, or None unless [a, b] = 0.
 
     ``a`` is monic of order 4 over Q[x].  A ``b`` marked with this very
-    ``a`` (:class:`_Commuting`) has [a, b] = 0 proven, and its carried
-    matrix is returned when it has one; [a, b] is expanded directly for any
-    other ``b``.  The matrix is built on the basis at truncation max(8,
-    ord b + 3), the shortest that holds every d_k :func:`action_matrix`
-    reads for b.
+    ``a`` (:class:`_Commuting`) has [a, b] = 0 proven, and the matrix
+    ``powers[1]`` it carries is returned when it has one; [a, b] is
+    expanded directly for any other ``b``.  The matrix is built on the
+    basis at truncation max(8, ord b + 3), the shortest that holds every
+    d_k :func:`action_matrix` reads for b.
     """
     marked = isinstance(b, _Commuting) and b.l4 is a
-    if marked and b.action is not None:
-        return b.action
+    if marked and b.powers is not None:
+        return b.powers[1]
     if not marked and not a.commutator(b).is_zero():
         return None
     return action_matrix(b, series_kernel_basis(a, max(8, b.order + 3)))

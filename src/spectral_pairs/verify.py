@@ -86,7 +86,8 @@ def _lift_op(op: DiffOp, qring: QuotientRing) -> DiffOp:
 def verify_eigen_identity(spec: FamilySpec) -> VerificationReport:
     """Check L4 (p phi) = z (p phi) for every phi in ker L2, exactly.
 
-    Builds N = L4 p - z p as an operator (p and z acting by multiplication)
+    Builds N = L4 p - z p as an operator (p and z acting by multiplication;
+    z p changes only the D^0 coefficient of L4 p, so it is one subtraction)
     and right-divides by L2; the identity holds iff the remainder vanishes.
     For deg chi >= 2 the computation runs in Base[z]/(chi), treating z as a
     formal root without choosing one.  L2 is built once: L4 is formed from
@@ -106,7 +107,8 @@ def verify_eigen_identity(spec: FamilySpec) -> VerificationReport:
         l4 = _lift_op(l4, ring)
         z = ring.gen
     p = multiplier_p(spec, z)
-    n = l4 * DiffOp.mult(p) - DiffOp.mult(z * p)
+    lp = l4 * DiffOp.mult(p)
+    n = DiffOp(lp.ring, [lp.coeffs[0] - z * p, *lp.coeffs[1:]])
     q, r = n.right_divmod(l2)
     if q * l2 + r != n:  # reconstruction re-check after every division
         raise SpectralPairsError("right division failed its reconstruction check")

@@ -568,8 +568,9 @@ def test_some_square_completion_case_shifts():
 
 def test_curve_path_does_each_exact_step_once(monkeypatch):
     # find -> pair -> check on one L4 object: find's exact check is the one
-    # expansion of [L4, M], pair builds the one basis and matrix, and the
-    # check decides on the matrix that M' carries, with no composition
+    # expansion of [L4, M], pair builds the one basis and matrix and reads
+    # the curve off tr A and A'^2 with no characteristic polynomial, and the
+    # check decides on the powers that M' carries, with no composition
     l4 = make_L4(FamilySpec(CUBIC, 2, alphas=_GENERIC_CUBIC))
     calls = {"basis": 0, "matrix": 0, "charpoly": 0, "commutator": 0, "compose": 0}
 
@@ -589,10 +590,10 @@ def test_curve_path_does_each_exact_step_once(monkeypatch):
     assert calls == {"basis": 0, "matrix": 0, "charpoly": 0, "commutator": 1, "compose": 0}
     m2, curve = hyperelliptic_pair(l4, m)
     assert m2 != m  # this case completes the square
-    assert calls == {"basis": 1, "matrix": 1, "charpoly": 1, "commutator": 1, "compose": 0}
+    assert calls == {"basis": 1, "matrix": 1, "charpoly": 0, "commutator": 1, "compose": 0}
     monkeypatch.setattr(DiffOp, "__mul__", counted("compose", DiffOp.__mul__))
     assert curve.eval_at_operators(l4, m2).is_zero()
-    assert calls == {"basis": 1, "matrix": 1, "charpoly": 1, "commutator": 1, "compose": 0}
+    assert calls == {"basis": 1, "matrix": 1, "charpoly": 0, "commutator": 1, "compose": 0}
 
 
 def test_benchmark_tracer_tallies_the_curve_path():
@@ -634,7 +635,7 @@ def _plain(op):
 @pytest.mark.parametrize("case", _DIFFERENTIAL_CASES, ids=_case_id)
 def test_carried_proof_and_matrix_match_the_direct_expansion(case):
     l4, m = _pair_input(case)
-    assert isinstance(m, curves._Commuting) and m.l4 is l4 and m.action is None
+    assert isinstance(m, curves._Commuting) and m.l4 is l4 and m.powers is None
     m2, curve = hyperelliptic_pair(l4, m)
     verdict = curve.eval_at_operators(l4, m2).is_zero()
     plain_m2, plain_curve = hyperelliptic_pair(l4, _plain(m))
@@ -643,7 +644,8 @@ def test_carried_proof_and_matrix_match_the_direct_expansion(case):
     assert m2 == plain_m2 and repr(m2) == repr(plain_m2)
     assert verdict and plain_verdict
     assert m2.l4 is l4
-    assert m2.action == action_matrix(m2, series_kernel_basis(l4, m2.order + 3))
+    assert m2.powers == curves._matrix_powers(
+        action_matrix(m2, series_kernel_basis(l4, m2.order + 3)), 2)
 
 
 def _counted_commutators(monkeypatch) -> list:
@@ -703,7 +705,7 @@ def test_the_mark_holds_only_for_its_own_l4_object(monkeypatch):
 def test_a_perturbed_curve_on_a_marked_partner_matches_the_oracle():
     l4, m = _pair_input((CUBIC, 2, _GENERIC_CUBIC, 10))
     m2, curve = hyperelliptic_pair(l4, m)
-    assert isinstance(m2, curves._Commuting) and m2.action is not None
+    assert isinstance(m2, curves._Commuting) and m2.powers is not None
     for key in ((0, 0), (2, 0)):
         perturbed = _shifted(curve, key, Fraction(-2, 3))
         identity = perturbed.eval_at_operators(l4, m2)
@@ -866,6 +868,80 @@ def test_spectral_curve_matches_the_two_truncation_curve(alphas, p, c):
     curve = spectral_curve(l4, m)
     assert curve == spectral_curve_oracle(l4, m)
     assert curve.eval_at_operators(l4, m).is_zero()
+
+
+# -- the rank-two curve off tr A and A'^2 against the characteristic polynomial ------
+
+
+def _charpoly_route_curve(l4, m):
+    """The curve of M' by det(w I - A), its exact square root w^2 + b w + c
+    and the square completion w^2 + c - b^2/4 on its w-coefficients."""
+    root = squarefree_normalize(charpoly_w(action_matrix(m, series_kernel_basis(l4, m.order + 3))))
+    assert root.w_degree() == 2
+    b, c = (root.coefficients_in("w").get(j, ZRING.zero) for j in (1, 0))
+    return curves._curve([ZRING.one, ZRING.zero, c - b * b * Fraction(1, 4)])
+
+
+def _assert_pair_matches_the_charpoly_route(l4, m):
+    m2, curve = hyperelliptic_pair(l4, m)
+    expected = _charpoly_route_curve(l4, m)
+    assert curve == expected and repr(curve) == repr(expected)
+    fresh = action_matrix(m2, series_kernel_basis(l4, m2.order + 3))
+    assert m2.powers == curves._matrix_powers(fresh, 2)
+    assert m2.powers[2] == [[-curve.coefficients_in("w")[0] if r == s else ZRING.zero
+                             for s in range(4)] for r in range(4)]  # A'^2 = F I
+
+
+@pytest.mark.parametrize("case", _DIFFERENTIAL_CASES, ids=_case_id)
+def test_pair_curve_off_the_trace_and_square_is_the_charpoly_route(case):
+    _assert_pair_matches_the_charpoly_route(*_pair_input(case))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(_small_rational, min_size=4, max_size=4).filter(lambda a: a[3]),
+    st.booleans(),
+    st.integers(1, 3),
+)
+def test_pair_curve_on_drawn_potentials_is_the_charpoly_route(alphas, quartic, g):
+    """Generic cubics a0 .. a3 at g = 1 .. 3, or quartics with a2 = a0,
+    a3 = a1, a4 = a3 and a1 from the quartic constraint at g = 1, 2."""
+    if quartic:
+        g = min(g, 2)
+        a0, a2, a3, a4 = alphas[0], alphas[0], alphas[1], alphas[3]
+        alphas = (a0, solve_quartic_constraint(a2, a3, a4), a2, a3, a4)
+    l4 = make_L4(FamilySpec(QUARTIC if quartic else CUBIC, g, alphas=tuple(alphas)))
+    _assert_pair_matches_the_charpoly_route(l4, find_commuting_operator(l4, 4 * g + 2))
+
+
+def _d4_d():
+    return DiffOp.d(XRING, 4), DiffOp.d(XRING)
+
+
+def _d4_d8_plus_d4():
+    return DiffOp.d(XRING, 4), DiffOp.d(XRING, 8) + DiffOp.d(XRING, 4)
+
+
+def _l4_l4():
+    l4 = make_L4(PURE_CUBIC)
+    return l4, l4
+
+
+@pytest.mark.parametrize("pair, degree", [(_d4_d, 4), (_d4_d8_plus_d4, 1), (_l4_l4, 1)],
+                         ids=["D4-D", "D4-D8+D4", "L4-L4"])
+def test_pair_error_names_the_w_degree_of_the_spectral_curve(pair, degree):
+    # A' = 0 for a polynomial in L4 (w-degree 1); A'^2 is not F I for the
+    # fourth root of z (w-degree 4)
+    a, b = pair()
+    assert spectral_curve(a, b).w_degree() == degree
+    with pytest.raises(NotCoveredError, match=f"^not a rank-two curve: w-degree {degree}$"):
+        hyperelliptic_pair(a, b)
+
+
+def test_pair_of_d4_and_d2_completes_nothing():
+    m2, curve = hyperelliptic_pair(DiffOp.d(XRING, 4), DiffOp.d(XRING, 2))
+    assert m2 == DiffOp.d(XRING, 2)
+    assert curve == SpectralCurve({(0, 2): 1, (1, 0): -1})  # w^2 - z
 
 
 # -- the order-(4g+2) partner by the chain of Mironov's method --------------------

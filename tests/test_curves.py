@@ -153,20 +153,20 @@ def _check_kernel_sums(monkeypatch, curve, a, b):
 
 
 def test_check_decides_on_powers_of_the_action_matrix(monkeypatch):
-    # w^2 - F on the 4x4 action matrix A: 16 sums form A^2, and each entry of
-    # F(z) I - A^2 is one more sum, 32 in all
+    # w^2 - F on the 4x4 action matrix A: M' carries A^2, so each entry of
+    # F(z) I - A^2 is one sum, 16 in all
     l4 = make_L4(FamilySpec(CUBIC, 2, alphas=(4, 1, Fraction(-2, 3), -1)))
     m, curve = hyperelliptic_pair(l4, find_commuting_operator(l4, 10))
     result, sums = _check_kernel_sums(monkeypatch, curve, l4, m)
     assert result.is_zero()
-    assert sums == 32
-    # R + 1 gives R(z I, A) + I = I: A^2 and the first entry, then the
+    assert sums == 16
+    # R + 1 gives R(z I, A) + I = I: the first entry alone, then the
     # operator R(L4, M') + 1 by Horner
     terms = dict(curve.terms)
     terms[(0, 0)] += 1
     result, sums = _check_kernel_sums(monkeypatch, SpectralCurve(terms), l4, m)
     assert result == DiffOp.identity(l4.ring)
-    assert sums == 17
+    assert sums == 1
 
 
 # -- differential tests against sympy --------------------------------------------------
