@@ -115,10 +115,16 @@ holds the first four Taylor data of M psi_j, which reads d up to
 d_(ord M + 3) (:func:`curves.action_matrix`).  So one basis at truncation
 max(8, ord M + 3) gives the curve: the recurrence is prefix-closed (d_(m+4)
 is fixed by d_0 .. d_(m+3)), so a longer basis cut to that length gives the
-same matrix.  det(w I - A) is R^l for the irreducible relation R of the
-pair.  :func:`spectral_curve`, for any rank, reads R off the w-coefficients
-over Q[z] as the monic l-th root (:func:`curves.charpoly_w`,
-:func:`curves.squarefree_normalize`).  :func:`hyperelliptic_pair` forms no
+same matrix.  A chain partner M = sum_i t_i L4^i, each t_i of order 2,
+needs truncation 8 only: for psi in ker(L4 - z), M psi = sum_i t_i (z^i
+psi) = T psi with T = sum_i z^i t_i, as z is a constant of the
+derivation, and M psi_j lies in the kernel ([L4, M] = 0 is proven), so its
+coordinates are the first four Taylor data of T psi_j, which read d only
+up to d_5 (:func:`curves._chain_action`).  det(w I - A) is R^l for the
+irreducible relation R of the pair.  :func:`spectral_curve`, for any rank,
+reads R off the w-coefficients over Q[z] as the monic l-th root
+(:func:`curves.charpoly_w`, :func:`curves.squarefree_normalize`).
+:func:`hyperelliptic_pair` forms no
 characteristic polynomial: a rank-two R = w^2 + b w + c has b = -tr(A)/2,
 so it completes the square on the matrix, A' = A + b(z)/2 I, and one
 product A'^2 = F I both decides the rank and gives the curve w^2 - F of
@@ -130,13 +136,17 @@ composition of M' with itself (:meth:`curves.SpectralCurve.eval_at_operators`).
 Each of these facts is computed once per pair, on the operators returned:
 :func:`find_commuting_operator` marks its partner with the L4 object whose
 commutator with it it has just expanded to zero (:class:`curves._Commuting`),
-so :func:`spectral_curve` and :func:`hyperelliptic_pair` build the kernel
-basis and A without expanding [L4, M] again, and :func:`hyperelliptic_pair`
+and, on the chain path, with the terms t_i it has just composed, so
+:func:`spectral_curve` and :func:`hyperelliptic_pair` build the kernel
+basis and A without expanding [L4, M] again (a chain partner's A from
+its terms, at truncation 8), and :func:`hyperelliptic_pair`
 returns M' with the same mark and the powers [I, A', A'^2] of A(M') = A(M)
 + b(z)/2 I: M' - M lies in Q[L4], which commutes with L4 and acts as b(z)/2
 on ker(L4 - z).  The mark holds only for that L4 object; any other L4, even
 one of equal value, and any operator formed from a marked one get the
-direct expansion.
+direct expansion.  No CLI command reaches :func:`spectral_curve`,
+:func:`curves.charpoly_w` or :func:`curves.squarefree_normalize`: no module
+calls them but one another, and the tests and the benchmark do.
 """
 
 from __future__ import annotations
@@ -485,11 +495,15 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
     [L4, M] = 0 by direct commutator expansion, on either path.  M is
     returned marked with ``l4`` (:class:`curves._Commuting`), so that
     :func:`spectral_curve` and :func:`hyperelliptic_pair` given this same
-    ``l4`` object do not expand the commutator again.
+    ``l4`` object do not expand the commutator again; on the chain path
+    the mark also carries the normal-form terms t_i with M = sum_i t_i
+    L4^i, from which they read A(M) at truncation 8.
     """
+    terms = None
     chain = _chain_pair(l4, target_order)
     if chain is not None and _chain_spans(*chain):
-        m = horner(_normal_form(chain[0], l4), l4, DiffOp.zero(l4.ring))
+        terms = _normal_form(chain[0], l4)
+        m = horner(terms, l4, DiffOp.zero(l4.ring))
     else:
         partials, space = _search_space(l4, target_order)
         orders = [max(k for k, c in enumerate(vec) if c) for vec in space]
@@ -501,7 +515,7 @@ def find_commuting_operator(l4: DiffOp, target_order: int) -> DiffOp:
         m = _combine(l4.ring, partials, space[orders.index(target_order)])
     if not l4.commutator(m).is_zero():
         raise SpectralPairsError("solver output failed exact commutator check")
-    return _Commuting(m, l4)
+    return _Commuting(m, l4, terms=terms)
 
 
 def spectral_curve(l4: DiffOp, m: DiffOp) -> SpectralCurve:
@@ -509,7 +523,8 @@ def spectral_curve(l4: DiffOp, m: DiffOp) -> SpectralCurve:
 
     One kernel basis, at truncation max(8, ord M + 3), is enough: a longer
     one agrees with it on every coefficient :func:`action_matrix` reads (see
-    the module docstring).  The zero operator has det(w I - 0) = w^4 and so
+    the module docstring); a chain partner that carries its terms needs
+    truncation 8 only.  The zero operator has det(w I - 0) = w^4 and so
     the curve w.  [L4, M] = 0 is expanded unless ``m`` is marked with this
     ``l4`` (:func:`curves._kernel_action`).
     """

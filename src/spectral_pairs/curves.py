@@ -23,10 +23,13 @@ with Q[z] entries, feeds the curve and the zero test of
 
 A partner whose commutation is already proven carries the proof:
 :class:`_Commuting` marks it with the very L4 object it commutes with, and,
-once formed, with the powers of its action matrix.  :func:`_kernel_action`
-trusts the mark only for that same object (``is``) and expands [a, b] for
-every other pair, so each fact is computed once per pair and nothing is kept
-across calls.
+once formed, with the powers of its action matrix.  A chain partner M =
+sum_i t_i L4^i also carries its order-2 terms t_i, and its matrix is that
+of T = sum_i z^i t_i, whose coefficients lie in Q[z][x], on the basis at
+truncation 8 (:func:`_chain_action`), whatever the order of M: L4^i acts
+as z^i on ker(L4 - z).  :func:`_kernel_action` trusts the mark only for that same
+object (``is``) and expands [a, b] for every other pair, so each fact is
+computed once per pair and nothing is kept across calls.
 A polynomial over Q[z] in an operator is formed on its scalar operators
 (:func:`_at_operator`) by the package's one Horner,
 :func:`rings.multipoly.horner`, which the chain partner and the square
@@ -39,7 +42,7 @@ from fractions import Fraction
 from math import perm
 
 from .errors import NonMonicError, RingMismatchError, SpectralPairsError, TruncationError
-from .operators import DiffOp
+from .operators import NEG_INF, DiffOp
 from .rings import MultiPoly, PolyRing
 from .rings.multipoly import horner
 
@@ -241,23 +244,25 @@ def series_kernel_basis(l4: DiffOp, truncation: int) -> list:
 class _Commuting(DiffOp):
     """An operator proven to commute with the operator object ``l4``, with
     the powers [I, A, A^2] of its action matrix A on ker(l4 - z) in
-    ``powers`` once they are formed.
+    ``powers`` once they are formed, and, for a chain partner, the order-2
+    operators t_i of M = sum_i t_i L4^i in ``terms``.
 
     Only :func:`centralizer.find_commuting_operator`, right after its exact
-    [L4, M] = 0 expansion, and :func:`centralizer.hyperelliptic_pair`, whose
-    M' differs from a proven M by b(L4)/2 in Q[L4] and whose A(M')^2 it
-    has formed to read the curve, build one.  Arithmetic and every other
-    method return plain :class:`DiffOp`, so no operator derived from a
-    marked one inherits the mark, and :func:`_kernel_action` reads it only
-    when the L4 it is given is ``l4`` itself: an L4 of equal value is still
-    expanded, as nothing ties it to the proof.
+    [L4, M] = 0 expansion (with ``terms`` when it has just composed M from
+    them), and :func:`centralizer.hyperelliptic_pair`, whose M' differs from
+    a proven M by b(L4)/2 in Q[L4] and whose A(M')^2 it has formed to read
+    the curve, build one.  Arithmetic and every other method return plain
+    :class:`DiffOp`, so no operator derived from a marked one inherits the
+    mark, and :func:`_kernel_action` reads it only when the L4 it is given
+    is ``l4`` itself: an L4 of equal value is still expanded, as nothing
+    ties it to the proof.
     """
 
-    __slots__ = ("l4", "powers")
+    __slots__ = ("l4", "powers", "terms")
 
-    def __init__(self, op: DiffOp, l4: DiffOp, powers=None):
+    def __init__(self, op: DiffOp, l4: DiffOp, powers=None, terms=None):
         super().__init__(op.ring, op.coeffs)
-        self.l4, self.powers = l4, powers
+        self.l4, self.powers, self.terms = l4, powers, terms
 
 
 def _kernel_action(a: DiffOp, b: DiffOp):
@@ -266,19 +271,44 @@ def _kernel_action(a: DiffOp, b: DiffOp):
     ``a`` is monic of order 4 over Q[x].  A ``b`` marked with this very
     ``a`` (:class:`_Commuting`) has [a, b] = 0 proven, and the matrix
     ``powers[1]`` it carries is returned when it has one; [a, b] is
-    expanded directly for any other ``b``.  The matrix is built on the
-    basis at truncation max(8, ord b + 3), the shortest that holds every
-    d_k :func:`action_matrix` reads for b.
+    expanded directly for any other ``b``.  A marked ``b`` that carries
+    its chain terms, b = sum_i t_i a^i with each t_i of order 2, is read
+    off them (:func:`_chain_action`) on the basis at truncation 8.  Any
+    other ``b`` is read on the basis at truncation max(8, ord b + 3), the
+    shortest that holds every d_k :func:`action_matrix` reads for b.
     """
     marked = isinstance(b, _Commuting) and b.l4 is a
     if marked and b.powers is not None:
         return b.powers[1]
+    if marked and b.terms is not None:
+        return _chain_action(a, b.terms)
     if not marked and not a.commutator(b).is_zero():
         return None
     return action_matrix(b, series_kernel_basis(a, max(8, b.order + 3)))
 
 
-def action_matrix(m: DiffOp, basis: list) -> list:
+def _chain_action(l4: DiffOp, terms: list):
+    """A(M) on ker(L4 - z) for M = sum_i terms[i] L4^i, [L4, M] = 0 proven.
+
+    For psi in ker(L4 - z), M psi = sum_i terms[i] (z^i psi) = T psi with
+    T = sum_i z^i terms[i], since z is a constant of the derivation.  M
+    psi_j lies in the kernel, as M commutes with L4, so its coordinates are
+    the first four Taylor data of T psi_j at 0.  T has order 2, so they read
+    d only up to d_5, and the shortest basis :func:`series_kernel_basis`
+    builds, at truncation 8, is enough: one :func:`action_matrix` of an
+    order-2 operator, whatever the order of M.  T is passed as its map
+    {(i, s): coefficient of x^s D^i in Q[z]}.
+    """
+    by_key: dict = {}
+    for k, term in enumerate(terms):
+        for i, coeff in enumerate(term.coeffs):
+            for (s,), c in coeff.terms.items():
+                by_key.setdefault((i, s), {})[(k,)] = c
+    t = {key: _Z.from_terms(powers) for key, powers in by_key.items()}
+    return action_matrix(t, series_kernel_basis(l4, 8))
+
+
+def action_matrix(m, basis: list) -> list:
     """4x4 matrix over Q[z] of M acting on the formal kernel basis.
 
     Column j holds the Taylor data (k-th derivative at 0, k < 4) of M psi_j,
@@ -287,17 +317,20 @@ def action_matrix(m: DiffOp, basis: list) -> list:
 
         A[k][j] = sum_i sum_(s <= k) a_(i,s) k!/(k-s)! d_(k-s+i),
 
-    which reads d up to d_(ord M + 3).  Entries are Q[z] ``MultiPoly``
-    values, as the basis's are.
+    which reads d up to d_(ord M + 3).  ``m`` is an operator over Q[x], or
+    the map {(i, s): a_(i,s)} of one whose a_(i,s) are polynomials in z, a
+    constant of the derivation (:func:`_chain_action`).  Entries are Q[z]
+    ``MultiPoly`` values, as the basis's are.
     """
-    if len(basis[0]) - 1 - m.order < 3:
+    if isinstance(m, DiffOp):
+        m = {key: _Z.const(a) for key, a in _x_terms(m).items()}
+    if len(basis[0]) - 1 - max((i for i, _ in m), default=NEG_INF) < 3:
         raise TruncationError("basis truncation too small for this operator")
-    terms = {key: _Z.const(a) for key, a in _x_terms(m).items()}
     matrix = [[None] * 4 for _ in range(4)]
     for j, d in enumerate(basis):
         for k in range(4):
             matrix[k][j] = _Z.sum_products(
-                (perm(k, s), a, d[k - s + i]) for (i, s), a in terms.items() if s <= k
+                (perm(k, s), a, d[k - s + i]) for (i, s), a in m.items() if s <= k
             )
     return matrix
 

@@ -636,6 +636,10 @@ def _plain(op):
 def test_carried_proof_and_matrix_match_the_direct_expansion(case):
     l4, m = _pair_input(case)
     assert isinstance(m, curves._Commuting) and m.l4 is l4 and m.powers is None
+    # a chain partner carries its terms, and A(M) read off them is M's own
+    assert (m.terms is None) == (case in _FALLBACK_CASES)
+    if m.terms is not None:
+        _assert_terms_action_is_the_long_basis_action(l4, m)
     m2, curve = hyperelliptic_pair(l4, m)
     verdict = curve.eval_at_operators(l4, m2).is_zero()
     plain_m2, plain_curve = hyperelliptic_pair(l4, _plain(m))
@@ -1191,3 +1195,71 @@ def test_normal_form_clears_what_the_power_list_clears():
     reduced = _horner(centralizer._normal_form(terms, l4), l4)
     assert reduced == gauge_normalize_oracle(m_prime, l4, 3)
     assert reduced != m_prime
+
+
+# -- the chain partner's action off its order-2 terms ------------------------------------
+
+
+def _assert_terms_action_is_the_long_basis_action(l4, m):
+    """A(M) read off the terms M carries, on the truncation-8 basis, equals
+    the action of M itself on a basis at truncation ord M + 3."""
+    assert m.terms is not None and m.l4 is l4 and m.powers is None
+    assert _horner(m.terms, l4) == m
+    expected = action_matrix(m, series_kernel_basis(l4, m.order + 3))
+    assert curves._kernel_action(l4, m) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(_small_rational, min_size=4, max_size=4).filter(lambda a: a[3]),
+    st.booleans(),
+    st.integers(1, 3),
+)
+def test_chain_terms_action_on_drawn_potentials(alphas, quartic, g):
+    """Cubics a0 .. a3, or quartics with a2 = a0, a3 = a1, a4 = a3 and a1
+    from the quartic constraint, at g = 1 .. 3: a partner carries terms
+    exactly when the chain and its guard hold, and their action is the
+    partner's."""
+    if quartic:
+        a0, a2, a3, a4 = alphas[0], alphas[0], alphas[1], alphas[3]
+        alphas = (a0, solve_quartic_constraint(a2, a3, a4), a2, a3, a4)
+    l4 = make_L4(FamilySpec(QUARTIC if quartic else CUBIC, g, alphas=tuple(alphas)))
+    m = find_commuting_operator(l4, 4 * g + 2)
+    chain = centralizer._chain_pair(l4, 4 * g + 2)
+    assert (m.terms is None) == (chain is None or not centralizer._chain_spans(*chain))
+    if m.terms is not None:
+        _assert_terms_action_is_the_long_basis_action(l4, m)
+
+
+def test_a_shifted_term_shifts_the_terms_action():
+    # adding c L4^k to M adds c z^k to A(M): the action is read off every term
+    l4 = make_L4(FamilySpec(CUBIC, 2, alphas=_GENERIC_CUBIC))
+    terms = find_commuting_operator(l4, 10).terms
+    action = curves._chain_action(l4, terms)
+    z = ZRING.var("z")
+    for k in range(len(terms)):
+        shifted = list(terms)
+        shifted[k] = terms[k] + DiffOp.identity(XRING).scale(Fraction(2, 3))
+        expected = [[e + Fraction(2, 3) * z ** k if r == s else e for s, e in enumerate(row)]
+                    for r, row in enumerate(action)]
+        assert curves._chain_action(l4, shifted) == expected
+
+
+def test_action_matrix_reads_z_coefficients_as_constants():
+    # T = z x D^2 + (z^2 - 1/3), given by its Q[z] coefficients, against its
+    # z^0, z^1, z^2 parts over Q[x]
+    l4 = make_L4(FamilySpec(CUBIC, 2, alphas=_GENERIC_CUBIC))
+    z = ZRING.var("z")
+    t = {(2, 1): z, (0, 0): z * z - Fraction(1, 3)}
+    parts = [DiffOp(XRING, [XRING.const(Fraction(-1, 3))]),
+             DiffOp(XRING, [XRING.zero, XRING.zero, XRING.var("x")]),
+             DiffOp.identity(XRING)]
+    basis = series_kernel_basis(l4, 8)
+    by_power = [action_matrix(p, basis) for p in parts]
+    expected = [[by_power[0][r][s] + z * by_power[1][r][s] + z * z * by_power[2][r][s]
+                 for s in range(4)] for r in range(4)]
+    assert action_matrix(t, basis) == expected
+    with pytest.raises(TruncationError):
+        action_matrix({(6, 0): z}, basis)
+    with pytest.raises(SpectralPairsError, match="Q\\[x\\]"):
+        action_matrix(DiffOp.identity(ZRING), basis)
